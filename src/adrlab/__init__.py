@@ -7,7 +7,7 @@ Submodules (import explicitly; nothing heavy is loaded from the package root):
 
     adrlab.linalg      dense/banded direct solvers
     adrlab.operators   CD2 / upwind-compact / Lele / combined-compact matrices
-    adrlab.adr1d       the four 1D time steppers
+    adrlab.adr1d       the two-stage 1D stepper for the four schemes
     adrlab.spectral    amplification factors, group velocity, phase error
     adrlab.wavepacket  wave-packet error-dynamics experiments
     adrlab.pks2d       2D chemotaxis finite-volume solver

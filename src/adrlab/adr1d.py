@@ -8,12 +8,27 @@ schemes. All steppers work on the nondimensional groups N_c = c dt/h
 nodal vectors; complex input is stepped by two real passes wherever a
 linear solve is involved.
 
-Dirichlet handling: implicit systems get identity rows at both ends
-carrying the boundary data; explicit stages re-impose the end values
-after evaluation. Either way the interior stencil rows stay exactly as
-analyzed spectrally.
+All four schemes are one two-stage update. With the semi-discrete operator
 
-Steppers factor their stage matrices once per configuration and are
+    z = -N_c D1 + Pe D2 + Da I = z_I + z_E
+
+split into an implicitly treated part z_I and an explicit part z_E,
+
+    stage 1:  (I - z_I/2) u* = (I + z_I/2 + z_E) u
+    stage 2:  u+ = u + z (u + u*)/2
+
+The schemes differ only in the split (the SCHEMES table):
+
+    explicit-oucs3-cd2    Heun (two-stage RK2)   z_I = 0
+    implicit-oucs3-lele   implicit mid-point     z_E = 0 (stage 2 returns u*)
+    imex-oucs3-lele,      IMEX (Ascher, Ruuth    z_I = Pe D2 + Da I,
+    imex-nccd             & Spiteri 1997)        z_E = -N_c D1
+
+Dirichlet handling: the stage-1 system gets identity rows at both ends
+carrying the boundary data, and stage 2 re-imposes the end values. Either
+way the interior stencil rows stay exactly as analyzed spectrally.
+
+Steppers factor their stage matrix once per configuration and are
 immutable afterwards; a run owns its state, so independent runs can
 execute in parallel.
 """
@@ -93,15 +108,44 @@ class SolutionState:
     t: float
 
 
+#: The three terms of z = -N_c D1 + Pe D2 + Da I, in summation order.
+TERMS = ("advection", "diffusion", "reaction")
+_IMEX = frozenset({"diffusion", "reaction"})
+
+#: scheme -> (grid -> (D1, D2) builder, terms of z treated implicitly).
+#: This table is the only place the implicit/explicit split is defined; the
+#: steppers and the spectral module both read it. Builders are looked up
+#: when called, so a module-level builder replaced at run time is the one used.
+SCHEMES = {
+    SchemeId.EXPLICIT_OUCS3_CD2: (lambda g: (build_oucs3(g), build_cd2_second(g)),
+                                  frozenset()),
+    SchemeId.IMPLICIT_OUCS3_LELE: (lambda g: (build_oucs3(g), build_lele_second(g)),
+                                   frozenset(TERMS)),
+    SchemeId.IMEX_OUCS3_LELE: (lambda g: (build_oucs3(g), build_lele_second(g)), _IMEX),
+    SchemeId.IMEX_NCCD: (lambda g: build_nccd(g), _IMEX),
+}
+
+#: rows per block when assembling a stage matrix (bounds the temporaries)
+_BLOCK_ROWS = 128
+
+
 def scheme_operators(scheme: SchemeId, grid: Grid1D):
     """The (first-derivative, second-derivative) operator pair of a scheme."""
-    if scheme is SchemeId.EXPLICIT_OUCS3_CD2:
-        return build_oucs3(grid), build_cd2_second(grid)
-    if scheme is SchemeId.IMPLICIT_OUCS3_LELE or scheme is SchemeId.IMEX_OUCS3_LELE:
-        return build_oucs3(grid), build_lele_second(grid)
-    if scheme is SchemeId.IMEX_NCCD:
-        return build_nccd(grid)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return SCHEMES[scheme][0](grid)
+
+
+def z_parts(scheme: SchemeId, nc, pe, da) -> tuple:
+    """Coefficients (of D1, D2, I) of z_I and of z_E for one scheme.
+
+    z_I + z_E = z = -N_c D1 + Pe D2 + Da I; each term of z sits in the part
+    SCHEMES assigns it to and is 0 in the other.
+    """
+    implicit = SCHEMES[scheme][1]
+    coef = list(zip(TERMS, (-nc, pe, da)))
+    return ([c if t in implicit else 0.0 for t, c in coef],
+            [0.0 if t in implicit else c for t, c in coef])
 
 
 def _check_ops(cfg: AdrConfig, *ops: DerivativeOperator) -> None:
@@ -134,124 +178,74 @@ def _lu_solve_any(lu, b: np.ndarray) -> np.ndarray:
     return lu_solve(lu, b)
 
 
-class ExplicitRk2Stepper:
-    """Heun (two-stage RK2) stepping with upwind-compact advection and CD2 diffusion.
+def _combine(d1: np.ndarray, d2: np.ndarray, coef, order: str = "C") -> np.ndarray:
+    """coef[0] D1 + coef[1] D2 + coef[2] I as a new dense matrix.
 
-    Stage 1:  u* = u - N_c D1 u + Pe D2 u + Da u
-    Stage 2:  u+ = u - N_c/2 D1 (u*+u) + Pe/2 D2 (u*+u) + Da/2 (u*+u)
+    Assembled a row block at a time, so the result is the only N x N array
+    allocated.
+    """
+    n = d1.shape[0]
+    out = np.zeros((n, n), order=order)
+    for lo in range(0, n, _BLOCK_ROWS):
+        block = out[lo:lo + _BLOCK_ROWS]
+        for mat, c in ((d1, coef[0]), (d2, coef[1])):
+            if c:
+                block += c * mat[lo:lo + _BLOCK_ROWS]
+    out[np.diag_indices(n)] += coef[2]
+    return out
+
+
+class Stepper:
+    """The two-stage template, for any split z = z_I + z_E of the scheme table.
+
+    Stage 1:  (I - z_I/2) u* = (I + z_I/2 + z_E) u, end rows carrying the
+              Dirichlet data
+    Stage 2:  u+ = u + z (u + u*)/2, ends re-pinned
+
+    Holds at most three dense matrices: the LU factors of I - z_I/2 (none
+    when z_I = 0), the stage-1 matrix e = z_I/2 + z_E, and z (none when
+    z_E = 0: stage 2 then returns u* in exact arithmetic and is skipped).
     """
 
-    scheme = SchemeId.EXPLICIT_OUCS3_CD2
-
-    def __init__(self, cfg: AdrConfig, d1: DerivativeOperator, d2: DerivativeOperator):
+    def __init__(self, scheme: SchemeId, cfg: AdrConfig, d1: DerivativeOperator,
+                 d2: DerivativeOperator):
         _check_ops(cfg, d1, d2)
-        self.cfg = cfg
-        self.d1 = d1.matrix
-        self.d2 = d2.matrix
-
-    def step(self, state: SolutionState, bc=None) -> SolutionState:
-        cfg = self.cfg
-        u = state.values
-        bc = _bc_of(u, bc)
-        nc, pe, da = cfg.n_c, cfg.pe, cfg.da
-        us = u - nc * (self.d1 @ u) + pe * (self.d2 @ u) + da * u
-        _pin(us, bc)
-        both = us + u
-        un = u - (nc / 2) * (self.d1 @ both) + (pe / 2) * (self.d2 @ both) + (da / 2) * both
-        _pin(un, bc)
-        return SolutionState(un, state.t + cfg.dt)
-
-
-class ImplicitMidpointStepper:
-    """Implicit mid-point rule; the stage matrix is factored once and reused.
-
-    [(1 - Da/2) I + N_c/2 D1 - Pe/2 D2] u+ = [(1 + Da/2) I - N_c/2 D1 + Pe/2 D2] u
-    """
-
-    scheme = SchemeId.IMPLICIT_OUCS3_LELE
-
-    def __init__(self, cfg: AdrConfig, d1: DerivativeOperator, d2: DerivativeOperator):
-        _check_ops(cfg, d1, d2)
-        self.cfg = cfg
-        n = cfg.grid.n_points
-        eye = np.eye(n)
-        nc, pe, da = cfg.n_c, cfg.pe, cfg.da
-        m = (1 - da / 2) * eye + (nc / 2) * d1.matrix - (pe / 2) * d2.matrix
-        self.lu = lu_factor(_identity_end_rows(m))
-        self.rhs_mat = (1 + da / 2) * eye - (nc / 2) * d1.matrix + (pe / 2) * d2.matrix
-
-    def step(self, state: SolutionState, bc=None) -> SolutionState:
-        u = state.values
-        bc = _bc_of(u, bc)
-        rhs = self.rhs_mat @ u
-        rhs[0], rhs[-1] = bc
-        un = _lu_solve_any(self.lu, rhs)
-        return SolutionState(un, state.t + self.cfg.dt)
-
-
-class ImexStepper:
-    """Mid-point-implicit diffusion/reaction with Heun-explicit advection.
-
-    Stage 1 (implicit): [(1 - Da/2) I - Pe/2 D2] u* =
-                        [(1 + Da/2) I + Pe/2 D2 - N_c D1] u
-    Stage 2 (explicit): u+ = u - 1/2 (N_c D1 - Pe D2 - Da I)(u + u*)
-    """
-
-    def __init__(self, cfg: AdrConfig, d1: DerivativeOperator, d2: DerivativeOperator,
-                 scheme: SchemeId = SchemeId.IMEX_OUCS3_LELE):
-        _check_ops(cfg, d1, d2)
-        self.cfg = cfg
         self.scheme = scheme
-        n = cfg.grid.n_points
-        eye = np.eye(n)
-        nc, pe, da = cfg.n_c, cfg.pe, cfg.da
-        m = (1 - da / 2) * eye - (pe / 2) * d2.matrix
-        self.lu = lu_factor(_identity_end_rows(m))
-        self.rhs_mat = (1 + da / 2) * eye + (pe / 2) * d2.matrix - nc * d1.matrix
-        self.d1 = d1.matrix
-        self.d2 = d2.matrix
+        self.cfg = cfg
+        ci, ce = z_parts(scheme, cfg.n_c, cfg.pe, cfg.da)
+        d1, d2 = d1.matrix, d2.matrix
+        self.lu = self.z = None
+        if any(ci):
+            # Fortran order lets the factorization overwrite it in place
+            m = _combine(d1, d2, [-ci[0] / 2, -ci[1] / 2, 1 - ci[2] / 2], order="F")
+            self.lu = lu_factor(_identity_end_rows(m), overwrite_a=True)
+        if any(ce):
+            self.z = _combine(d1, d2, [i + e for i, e in zip(ci, ce)])
+        self.e = _combine(d1, d2, [i / 2 + e for i, e in zip(ci, ce)]) if any(ci) else self.z
 
     def step(self, state: SolutionState, bc=None) -> SolutionState:
-        cfg = self.cfg
         u = state.values
         bc = _bc_of(u, bc)
-        rhs = self.rhs_mat @ u
-        rhs[0], rhs[-1] = bc
-        us = _lu_solve_any(self.lu, rhs)
-        both = u + us
-        nc, pe, da = cfg.n_c, cfg.pe, cfg.da
-        un = u - 0.5 * (nc * (self.d1 @ both) - pe * (self.d2 @ both) - da * both)
-        _pin(un, bc)
-        return SolutionState(un, state.t + cfg.dt)
+        us = _pin(u + self.e @ u, bc)
+        if self.lu is not None:
+            us = _lu_solve_any(self.lu, us)
+        if self.z is not None:
+            us = _pin(u + 0.5 * (self.z @ (u + us)), bc)
+        return SolutionState(us, state.t + self.cfg.dt)
 
 
-def make_stepper(scheme: SchemeId, cfg: AdrConfig, ops=None):
+def make_stepper(scheme: SchemeId, cfg: AdrConfig, ops=None) -> Stepper:
     """Build (and for implicit schemes factor) the stepper for one config."""
     d1, d2 = scheme_operators(scheme, cfg.grid) if ops is None else ops
-    if scheme is SchemeId.EXPLICIT_OUCS3_CD2:
-        return ExplicitRk2Stepper(cfg, d1, d2)
-    if scheme is SchemeId.IMPLICIT_OUCS3_LELE:
-        return ImplicitMidpointStepper(cfg, d1, d2)
-    return ImexStepper(cfg, d1, d2, scheme)
-
-
-def step_explicit_rk2(state, cfg, d1, d2, bc=None) -> SolutionState:
-    return ExplicitRk2Stepper(cfg, d1, d2).step(state, bc)
-
-
-def step_implicit_midpoint(state, cfg, d1, d2, bc=None) -> SolutionState:
-    return ImplicitMidpointStepper(cfg, d1, d2).step(state, bc)
-
-
-def step_imex(state, cfg, d1, d2, bc=None, scheme=SchemeId.IMEX_OUCS3_LELE) -> SolutionState:
-    return ImexStepper(cfg, d1, d2, scheme).step(state, bc)
+    return Stepper(scheme, cfg, d1, d2)
 
 
 def run(scheme: SchemeId, cfg: AdrConfig, u0: SolutionState, t_end: float,
-        snapshot_times=()) -> list:
+        snapshot_times=(), ops=None) -> list:
     """March from u0 to t_end, snapshotting at the nearest completed steps.
 
-    Dirichlet data is frozen from the end values of u0. Returns the list of
+    Dirichlet data is frozen from the end values of u0. `ops` is the
+    scheme's (D1, D2) pair, built here when not given. Returns the list of
     snapshots (u0 itself when it matches a requested time) plus the final
     state. Aborts with AdrInstabilityError on the first non-finite value.
     """
@@ -260,7 +254,7 @@ def run(scheme: SchemeId, cfg: AdrConfig, u0: SolutionState, t_end: float,
     n_steps = int(round((t_end - u0.t) / cfg.dt))
     want = sorted({min(max(int(round((ts - u0.t) / cfg.dt)), 0), n_steps)
                    for ts in snapshot_times})
-    stepper = make_stepper(scheme, cfg)
+    stepper = make_stepper(scheme, cfg, ops)
     bc = (u0.values[0], u0.values[-1])
     out = []
     state = u0

@@ -178,15 +178,16 @@ def cmd_dispersion_map(args) -> int:
 
 
 def cmd_wavepacket(args) -> int:
-    from .adr1d import AdrConfig, SchemeId
+    from .adr1d import AdrConfig, SchemeId, scheme_operators
     from . import wavepacket as wp
 
     scheme = SchemeId(args.scheme)
     cfg = wp.WavePacketConfig(args.gamma, args.x0, args.k0h, args.half_length, args.n)
     adr = AdrConfig(args.c, args.nu, args.lam, args.dt, cfg.grid())
     snap_times = [float(s) for s in args.snapshots.split(",") if s.strip()]
+    ops = scheme_operators(scheme, cfg.grid())  # shared by the run and the diagnostics
     result = wp.run_experiment(scheme, cfg, adr, args.t_end, snap_times,
-                               efolds=args.qwindow_efolds)
+                               efolds=args.qwindow_efolds, ops=ops)
     os.makedirs(args.out, exist_ok=True)
     for snap in result.snapshots:
         path = os.path.join(args.out, wp.snapshot_filename(scheme, cfg, snap.t))
@@ -194,7 +195,7 @@ def cmd_wavepacket(args) -> int:
     spec_path = os.path.join(args.out,
                              f"spectrum_{scheme.value}_{cfg.gamma:g}_{cfg.n_points}.csv")
     wp.write_spectrum_csv(result.spectrum_kh, result.spectrum_amplitude, spec_path)
-    g_ratio, vg, perr = wp.point_diagnostics(scheme, cfg, adr)
+    g_ratio, vg, perr = wp.point_diagnostics(scheme, cfg, adr, ops)
     print(f"N_c={_fmt(adr.n_c)} Pe={_fmt(adr.pe)} Da={_fmt(adr.da)}")
     print(f"q_wave_energy={_fmt(result.q_wave_energy)} "
           f"peak={_fmt(result.amplitude_peak)} asymmetry={_fmt(result.asymmetry)}")

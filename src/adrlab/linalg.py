@@ -119,14 +119,6 @@ def solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[-1] != b.shape[0]:
-        raise ValueError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def residual_inf(a, x, b) -> float:
     """||a x - b||_inf, for asserting the solve contract."""
     a = np.asarray(a)

@@ -71,14 +71,17 @@ class DerivativeOperator:
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self.scale * (self.matrix @ u)
 
-    def row_symbol(self, node: int, kh: float) -> complex:
+    def row_symbol(self, node: int, kh):
         """Fourier symbol of row `node` (0-based): sum_r M[j,r] e^{i kh (r-j)}.
 
         This is the dimensionless modified-wavenumber transform used by the
-        amplification-factor formulas.
+        amplification-factor formulas. kh may be an array; each entry is
+        summed exactly as a scalar kh is.
         """
-        r = np.arange(self.n_points)
-        return complex(np.sum(self.matrix[node, :] * np.exp(1j * kh * (r - node))))
+        kh = np.asarray(kh, dtype=float)
+        r = np.arange(self.n_points) - node
+        s = np.sum(self.matrix[node] * np.exp(1j * np.multiply.outer(kh, r)), axis=-1)
+        return complex(s) if kh.ndim == 0 else s
 
 
 @dataclass(frozen=True)

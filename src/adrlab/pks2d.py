@@ -418,11 +418,6 @@ def make_stepper(variant: PksVariant, mesh: Mesh2D, dt: float):
     return ImexNccdStepper(mesh, dt)
 
 
-def step(state: PksState, dt: float, variant: PksVariant) -> PksState:
-    """One-shot step; for long runs build the stepper once via make_stepper."""
-    return make_stepper(variant, state.rho.mesh, dt).step(state)
-
-
 def radial_profile(state: PksState):
     """Density along the +x half of the row nearest the domain center."""
     m = state.rho.mesh

@@ -7,9 +7,15 @@ amplification of the PDE over one step is
 
     G_exact = exp(-(Pe (kh)^2 + i N_c kh - Da)),
 
-and each scheme's G_num follows from its update formula with the operator
-row symbols S_n(kh) = sum_r D_n[j, r] e^{i kh (r - j)} evaluated at an
-interior node j. Derived diagnostics:
+and every scheme's G_num is the symbol of the two-stage update of adr1d.
+With the operator row symbols S_n(kh) = sum_r D_n[j, r] e^{i kh (r - j)}
+at an interior node j, z = -N_c S1 + Pe S2 + Da splits into the scheme's
+implicit and explicit parts z_I + z_E (adr1d.SCHEMES), and
+
+    g* = (1 + z_I/2 + z_E) / (1 - z_I/2)        (stage 1)
+    G  = 1 + z (1 + g*)/2                        (stage 2)
+
+Derived diagnostics:
 
     beta     = -atan2(Im G, Re G)                       (numerical phase shift)
     c-ratio  = -(1/N_c) (ln|G| - i beta) / ((Pe (kh)^2 - Da)/N_c + i kh)
@@ -19,8 +25,13 @@ interior node j. Derived diagnostics:
 all of which are exactly 1/0 when G_num = G_exact (within the principal
 branch of beta).
 
-All evaluations are pure; sweep samples are independent, and maps are
-emitted in a deterministic row-major order.
+Evaluation works on arrays. The symbols depend on kh only, so a (kh, N_c)
+map evaluates S1 and S2 once per kh (at kh and at kh +- VG_HALF_STEP) and
+broadcasts G over the N_c axis. The point functions (g_num,
+dispersion_point, group_velocity_ratio, max_ratio_over_kh, ...) are the
+same evaluation at the given samples, so a map entry equals the point
+function at that sample bit for bit. All evaluations are pure, and maps
+are emitted in a deterministic row-major order.
 """
 
 from __future__ import annotations
@@ -29,8 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adr1d import SchemeId
-from .operators import DerivativeOperator
+from .adr1d import SchemeId, z_parts
 
 #: default half-step for the central kh-difference in group_velocity_ratio
 VG_HALF_STEP = 1e-4
@@ -81,49 +91,72 @@ class DispersionMap:
     n_points: int
 
 
+def _g_exact(kh, nc, pe, da):
+    return np.exp(-(pe * kh**2 + 1j * nc * kh - da))
+
+
 def g_exact(p: SpectralParams) -> complex:
-    return complex(np.exp(-(p.pe * p.kh**2 + 1j * p.nc * p.kh - p.da)))
+    return complex(_g_exact(p.kh, p.nc, p.pe, p.da))
 
 
-def _symbols(scheme: SchemeId, p: SpectralParams, ops) -> tuple:
+def _grid(values, shape) -> np.ndarray:
+    # a contiguous copy over the whole grid: every sample then takes the same
+    # arithmetic path, whatever the size of the grid it is evaluated in
+    return np.broadcast_to(values, shape).copy()
+
+
+def _symbols(ops, node: int, n_points: int, kh) -> tuple:
+    """(S1, S2) row symbols at 1-based interior `node`, one per kh, shape (K,)."""
     d1, d2 = ops
-    if d1.n_points != p.n_points:
+    if d1.n_points != n_points:
         raise ValueError("operators were built for a different n_points")
-    j = p.node - 1
-    s1 = d1.row_symbol(j, p.kh)
-    s2 = d2.row_symbol(j, p.kh)
-    return s1, s2
+    kh = np.atleast_1d(kh)
+    return d1.row_symbol(node - 1, kh), d2.row_symbol(node - 1, kh)
+
+
+def _g(scheme: SchemeId, s1, s2, nc, pe: float, da: float) -> np.ndarray:
+    """Template G over the grid nc x kh from symbols over kh, shape (len(nc), K).
+
+        z_I + z_E = z = -N_c S1 + Pe S2 + Da     (split as in adr1d.SCHEMES)
+        g* = (1 + z_I/2 + z_E) / (1 - z_I/2)
+        G  = 1 + z (1 + g*)/2
+    """
+    nc = np.atleast_1d(np.asarray(nc, dtype=float))
+    shape = (len(nc), len(s1))
+    s1, s2 = _grid(s1, shape), _grid(s2, shape)
+    z_i, z_e = (a1 * s1 + a2 * s2 + a0
+                for a1, a2, a0 in z_parts(scheme, _grid(nc[:, None], shape), pe, da))
+    g_star = (1 + 0.5 * z_i + z_e) / (1 - 0.5 * z_i)
+    return 1 + 0.5 * (z_i + z_e) * (1 + g_star)
+
+
+def _gfun(scheme: SchemeId, nc, pe: float, da: float, node: int, n_points: int, ops):
+    """kh of shape (K,) -> G over the grid nc x kh: symbols once per kh,
+    G broadcast over N_c."""
+    return lambda kh: _g(scheme, *_symbols(ops, node, n_points, kh), nc, pe, da)
 
 
 def g_num(scheme: SchemeId, p: SpectralParams, ops) -> complex:
-    """One-step amplification factor of the scheme at row `node`.
-
-    The explicit scheme uses the closed form 2 Pe (cos kh - 1) for its
-    diffusion symbol (identical to the CD2 row symbol at interior nodes);
-    the other schemes use the operator row symbols throughout.
-    """
-    s1, s2 = _symbols(scheme, p, ops)
-    nc, pe, da, kh = p.nc, p.pe, p.da, p.kh
-    if scheme is SchemeId.EXPLICIT_OUCS3_CD2:
-        diff = pe * (np.cos(kh) - 1.0)
-        g_star = 1 - nc * s1 + 2 * diff + da
-        return complex(1 - ((nc / 2) * s1 - diff - da / 2) * (1 + g_star))
-    if scheme is SchemeId.IMPLICIT_OUCS3_LELE:
-        z = nc * s1 - pe * s2
-        return complex((1 + da / 2 - z / 2) / (1 - da / 2 + z / 2))
-    # both IMEX schemes share the formula; only the operators differ
-    g_star = 1 + (da - (nc * s1 - pe * s2)) / (1 - da / 2 - (pe / 2) * s2)
-    return complex(1 - ((nc / 2) * s1 - (pe / 2) * s2 - da / 2) * (1 + g_star))
+    """One-step amplification factor of the scheme at row `node`."""
+    gfun = _gfun(scheme, p.nc, p.pe, p.da, p.node, p.n_points, ops)
+    return complex(gfun(p.kh)[0, 0])
 
 
-def phase_shift(g: complex) -> float:
-    """beta = -atan2(Im G, Re G), branch-correct, in (-pi, pi]."""
-    if g == 0:
+def phase_shift(g):
+    """beta = -atan2(Im G, Re G), branch-correct, in (-pi, pi]; elementwise."""
+    g = np.asarray(g)
+    if np.any(g == 0):
         raise ValueError("phase shift undefined for G = 0")
     beta = -np.arctan2(g.imag, g.real)
-    if beta <= -np.pi:
-        beta = np.pi
-    return float(beta)
+    beta = np.where(beta <= -np.pi, np.pi, beta)
+    return float(beta) if beta.ndim == 0 else beta
+
+
+def _c_ratio(kh, nc, pe, da, g):
+    """c_num/c_exact from the modulus and phase of G (kh != 0)."""
+    num = np.log(abs(g)) - 1j * phase_shift(g)
+    den = (pe * kh**2 - da) / nc + 1j * kh
+    return -(1.0 / nc) * num / den
 
 
 def phase_speed_error(p: SpectralParams, g: complex) -> float:
@@ -136,51 +169,31 @@ def phase_speed_error(p: SpectralParams, g: complex) -> float:
         if p.da == 0.0:
             raise ValueError("phase speed error singular at kh = 0 with Da = 0")
         return float(abs(1 - np.log(abs(g)) / p.da))
-    num = np.log(abs(g)) - 1j * phase_shift(g)
-    den = (p.pe * p.kh**2 - p.da) / p.nc + 1j * p.kh
-    ratio = -(1.0 / p.nc) * num / den
-    return float(abs(1 - ratio))
+    return float(abs(1 - _c_ratio(p.kh, p.nc, p.pe, p.da, g)))
 
 
-def _unwrap_pair(b_plus: float, b_minus: float) -> float:
-    db = b_plus - b_minus
-    if db > np.pi:
-        db -= 2 * np.pi
-    elif db < -np.pi:
-        db += 2 * np.pi
-    return db
-
-
-def group_velocity_of_gfun(gfun, kh: float, nc: float,
-                           half_step: float = VG_HALF_STEP) -> float:
-    """(1/N_c) d beta/d(kh) for an arbitrary kh -> G map.
+def group_velocity_of_gfun(gfun, kh, nc, half_step: float = VG_HALF_STEP):
+    """(1/N_c) d beta/d(kh) for an arbitrary kh -> G map; elementwise on arrays.
 
     Central difference of the phase with branch jumps unwrapped; within
     half_step of kh = 0 or pi a one-sided difference is used, so the
     endpoints are covered but only to first order there.
     """
-    def beta_at(x: float) -> float:
-        return phase_shift(gfun(x))
-
+    kh = np.asarray(kh, dtype=float)
     lo, hi = kh - half_step, kh + half_step
-    if lo < 0.0:
-        db = _unwrap_pair(beta_at(kh + half_step), beta_at(kh))
-        return float(db / half_step / nc)
-    if hi > np.pi:
-        db = _unwrap_pair(beta_at(kh), beta_at(kh - half_step))
-        return float(db / half_step / nc)
-    db = _unwrap_pair(beta_at(hi), beta_at(lo))
-    return float(db / (2 * half_step) / nc)
+    edge = (lo < 0.0) | (hi > np.pi)
+    db = (phase_shift(gfun(np.where(hi > np.pi, kh, hi)))
+          - phase_shift(gfun(np.where(lo < 0.0, kh, lo))))
+    db = np.where(db > np.pi, db - 2 * np.pi, np.where(db < -np.pi, db + 2 * np.pi, db))
+    vg = db / np.where(edge, half_step, 2 * half_step) / nc
+    return float(vg) if np.ndim(vg) == 0 else vg
 
 
 def group_velocity_ratio(scheme: SchemeId, p: SpectralParams, ops,
                          half_step: float = VG_HALF_STEP) -> float:
     """Scaled group velocity of a scheme at one (kh, N_c) sample."""
-    def gfun(x: float) -> complex:
-        q = SpectralParams(x, p.nc, p.pe, p.da, p.node, p.n_points)
-        return g_num(scheme, q, ops)
-
-    return group_velocity_of_gfun(gfun, p.kh, p.nc, half_step)
+    gfun = _gfun(scheme, p.nc, p.pe, p.da, p.node, p.n_points, ops)
+    return float(group_velocity_of_gfun(gfun, [p.kh], p.nc, half_step)[0, 0])
 
 
 def error_forcing_value(p: SpectralParams, a0, t: float, g: complex) -> complex:
@@ -199,9 +212,7 @@ def error_forcing_value(p: SpectralParams, a0, t: float, g: complex) -> complex:
         return 0.0 + 0.0j
     if abs(g) == 0.0:
         raise ValueError("forcing undefined for G = 0")
-    num = np.log(abs(g)) - 1j * phase_shift(g)
-    den = (p.pe * p.kh**2 - p.da) / p.nc + 1j * p.kh
-    bracket = 1 + (1.0 / p.nc) * num / den
+    bracket = 1 - _c_ratio(p.kh, p.nc, p.pe, p.da, g)
     coeff = 1j * p.nc * p.kh + p.pe * p.kh**2 - p.da
     return complex(amp * coeff * bracket * g**t)
 
@@ -212,23 +223,33 @@ def error_forcing_spectrum(scheme: SchemeId, p: SpectralParams, a0, t: float,
     return error_forcing_value(p, a0, t, g_num(scheme, p, ops))
 
 
-def dispersion_point(scheme: SchemeId, p: SpectralParams, ops) -> DispersionPoint:
-    """All diagnostics at one (kh, N_c) sample.
+def _points(scheme: SchemeId, kh_axis, nc_axis, pe: float, da: float,
+            node: int, n_points: int, ops) -> list:
+    """DispersionPoint rows over the grid nc x kh (nc outer, kh inner).
 
     The kh = 0 column stores the analytic limits: the finite reaction-only
     amplification ratio, phase error 0 and V_g ratio 1.
     """
-    g = g_num(scheme, p, ops)
-    ge = g_exact(p)
-    ratio = abs(g / ge)
-    if p.kh == 0.0:
-        return DispersionPoint(p.kh, p.nc, g, ratio, 0.0, 1.0, 0.0)
-    return DispersionPoint(
-        p.kh, p.nc, g, ratio,
-        phase_shift(g),
-        group_velocity_ratio(scheme, p, ops),
-        phase_speed_error(p, g),
-    )
+    kh_axis = np.asarray(kh_axis, dtype=float)
+    nc_axis = np.asarray(nc_axis, dtype=float)
+    shape = (len(nc_axis), len(kh_axis))
+    kh, nc = _grid(kh_axis, shape), _grid(nc_axis[:, None], shape)
+    gfun = _gfun(scheme, nc_axis, pe, da, node, n_points, ops)
+    g = gfun(kh_axis)
+    ratio = np.abs(g / _g_exact(kh, nc, pe, da))
+    at0 = kh == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # kh = 0 is overwritten
+        beta = np.where(at0, 0.0, phase_shift(g))
+        vg = np.where(at0, 1.0, group_velocity_of_gfun(gfun, kh_axis, nc))
+        perr = np.where(at0, 0.0, np.abs(1 - _c_ratio(kh, nc, pe, da, g)))
+    cols = (kh, nc, g, ratio, beta, vg, perr)
+    return [[DispersionPoint(*vals) for vals in zip(*(c[i].tolist() for c in cols))]
+            for i in range(shape[0])]
+
+
+def dispersion_point(scheme: SchemeId, p: SpectralParams, ops) -> DispersionPoint:
+    """All diagnostics at one (kh, N_c) sample: `sweep` on a 1 x 1 grid."""
+    return _points(scheme, [p.kh], [p.nc], p.pe, p.da, p.node, p.n_points, ops)[0][0]
 
 
 def sweep(scheme: SchemeId, kh_axis, nc_axis, pe: float, da: float,
@@ -238,22 +259,19 @@ def sweep(scheme: SchemeId, kh_axis, nc_axis, pe: float, da: float,
     nc_axis = np.asarray(nc_axis, dtype=float)
     if np.any(np.diff(kh_axis) <= 0) or np.any(np.diff(nc_axis) < 0):
         raise ValueError("axes must be monotone")
-    points = []
-    for nc in nc_axis:
-        row = [dispersion_point(scheme,
-                                SpectralParams(kh, nc, pe, da, node, n_points), ops)
-               for kh in kh_axis]
-        points.append(row)
+    points = _points(scheme, kh_axis, nc_axis, pe, da, node, n_points, ops)
     return DispersionMap(kh_axis, nc_axis, points, scheme, pe, da, node, n_points)
+
+
+def _max_ratio(scheme: SchemeId, symbols, kh, nc: float, pe: float, da: float) -> float:
+    g = _g(scheme, *symbols, nc, pe, da)
+    return float(np.max(np.abs(g / _g_exact(kh, nc, pe, da)), initial=0.0))
 
 
 def max_ratio_over_kh(scheme: SchemeId, kh_axis, nc: float, pe: float, da: float,
                       node: int, n_points: int, ops) -> float:
-    out = 0.0
-    for kh in kh_axis:
-        p = SpectralParams(kh, nc, pe, da, node, n_points)
-        out = max(out, abs(g_num(scheme, p, ops) / g_exact(p)))
-    return out
+    kh = np.asarray(kh_axis, dtype=float)
+    return _max_ratio(scheme, _symbols(ops, node, n_points, kh), kh, nc, pe, da)
 
 
 def stability_boundary(scheme: SchemeId, ops, pe: float, da: float,
@@ -265,13 +283,14 @@ def stability_boundary(scheme: SchemeId, ops, pe: float, da: float,
     Bisected upward from nc_start (which must itself be stable). Returns
     nc_max when the whole search range is stable; very small N_c can be
     ratio-unstable at high kh (numerical diffusion weaker than exact), so
-    the scan deliberately starts at an intermediate CFL.
+    the scan deliberately starts at an intermediate CFL. The row symbols
+    are evaluated once, before the bisection.
     """
-    if kh_axis is None:
-        kh_axis = np.linspace(0.0, np.pi, 64)[1:]
+    kh = np.linspace(0.0, np.pi, 64)[1:] if kh_axis is None else np.asarray(kh_axis, float)
+    symbols = _symbols(ops, node, n_points, kh)
 
     def stable(nc: float) -> bool:
-        return max_ratio_over_kh(scheme, kh_axis, nc, pe, da, node, n_points, ops) <= 1 + tol
+        return _max_ratio(scheme, symbols, kh, nc, pe, da) <= 1 + tol
 
     if not stable(nc_start):
         raise ValueError(f"N_c = {nc_start} is not ratio-stable; no bracket")
@@ -285,20 +304,6 @@ def stability_boundary(scheme: SchemeId, ops, pe: float, da: float,
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def negative_vg_interval(scheme: SchemeId, ops, nc: float, pe: float, da: float,
-                         node: int = 500, n_points: int = 1001,
-                         kh_axis=None):
-    """(kh_lo, kh_hi) hull of the sampled kh where V_g ratio < 0, or None."""
-    if kh_axis is None:
-        kh_axis = np.linspace(0.02, np.pi - 0.02, 400)
-    neg = [kh for kh in kh_axis
-           if group_velocity_ratio(
-               scheme, SpectralParams(kh, nc, pe, da, node, n_points), ops) < 0]
-    if not neg:
-        return None
-    return min(neg), max(neg)
 
 
 def write_map_csv(dmap: DispersionMap, path) -> None:

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad_vec
 
-from .adr1d import AdrConfig, SchemeId, SolutionState, run
+from .adr1d import AdrConfig, SchemeId, SolutionState, run, scheme_operators
 from . import spectral
 from .operators import Grid1D
-from .adr1d import scheme_operators
 
 #: width of the upstream-energy window, in e-folding lengths of the
 #: diffusion-spread envelope (see q_wave_energy)
@@ -199,8 +198,9 @@ def asymmetry_about_center(state: SolutionState, adr: AdrConfig, t: float,
 
 def run_experiment(scheme: SchemeId, cfg: WavePacketConfig, adr: AdrConfig,
                    t_end: float, snapshot_times=(),
-                   efolds: float = Q_WINDOW_EFOLDS) -> ExperimentResult:
-    """Advance the packet and collect the error-dynamics diagnostics."""
+                   efolds: float = Q_WINDOW_EFOLDS, ops=None) -> ExperimentResult:
+    """Advance the packet (with operator pair `ops`, built when not given)
+    and collect the error-dynamics diagnostics."""
     grid = cfg.grid()
     if (adr.grid.n_points != grid.n_points or abs(adr.grid.h - grid.h) > 1e-12 * grid.h
             or abs(adr.grid.x_start - grid.x_start) > 1e-12):
@@ -209,7 +209,7 @@ def run_experiment(scheme: SchemeId, cfg: WavePacketConfig, adr: AdrConfig,
     if t_end == 0.0:
         snaps = [u0]
     else:
-        snaps = run(scheme, adr, u0, t_end, snapshot_times)
+        snaps = run(scheme, adr, u0, t_end, snapshot_times, ops)
     final = snaps[-1]
     kh, amp = fourier_spectrum(final)
     q = q_wave_energy(final, adr, t_end, cfg, efolds) if t_end > 0 else 0.0
@@ -223,17 +223,15 @@ def run_experiment(scheme: SchemeId, cfg: WavePacketConfig, adr: AdrConfig,
     )
 
 
-def point_diagnostics(scheme: SchemeId, cfg: WavePacketConfig, adr: AdrConfig):
-    """(G ratio, V_g ratio, phase error) at the packet's central wavenumber."""
-    ops = scheme_operators(scheme, cfg.grid())
+def point_diagnostics(scheme: SchemeId, cfg: WavePacketConfig, adr: AdrConfig, ops=None):
+    """(G ratio, V_g ratio, phase error) at the packet's central wavenumber,
+    from the scheme's operator pair `ops` (built when not given)."""
+    if ops is None:
+        ops = scheme_operators(scheme, cfg.grid())
     node = (cfg.n_points + 1) // 2
     p = spectral.SpectralParams(cfg.k0h, adr.n_c, adr.pe, adr.da, node, cfg.n_points)
-    g = spectral.g_num(scheme, p, ops)
-    return (
-        abs(g / spectral.g_exact(p)),
-        spectral.group_velocity_ratio(scheme, p, ops),
-        spectral.phase_speed_error(p, g),
-    )
+    pt = spectral.dispersion_point(scheme, p, ops)
+    return pt.g_ratio, pt.vg_ratio, pt.phase_err
 
 
 def snapshot_filename(scheme: SchemeId, cfg: WavePacketConfig, t: float) -> str:

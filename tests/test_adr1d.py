@@ -9,9 +9,6 @@ from adrlab.adr1d import (
     make_stepper,
     run,
     scheme_operators,
-    step_explicit_rk2,
-    step_imex,
-    step_implicit_midpoint,
 )
 from adrlab.operators import Grid1D
 from adrlab import spectral
@@ -50,9 +47,8 @@ def test_zero_is_fixed_point(scheme):
 def test_explicit_pure_reaction_heun_factor():
     da = -0.25
     cfg = reaction_only_cfg(lam=da)
-    d1, d2 = scheme_operators(SchemeId.EXPLICIT_OUCS3_CD2, cfg.grid)
     u0 = np.ones(N_SMALL)
-    out = step_explicit_rk2(SolutionState(u0, 0.0), cfg, d1, d2)
+    out = make_stepper(SchemeId.EXPLICIT_OUCS3_CD2, cfg).step(SolutionState(u0, 0.0))
     want = 1 + da + da**2 / 2
     assert np.max(np.abs(out.values[1:-1] - want)) < 1e-10
 
@@ -60,8 +56,8 @@ def test_explicit_pure_reaction_heun_factor():
 def test_implicit_pure_reaction_midpoint_factor():
     da = -0.25
     cfg = reaction_only_cfg(lam=da)
-    d1, d2 = scheme_operators(SchemeId.IMPLICIT_OUCS3_LELE, cfg.grid)
-    out = step_implicit_midpoint(SolutionState(np.ones(N_SMALL), 0.0), cfg, d1, d2)
+    stepper = make_stepper(SchemeId.IMPLICIT_OUCS3_LELE, cfg)
+    out = stepper.step(SolutionState(np.ones(N_SMALL), 0.0))
     want = (1 + da / 2) / (1 - da / 2)
     assert np.max(np.abs(out.values[1:-1] - want)) < 1e-10
 
@@ -69,8 +65,8 @@ def test_implicit_pure_reaction_midpoint_factor():
 def test_imex_pure_reaction_composite_factor():
     da = -0.25
     cfg = reaction_only_cfg(lam=da)
-    d1, d2 = scheme_operators(SchemeId.IMEX_OUCS3_LELE, cfg.grid)
-    out = step_imex(SolutionState(np.ones(N_SMALL), 0.0), cfg, d1, d2)
+    stepper = make_stepper(SchemeId.IMEX_OUCS3_LELE, cfg)
+    out = stepper.step(SolutionState(np.ones(N_SMALL), 0.0))
     g_star = 1 + da / (1 - da / 2)
     want = 1 + (da / 2) * (1 + g_star)
     assert np.max(np.abs(out.values[1:-1] - want)) < 1e-10
@@ -154,4 +150,5 @@ def test_operator_grid_mismatch_rejected():
     cfg = small_cfg(n=101)
     d1, d2 = scheme_operators(SchemeId.EXPLICIT_OUCS3_CD2, Grid1D(51, 0.1))
     with pytest.raises(ValueError):
-        step_explicit_rk2(SolutionState(np.zeros(101), 0.0), cfg, d1, d2)
+        make_stepper(SchemeId.EXPLICIT_OUCS3_CD2, cfg, (d1, d2)).step(
+            SolutionState(np.zeros(101), 0.0))

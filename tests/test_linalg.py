@@ -4,7 +4,6 @@ import pytest
 from adrlab.linalg import (
     BandedMatrix,
     LinearSolveError,
-    matmul,
     residual_bound,
     residual_inf,
     solve_banded,
@@ -80,28 +79,4 @@ def test_dense_singular_raises():
 def test_inverse_roundtrip(rng):
     a = rng.normal(size=(30, 30)) + 10.0 * np.eye(30)
     inv = solve_dense(a, np.eye(30))
-    assert np.max(np.abs(matmul(a, inv) - np.eye(30))) < 1e-9
-
-
-def test_matmul_identity_and_outer(rng):
-    a = rng.normal(size=(6, 6))
-    assert np.array_equal(matmul(a, np.eye(6)), a)
-    u = rng.normal(size=(5, 1))
-    v = rng.normal(size=(1, 4))
-    assert np.allclose(matmul(u, v), u * v, rtol=0, atol=1e-15)
-
-
-def test_matmul_against_triple_loop(rng):
-    a = rng.normal(size=(10, 10))
-    b = rng.normal(size=(10, 10))
-    want = np.zeros((10, 10))
-    for i in range(10):
-        for j in range(10):
-            for k in range(10):
-                want[i, j] += a[i, k] * b[k, j]
-    assert np.max(np.abs(matmul(a, b) - want)) < 1e-12
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ValueError):
-        matmul(np.ones((3, 4)), np.ones((3, 4)))
+    assert np.max(np.abs(a @ inv - np.eye(30))) < 1e-9

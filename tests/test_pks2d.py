@@ -24,7 +24,6 @@ from adrlab.pks2d import (
     radial_profile,
     reconstruct_edges,
     rho_rhs,
-    step,
     total_mass,
     write_metadata,
     write_radial_csv,
@@ -232,7 +231,7 @@ def test_c_rhs_equilibrium_fixture():
 def test_step_zero_fields(variant):
     mesh = Mesh2D.unit_square(16)
     state = state_from(mesh, np.zeros((16, 16)), np.zeros((16, 16)))
-    out = step(state, 1e-8, variant)
+    out = make_stepper(variant, mesh, 1e-8).step(state)
     assert np.max(np.abs(out.rho.values)) == 0.0
     assert np.max(np.abs(out.c.values)) == 0.0
     assert out.t == 1e-8

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adrlab.adr1d import SchemeId, scheme_operators
 from adrlab.operators import Grid1D
@@ -120,13 +121,43 @@ def test_error_forcing_zero_amplitude(ops1001):
                                   10.0, ops) == 0.0
 
 
-def test_sweep_single_point_matches_pointwise(ops1001):
-    scheme = SchemeId.IMEX_NCCD
+@pytest.mark.parametrize("scheme", list(SchemeId))
+def test_sweep_single_point_matches_pointwise(scheme, ops1001):
+    # one evaluation path: every map entry, the one-sided kh = 0 and pi
+    # edges included, is bit for bit the pointwise result
     ops = ops1001[scheme]
-    dmap = sweep(scheme, [0.5], [0.1], PE, DA, 500, 1001, ops)
-    pt = dmap.points[0][0]
-    ref = dispersion_point(scheme, params(0.5, 0.1), ops)
-    assert pt == ref
+    kh_axis, nc_axis = [0.0, 0.5, np.pi], [0.1, 0.6, 1.3]
+    dmap = sweep(scheme, kh_axis, nc_axis, PE, DA, 500, 1001, ops)
+    for i_nc, nc in enumerate(nc_axis):
+        for i_kh, kh in enumerate(kh_axis):
+            assert dmap.points[i_nc][i_kh] == dispersion_point(scheme, params(kh, nc), ops)
+
+
+def _reference_g(scheme, kh, nc, pe, da, ops):
+    """The three per-scheme closed forms the two-stage template replaces."""
+    d1, d2 = ops
+    s1, s2 = d1.row_symbol(499, kh), d2.row_symbol(499, kh)
+    if scheme is SchemeId.EXPLICIT_OUCS3_CD2:
+        diff = pe * (np.cos(kh) - 1.0)
+        g_star = 1 - nc * s1 + 2 * diff + da
+        return 1 - ((nc / 2) * s1 - diff - da / 2) * (1 + g_star)
+    if scheme is SchemeId.IMPLICIT_OUCS3_LELE:
+        z = nc * s1 - pe * s2
+        return (1 + da / 2 - z / 2) / (1 - da / 2 + z / 2)
+    g_star = 1 + (da - (nc * s1 - pe * s2)) / (1 - da / 2 - (pe / 2) * s2)
+    return 1 - ((nc / 2) * s1 - (pe / 2) * s2 - da / 2) * (1 + g_star)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scheme=st.sampled_from(list(SchemeId)),
+       kh=st.floats(0.0, np.pi),
+       nc=st.floats(0.0, 2.0, exclude_min=True),
+       pe=st.floats(0.0, 0.5),
+       da=st.floats(-0.5, 0.0))
+def test_template_g_matches_closed_forms(ops1001, scheme, kh, nc, pe, da):
+    g = g_num(scheme, SpectralParams(kh, nc, pe, da, 500, 1001), ops1001[scheme])
+    ref = _reference_g(scheme, kh, nc, pe, da, ops1001[scheme])
+    assert abs(g - ref) <= 1e-12 * max(1.0, abs(g))
 
 
 def test_sweep_kh0_column_stores_analytic_limits(ops1001):
