@@ -36,6 +36,7 @@ execute in parallel.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,18 +241,38 @@ def make_stepper(scheme: SchemeId, cfg: AdrConfig, ops=None) -> Stepper:
     return Stepper(scheme, cfg, d1, d2)
 
 
+def whole_steps(span: float, dt: float) -> int:
+    """Number of steps of size dt in `span` (t_end minus the start time).
+
+    Raises ValueError unless dt > 0, span >= 0 and span/dt lies within
+    1e-9 (relative) of a whole number, so a run never ends at a time other
+    than the requested one.
+    """
+    if not dt > 0:
+        raise ValueError(f"dt must be > 0 (got {dt:g})")
+    steps = span / dt
+    if not (math.isfinite(steps) and steps >= 0):
+        raise ValueError(f"t_end must be finite and >= the start time (span {span:g})")
+    n = round(steps)
+    if abs(steps - n) > 1e-9 * max(steps, 1.0):
+        raise ValueError(f"t_end is not a whole number of steps: span {span:g} is "
+                         f"{steps:.12g} steps of dt = {dt:g}")
+    return n
+
+
 def run(scheme: SchemeId, cfg: AdrConfig, u0: SolutionState, t_end: float,
         snapshot_times=(), ops=None) -> list:
     """March from u0 to t_end, snapshotting at the nearest completed steps.
+
+    t_end must be a whole number of steps after u0.t (`whole_steps`);
+    snapshot times are rounded to the nearest step.
 
     Dirichlet data is frozen from the end values of u0. `ops` is the
     scheme's (D1, D2) pair, built here when not given. Returns the list of
     snapshots (u0 itself when it matches a requested time) plus the final
     state. Aborts with AdrInstabilityError on the first non-finite value.
     """
-    if t_end < u0.t:
-        raise ValueError("t_end must be >= u0.t")
-    n_steps = int(round((t_end - u0.t) / cfg.dt))
+    n_steps = whole_steps(t_end - u0.t, cfg.dt)
     want = sorted({min(max(int(round((ts - u0.t) / cfg.dt)), 0), n_steps)
                    for ts in snapshot_times})
     stepper = make_stepper(scheme, cfg, ops)

@@ -23,14 +23,34 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _apply_thread_cap(argv) -> None:
-    # must run before numpy loads its BLAS; hence the argv pre-scan
-    if "--threads" in argv:
-        i = argv.index("--threads")
-        if i + 1 < len(argv):
-            n = argv[i + 1]
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-                os.environ[var] = n
+def _cap_threads(threads) -> None:
+    """Cap BLAS worker threads. Runs after parsing and before any handler
+    imports numpy (importing this module does not), so BLAS reads the cap."""
+    if threads is None:
+        return
+    if threads < 1:
+        raise ValueError("--threads must be >= 1")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = str(threads)
+
+
+def _check_map_args(args) -> None:
+    """Reject dispersion-map inputs that would give inf/NaN rows or a bad node."""
+    for dest in ("pe", "da", "kh_min", "kh_max", "nc_min", "nc_max"):
+        if not math.isfinite(getattr(args, dest)):
+            raise ValueError(f"--{dest.replace('_', '-')} must be finite")
+    if args.pe < 0:
+        raise ValueError("--pe must be >= 0")
+    if not 0 <= args.kh_min <= args.kh_max <= math.pi:
+        raise ValueError("need 0 <= --kh-min <= --kh-max <= pi")
+    if not 0 < args.nc_min <= args.nc_max:
+        raise ValueError("need 0 < --nc-min <= --nc-max")
+    if args.n < 7:
+        raise ValueError("--n must be >= 7")
+    if not 1 < args.node < args.n:
+        raise ValueError("--node must be an interior node: 1 < node < n")
+    if args.kh_points < 1 or args.nc_points < 1:
+        raise ValueError("--kh-points and --nc-points must be >= 1")
 
 
 def _load_config(path: str) -> dict:
@@ -115,9 +135,7 @@ def _build_parser():
     )
     k.add_argument("--variant", choices=_VARIANTS, default="explicit-oucs3-cd2")
     k.add_argument("--n", type=int, default=200, help="cells per side (mesh spacing 1/n)")
-    k.add_argument("--dt", type=float, default=None,
-                   help="time step (time units); default 1e-8 for the explicit "
-                        "variant, 1e-6 for imex-nccd")
+    k.add_argument("--dt", type=float, default=1e-8, help="time step (time units)")
     k.add_argument("--t-end", type=float, default=1e-5, help="final time (time units)")
     k.add_argument("--chi", type=float, default=30.0, help="chemotactic sensitivity (> 0)")
     k.add_argument("--theta", type=float, default=1.0, help="limiter parameter in [1, 2]")
@@ -151,6 +169,7 @@ def _coerce(sub: argparse.ArgumentParser, dest: str, raw: str):
 
 
 def cmd_dispersion_map(args) -> int:
+    _check_map_args(args)
     import numpy as np
 
     from .adr1d import SchemeId, scheme_operators
@@ -206,15 +225,13 @@ def cmd_wavepacket(args) -> int:
 
 def cmd_pks(args) -> int:
     from . import pks2d
+    from .adr1d import whole_steps
 
     variant = pks2d.PksVariant(args.variant)
-    dt = args.dt
-    if dt is None:
-        dt = 1e-8 if variant is pks2d.PksVariant.EXPLICIT_OUCS3_CD2 else 1e-6
+    n_steps = whole_steps(args.t_end, args.dt)
     mesh = pks2d.Mesh2D.unit_square(args.n)
     state = pks2d.init_gaussian(mesh, chi=args.chi, theta=args.theta)
-    n_steps = int(round(args.t_end / dt))
-    stepper = pks2d.make_stepper(variant, mesh, dt)
+    stepper = pks2d.make_stepper(variant, mesh, args.dt)
     history = [pks2d.diagnostics(state)]
     for k in range(1, n_steps + 1):
         state = stepper.step(state)
@@ -225,7 +242,7 @@ def cmd_pks(args) -> int:
     pks2d.write_snapshot_csv(state, os.path.join(args.out, f"pks_{tag}.csv"))
     pks2d.write_radial_csv(state, os.path.join(args.out, f"pks_{tag}_radial.csv"))
     pks2d.write_metadata(os.path.join(args.out, f"pks_{tag}_meta.json"),
-                         variant, dt, args.t_end, mesh, args.chi, args.theta, history)
+                         variant, args.dt, args.t_end, mesh, args.chi, args.theta, history)
     last = history[-1]
     print(f"t={_fmt(last['t'])} mass={_fmt(last['mass'])} min_rho={_fmt(last['min_rho'])} "
           f"max_rho={_fmt(last['max_rho'])} oscillation={_fmt(last['oscillation'])}")
@@ -234,10 +251,10 @@ def cmd_pks(args) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    _apply_thread_cap(argv)
     ap, subparsers = _build_parser()
     try:
         args = _reparse_with_config(ap, subparsers, argv)
+        _cap_threads(args.threads)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

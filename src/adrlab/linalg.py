@@ -1,16 +1,22 @@
-"""Dense and banded linear algebra used by the operator builders and steppers.
+"""Banded and dense linear algebra.
+
+The operator builders assemble every compact left-hand side as a
+`BandedMatrix` (row-wise stencils via `BandedMatrix.from_rows` or
+`tridiagonal`) and get ``A^{-1} B`` from one `solve_banded` call with the
+columns of ``B`` as right-hand sides. `solve_dense` is the dense reference
+the banded solves are tested against; no operator assembly calls it.
 
 Dense matrices are plain float64/complex128 ndarrays of shape (n, m).
 Banded matrices use the LAPACK band layout (`scipy.linalg.solve_banded`):
 diagonal number ``u - i + j`` of the matrix lands in row ``i`` of the band
 array. All solvers are direct with partial pivoting; the operator assemblies
-downstream combine boundary rows that break diagonal dominance, so pivoting
-is not optional.
+combine boundary rows that break diagonal dominance, so pivoting is not
+optional.
 
 Every solve satisfies the residual contract
 ``||a x - b||_inf <= 1e-10 (||a||_inf ||x||_inf + ||b||_inf)``
-for well-conditioned inputs; `residual_inf` computes the left-hand side so
-callers can assert it per call.
+for well-conditioned inputs; `residual_inf` and `residual_bound` compute
+its two sides so tests can assert it per call.
 """
 
 from __future__ import annotations
@@ -61,6 +67,24 @@ class BandedMatrix:
                 bands[upper - d, : len(diag)] = diag
         return cls(n, lower, upper, bands)
 
+    @classmethod
+    def from_rows(cls, rows, lower: int) -> "BandedMatrix":
+        """Banded matrix from row-wise stencils: ``rows[i, k] = a[i, i - lower + k]``.
+
+        ``rows`` has shape (size, lower + upper + 1). Stencil entries that
+        fall outside the matrix (left of column 0 in the first rows, right of
+        the last column in the last rows) are ignored.
+        """
+        rows = np.asarray(rows, dtype=float)
+        n, width = rows.shape
+        upper = width - lower - 1
+        bands = np.zeros((width, n))
+        for k in range(width):
+            d = k - lower  # column offset j - i of this stencil entry
+            i = np.arange(max(0, -d), min(n, n - d))
+            bands[upper - d, i + d] = rows[i, k]
+        return cls(n, lower, upper, bands)
+
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.size, self.size), dtype=self.bands.dtype)
         for d in range(-self.lower, self.upper + 1):
@@ -71,13 +95,12 @@ class BandedMatrix:
 
 
 def tridiagonal(lo, diag, up) -> BandedMatrix:
-    """Banded matrix with constant or per-row sub/main/super diagonals."""
-    n = len(diag)
-    bands = np.zeros((3, n))
-    bands[0, 1:] = np.asarray(up)[: n - 1] if np.ndim(up) else up
-    bands[1, :] = diag
-    bands[2, :-1] = np.asarray(lo)[1:] if np.ndim(lo) else lo
-    return BandedMatrix(n, 1, 1, bands)
+    """Banded matrix with constant or per-row sub/main/super diagonals.
+
+    Per-row arrays are indexed by row: ``lo[i] = a[i, i-1]`` and
+    ``up[i] = a[i, i+1]``; ``lo[0]`` and ``up[-1]`` are ignored.
+    """
+    return BandedMatrix.from_rows(np.column_stack(np.broadcast_arrays(lo, diag, up)), 1)
 
 
 def solve_banded(a: BandedMatrix, b: np.ndarray) -> np.ndarray:

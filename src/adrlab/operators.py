@@ -2,10 +2,17 @@
 
 Every builder returns a `DerivativeOperator` holding a dense, dimensionless
 matrix ``M`` and the scale ``1/h**order``; the derivative of nodal values
-``u`` is ``scale * (M @ u)``. Matrices are materialized densely (rather than
-kept in factored banded form) because the spectral analysis needs explicit
-row access, and grids up to a couple thousand nodes keep dense storage
-trivial.
+``u`` is ``scale * (M @ u)``.
+
+The compact schemes all have the form M = A^{-1} B with a banded A. Each is
+assembled in two steps: a ``*_system`` function returns A as a
+`linalg.BandedMatrix` (tridiagonal for OUCS3 and Lele; for NCCD the 2x2
+block-tridiagonal system with its (u', u'') unknowns interleaved, three
+bands on each side) together with the dense right-hand side B, and the
+builder gets M from one `linalg.solve_banded` with the columns of B as
+right-hand sides, then overwrites its patched boundary rows. M itself is
+still stored densely, because the steppers and the spectral analysis read
+the matrix and its rows.
 
 Node numbering follows the 1-based convention j = 1..N+1 common in the
 compact-scheme literature; storage is 0-based, so "row j" below means matrix
@@ -17,11 +24,11 @@ to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import solve_dense
+from .linalg import BandedMatrix, solve_banded, tridiagonal
 
 #: Interior coefficients of the tridiagonal second-derivative scheme:
 #: alpha u''_{j-1} + u''_j + alpha u''_{j+1}
@@ -160,6 +167,14 @@ def _near_boundary_first_row(beta: float) -> np.ndarray:
     )
 
 
+def _stencil_rows(m: np.ndarray, weights, first: int, stop: int) -> np.ndarray:
+    """Write `weights`, centred on the diagonal, into rows first..stop-1 of m."""
+    j = np.arange(first, stop)
+    for r, w in enumerate(weights, -(len(weights) // 2)):
+        m[j, j + r] = w
+    return m
+
+
 def _one_sided_first_rows(b: np.ndarray) -> None:
     """Second-order one-sided rows at both ends: -+(1/h)(1.5, -2, 0.5)."""
     n = b.shape[0]
@@ -176,9 +191,7 @@ def _cd2_first_row(mat: np.ndarray, j: int) -> None:
 def build_cd2_first(grid: Grid1D) -> DerivativeOperator:
     """Second-order central first derivative; one-sided rows at the ends."""
     n = grid.n_points
-    m = np.zeros((n, n))
-    for j in range(1, n - 1):
-        _cd2_first_row(m, j)
+    m = _stencil_rows(np.zeros((n, n)), (-0.5, 0.0, 0.5), 1, n - 1)
     _one_sided_first_rows(m)
     return DerivativeOperator(1, m, 1.0 / grid.h)
 
@@ -191,46 +204,48 @@ def build_cd2_second(grid: Grid1D) -> DerivativeOperator:
     pinning and never drive the solution.
     """
     n = grid.n_points
-    m = np.zeros((n, n))
-    for j in range(1, n - 1):
-        m[j, j - 1:j + 2] = [1.0, -2.0, 1.0]
+    m = _stencil_rows(np.zeros((n, n)), (1.0, -2.0, 1.0), 1, n - 1)
     m[0, 0:3] = [1.0, -2.0, 1.0]
     m[n - 1, n - 3:n] = [1.0, -2.0, 1.0]
     return DerivativeOperator(2, m, 1.0 / grid.h**2)
 
 
-def build_oucs3(grid: Grid1D, coeffs: Oucs3Coefficients = DEFAULT_OUCS3) -> DerivativeOperator:
-    """Upwind compact first-derivative operator.
+def oucs3_system(grid: Grid1D, coeffs: Oucs3Coefficients = DEFAULT_OUCS3):
+    """Banded left-hand side A and dense right-hand side B of `build_oucs3`.
 
-    Assembly: interior rows j = 3..N-1 from the tridiagonal/five-point
-    compact stencil, rows 1 and N+1 from the one-sided explicit forms, rows
-    2 and N from the five-point near-boundary forms with beta2/betaN. The
-    global matrix is A^{-1} B. Rows 2 and N of the assembled matrix are then
-    overwritten with central CD2 rows: the compact row at j = 2 is unstable
-    across wavenumbers, and the outflow row N gets the mirrored treatment.
-    The replaced rows still shape the interior rows through A^{-1}.
+    Interior rows j = 3..N-1 hold the tridiagonal/five-point compact
+    stencil, rows 1 and N+1 the one-sided explicit forms and rows 2 and N
+    the five-point near-boundary forms with beta2/betaN; A is the identity
+    in those four rows.
     """
     n = grid.n_points
     if n < 7:
         raise ValueError("n_points must be >= 7")
-    a = np.eye(n)
-    b = np.zeros((n, n))
-    q = coeffs.q()
-    for j in range(2, n - 2):
-        a[j, j - 1] = coeffs.p_minus
-        a[j, j + 1] = coeffs.p_plus
-        b[j, j - 2:j + 3] = q
+    a = np.tile((coeffs.p_minus, 1.0, coeffs.p_plus), (n, 1))  # (lo, diag, up) per row
+    a[[0, 1, n - 2, n - 1]] = (0.0, 1.0, 0.0)
+    b = _stencil_rows(np.zeros((n, n)), coeffs.q(), 2, n - 2)
     _one_sided_first_rows(b)
     b[1, 0:5] = _near_boundary_first_row(coeffs.beta2)
     b[n - 2, n - 5:n] = -_near_boundary_first_row(coeffs.beta_n)[::-1]
-    m = solve_dense(a, b)
+    return tridiagonal(*a.T), b
+
+
+def build_oucs3(grid: Grid1D, coeffs: Oucs3Coefficients = DEFAULT_OUCS3) -> DerivativeOperator:
+    """Upwind compact first-derivative operator A^{-1} B (`oucs3_system`).
+
+    Rows 2 and N of the assembled matrix are then overwritten with central
+    CD2 rows: the compact row at j = 2 is unstable across wavenumbers, and
+    the outflow row N gets the mirrored treatment. The replaced rows still
+    shape the interior rows through A^{-1}.
+    """
+    m = solve_banded(*oucs3_system(grid, coeffs))
     _cd2_first_row(m, 1)
-    _cd2_first_row(m, n - 2)
+    _cd2_first_row(m, grid.n_points - 2)
     return DerivativeOperator(1, m, 1.0 / grid.h)
 
 
-def build_lele_second(grid: Grid1D, interior=LELE_INTERIOR) -> DerivativeOperator:
-    """Tridiagonal compact second-derivative operator with spectral-like resolution.
+def lele_system(grid: Grid1D, interior=LELE_INTERIOR):
+    """Banded left-hand side A and dense right-hand side B of `build_lele_second`.
 
     Boundary closures:
         j = 1:   u''_1 = (u_1 - 2u_2 + u_3)/h^2
@@ -242,31 +257,28 @@ def build_lele_second(grid: Grid1D, interior=LELE_INTERIOR) -> DerivativeOperato
     if n < 7:
         raise ValueError("n_points must be >= 7")
     alpha, ca, cb = interior
-    a = np.eye(n)
-    b = np.zeros((n, n))
+    a = np.tile((alpha, 1.0, alpha), (n, 1))  # (lo, diag, up) per row
+    a[0] = (0.0, 1.0, 0.0)
+    a[[1, n - 2]] = (1.0, 10.0, 1.0)
+    a[n - 1] = (11.0, 1.0, 0.0)
+    b = _stencil_rows(np.zeros((n, n)), (cb / 4.0, ca, -2.0 * ca - cb / 2.0, ca, cb / 4.0),
+                      2, n - 2)
     b[0, 0:3] = [1.0, -2.0, 1.0]
-    a[1, 0:3] = [1.0, 10.0, 1.0]
     b[1, 0:3] = [12.0, -24.0, 12.0]
-    for j in range(2, n - 2):
-        a[j, j - 1] = alpha
-        a[j, j + 1] = alpha
-        b[j, j - 2] += cb / 4.0
-        b[j, j + 2] += cb / 4.0
-        b[j, j - 1] += ca
-        b[j, j + 1] += ca
-        b[j, j] += -2.0 * ca - cb / 2.0
-    a[n - 2, n - 3:n] = [1.0, 10.0, 1.0]
     b[n - 2, n - 3:n] = [12.0, -24.0, 12.0]
-    a[n - 1, n - 2] = 11.0
     b[n - 1, n - 4:n] = [-1.0, 15.0, -27.0, 13.0]
-    return DerivativeOperator(2, solve_dense(a, b), 1.0 / grid.h**2)
+    return tridiagonal(*a.T), b
 
 
-def nccd_blocks(grid: Grid1D):
-    """Coefficient blocks (A1, B1, C1, A2, B2, C2) of the coupled system.
+def build_lele_second(grid: Grid1D, interior=LELE_INTERIOR) -> DerivativeOperator:
+    """Compact second-derivative operator A^{-1} B (`lele_system`), spectral-like."""
+    return DerivativeOperator(2, solve_banded(*lele_system(grid, interior)), 1.0 / grid.h**2)
 
-    In nondimensional unknowns v = h u' and w = h^2 u'' the combined compact
-    scheme reads A1 v + B1 w = C1 u and A2 v + B2 w = C2 u with
+
+def nccd_system(grid: Grid1D):
+    """Interleaved banded system (lhs, rhs) of the combined compact scheme.
+
+    In nondimensional unknowns v = h u' and w = h^2 u'' the scheme reads
 
         j = 1:        v_1 + 2 v_2 - w_2            = -3.5 u_1 + 4 u_2 - 0.5 u_3
                       w_1 + 5 w_2 - 6 v_2          = 9 u_1 - 12 u_2 + 3 u_3
@@ -275,71 +287,62 @@ def nccd_blocks(grid: Grid1D):
                       9/8 (v_{j+1} - v_{j-1}) + w_j - 1/8 (w_{j+1} + w_{j-1})
                                                    = 3 (u_{j+1} - 2 u_j + u_{j-1})
         j = N+1:      mirrored j = 1 rows.
+
+    With the unknowns ordered (v_1, w_1, v_2, w_2, ...) the first equation of
+    node j is row 2j-2 and the second row 2j-1, and ``lhs`` is a
+    `BandedMatrix` of size 2(N+1) with three bands on each side of the
+    diagonal. ``rhs`` is the (2(N+1), N+1) matrix with the right-hand
+    sides interleaved the same way, so ``lhs^{-1} rhs`` holds D1 in its even
+    and D2 in its odd rows.
     """
     n = grid.n_points
     if n < 7:
         raise ValueError("n_points must be >= 7")
-    a1 = np.zeros((n, n))
-    b1 = np.zeros((n, n))
-    c1 = np.zeros((n, n))
-    a2 = np.zeros((n, n))
-    b2 = np.zeros((n, n))
-    c2 = np.zeros((n, n))
-    a1[0, 0], a1[0, 1] = 1.0, 2.0
-    b1[0, 1] = -1.0
-    c1[0, 0:3] = [-3.5, 4.0, -0.5]
-    b2[0, 0], b2[0, 1] = 1.0, 5.0
-    a2[0, 1] = -6.0
-    c2[0, 0:3] = [9.0, -12.0, 3.0]
-    for j in range(1, n - 1):
-        a1[j, j - 1] = 7.0 / 16.0
-        a1[j, j] = 1.0
-        a1[j, j + 1] = 7.0 / 16.0
-        b1[j, j - 1] = 1.0 / 16.0
-        b1[j, j + 1] = -1.0 / 16.0
-        c1[j, j - 1] = -15.0 / 16.0
-        c1[j, j + 1] = 15.0 / 16.0
-        a2[j, j - 1] = -9.0 / 8.0
-        a2[j, j + 1] = 9.0 / 8.0
-        b2[j, j - 1] = -1.0 / 8.0
-        b2[j, j] = 1.0
-        b2[j, j + 1] = -1.0 / 8.0
-        c2[j, j - 1] = 3.0
-        c2[j, j] = -6.0
-        c2[j, j + 1] = 3.0
-    a1[n - 1, n - 1], a1[n - 1, n - 2] = 1.0, 2.0
-    b1[n - 1, n - 2] = 1.0
-    c1[n - 1, n - 3:n] = [0.5, -4.0, 3.5]
-    b2[n - 1, n - 1], b2[n - 1, n - 2] = 1.0, 5.0
-    a2[n - 1, n - 2] = 6.0
-    c2[n - 1, n - 3:n] = [3.0, -12.0, 9.0]
-    return a1, b1, c1, a2, b2, c2
+    # Row-wise stencils at column offsets -3..3. From the v_j row (first
+    # equation) they reach (w_{j-2}, v_{j-1}, w_{j-1}, v_j, w_j, v_{j+1}, w_{j+1}),
+    # from the w_j row (second) (v_{j-1}, w_{j-1}, v_j, w_j, v_{j+1}, w_{j+1}, v_{j+2}).
+    lhs = np.empty((n, 2, 7))
+    lhs[:, 0] = (0.0, 7.0 / 16.0, 1.0 / 16.0, 1.0, 0.0, 7.0 / 16.0, -1.0 / 16.0)
+    lhs[:, 1] = (-9.0 / 8.0, -1.0 / 8.0, 0.0, 1.0, 9.0 / 8.0, -1.0 / 8.0, 0.0)
+    lhs[0] = [(0.0, 0.0, 0.0, 1.0, 0.0, 2.0, -1.0), (0.0, 0.0, 0.0, 1.0, -6.0, 5.0, 0.0)]
+    lhs[n - 1] = [(0.0, 2.0, 1.0, 1.0, 0.0, 0.0, 0.0), (6.0, 5.0, 0.0, 1.0, 0.0, 0.0, 0.0)]
+    rhs = np.zeros((n, 2, n))
+    _stencil_rows(rhs[:, 0], (-15.0 / 16.0, 0.0, 15.0 / 16.0), 1, n - 1)
+    _stencil_rows(rhs[:, 1], (3.0, -6.0, 3.0), 1, n - 1)
+    rhs[0, :, 0:3] = [(-3.5, 4.0, -0.5), (9.0, -12.0, 3.0)]
+    rhs[n - 1, :, n - 3:n] = [(0.5, -4.0, 3.5), (3.0, -12.0, 9.0)]
+    return BandedMatrix.from_rows(lhs.reshape(2 * n, 7), 3), rhs.reshape(2 * n, n)
+
+
+def nccd_blocks(grid: Grid1D):
+    """Dense blocks (A1, B1, C1, A2, B2, C2) of `nccd_system`.
+
+    The same scheme written as A1 v + B1 w = C1 u and A2 v + B2 w = C2 u,
+    sliced out of the interleaved system. The builders never call this; it
+    serves checks stated in block form.
+    """
+    lhs, rhs = nccd_system(grid)
+    a = lhs.to_dense()
+    return a[0::2, 0::2], a[0::2, 1::2], rhs[0::2], a[1::2, 0::2], a[1::2, 1::2], rhs[1::2]
 
 
 def build_nccd(grid: Grid1D, coeffs: Oucs3Coefficients = DEFAULT_OUCS3,
                boundary_fix: bool = True):
     """First- and second-derivative operators of the combined compact scheme.
 
-    Solving the two block equations simultaneously gives
-
-        D1 = (A1 - B1 B2^{-1} A2)^{-1} (C1 - B1 B2^{-1} C2)
-        D2 = (B2 - A2 A1^{-1} B1)^{-1} (C2 - A2 A1^{-1} C1)
+    One banded solve of the interleaved system (`nccd_system`) gives D1 in
+    its even rows and D2 in its odd rows.
 
     With ``boundary_fix`` (the production form) rows 2 and N of D1 are then
     replaced by the explicit five-point near-boundary stencils (beta2/betaN)
     and rows 2 and N of D2 by central CD2 rows, which suppresses the
     near-boundary instability of the coupled closure. ``boundary_fix=False``
-    returns the raw solution of the block system, for which
+    returns the raw solution of the system, for which
     A1 D1 + B1 D2 = C1 and A2 D1 + B2 D2 = C2 hold to machine precision.
     """
     n = grid.n_points
-    a1, b1, c1, a2, b2, c2 = nccd_blocks(grid)
-    b2inv_a2 = solve_dense(b2, a2)
-    b2inv_c2 = solve_dense(b2, c2)
-    d1 = solve_dense(a1 - b1 @ b2inv_a2, c1 - b1 @ b2inv_c2)
-    a1inv_b1 = solve_dense(a1, b1)
-    a1inv_c1 = solve_dense(a1, c1)
-    d2 = solve_dense(b2 - a2 @ a1inv_b1, c2 - a2 @ a1inv_c1)
+    d = solve_banded(*nccd_system(grid))
+    d1, d2 = np.ascontiguousarray(d[0::2]), np.ascontiguousarray(d[1::2])
     if boundary_fix:
         d1[1, :] = 0.0
         d1[1, 0:5] = _near_boundary_first_row(coeffs.beta2)

@@ -67,8 +67,7 @@ class PositivityError(Exception):
         self.t = t
         self.index = index
         self.value = value
-        super().__init__(f"rho < 0 at cell {index} (value {value:.6g}, t = {t:g}); "
-                         "time step too large for positivity")
+        super().__init__(f"rho < 0 at cell {index} (value {value:.6g}, t = {t:g})")
 
 
 class NonFiniteError(Exception):

@@ -14,8 +14,8 @@ def grid1001():
 def ops1001(grid1001):
     """Operator pairs for all four schemes on the 1001-point analysis grid.
 
-    Built once per session; the combined-compact assembly alone is a handful
-    of dense 1001^3 solves.
+    Built once per session; each compact operator is one banded solve with
+    1001 right-hand sides, and the dense matrices are shared by the tests.
     """
     return {scheme: scheme_operators(scheme, grid1001) for scheme in SchemeId}
 

@@ -9,6 +9,7 @@ from adrlab.adr1d import (
     make_stepper,
     run,
     scheme_operators,
+    whole_steps,
 )
 from adrlab.operators import Grid1D
 from adrlab import spectral
@@ -132,6 +133,25 @@ def test_run_snapshots_at_nearest_steps():
     u0 = SolutionState(np.zeros(N_SMALL), 0.0)
     out = run(SchemeId.EXPLICIT_OUCS3_CD2, cfg, u0, 2.0, snapshot_times=[0.0, 0.9, 1.6])
     assert [s.t for s in out] == [0.0, 1.0, 1.5, 2.0]
+
+
+@pytest.mark.parametrize("t_end", [0.015, 0.3 + 1e-6, -0.01, float("nan")])
+def test_run_rejects_t_end_off_the_step_grid(t_end):
+    cfg = small_cfg(dt=0.01)
+    u0 = SolutionState(np.zeros(N_SMALL), 0.0)
+    with pytest.raises(ValueError):
+        run(SchemeId.EXPLICIT_OUCS3_CD2, cfg, u0, t_end)
+
+
+def test_whole_steps_tolerates_rounding_only():
+    # 0.3/0.1 is 2.9999999999999996 in binary floating point
+    assert whole_steps(0.3, 0.1) == 3
+    assert whole_steps(10.0, 0.01) == 1000
+    assert whole_steps(0.0, 0.01) == 0
+    with pytest.raises(ValueError):
+        whole_steps(1.0 + 1e-7, 0.5)
+    with pytest.raises(ValueError):
+        whole_steps(1.0, 0.0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -117,3 +122,72 @@ def test_config_unknown_key_exits_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["dispersion-map", "--config", str(cfgfile)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--pe", "nan"), ("--pe", "-0.01"), ("--da", "inf"),
+    ("--nc-min", "0"), ("--nc-min", "-0.1"), ("--nc-max", "nan"), ("--nc-max", "0.01"),
+    ("--kh-min", "-0.1"), ("--kh-max", "3.2"), ("--kh-max", "inf"),
+    ("--n", "6"), ("--node", "1"), ("--node", "51"),
+    ("--kh-points", "0"), ("--nc-points", "0"),
+])
+def test_dispersion_map_rejects_bad_input(flag, value, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli(["dispersion-map", "--n", "51", "--node", "25", "--kh-points", "3",
+                    "--nc-points", "2", flag, value, "--out", str(out)])
+    assert code == 2
+    assert not out.exists()  # refused before any CSV is written
+    assert "error:" in capsys.readouterr().err
+
+
+def test_wavepacket_t_end_off_the_step_grid_exits_two(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(["wavepacket", "--n", "201", "--t-end", "0.015", "--dt", "0.01",
+                    "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "whole number of steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_end,dt,why", [("1.5e-8", "1e-8", "whole number of steps"),
+                                          ("1e-7", "0", "dt must be > 0")])
+def test_pks_t_end_off_the_step_grid_exits_two(t_end, dt, why, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(["pks", "--n", "16", "--dt", dt, "--t-end", t_end,
+                    "--out", str(out)]) == 2
+    assert not out.exists()
+    assert why in capsys.readouterr().err
+
+
+def test_pks_imex_default_dt_runs(tmp_path, capsys):
+    assert run_cli(["pks", "--variant", "imex-nccd", "--n", "16", "--t-end", "1e-7",
+                    "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "pks_imex-nccd_16_meta.json").read_text())
+    assert meta["dt"] == 1e-8
+    assert meta["diagnostics"][-1]["min_rho"] >= 0.0
+
+
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_threads_cap_applied_after_parse_and_config(tmp_path, monkeypatch, capsys):
+    for var in _THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    small = ["dispersion-map", "--n", "21", "--node", "10", "--kh-points", "2",
+             "--nc-points", "1", "--out", str(tmp_path)]
+    assert run_cli(small + ["--threads=2"]) == 0
+    assert [os.environ[v] for v in _THREAD_VARS] == ["2"] * 3
+    cfgfile = tmp_path / "threads.cfg"
+    cfgfile.write_text("threads = 3\n")
+    assert run_cli(small + ["--config", str(cfgfile)]) == 0
+    assert [os.environ[v] for v in _THREAD_VARS] == ["3"] * 3
+    assert run_cli(small + ["--threads", "0"]) == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # the thread cap is set after parsing; it reaches BLAS only because
+    # numpy is first imported by the command handlers
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = "import sys, adrlab.cli; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.join(src, "src"))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -46,6 +46,28 @@ def test_band_roundtrip(rng):
     assert np.array_equal(bm.to_dense(), dense)
 
 
+def test_from_rows_places_stencils_and_drops_outside_entries(rng):
+    # rows[i, k] is entry (i, i - lower + k); stencil entries left of
+    # column 0 or right of the last column are dropped
+    n, lower, upper = 6, 3, 2
+    rows = rng.normal(size=(n, lower + upper + 1))
+    want = np.zeros((n, n))
+    for i in range(n):
+        for k in range(lower + upper + 1):
+            if 0 <= i - lower + k < n:
+                want[i, i - lower + k] = rows[i, k]
+    bm = BandedMatrix.from_rows(rows, lower)
+    assert (bm.lower, bm.upper) == (lower, upper)
+    assert np.array_equal(bm.to_dense(), want)
+    assert np.array_equal(BandedMatrix.from_dense(want, lower, upper).bands, bm.bands)
+
+
+def test_tridiagonal_per_row_arrays():
+    lo, diag, up = np.array([9.0, 1.0, 2.0]), np.array([3.0, 4.0, 5.0]), np.array([6.0, 7.0, 9.0])
+    want = np.array([[3.0, 6.0, 0.0], [1.0, 4.0, 7.0], [0.0, 2.0, 5.0]])
+    assert np.array_equal(tridiagonal(lo, diag, up).to_dense(), want)
+
+
 def test_banded_singular_raises():
     a = tridiagonal(0.0, np.zeros(4), 0.0)
     with pytest.raises(LinearSolveError):

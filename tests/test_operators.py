@@ -10,8 +10,11 @@ from adrlab.operators import (
     build_nccd,
     build_oucs3,
     dump_operator_csv,
-    nccd_blocks,
+    lele_system,
+    nccd_system,
+    oucs3_system,
 )
+from adrlab.linalg import residual_bound, residual_inf, solve_dense
 
 ALL_BUILDERS = [
     ("cd2_first", lambda g: build_cd2_first(g)),
@@ -165,12 +168,30 @@ def test_nccd_polynomial_exactness():
 
 @pytest.mark.parametrize("n", [51, 201])
 def test_nccd_defining_relations_pre_fix(n):
+    # the unpatched D1, D2 interleaved as (v_1, w_1, v_2, ...) solve the
+    # banded system within the solver's residual contract
     grid = unit_grid(n)
     d1, d2 = build_nccd(grid, boundary_fix=False)
-    a1, b1, c1, a2, b2, c2 = nccd_blocks(grid)
-    r1 = np.max(np.abs(a1 @ d1.matrix + b1 @ d2.matrix - c1))
-    r2 = np.max(np.abs(a2 @ d1.matrix + b2 @ d2.matrix - c2))
-    assert r1 < 1e-8 and r2 < 1e-8
+    lhs, rhs = nccd_system(grid)
+    x = np.empty((2 * n, n))
+    x[0::2], x[1::2] = d1.matrix, d2.matrix
+    a = lhs.to_dense()
+    assert (lhs.lower, lhs.upper) == (3, 3)
+    assert residual_inf(a, x, rhs) <= residual_bound(a, x, rhs)
+
+
+@pytest.mark.parametrize("system,build,patched", [
+    (oucs3_system, build_oucs3, lambda n: [1, n - 2]),
+    (lele_system, build_lele_second, lambda n: []),
+])
+@pytest.mark.parametrize("n", [51, 201])
+def test_banded_assembly_matches_dense_solve(system, build, patched, n):
+    grid = unit_grid(n)
+    a, b = system(grid)
+    assert (a.lower, a.upper) == (1, 1)
+    want = np.delete(solve_dense(a.to_dense(), b), patched(n), axis=0)
+    got = np.delete(build(grid).matrix, patched(n), axis=0)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_nccd_boundary_fix_rows():
