@@ -84,6 +84,9 @@ class AdrConfig:
     grid: Grid1D
 
     def __post_init__(self):
+        for name in ("c", "nu", "lam", "dt"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite (got {getattr(self, name):g})")
         if not (self.c > 0 and self.nu > 0 and self.dt > 0):
             raise ValueError("require c > 0, nu > 0, dt > 0")
 
@@ -244,12 +247,12 @@ def make_stepper(scheme: SchemeId, cfg: AdrConfig, ops=None) -> Stepper:
 def whole_steps(span: float, dt: float) -> int:
     """Number of steps of size dt in `span` (t_end minus the start time).
 
-    Raises ValueError unless dt > 0, span >= 0 and span/dt lies within
-    1e-9 (relative) of a whole number, so a run never ends at a time other
-    than the requested one.
+    Raises ValueError unless dt is finite and > 0, span >= 0 and span/dt
+    lies within 1e-9 (relative) of a whole number, so a run never ends at a
+    time other than the requested one.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0 (got {dt:g})")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be > 0 and finite (got {dt:g})")
     steps = span / dt
     if not (math.isfinite(steps) and steps >= 0):
         raise ValueError(f"t_end must be finite and >= the start time (span {span:g})")
@@ -265,7 +268,7 @@ def run(scheme: SchemeId, cfg: AdrConfig, u0: SolutionState, t_end: float,
     """March from u0 to t_end, snapshotting at the nearest completed steps.
 
     t_end must be a whole number of steps after u0.t (`whole_steps`);
-    snapshot times are rounded to the nearest step.
+    snapshot times must be finite and are rounded to the nearest step.
 
     Dirichlet data is frozen from the end values of u0. `ops` is the
     scheme's (D1, D2) pair, built here when not given. Returns the list of
@@ -273,6 +276,9 @@ def run(scheme: SchemeId, cfg: AdrConfig, u0: SolutionState, t_end: float,
     state. Aborts with AdrInstabilityError on the first non-finite value.
     """
     n_steps = whole_steps(t_end - u0.t, cfg.dt)
+    bad = [ts for ts in snapshot_times if not math.isfinite(ts)]
+    if bad:
+        raise ValueError(f"snapshot time must be finite (got {bad[0]:g})")
     want = sorted({min(max(int(round((ts - u0.t) / cfg.dt)), 0), n_steps)
                    for ts in snapshot_times})
     stepper = make_stepper(scheme, cfg, ops)

@@ -356,12 +356,3 @@ def build_nccd(grid: Grid1D, coeffs: Oucs3Coefficients = DEFAULT_OUCS3,
         DerivativeOperator(1, d1, 1.0 / grid.h),
         DerivativeOperator(2, d2, 1.0 / grid.h**2),
     )
-
-
-def dump_operator_csv(op: DerivativeOperator, path, threshold: float = 1e-14) -> None:
-    """Debugging dump: one `row,col,value` line per entry above threshold."""
-    with open(path, "w") as fh:
-        fh.write("row,col,value\n")
-        rows, cols = np.nonzero(np.abs(op.matrix) > threshold)
-        for r, c in zip(rows, cols):
-            fh.write(f"{r},{c},{op.matrix[r, c]:.12g}\n")

@@ -13,27 +13,30 @@ enough. The exact bound for this reconstruction is not derived here
 central-upwind scheme); a stage or step that produces a negative density
 raises PositivityError.
 
-Two time integrators are provided:
+Both variants are the two-stage update of `adr1d` (`PksStepper`). Each
+right-hand side splits into an implicit and an explicit part, z = z_I + z_E:
 
-* ``explicit`` - Heun (two-stage RK2) on both equations, with the
-  five-point CD2 Laplacian and CD2 chemotactic velocities (mirror-ghost
-  closure). Fluxes telescope, so cell mass is conserved to roundoff. The
-  CD2 Laplacian has no negative weight and Heun is a convex combination of
-  forward-Euler stages, so under the CFL bound every accepted density
-  field is nonnegative.
-* ``imex-nccd`` - mid-point-implicit treatment of the stiff linear parts
-  (lap(rho), and lap(c) - c) factored dimension-wise into 1D solves, with
-  Heun-explicit chemotactic transport and rho-coupling. Spatial operators
-  come from the combined compact scheme applied line-by-line on
-  mirror-padded lines, folding the ghost values into the boundary columns.
+    stage 1:  (I - dt/2 z_I) u* = u + dt/2 z_I(u) + dt z_E(u)
+    stage 2:  u+ = u + dt/2 (z(u) + z(u*))
+
+The variants differ only in the split:
+
+* ``explicit-oucs3-cd2`` - z_I = 0 (Heun); z_E is the whole right-hand side,
+  with the five-point CD2 Laplacian and CD2 chemotactic velocities
+  (mirror-ghost closure). Fluxes telescope, so cell mass is conserved to
+  roundoff. The CD2 Laplacian has no negative weight and Heun is a convex
+  combination of forward-Euler stages, so under the CFL bound every
+  accepted density field is nonnegative.
+* ``imex-nccd`` - z_I = lap(rho) for rho and lap(c) - c for c; z_E =
+  -div(flux) for rho and rho for c; combined compact (NCCD) operators
+  applied line by line, mirror ghosts folded into the boundary columns.
   Positivity is not kept near blow-up: the compact second-derivative row
   has alternating-sign weights (-0.558 two cells away), so once the spike
-  is cell-size rho + (dt/2) lap(rho) turns negative beside it, whatever dt,
-  after an odd-even ripple forms. On the 200^2 Gaussian run (chi = 30) this
-  happens near t = 3.5e-6, at cell (99, 102), for dt = 1e-8 to 5e-8; the
-  step raises PositivityError there. The line operators are not in
-  conservation form, so mass also drifts where rho at the walls is far from
-  zero (coarse meshes).
+  is cell-size rho + (dt/2) lap(rho) turns negative beside it, whatever
+  dt. On the 200^2 Gaussian run (chi = 30) this happens near t = 3.5e-6,
+  at cell (100, 102), for dt = 1e-8 to 5e-8. The line operators are not in
+  conservation form, so mass also drifts where rho at the walls is far
+  from zero (coarse meshes).
 
 Solutions above the critical mass concentrate into a cell-size spike in
 finite time; runs stop at the requested horizon or abort with a
@@ -46,6 +49,7 @@ factorizations, and diagnostics are read-only.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass
 
@@ -71,10 +75,13 @@ class PositivityError(Exception):
 
 
 class NonFiniteError(Exception):
-    def __init__(self, t: float, index):
+    """A stage or step produced a non-finite value in the named field."""
+
+    def __init__(self, t: float, index, field: str = "rho"):
         self.t = t
         self.index = index
-        super().__init__(f"non-finite field value at cell {index} (t = {t:g})")
+        self.field = field
+        super().__init__(f"non-finite {field} at cell {index} (t = {t:g})")
 
 
 @dataclass(frozen=True)
@@ -120,8 +127,8 @@ class PksState:
     theta: float
 
     def __post_init__(self):
-        if not self.chi > 0:
-            raise ValueError("chi must be positive")
+        if not (self.chi > 0 and np.isfinite(self.chi)):
+            raise ValueError(f"chi must be positive and finite (got {self.chi:g})")
         if not 1.0 <= self.theta <= 2.0:
             raise ValueError("theta must lie in [1, 2]")
 
@@ -163,52 +170,46 @@ def minmod(*args):
     return np.where(mn > 0, mn, np.where(mx < 0, mx, 0.0))
 
 
-def _centered_slopes(rho: np.ndarray, h: float, axis: int) -> np.ndarray:
-    s = np.zeros_like(rho)
-    if axis == 0:
-        s[1:-1, :] = (rho[2:, :] - rho[:-2, :]) / (2 * h)
-        s[0, :] = (rho[1, :] - rho[0, :]) / h
-        s[-1, :] = (rho[-1, :] - rho[-2, :]) / h
-    else:
-        s[:, 1:-1] = (rho[:, 2:] - rho[:, :-2]) / (2 * h)
-        s[:, 0] = (rho[:, 1] - rho[:, 0]) / h
-        s[:, -1] = (rho[:, -1] - rho[:, -2]) / h
+# Every 2D kernel below works along axis 0 (x); the y direction is the same
+# kernel applied to transposed views. Kernels return arrays in their input's
+# memory layout, so a y pass never mixes C- and Fortran-ordered operands.
+
+def _axis_diff(f: np.ndarray, h: float) -> np.ndarray:
+    return (f[1:] - f[:-1]) / h
+
+
+def _limited_slopes(rho: np.ndarray, h: float, theta: float) -> np.ndarray:
+    """Centered slopes (one-sided at the walls), minmod-limited where the
+    centered reconstruction would produce a negative point value."""
+    fwd = np.zeros_like(rho)
+    fwd[:-1] = _axis_diff(rho, h)
+    bwd = np.zeros_like(rho)
+    bwd[1:] = fwd[:-1]
+    s = np.empty_like(rho)
+    s[1:-1] = (rho[2:] - rho[:-2]) / (2 * h)
+    s[0], s[-1] = fwd[0], bwd[-1]
+    hs = 0.5 * h * s
+    bad = (rho - hs < 0) | (rho + hs < 0)
+    s[bad] = minmod(theta * fwd[bad], s[bad], theta * bwd[bad])
     return s
 
 
-def _one_sided_slopes(rho: np.ndarray, h: float, axis: int):
-    fwd = np.zeros_like(rho)
-    bwd = np.zeros_like(rho)
-    if axis == 0:
-        fwd[:-1, :] = (rho[1:, :] - rho[:-1, :]) / h
-        bwd[1:, :] = fwd[:-1, :]
-    else:
-        fwd[:, :-1] = (rho[:, 1:] - rho[:, :-1]) / h
-        bwd[:, 1:] = fwd[:, :-1]
-    return fwd, bwd
-
-
 def adaptive_slopes(rho_field: Field2D, theta: float):
-    """Cell slopes: centered by default, minmod-limited where a centered
-    reconstruction would produce a negative point value."""
-    rho = rho_field.values
-    m = rho_field.mesh
-    out = []
-    for axis, spacing in ((0, m.h), (1, m.k)):
-        s = _centered_slopes(rho, spacing, axis)
-        fwd, bwd = _one_sided_slopes(rho, spacing, axis)
-        bad = (rho - 0.5 * spacing * s < 0) | (rho + 0.5 * spacing * s < 0)
-        limited = minmod(theta * fwd, s, theta * bwd)
-        out.append(np.where(bad, limited, s))
-    return out[0], out[1]
+    """Cell slopes (x, y) from `_limited_slopes`."""
+    rho, m = rho_field.values, rho_field.mesh
+    return _limited_slopes(rho, m.h, theta), _limited_slopes(rho.T, m.k, theta).T
 
 
-def _cd2_velocity(c: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Central derivative with mirror-ghost closure (zero-Neumann walls)."""
-    g = np.pad(c, 1, mode="edge")
-    if axis == 0:
-        return (g[2:, 1:-1] - g[:-2, 1:-1]) / (2 * h)
-    return (g[1:-1, 2:] - g[1:-1, :-2]) / (2 * h)
+def _mirror(f: np.ndarray) -> np.ndarray:
+    """f with a mirror-ghost row at each end (zero-Neumann walls), in f's layout."""
+    g = np.empty_like(f, shape=(len(f) + 2,) + f.shape[1:])
+    g[1:-1], g[0], g[-1] = f, f[0], f[-1]
+    return g
+
+
+def _cd2_velocity(c: np.ndarray, h: float) -> np.ndarray:
+    g = _mirror(c)
+    return (g[2:] - g[:-2]) / (2 * h)
 
 
 def _fold_ghosts(mp: np.ndarray) -> np.ndarray:
@@ -222,24 +223,22 @@ _LINE_OPS: dict = {}
 
 
 def _nccd_line_ops(n: int):
-    """Per-line compact (D1, D2) with mirror padding folded into n x n matrices.
-
-    The operators are built on n + 2 nodes; applying them to the padded line
-    (u_1, u_1..u_n, u_n) and discarding the ghost rows is equivalent to the
-    folded dense matrices cached here, which bake the zero-Neumann ghost
-    values into the boundary columns.
-    """
+    """Cached per-line compact (D1, D2) as n x n matrices: built on n + 2
+    nodes for the mirror-padded line (u_1, u_1..u_n, u_n), ghost rows dropped
+    and ghost columns folded into the boundary columns (zero-Neumann)."""
     if n not in _LINE_OPS:
         d1p, d2p = build_nccd(Grid1D(n + 2, 1.0))
         _LINE_OPS[n] = (_fold_ghosts(d1p.matrix), _fold_ghosts(d2p.matrix))
     return _LINE_OPS[n]
 
 
-def _nccd_velocity(c: np.ndarray, h: float, axis: int) -> np.ndarray:
-    d1, _ = _nccd_line_ops(c.shape[axis])
-    if axis == 0:
-        return (d1 @ c) / h
-    return (c @ d1.T) / h
+def _lines(d: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """d @ f (d applied to every line along axis 0), in f's memory layout."""
+    return (f.T @ d.T).T if f.flags.f_contiguous else d @ f
+
+
+def _nccd_velocity(c: np.ndarray, h: float) -> np.ndarray:
+    return _lines(_nccd_line_ops(len(c))[0], c) / h
 
 
 def chemotactic_velocity(c_field: Field2D, variant: PksVariant):
@@ -248,17 +247,15 @@ def chemotactic_velocity(c_field: Field2D, variant: PksVariant):
     Returns (u, v, u_edge, v_edge); u_edge has shape (nx-1, ny) covering the
     interior x-edges (boundary edges carry no flux), v_edge likewise.
     """
-    c = c_field.values
-    m = c_field.mesh
-    if variant is PksVariant.EXPLICIT_OUCS3_CD2:
-        u = _cd2_velocity(c, m.h, 0)
-        v = _cd2_velocity(c, m.k, 1)
-    else:
-        u = _nccd_velocity(c, m.h, 0)
-        v = _nccd_velocity(c, m.k, 1)
-    u_edge = 0.5 * (u[:-1, :] + u[1:, :])
-    v_edge = 0.5 * (v[:, :-1] + v[:, 1:])
-    return u, v, u_edge, v_edge
+    c, m = c_field.values, c_field.mesh
+    d1 = _cd2_velocity if variant is PksVariant.EXPLICIT_OUCS3_CD2 else _nccd_velocity
+    u, vt = d1(c, m.h), d1(c.T, m.k)
+    u_edge, vt_edge = (0.5 * (w[:-1] + w[1:]) for w in (u, vt))
+    return u, vt.T, u_edge, vt_edge.T
+
+
+def _upwind(rho: np.ndarray, s: np.ndarray, h: float, w_edge: np.ndarray) -> np.ndarray:
+    return np.where(w_edge > 0, rho[:-1] + 0.5 * h * s[:-1], rho[1:] - 0.5 * h * s[1:])
 
 
 def reconstruct_edges(rho_field: Field2D, slopes, u_edge, v_edge):
@@ -268,56 +265,57 @@ def reconstruct_edges(rho_field: Field2D, slopes, u_edge, v_edge):
     edge velocity is positive, else the right cell's leftward one; the
     limiter guarantees both candidates are nonnegative.
     """
-    rho = rho_field.values
-    m = rho_field.mesh
-    sx, sy = slopes
-    left = rho[:-1, :] + 0.5 * m.h * sx[:-1, :]
-    right = rho[1:, :] - 0.5 * m.h * sx[1:, :]
-    rho_xe = np.where(u_edge > 0, left, right)
-    lo = rho[:, :-1] + 0.5 * m.k * sy[:, :-1]
-    hi = rho[:, 1:] - 0.5 * m.k * sy[:, 1:]
-    rho_ye = np.where(v_edge > 0, lo, hi)
+    rho, m = rho_field.values, rho_field.mesh
+    rho_xe = _upwind(rho, slopes[0], m.h, u_edge)
+    rho_ye = _upwind(rho.T, slopes[1].T, m.k, v_edge.T).T
     worst = min(rho_xe.min(initial=0.0), rho_ye.min(initial=0.0))
     if worst < -1e-12 * max(rho.max(initial=1.0), 1.0):
         raise AssertionError(f"negative edge reconstruction ({worst:.3e}): limiter bug")
     return rho_xe, rho_ye
 
 
+def _wall_flux(chi: float, rho_edge: np.ndarray, w_edge: np.ndarray) -> np.ndarray:
+    """Fluxes on all edges along axis 0, zero on the two walls."""
+    out = np.zeros_like(rho_edge, shape=(len(rho_edge) + 2,) + rho_edge.shape[1:])
+    out[1:-1] = chi * rho_edge * w_edge
+    return out
+
+
 def edge_fluxes(state: PksState, variant: PksVariant) -> EdgeFluxes:
-    m = state.rho.mesh
     _, _, u_edge, v_edge = chemotactic_velocity(state.c, variant)
     slopes = adaptive_slopes(state.rho, state.theta)
     rho_xe, rho_ye = reconstruct_edges(state.rho, slopes, u_edge, v_edge)
-    p = np.zeros((m.nx + 1, m.ny))
-    q = np.zeros((m.nx, m.ny + 1))
-    p[1:-1, :] = state.chi * rho_xe * u_edge
-    q[:, 1:-1] = state.chi * rho_ye * v_edge
-    return EdgeFluxes(p, q)
+    return EdgeFluxes(_wall_flux(state.chi, rho_xe, u_edge),
+                      _wall_flux(state.chi, rho_ye.T, v_edge.T).T)
+
+
+def _cd2_second(f: np.ndarray, h: float) -> np.ndarray:
+    g = _mirror(f)
+    return (g[2:] - 2 * f + g[:-2]) / h**2
+
+
+def _nccd_second(f: np.ndarray, h: float) -> np.ndarray:
+    return _lines(_nccd_line_ops(len(f))[1], f) / h**2
 
 
 def _lap_cd2(f: np.ndarray, h: float, k: float) -> np.ndarray:
-    g = np.pad(f, 1, mode="edge")
-    return ((g[2:, 1:-1] - 2 * f + g[:-2, 1:-1]) / h**2
-            + (g[1:-1, 2:] - 2 * f + g[1:-1, :-2]) / k**2)
+    return _cd2_second(f, h) + _cd2_second(f.T, k).T
 
 
 def _lap_nccd(f: np.ndarray, h: float, k: float) -> np.ndarray:
-    _, d2x = _nccd_line_ops(f.shape[0])
-    _, d2y = _nccd_line_ops(f.shape[1])
-    return (d2x @ f) / h**2 + (f @ d2y.T) / k**2
+    return _nccd_second(f, h) + _nccd_second(f.T, k).T
 
 
 def laplacian(f_field: Field2D, variant: PksVariant) -> np.ndarray:
     m = f_field.mesh
-    if variant is PksVariant.EXPLICIT_OUCS3_CD2:
-        return _lap_cd2(f_field.values, m.h, m.k)
-    return _lap_nccd(f_field.values, m.h, m.k)
+    lap = _lap_cd2 if variant is PksVariant.EXPLICIT_OUCS3_CD2 else _lap_nccd
+    return lap(f_field.values, m.h, m.k)
 
 
 def _flux_divergence(state: PksState, variant: PksVariant) -> np.ndarray:
     m = state.rho.mesh
     fl = edge_fluxes(state, variant)
-    return (fl.p[1:, :] - fl.p[:-1, :]) / m.h + (fl.q[:, 1:] - fl.q[:, :-1]) / m.k
+    return _axis_diff(fl.p, m.h) + _axis_diff(fl.q.T, m.k).T
 
 
 def rho_rhs(state: PksState, variant: PksVariant = PksVariant.EXPLICIT_OUCS3_CD2) -> Field2D:
@@ -332,107 +330,98 @@ def c_rhs(state: PksState, variant: PksVariant = PksVariant.EXPLICIT_OUCS3_CD2) 
     return Field2D(state.c.mesh, vals)
 
 
-def _check_fields(rho: np.ndarray, t: float) -> None:
-    if not np.all(np.isfinite(rho)):
-        idx = np.unravel_index(int(np.argmin(np.isfinite(rho))), rho.shape)
-        raise NonFiniteError(t, tuple(int(i) for i in idx))
+def _explicit_split(state: PksState):
+    """z_I = 0 (None); z_E is the whole right-hand side, with CD2 operators."""
+    return None, (rho_rhs(state).values, c_rhs(state).values)
+
+
+def _imex_split(state: PksState):
+    """z_I = (lap rho, lap c - c) and z_E = (-div(flux), rho), NCCD operators."""
+    m = state.rho.mesh
+    rho, c = state.rho.values, state.c.values
+    # first, while the fewest arrays are alive: its temporaries set the memory peak
+    adv = -_flux_divergence(state, PksVariant.IMEX_NCCD)
+    return (_lap_nccd(rho, m.h, m.k), _lap_nccd(c, m.h, m.k) - c), (adv, rho)
+
+
+#: variant -> (split of the (rho, c) right-hand sides into (z_I, z_E), and the
+#: reaction rate r of z_I = lap - r per equation, or None when z_I = 0). The
+#: split functions look their kernels up when called.
+_SPLITS = {
+    PksVariant.EXPLICIT_OUCS3_CD2: (_explicit_split, None),
+    PksVariant.IMEX_NCCD: (_imex_split, (0.0, 1.0)),
+}
+
+
+def _line_lus(mesh: Mesh2D, dt: float, rate: float):
+    """LU factors of the x and y line factors (1 + rate dt/4) I - (dt/2) L of
+    I - (dt/2)(lap - rate): the reaction is shared half-and-half."""
+    return [lu_factor((1 + rate * dt / 4) * np.eye(n) - (dt / 2) * (_nccd_line_ops(n)[1] / s**2))
+            for n, s in ((mesh.nx, mesh.h), (mesh.ny, mesh.k))]
+
+
+def _z(zi, ze):
+    """z = z_I + z_E per equation; z_E alone when z_I = 0 (None)."""
+    return ze if zi is None else [i + e for i, e in zip(zi, ze)]
+
+
+def _check_fields(rho: np.ndarray, c: np.ndarray, t: float) -> None:
+    for name, f in (("rho", rho), ("c", c)):
+        if not np.all(np.isfinite(f)):
+            idx = np.unravel_index(int(np.argmin(np.isfinite(f))), f.shape)
+            raise NonFiniteError(t, tuple(int(i) for i in idx), name)
     mn = float(rho.min())
     if mn < 0.0:
         idx = np.unravel_index(int(np.argmin(rho)), rho.shape)
         raise PositivityError(t, tuple(int(i) for i in idx), mn)
 
 
-class ExplicitPksStepper:
-    """Heun stepping of both equations with CD2 space discretization."""
+class PksStepper:
+    """The two-stage update of the module docstring for one variant.
 
-    variant = PksVariant.EXPLICIT_OUCS3_CD2
-
-    def __init__(self, dt: float):
-        if not dt > 0:
-            raise ValueError("dt must be positive")
-        self.dt = dt
-
-    def step(self, state: PksState) -> PksState:
-        dt = self.dt
-        mesh = state.rho.mesh
-        fr = rho_rhs(state, self.variant).values
-        fc = c_rhs(state, self.variant).values
-        rho_s = state.rho.values + dt * fr
-        c_s = state.c.values + dt * fc
-        _check_fields(rho_s, state.t)
-        mid = PksState(Field2D(mesh, rho_s), Field2D(mesh, c_s),
-                       state.t + dt, state.chi, state.theta)
-        fr2 = rho_rhs(mid, self.variant).values
-        fc2 = c_rhs(mid, self.variant).values
-        rho_n = state.rho.values + 0.5 * dt * (fr + fr2)
-        c_n = state.c.values + 0.5 * dt * (fc + fc2)
-        _check_fields(rho_n, state.t + dt)
-        return PksState(Field2D(mesh, rho_n), Field2D(mesh, c_n),
-                        state.t + dt, state.chi, state.theta)
-
-
-class ImexNccdStepper:
-    """Mid-point-implicit linear parts, Heun-explicit chemotaxis and coupling.
-
-    The implicit operators (I - dt/2 lap) and (I + dt/2 - dt/2 lap) are
-    factored dimension-wise into per-line dense solves, reusing one LU per
-    direction for the whole run; the splitting is second-order consistent
-    with the mid-point stage. The reaction -c is shared half-and-half
-    between the two directional factors.
-
-    Nonnegativity is checked, not guaranteed: the compact Laplacian of rho
-    is not monotone, and beside a cell-size spike a stage turns negative
-    and raises PositivityError (see the module docstring).
+    With z_I present, stage 1 solves x-then-y line factors, one LU per
+    direction and equation for the run (second-order consistent with the
+    mid-point stage); `mesh` is read only then. Each stage checks that rho
+    and c are finite and rho is nonnegative.
     """
 
-    variant = PksVariant.IMEX_NCCD
-
-    def __init__(self, mesh: Mesh2D, dt: float):
+    def __init__(self, variant: PksVariant, mesh: Mesh2D | None, dt: float):
         if not dt > 0:
             raise ValueError("dt must be positive")
         self.dt = dt
-        lx = _nccd_line_ops(mesh.nx)[1] / mesh.h**2
-        ly = _nccd_line_ops(mesh.ny)[1] / mesh.k**2
-        ix = np.eye(mesh.nx)
-        iy = np.eye(mesh.ny)
-        self.lu_rho_x = lu_factor(ix - (dt / 2) * lx)
-        self.lu_rho_y = lu_factor(iy - (dt / 2) * ly)
-        self.lu_c_x = lu_factor((1 + dt / 4) * ix - (dt / 2) * lx)
-        self.lu_c_y = lu_factor((1 + dt / 4) * iy - (dt / 2) * ly)
+        self.split, rates = _SPLITS[variant]
+        self.lus = None if rates is None else [_line_lus(mesh, dt, r) for r in rates]
 
-    @staticmethod
-    def _solve_xy(lux, luy, rhs: np.ndarray) -> np.ndarray:
-        tmp = lu_solve(lux, rhs)          # x-direction lines
-        return lu_solve(luy, tmp.T).T     # y-direction lines
+    def _state(self, state: PksState, fields, t_check: float) -> PksState:
+        _check_fields(*fields, t_check)
+        rho, c = (Field2D(state.rho.mesh, f) for f in fields)
+        return PksState(rho, c, state.t + self.dt, state.chi, state.theta)
+
+    def _stage1(self, u, zi, ze):
+        """u* and z(u), from the split of z(u); the solve runs x lines, then y."""
+        dt = self.dt
+        if zi is None:
+            return [f + dt * e for f, e in zip(u, ze)], ze
+        us = [lu_solve(ly, lu_solve(lx, f + (dt / 2) * i + dt * e).T).T
+              for (lx, ly), f, i, e in zip(self.lus, u, zi, ze)]
+        return us, _z(zi, ze)
 
     def step(self, state: PksState) -> PksState:
-        dt = self.dt
-        mesh = state.rho.mesh
-        rho, c = state.rho.values, state.c.values
-        lap_r = _lap_nccd(rho, mesh.h, mesh.k)
-        lap_c = _lap_nccd(c, mesh.h, mesh.k)
-        adv_n = -_flux_divergence(state, self.variant)
-        rho_s = self._solve_xy(self.lu_rho_x, self.lu_rho_y,
-                               rho + (dt / 2) * lap_r + dt * adv_n)
-        c_s = self._solve_xy(self.lu_c_x, self.lu_c_y,
-                             c + (dt / 2) * (lap_c - c) + dt * rho)
-        _check_fields(rho_s, state.t)
-        mid = PksState(Field2D(mesh, rho_s), Field2D(mesh, c_s),
-                       state.t + dt, state.chi, state.theta)
-        adv_s = -_flux_divergence(mid, self.variant)
-        rho_n = rho + 0.5 * dt * (lap_r + adv_n
-                                  + _lap_nccd(rho_s, mesh.h, mesh.k) + adv_s)
-        c_n = c + 0.5 * dt * ((lap_c - c + rho)
-                              + (_lap_nccd(c_s, mesh.h, mesh.k) - c_s + rho_s))
-        _check_fields(rho_n, state.t + dt)
-        return PksState(Field2D(mesh, rho_n), Field2D(mesh, c_n),
-                        state.t + dt, state.chi, state.theta)
+        u = (state.rho.values, state.c.values)
+        us, z = self._stage1(u, *self.split(state))
+        mid = self._state(state, us, state.t)
+        zs = _z(*self.split(mid))
+        return self._state(state, [f + 0.5 * self.dt * (a + b) for f, a, b in zip(u, z, zs)],
+                           state.t + self.dt)
 
 
-def make_stepper(variant: PksVariant, mesh: Mesh2D, dt: float):
-    if variant is PksVariant.EXPLICIT_OUCS3_CD2:
-        return ExplicitPksStepper(dt)
-    return ImexNccdStepper(mesh, dt)
+#: ExplicitPksStepper(dt) and ImexNccdStepper(mesh, dt)
+ExplicitPksStepper = functools.partial(PksStepper, PksVariant.EXPLICIT_OUCS3_CD2, None)
+ImexNccdStepper = functools.partial(PksStepper, PksVariant.IMEX_NCCD)
+
+
+def make_stepper(variant: PksVariant, mesh: Mesh2D, dt: float) -> PksStepper:
+    return PksStepper(variant, mesh, dt)
 
 
 def radial_profile(state: PksState):

@@ -36,10 +36,10 @@ class WavePacketConfig:
     n_points: int
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        if not abs(self.x0) < self.length:
-            raise ValueError("|x0| must be < L")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
+        if not abs(self.x0) < self.length < np.inf:
+            raise ValueError("|x0| must be < L, and L finite")
         if not 0 < self.k0h < np.pi:
             raise ValueError("k0h must lie in (0, pi)")
 

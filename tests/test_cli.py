@@ -140,6 +140,25 @@ def test_dispersion_map_rejects_bad_input(flag, value, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd,flag,value,why", [
+    ("wavepacket", "--lam", "nan", "lam must be finite"),
+    ("wavepacket", "--c", "inf", "c must be finite"),
+    ("wavepacket", "--nu", "inf", "nu must be finite"),
+    ("wavepacket", "--snapshots", "nan", "snapshot time must be finite"),
+    ("wavepacket", "--gamma", "inf", "gamma must be positive and finite"),
+    ("wavepacket", "--half-length", "inf", "L finite"),
+    ("pks", "--chi", "inf", "chi must be positive and finite"),
+    ("pks", "--dt", "inf", "dt must be > 0 and finite"),
+])
+def test_non_finite_physical_input_exits_two(cmd, flag, value, why, tmp_path, capsys):
+    out = tmp_path / "out"
+    size = {"wavepacket": ["--n", "101", "--dt", "0.01", "--t-end", "0.02"],
+            "pks": ["--n", "16", "--t-end", "2e-8"]}[cmd]
+    assert run_cli([cmd, *size, flag, value, "--out", str(out)]) == 2
+    assert not out.exists()  # refused before any step or file
+    assert why in capsys.readouterr().err
+
+
 def test_wavepacket_t_end_off_the_step_grid_exits_two(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(["wavepacket", "--n", "201", "--t-end", "0.015", "--dt", "0.01",

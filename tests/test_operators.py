@@ -9,7 +9,6 @@ from adrlab.operators import (
     build_lele_second,
     build_nccd,
     build_oucs3,
-    dump_operator_csv,
     lele_system,
     nccd_system,
     oucs3_system,
@@ -210,14 +209,3 @@ def test_small_grid_rejected():
         build_oucs3(Grid1D(6, 1.0))
     with pytest.raises(ValueError):
         Grid1D(4, 1.0)
-
-
-def test_operator_csv_dump(tmp_path):
-    op = build_cd2_first(unit_grid(9))
-    path = tmp_path / "op.csv"
-    dump_operator_csv(op, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "row,col,value"
-    # 7 interior rows x 2 entries + 2 one-sided rows x 3 entries
-    assert len(lines) - 1 == 7 * 2 + 2 * 3
-    assert lines[1].split(",")[2] == "-1.5"

@@ -251,6 +251,50 @@ def test_explicit_step_conserves_mass_without_chemotaxis():
     assert abs(total_mass(out) - total_mass(state)) / total_mass(state) < 1e-10
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_non_finite_c_raises_naming_the_field(variant):
+    # a uniform c = 1e308 has zero gradient (no transport, so rho stays
+    # finite at chi ~ 0) but overflows the Laplacian of c
+    mesh = Mesh2D.unit_square(16)
+    state = state_from(mesh, np.ones((16, 16)), np.full((16, 16), 1e308), chi=1e-300)
+    with pytest.raises(NonFiniteError, match="non-finite c at cell") as exc:
+        make_stepper(variant, mesh, 1e-8).step(state)
+    assert exc.value.field == "c"
+
+
+def test_explicit_step_is_heun_bit_for_bit():
+    state = gaussian_state(n=32)
+    mesh, dt = state.rho.mesh, 1e-8
+    fr, fc = rho_rhs(state).values, c_rhs(state).values
+    mid = PksState(Field2D(mesh, state.rho.values + dt * fr),
+                   Field2D(mesh, state.c.values + dt * fc), dt, state.chi, state.theta)
+    rho = state.rho.values + 0.5 * dt * (fr + rho_rhs(mid).values)
+    c = state.c.values + 0.5 * dt * (fc + c_rhs(mid).values)
+    out = ExplicitPksStepper(dt).step(state)
+    assert (out.rho.values == rho).all() and (out.c.values == c).all()
+    assert out.t == dt
+
+
+@pytest.mark.parametrize("variant,rel", [(PksVariant.EXPLICIT_OUCS3_CD2, 0.0),
+                                         (PksVariant.IMEX_NCCD, 1e-12)])
+def test_transposed_problem_gives_transposed_result(variant, rel):
+    # nx != ny and h != k: a kernel applied along the wrong axis, or with
+    # the other direction's spacing, breaks the x <-> y symmetry
+    nx, ny, h, k = 24, 32, 1.0 / 24, 0.75 / 32
+    mesh, mesh_t = Mesh2D(nx, ny, h, k), Mesh2D(ny, nx, k, h)
+    x = h * (np.arange(nx) + 0.5) - 0.5
+    y = k * (np.arange(ny) + 0.5) - 0.375
+    r2 = (x[:, None] - 0.05) ** 2 + 2.0 * (y[None, :] + 0.03) ** 2
+    rho, c = 200.0 * np.exp(-40.0 * r2), 100.0 * np.exp(-20.0 * r2)
+    state, state_t = state_from(mesh, rho, c), state_from(mesh_t, rho.T.copy(), c.T.copy())
+    stepper, stepper_t = make_stepper(variant, mesh, 1e-7), make_stepper(variant, mesh_t, 1e-7)
+    for _ in range(3):
+        state, state_t = stepper.step(state), stepper_t.step(state_t)
+    for f, f_t in ((state.rho, state_t.rho), (state.c, state_t.c)):
+        assert np.max(np.abs(f_t.values.T - f.values)) <= rel * np.max(np.abs(f.values))
+
+
 def test_imex_positivity_violation_raises():
     # chi = 30 drives the advective CFL far above one at this dt; the step
     # must fail loudly rather than return a negative or non-finite field
