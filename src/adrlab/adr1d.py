@@ -28,6 +28,11 @@ Dirichlet handling: the stage-1 system gets identity rows at both ends
 carrying the boundary data, and stage 2 re-imposes the end values. Either
 way the interior stencil rows stay exactly as analyzed spectrally.
 
+Nothing of size N x N is formed. Explicit parts are operator products
+(`DerivativeOperator.__matmul__`, one banded solve each) and the stage
+matrix I - z_I/2 is factored once as one banded LU (`ImplicitStage`), so
+building a stepper and taking a step both cost O(N).
+
 Steppers factor their stage matrix once per configuration and are
 immutable afterwards; a run owns its state, so independent runs can
 execute in parallel.
@@ -40,8 +45,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+import scipy.sparse
 
+from .linalg import BandedLU, LinearSolveError
 from .operators import (
     DerivativeOperator,
     Grid1D,
@@ -129,9 +135,6 @@ SCHEMES = {
     SchemeId.IMEX_NCCD: (lambda g: build_nccd(g), _IMEX),
 }
 
-#: rows per block when assembling a stage matrix (bounds the temporaries)
-_BLOCK_ROWS = 128
-
 
 def scheme_operators(scheme: SchemeId, grid: Grid1D):
     """The (first-derivative, second-derivative) operator pair of a scheme."""
@@ -167,36 +170,93 @@ def _pin(values: np.ndarray, bc) -> np.ndarray:
     return values
 
 
-def _identity_end_rows(m: np.ndarray) -> np.ndarray:
-    m[0, :] = 0.0
-    m[0, 0] = 1.0
-    m[-1, :] = 0.0
-    m[-1, -1] = 1.0
-    return m
+#: rows of the reduced stage system formed at a time
+_CHUNK = 1 << 12
 
 
-def _lu_solve_any(lu, b: np.ndarray) -> np.ndarray:
-    # real factorization; complex rhs handled as two real solves
-    if np.iscomplexobj(b):
-        return lu_solve(lu, b.real) + 1j * lu_solve(lu, b.imag)
-    return lu_solve(lu, b)
+class ImplicitStage:
+    """Solver of the stage-1 system (I - z_I/2) w = y, end rows identity.
 
+    Row j of I - z_I/2 reads alpha w_j - sum_q beta_q (D_q w)_j for the
+    implicit operators D_q (``terms``, pairs (D_q, beta_q)). Each D_q w is
+    S_q x + P_q w (`DerivativeOperator.split`), where x solves the
+    operator's system A x = B w (`BandedSystem`); the x of all distinct
+    systems are interleaved node by node. With E = sum_q beta_q S_q and
+    P = sum_q beta_q P_q (both zero in the end rows) the stage reads
 
-def _combine(d1: np.ndarray, d2: np.ndarray, coef, order: str = "C") -> np.ndarray:
-    """coef[0] D1 + coef[1] D2 + coef[2] I as a new dense matrix.
+        T w = y + E x,   T = diag(alpha; 1 at the ends) - P.
 
-    Assembled a row block at a time, so the result is the only N x N array
-    allocated.
+    T is diagonal but for the patched rows, whose stencils reach only
+    unpatched nodes, so W = T^{-1} is sparse and w = W (y + E x).
+    Substituted into A x = B w this leaves one banded system in x,
+
+        (A - B W E) x = B W y,
+
+    factored once. For imex-oucs3-lele it is the Lele system's
+    tridiagonal-plus-stencil matrix A - (Pe/2)/(1 - Da/2) B. The
+    elimination needs 1 - Da/2 != 0 (and a nonzero diagonal of T at the
+    patched rows); LinearSolveError is raised otherwise.
     """
-    n = d1.shape[0]
-    out = np.zeros((n, n), order=order)
-    for lo in range(0, n, _BLOCK_ROWS):
-        block = out[lo:lo + _BLOCK_ROWS]
-        for mat, c in ((d1, coef[0]), (d2, coef[1])):
-            if c:
-                block += c * mat[lo:lo + _BLOCK_ROWS]
-    out[np.diag_indices(n)] += coef[2]
-    return out
+
+    def __init__(self, n: int, alpha: float, terms):
+        self.systems = list({id(op.system): op.system for op, _ in terms}.values())
+        width = sum(s.per_node for s in self.systems)
+        self.pos, off = [], 0
+        for s in self.systems:  # place of each x of a system in the interleaved order
+            i = np.arange(s.rhs.shape[0], dtype=np.int32)
+            self.pos.append(width * (i // s.per_node) + off + i % s.per_node)
+            off += s.per_node
+        self.w, self.we = self._eliminate(n, alpha, terms, width * n)
+        self.lu = self._factor(width * n)
+
+    def _eliminate(self, n: int, alpha: float, terms, size: int):
+        """W = T^{-1} and W E."""
+        interior = np.ones(n)
+        interior[[0, -1]] = 0.0
+        e = p = 0
+        for op, beta in terms:
+            pick, patch = (scipy.sparse.diags_array(beta * interior) @ m for m in op.split())
+            pick = pick.tocoo()
+            pos = self.pos[[s is op.system for s in self.systems].index(True)]
+            e = e + scipy.sparse.csr_array((pick.data, (pick.row, pos[pick.col])), shape=(n, size))
+            p = p + patch
+        d = np.where(interior > 0, alpha, 1.0) - p.diagonal()
+        if not np.all(d):
+            raise LinearSolveError(f"the implicit stage elimination needs 1 - Da/2 != 0 and a "
+                                   f"nonzero patched-row pivot (1 - Da/2 = {alpha:g}, zero pivot "
+                                   f"at node {int(np.argmin(np.abs(d)))})")
+        inv = scipy.sparse.diags_array(1 / d)
+        w = inv @ (scipy.sparse.eye_array(n) + (p - scipy.sparse.diags_array(p.diagonal())) @ inv)
+        return w.tocsr(), (w @ e).tocsr()
+
+    def _factor(self, size: int) -> BandedLU:
+        """LU of A - B W E in LAPACK factorization layout."""
+        def diagonals(a, pos):  # A x, one diagonal at a time
+            for d in range(-a.lower, a.upper + 1):
+                j = np.arange(max(d, 0), min(a.size, a.size + d))
+                yield pos[j - d], pos[j], a.bands[a.upper - d, j]
+
+        def entries():  # (rows, columns, values), no position twice in one group
+            for s, pos in zip(self.systems, self.pos):
+                yield from diagonals(s.lhs, pos)
+                for i in range(0, len(pos), _CHUNK):  # -B W E x, _CHUNK rows at a time
+                    k = (s.rhs[i:i + _CHUNK] @ self.we).tocoo()
+                    yield pos[i + k.row], k.col, -k.data
+
+        spans = [(np.max(r - c), np.max(c - r)) for r, c, _ in entries()]
+        lower, upper = (int(max(x)) for x in zip(*spans))
+        ab = np.zeros((2 * lower + upper + 1, size), order="F")
+        for r, c, v in entries():
+            ab[lower + upper + r - c, c] += v
+        return BandedLU(ab, lower, upper)
+
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        """w with (I - z_I/2) w = y (end rows: w = y); complex y as two real solves."""
+        wy = self.w @ y
+        rhs = np.empty(self.we.shape[1], dtype=wy.dtype)
+        for s, pos in zip(self.systems, self.pos):
+            rhs[pos] = s.rhs @ wy
+        return wy + self.we @ self.lu.solve(rhs)
 
 
 class Stepper:
@@ -206,9 +266,16 @@ class Stepper:
               Dirichlet data
     Stage 2:  u+ = u + z (u + u*)/2, ends re-pinned
 
-    Holds at most three dense matrices: the LU factors of I - z_I/2 (none
-    when z_I = 0), the stage-1 matrix e = z_I/2 + z_E, and z (none when
-    z_E = 0: stage 2 then returns u* in exact arithmetic and is skipped).
+    z_I is only ever solved with, never applied. At interior rows the
+    stage-1 right-hand side is (2I + z_E) u - (I - z_I/2) u, so
+
+        u* = (I - z_I/2)^{-1} y - u,   y = 2u + z_E u  (y = bc + u at the ends),
+
+    and stage 2 reduces to u+ = u* + z_E (u* - u)/2, which equals
+    u + z (u + u*)/2 at every interior row. Holds the `ImplicitStage` of
+    I - z_I/2 (none when z_I = 0: u* = u + z_E u) and the explicit terms of
+    z_E (none when z_E = 0: stage 2 then returns u* in exact arithmetic and
+    is skipped).
     """
 
     def __init__(self, scheme: SchemeId, cfg: AdrConfig, d1: DerivativeOperator,
@@ -217,24 +284,32 @@ class Stepper:
         self.scheme = scheme
         self.cfg = cfg
         ci, ce = z_parts(scheme, cfg.n_c, cfg.pe, cfg.da)
-        d1, d2 = d1.matrix, d2.matrix
-        self.lu = self.z = None
+        self.z_e = [(c, op) for c, op in zip(ce, (d1, d2)) if c], ce[2]
+        self.explicit = any(ce)
+        self.stage = None
         if any(ci):
-            # Fortran order lets the factorization overwrite it in place
-            m = _combine(d1, d2, [-ci[0] / 2, -ci[1] / 2, 1 - ci[2] / 2], order="F")
-            self.lu = lu_factor(_identity_end_rows(m), overwrite_a=True)
-        if any(ce):
-            self.z = _combine(d1, d2, [i + e for i, e in zip(ci, ce)])
-        self.e = _combine(d1, d2, [i / 2 + e for i, e in zip(ci, ce)]) if any(ci) else self.z
+            self.stage = ImplicitStage(cfg.grid.n_points, 1 - ci[2] / 2,
+                                       [(op, c / 2) for c, op in zip(ci, (d1, d2)) if c])
+
+    def _apply_z_e(self, u: np.ndarray) -> np.ndarray:
+        terms, reaction = self.z_e
+        out = reaction * u
+        for c, op in terms:
+            out += c * (op @ u)
+        return out
 
     def step(self, state: SolutionState, bc=None) -> SolutionState:
         u = state.values
         bc = _bc_of(u, bc)
-        us = _pin(u + self.e @ u, bc)
-        if self.lu is not None:
-            us = _lu_solve_any(self.lu, us)
-        if self.z is not None:
-            us = _pin(u + 0.5 * (self.z @ (u + us)), bc)
+        zu = self._apply_z_e(u) if self.explicit else 0.0
+        if self.stage is None:
+            us = _pin(u + zu, bc)
+        else:
+            y = 2 * u + zu
+            y[0], y[-1] = bc[0] + u[0], bc[1] + u[-1]
+            us = _pin(self.stage.solve(y) - u, bc)
+        if self.explicit:
+            us = _pin(us + 0.5 * self._apply_z_e(us - u), bc)
         return SolutionState(us, state.t + self.cfg.dt)
 
 

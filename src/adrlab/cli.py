@@ -5,7 +5,7 @@ the output directory) and emits CSV files with 12-significant-digit floats,
 so identical flags reproduce byte-identical outputs.
 
 Exit codes: 0 success, 2 argument error, 3 numerical failure (instability,
-positivity violation, or singular system).
+positivity violation, negative edge reconstruction, or singular system).
 """
 
 from __future__ import annotations
@@ -197,6 +197,8 @@ def cmd_dispersion_map(args) -> int:
 
 
 def cmd_wavepacket(args) -> int:
+    if not 0 < args.qwindow_efolds < math.inf:
+        raise ValueError(f"--qwindow-efolds must be finite and > 0 (got {args.qwindow_efolds:g})")
     from .adr1d import AdrConfig, SchemeId, scheme_operators
     from . import wavepacket as wp
 
@@ -260,14 +262,15 @@ def main(argv=None) -> int:
         return 2
     from .adr1d import AdrInstabilityError
     from .linalg import LinearSolveError
-    from .pks2d import NonFiniteError, PositivityError
+    from .pks2d import EdgeReconstructionError, NonFiniteError, PositivityError
 
     handler = {"dispersion-map": cmd_dispersion_map,
                "wavepacket": cmd_wavepacket,
                "pks": cmd_pks}[args.command]
     try:
         return handler(args)
-    except (AdrInstabilityError, PositivityError, NonFiniteError, LinearSolveError) as exc:
+    except (AdrInstabilityError, PositivityError, NonFiniteError, EdgeReconstructionError,
+            LinearSolveError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

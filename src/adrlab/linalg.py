@@ -2,9 +2,12 @@
 
 The operator builders assemble every compact left-hand side as a
 `BandedMatrix` (row-wise stencils via `BandedMatrix.from_rows` or
-`tridiagonal`) and get ``A^{-1} B`` from one `solve_banded` call with the
-columns of ``B`` as right-hand sides. `solve_dense` is the dense reference
-the banded solves are tested against; no operator assembly calls it.
+`tridiagonal`) and every right-hand side as a sparse matrix
+(`stencil_matrix`). Operators are applied through a `BandedLU`, factored
+once and solved against one vector per call; ``A^{-1} B`` is formed
+densely only on request, by one `solve_banded` call with the columns of
+``B`` as right-hand sides. `solve_dense` is the dense reference the banded
+solves are tested against; no operator assembly calls it.
 
 Dense matrices are plain float64/complex128 ndarrays of shape (n, m).
 Banded matrices use the LAPACK band layout (`scipy.linalg.solve_banded`):
@@ -25,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 
 class LinearSolveError(Exception):
@@ -85,6 +90,12 @@ class BandedMatrix:
             bands[upper - d, i + d] = rows[i, k]
         return cls(n, lower, upper, bands)
 
+    def factor(self) -> "BandedLU":
+        """LU factors of a private copy; the matrix is left as it is."""
+        ab = np.zeros((2 * self.lower + self.upper + 1, self.size), order="F")
+        ab[self.lower:] = self.bands
+        return BandedLU(ab, self.lower, self.upper)
+
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.size, self.size), dtype=self.bands.dtype)
         for d in range(-self.lower, self.upper + 1):
@@ -92,6 +103,47 @@ class BandedMatrix:
             vals = self.bands[self.upper - d, max(d, 0):max(d, 0) + m]
             a += np.diag(vals, d)
         return a
+
+
+def stencil_matrix(weights, lower: int, per_node: int = 1) -> scipy.sparse.csr_array:
+    """Sparse matrix of shape (r n, n), r = ``per_node``, holding
+    ``weights[k, i]`` at (i, i // r + k - lower): each node carries r rows
+    centred on its own column. Weights that fall outside the columns are
+    ignored."""
+    width, m = weights.shape
+    i = np.tile(np.arange(m, dtype=np.int32), width)
+    c = i // per_node + np.repeat(np.arange(width, dtype=np.int32), m) - lower
+    ok = (c >= 0) & (c < m // per_node) & (weights.ravel() != 0)
+    return scipy.sparse.csr_array((weights.ravel()[ok], (i[ok], c[ok])), shape=(m, m // per_node))
+
+
+def dense(m) -> np.ndarray:
+    """m as an ndarray; a scipy.sparse matrix is expanded."""
+    return m.toarray() if scipy.sparse.issparse(m) else np.asarray(m)
+
+
+class BandedLU:
+    """LU factors of a banded matrix (LAPACK gbtrf, partial pivoting).
+
+    ``ab`` is a Fortran-ordered array of shape (2 lower + upper + 1, size)
+    holding the matrix in band layout from row ``lower`` on (the rows above
+    take the fill-in of pivoting); it is factored in place, so pass a
+    private array (`BandedMatrix.factor` does). Raises LinearSolveError on
+    an exactly singular pivot.
+    """
+
+    def __init__(self, ab: np.ndarray, lower: int, upper: int):
+        self.lu, self.piv, info = dgbtrf(ab, lower, upper, overwrite_ab=1)
+        if info > 0:
+            raise LinearSolveError(f"singular banded system (zero pivot in column {info - 1})")
+        self.lower, self.upper = lower, upper
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with a x = b, in the storage of b when b is a contiguous real
+        vector (pass a temporary); complex b is solved as two real ones."""
+        if np.iscomplexobj(b):
+            return self.solve(b.real.copy()) + 1j * self.solve(b.imag.copy())
+        return dgbtrs(self.lu, self.lower, self.upper, b, self.piv, overwrite_b=1)[0]
 
 
 def tridiagonal(lo, diag, up) -> BandedMatrix:
@@ -107,9 +159,10 @@ def solve_banded(a: BandedMatrix, b: np.ndarray) -> np.ndarray:
     """Solve a x = b for one or many right-hand sides.
 
     Raises LinearSolveError on a singular or near-singular pivot, which in
-    this code base signals an ill-posed stencil assembly.
+    this code base signals an ill-posed stencil assembly. A sparse b is
+    expanded first.
     """
-    b = np.asarray(b, dtype=float)
+    b = np.asarray(dense(b), dtype=float)
     if b.shape[0] != a.size:
         raise ValueError("rhs row count must equal matrix size")
     try:
@@ -124,13 +177,14 @@ def solve_banded(a: BandedMatrix, b: np.ndarray) -> np.ndarray:
 def solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """LU solve with partial pivoting; b may hold multiple right-hand sides.
 
-    Inverse-times-matrix is one call: solve_dense(a, m) == a^{-1} m.
+    Inverse-times-matrix is one call: solve_dense(a, m) == a^{-1} m. A
+    sparse b is expanded first.
     """
     a = np.asarray(a)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
-    b = np.asarray(b)
+    b = dense(b)
     if b.shape[0] != n:
         raise ValueError("rhs row count must equal matrix size")
     try:
@@ -143,10 +197,10 @@ def solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def residual_inf(a, x, b) -> float:
-    """||a x - b||_inf, for asserting the solve contract."""
+    """||a x - b||_inf, for asserting the solve contract (b may be sparse)."""
     a = np.asarray(a)
     if isinstance(a, np.ndarray) and a.ndim == 2:
-        r = a @ x - b
+        r = a @ x - dense(b)
     else:
         raise ValueError("dense matrix expected")
     return float(np.max(np.abs(r)))
@@ -156,5 +210,5 @@ def residual_bound(a, x, b, tol: float = 1e-10) -> float:
     """Right-hand side of the residual contract for given operands."""
     na = float(np.max(np.sum(np.abs(a), axis=1)))
     nx = float(np.max(np.abs(x)))
-    nb = float(np.max(np.abs(b)))
+    nb = float(np.max(np.abs(dense(b))))
     return tol * (na * nx + nb)

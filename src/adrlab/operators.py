@@ -1,34 +1,40 @@
-"""Global derivative matrices for the four compact/explicit schemes.
+"""Global derivative operators for the four compact/explicit schemes.
 
-Every builder returns a `DerivativeOperator` holding a dense, dimensionless
-matrix ``M`` and the scale ``1/h**order``; the derivative of nodal values
-``u`` is ``scale * (M @ u)``.
-
-The compact schemes all have the form M = A^{-1} B with a banded A. Each is
-assembled in two steps: a ``*_system`` function returns A as a
-`linalg.BandedMatrix` (tridiagonal for OUCS3 and Lele; for NCCD the 2x2
-block-tridiagonal system with its (u', u'') unknowns interleaved, three
-bands on each side) together with the dense right-hand side B, and the
-builder gets M from one `linalg.solve_banded` with the columns of B as
-right-hand sides, then overwrites its patched boundary rows. M itself is
-still stored densely, because the steppers and the spectral analysis read
-the matrix and its rows.
+Every builder returns a `DerivativeOperator`: the derivative of nodal
+values ``u`` is ``scale * (D @ u)`` with ``scale = 1/h**order`` and a
+dimensionless D. The compact schemes all have the form D = A^{-1} B with a
+banded A. Each is assembled in two steps: a ``*_system`` function returns A
+as a `linalg.BandedMatrix` (tridiagonal for OUCS3 and Lele; for NCCD the
+2x2 block-tridiagonal system with its (u', u'') unknowns interleaved, three
+bands on each side) together with B as a sparse matrix of row stencils
+(`linalg.stencil_matrix`, five to seven entries per row), and the builder
+wraps the pair in a `BandedSystem` plus the boundary rows it patches. The
+explicit CD2 operators are the same with A = I. Nothing of size N x N is formed:
+``D @ u`` is one solve with the pre-factored A plus the patched rows, O(N)
+per call. The dense D is built only when `DerivativeOperator.matrix` is
+read (the spectral analysis and the PKS line operators read it), by one
+`linalg.solve_banded` with the columns of B as right-hand sides, and
+cached.
 
 Node numbering follows the 1-based convention j = 1..N+1 common in the
 compact-scheme literature; storage is 0-based, so "row j" below means matrix
 row j-1.
 
-Builders are pure functions; the returned operators are immutable and safe
-to share across threads.
+Builders are pure functions and the returned operators never change what
+they represent. Their LU factors and dense matrix are computed on first use
+and cached without a lock; two threads that both compute one get equal
+results, and neither sees the other's work in progress.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 
-from .linalg import BandedMatrix, solve_banded, tridiagonal
+from .linalg import BandedLU, BandedMatrix, solve_banded, stencil_matrix, tridiagonal
 
 #: Interior coefficients of the tridiagonal second-derivative scheme:
 #: alpha u''_{j-1} + u''_j + alpha u''_{j+1}
@@ -59,24 +65,97 @@ class Grid1D:
         return cls(n_points, (x_right - x_left) / (n_points - 1), x_left)
 
 
-@dataclass(frozen=True)
-class DerivativeOperator:
-    """Dense global derivative matrix with its 1/h**order scale.
+@dataclass(frozen=True, eq=False)
+class BandedSystem:
+    """The system A y = B u behind one or more derivative operators.
 
-    Invariant: every row sum of `matrix` vanishes (a derivative annihilates
+    A (``lhs``) is a `BandedMatrix` of size r N and B (``rhs``) a sparse
+    matrix of shape (r N, N); node j owns rows r j .. r j + r - 1 of y, and
+    an operator reads one of them (NCCD: r = 2, u' and u'' of one solve).
+    The LU factors of A (made from a private copy) and the dense A^{-1} B
+    are computed on first use and cached.
+    """
+
+    lhs: BandedMatrix
+    rhs: scipy.sparse.csr_array
+
+    @cached_property
+    def lu(self) -> BandedLU:
+        return self.lhs.factor()
+
+    @property
+    def per_node(self) -> int:
+        return self.rhs.shape[0] // self.rhs.shape[1]
+
+    def solve(self, u: np.ndarray) -> np.ndarray:
+        """y = A^{-1} B u, O(N)."""
+        return self.lu.solve(self.rhs @ u)
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """A^{-1} B as a dense (r N, N) matrix: one `solve_banded` with the
+        columns of B as right-hand sides. Each operator of the system
+        patches its own rows of it in place (`DerivativeOperator.matrix`)."""
+        return solve_banded(self.lhs, self.rhs)
+
+
+@dataclass(frozen=True, eq=False)
+class DerivativeOperator:
+    """Derivative operator D with its 1/h**order scale.
+
+    D u is row ``part`` of each node's block of y = A^{-1} B u
+    (`BandedSystem`), except at the rows in ``patch``: each entry
+    (row, first, weights) replaces that row by the explicit stencil
+    ``weights`` starting at column ``first``.
+
+    Invariant: every row sum of D vanishes (a derivative annihilates
     constants), to 1e-8 after scaling.
     """
 
     order: int
-    matrix: np.ndarray
     scale: float
+    system: BandedSystem
+    part: int = 0
+    patch: tuple = ()
 
     @property
     def n_points(self) -> int:
-        return self.matrix.shape[0]
+        return self.system.rhs.shape[1]
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        """D u (dimensionless) for a real or complex vector u, O(N)."""
+        d = self.system.solve(u)[self.part::self.system.per_node]
+        for row, first, w in self.patch:
+            d[row] = np.dot(w, u[first:first + len(w)])
+        return d
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.scale * (self.matrix @ u)
+        return self.scale * (self @ u)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """D as a dense N x N matrix, built on first access: a view of the
+        system's dense A^{-1} B (`BandedSystem.dense`) with the patch
+        written into its rows."""
+        m = self.system.dense[self.part::self.system.per_node]
+        for row, first, w in self.patch:  # one write per row, so a repeat changes nothing
+            m[row] = np.pad(w, (first, len(m) - first - len(w)))
+        return m
+
+    def split(self):
+        """Sparse (S, P) with D = S A^{-1} B + P: S picks row ``part`` of
+        each node's block of y except at the patched rows, which P holds."""
+        n, r = self.n_points, self.system.per_node
+        keep = np.setdiff1d(np.arange(n, dtype=np.int32), [row for row, _, _ in self.patch])
+        pick = scipy.sparse.csr_array((np.ones(len(keep)), (keep, r * keep + self.part)),
+                                      shape=(n, r * n))
+        rows, cols, vals = [], [], []
+        for row, first, w in self.patch:
+            rows += [row] * len(w)
+            cols += range(first, first + len(w))
+            vals += list(w)
+        rows, cols = np.array(rows, dtype=np.int32), np.array(cols, dtype=np.int32)
+        return pick, scipy.sparse.csr_array((vals, (rows, cols)), shape=(n, n))
 
     def row_symbol(self, node: int, kh):
         """Fourier symbol of row `node` (0-based): sum_r M[j,r] e^{i kh (r-j)}.
@@ -167,33 +246,21 @@ def _near_boundary_first_row(beta: float) -> np.ndarray:
     )
 
 
-def _stencil_rows(m: np.ndarray, weights, first: int, stop: int) -> np.ndarray:
-    """Write `weights`, centred on the diagonal, into rows first..stop-1 of m."""
-    j = np.arange(first, stop)
-    for r, w in enumerate(weights, -(len(weights) // 2)):
-        m[j, j + r] = w
-    return m
-
-
-def _one_sided_first_rows(b: np.ndarray) -> None:
-    """Second-order one-sided rows at both ends: -+(1/h)(1.5, -2, 0.5)."""
-    n = b.shape[0]
-    b[0, 0:3] = [-1.5, 2.0, -0.5]
-    b[n - 1, n - 3:n] = [0.5, -2.0, 1.5]
-
-
-def _cd2_first_row(mat: np.ndarray, j: int) -> None:
-    mat[j, :] = 0.0
-    mat[j, j - 1] = -0.5
-    mat[j, j + 1] = 0.5
+def _explicit(order: int, grid: Grid1D, interior, first, last) -> DerivativeOperator:
+    """Three-point operator (A = I): ``interior`` weights centred on rows
+    1..N-1, ``first`` on columns 0..2 of row 0 and ``last`` on the last
+    three columns of row N."""
+    n = grid.n_points
+    b = np.zeros((5, n))  # column offsets -2..2
+    b[1:4, 1:n - 1] = np.array(interior)[:, None]
+    b[2:5, 0], b[0:3, n - 1] = first, last
+    system = BandedSystem(BandedMatrix(n, 0, 0, np.ones((1, n))), stencil_matrix(b, 2))
+    return DerivativeOperator(order, 1.0 / grid.h**order, system)
 
 
 def build_cd2_first(grid: Grid1D) -> DerivativeOperator:
     """Second-order central first derivative; one-sided rows at the ends."""
-    n = grid.n_points
-    m = _stencil_rows(np.zeros((n, n)), (-0.5, 0.0, 0.5), 1, n - 1)
-    _one_sided_first_rows(m)
-    return DerivativeOperator(1, m, 1.0 / grid.h)
+    return _explicit(1, grid, (-0.5, 0.0, 0.5), (-1.5, 2.0, -0.5), (0.5, -2.0, 1.5))
 
 
 def build_cd2_second(grid: Grid1D) -> DerivativeOperator:
@@ -203,15 +270,11 @@ def build_cd2_second(grid: Grid1D) -> DerivativeOperator:
     first-order there; in the steppers those rows are overridden by Dirichlet
     pinning and never drive the solution.
     """
-    n = grid.n_points
-    m = _stencil_rows(np.zeros((n, n)), (1.0, -2.0, 1.0), 1, n - 1)
-    m[0, 0:3] = [1.0, -2.0, 1.0]
-    m[n - 1, n - 3:n] = [1.0, -2.0, 1.0]
-    return DerivativeOperator(2, m, 1.0 / grid.h**2)
+    return _explicit(2, grid, (1.0, -2.0, 1.0), (1.0, -2.0, 1.0), (1.0, -2.0, 1.0))
 
 
 def oucs3_system(grid: Grid1D, coeffs: Oucs3Coefficients = DEFAULT_OUCS3):
-    """Banded left-hand side A and dense right-hand side B of `build_oucs3`.
+    """Banded left-hand side A and stencil right-hand side B of `build_oucs3`.
 
     Interior rows j = 3..N-1 hold the tridiagonal/five-point compact
     stencil, rows 1 and N+1 the one-sided explicit forms and rows 2 and N
@@ -223,29 +286,31 @@ def oucs3_system(grid: Grid1D, coeffs: Oucs3Coefficients = DEFAULT_OUCS3):
         raise ValueError("n_points must be >= 7")
     a = np.tile((coeffs.p_minus, 1.0, coeffs.p_plus), (n, 1))  # (lo, diag, up) per row
     a[[0, 1, n - 2, n - 1]] = (0.0, 1.0, 0.0)
-    b = _stencil_rows(np.zeros((n, n)), coeffs.q(), 2, n - 2)
-    _one_sided_first_rows(b)
-    b[1, 0:5] = _near_boundary_first_row(coeffs.beta2)
-    b[n - 2, n - 5:n] = -_near_boundary_first_row(coeffs.beta_n)[::-1]
-    return tridiagonal(*a.T), b
+    b = np.zeros((7, n))  # column offsets -3..3
+    b[1:6, 2:n - 2] = coeffs.q()[:, None]
+    b[3:6, 0] = (-1.5, 2.0, -0.5)
+    b[2:7, 1] = _near_boundary_first_row(coeffs.beta2)
+    b[0:5, n - 2] = -_near_boundary_first_row(coeffs.beta_n)[::-1]
+    b[1:4, n - 1] = (0.5, -2.0, 1.5)
+    return tridiagonal(*a.T), stencil_matrix(b, 3)
 
 
 def build_oucs3(grid: Grid1D, coeffs: Oucs3Coefficients = DEFAULT_OUCS3) -> DerivativeOperator:
     """Upwind compact first-derivative operator A^{-1} B (`oucs3_system`).
 
-    Rows 2 and N of the assembled matrix are then overwritten with central
-    CD2 rows: the compact row at j = 2 is unstable across wavenumbers, and
-    the outflow row N gets the mirrored treatment. The replaced rows still
-    shape the interior rows through A^{-1}.
+    Rows 2 and N of the operator are patched with central CD2 rows: the
+    compact row at j = 2 is unstable across wavenumbers, and the outflow row
+    N gets the mirrored treatment. The replaced rows still shape the
+    interior rows through A^{-1}.
     """
-    m = solve_banded(*oucs3_system(grid, coeffs))
-    _cd2_first_row(m, 1)
-    _cd2_first_row(m, grid.n_points - 2)
-    return DerivativeOperator(1, m, 1.0 / grid.h)
+    n = grid.n_points
+    cd2 = (-0.5, 0.0, 0.5)
+    return DerivativeOperator(1, 1.0 / grid.h, BandedSystem(*oucs3_system(grid, coeffs)),
+                              patch=((1, 0, cd2), (n - 2, n - 3, cd2)))
 
 
 def lele_system(grid: Grid1D, interior=LELE_INTERIOR):
-    """Banded left-hand side A and dense right-hand side B of `build_lele_second`.
+    """Banded left-hand side A and stencil right-hand side B of `build_lele_second`.
 
     Boundary closures:
         j = 1:   u''_1 = (u_1 - 2u_2 + u_3)/h^2
@@ -261,18 +326,17 @@ def lele_system(grid: Grid1D, interior=LELE_INTERIOR):
     a[0] = (0.0, 1.0, 0.0)
     a[[1, n - 2]] = (1.0, 10.0, 1.0)
     a[n - 1] = (11.0, 1.0, 0.0)
-    b = _stencil_rows(np.zeros((n, n)), (cb / 4.0, ca, -2.0 * ca - cb / 2.0, ca, cb / 4.0),
-                      2, n - 2)
-    b[0, 0:3] = [1.0, -2.0, 1.0]
-    b[1, 0:3] = [12.0, -24.0, 12.0]
-    b[n - 2, n - 3:n] = [12.0, -24.0, 12.0]
-    b[n - 1, n - 4:n] = [-1.0, 15.0, -27.0, 13.0]
-    return tridiagonal(*a.T), b
+    b = np.zeros((6, n))  # column offsets -3..2
+    b[1:6, 2:n - 2] = np.array([cb / 4.0, ca, -2.0 * ca - cb / 2.0, ca, cb / 4.0])[:, None]
+    b[3:6, 0] = (1.0, -2.0, 1.0)
+    b[2:5, [1, n - 2]] = np.array([12.0, -24.0, 12.0])[:, None]
+    b[0:4, n - 1] = (-1.0, 15.0, -27.0, 13.0)
+    return tridiagonal(*a.T), stencil_matrix(b, 3)
 
 
 def build_lele_second(grid: Grid1D, interior=LELE_INTERIOR) -> DerivativeOperator:
     """Compact second-derivative operator A^{-1} B (`lele_system`), spectral-like."""
-    return DerivativeOperator(2, solve_banded(*lele_system(grid, interior)), 1.0 / grid.h**2)
+    return DerivativeOperator(2, 1.0 / grid.h**2, BandedSystem(*lele_system(grid, interior)))
 
 
 def nccd_system(grid: Grid1D):
@@ -291,9 +355,9 @@ def nccd_system(grid: Grid1D):
     With the unknowns ordered (v_1, w_1, v_2, w_2, ...) the first equation of
     node j is row 2j-2 and the second row 2j-1, and ``lhs`` is a
     `BandedMatrix` of size 2(N+1) with three bands on each side of the
-    diagonal. ``rhs`` is the (2(N+1), N+1) matrix with the right-hand
-    sides interleaved the same way, so ``lhs^{-1} rhs`` holds D1 in its even
-    and D2 in its odd rows.
+    diagonal. ``rhs`` is the sparse (2(N+1), N+1) matrix with the right-hand
+    sides interleaved the same way (two rows per node), so
+    ``lhs^{-1} rhs`` holds D1 in its even and D2 in its odd rows.
     """
     n = grid.n_points
     if n < 7:
@@ -306,12 +370,12 @@ def nccd_system(grid: Grid1D):
     lhs[:, 1] = (-9.0 / 8.0, -1.0 / 8.0, 0.0, 1.0, 9.0 / 8.0, -1.0 / 8.0, 0.0)
     lhs[0] = [(0.0, 0.0, 0.0, 1.0, 0.0, 2.0, -1.0), (0.0, 0.0, 0.0, 1.0, -6.0, 5.0, 0.0)]
     lhs[n - 1] = [(0.0, 2.0, 1.0, 1.0, 0.0, 0.0, 0.0), (6.0, 5.0, 0.0, 1.0, 0.0, 0.0, 0.0)]
-    rhs = np.zeros((n, 2, n))
-    _stencil_rows(rhs[:, 0], (-15.0 / 16.0, 0.0, 15.0 / 16.0), 1, n - 1)
-    _stencil_rows(rhs[:, 1], (3.0, -6.0, 3.0), 1, n - 1)
-    rhs[0, :, 0:3] = [(-3.5, 4.0, -0.5), (9.0, -12.0, 3.0)]
-    rhs[n - 1, :, n - 3:n] = [(0.5, -4.0, 3.5), (3.0, -12.0, 9.0)]
-    return BandedMatrix.from_rows(lhs.reshape(2 * n, 7), 3), rhs.reshape(2 * n, n)
+    rhs = np.zeros((5, n, 2))  # column offsets -2..2 of the (v_j, w_j) rows
+    rhs[1:4, 1:n - 1] = np.array([(-15.0 / 16.0, 3.0), (0.0, -6.0), (15.0 / 16.0, 3.0)])[:, None]
+    rhs[2:5, 0] = [(-3.5, 9.0), (4.0, -12.0), (-0.5, 3.0)]
+    rhs[0:3, n - 1] = [(0.5, 3.0), (-4.0, -12.0), (3.5, 9.0)]
+    return (BandedMatrix.from_rows(lhs.reshape(2 * n, 7), 3),
+            stencil_matrix(rhs.reshape(5, 2 * n), 2, per_node=2))
 
 
 def nccd_blocks(grid: Grid1D):
@@ -322,37 +386,30 @@ def nccd_blocks(grid: Grid1D):
     serves checks stated in block form.
     """
     lhs, rhs = nccd_system(grid)
-    a = lhs.to_dense()
-    return a[0::2, 0::2], a[0::2, 1::2], rhs[0::2], a[1::2, 0::2], a[1::2, 1::2], rhs[1::2]
+    a, c = lhs.to_dense(), rhs.toarray()
+    return a[0::2, 0::2], a[0::2, 1::2], c[0::2], a[1::2, 0::2], a[1::2, 1::2], c[1::2]
 
 
 def build_nccd(grid: Grid1D, coeffs: Oucs3Coefficients = DEFAULT_OUCS3,
                boundary_fix: bool = True):
     """First- and second-derivative operators of the combined compact scheme.
 
-    One banded solve of the interleaved system (`nccd_system`) gives D1 in
-    its even rows and D2 in its odd rows.
+    Both read one `BandedSystem` of the interleaved system (`nccd_system`):
+    D1 its even rows and D2 its odd rows, so one solve serves both.
 
-    With ``boundary_fix`` (the production form) rows 2 and N of D1 are then
-    replaced by the explicit five-point near-boundary stencils (beta2/betaN)
-    and rows 2 and N of D2 by central CD2 rows, which suppresses the
+    With ``boundary_fix`` (the production form) rows 2 and N of D1 are
+    patched with the explicit five-point near-boundary stencils (beta2/betaN)
+    and rows 2 and N of D2 with central CD2 rows, which suppresses the
     near-boundary instability of the coupled closure. ``boundary_fix=False``
     returns the raw solution of the system, for which
     A1 D1 + B1 D2 = C1 and A2 D1 + B2 D2 = C2 hold to machine precision.
     """
     n = grid.n_points
-    d = solve_banded(*nccd_system(grid))
-    d1, d2 = np.ascontiguousarray(d[0::2]), np.ascontiguousarray(d[1::2])
-    if boundary_fix:
-        d1[1, :] = 0.0
-        d1[1, 0:5] = _near_boundary_first_row(coeffs.beta2)
-        d1[n - 2, :] = 0.0
-        d1[n - 2, n - 5:n] = -_near_boundary_first_row(coeffs.beta_n)[::-1]
-        d2[1, :] = 0.0
-        d2[1, 0:3] = [1.0, -2.0, 1.0]
-        d2[n - 2, :] = 0.0
-        d2[n - 2, n - 3:n] = [1.0, -2.0, 1.0]
+    system = BandedSystem(*nccd_system(grid))
+    fix1 = ((1, 0, _near_boundary_first_row(coeffs.beta2)),
+            (n - 2, n - 5, -_near_boundary_first_row(coeffs.beta_n)[::-1]))
+    fix2 = ((1, 0, (1.0, -2.0, 1.0)), (n - 2, n - 3, (1.0, -2.0, 1.0)))
     return (
-        DerivativeOperator(1, d1, 1.0 / grid.h),
-        DerivativeOperator(2, d2, 1.0 / grid.h**2),
+        DerivativeOperator(1, 1.0 / grid.h, system, 0, fix1 if boundary_fix else ()),
+        DerivativeOperator(2, 1.0 / grid.h**2, system, 1, fix2 if boundary_fix else ()),
     )

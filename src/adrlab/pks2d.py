@@ -84,6 +84,10 @@ class NonFiniteError(Exception):
         super().__init__(f"non-finite {field} at cell {index} (t = {t:g})")
 
 
+class EdgeReconstructionError(Exception):
+    """An upwind edge value came out negative: the slope limiter failed."""
+
+
 @dataclass(frozen=True)
 class Mesh2D:
     nx: int
@@ -263,14 +267,20 @@ def reconstruct_edges(rho_field: Field2D, slopes, u_edge, v_edge):
 
     rho_{i+1/2,j} takes the left cell's rightward extrapolation when the
     edge velocity is positive, else the right cell's leftward one; the
-    limiter guarantees both candidates are nonnegative.
+    limiter guarantees both candidates are nonnegative. A value below
+    -1e-12 max(rho, 1) raises EdgeReconstructionError naming the edge:
+    x-edge (i, j) lies between cells (i, j) and (i+1, j), y-edge (i, j)
+    between (i, j) and (i, j+1).
     """
     rho, m = rho_field.values, rho_field.mesh
     rho_xe = _upwind(rho, slopes[0], m.h, u_edge)
     rho_ye = _upwind(rho.T, slopes[1].T, m.k, v_edge.T).T
-    worst = min(rho_xe.min(initial=0.0), rho_ye.min(initial=0.0))
-    if worst < -1e-12 * max(rho.max(initial=1.0), 1.0):
-        raise AssertionError(f"negative edge reconstruction ({worst:.3e}): limiter bug")
+    floor = -1e-12 * max(rho.max(initial=1.0), 1.0)
+    for name, edges in (("x-edge", rho_xe), ("y-edge", rho_ye)):
+        if edges.min(initial=0.0) < floor:
+            idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(edges)), edges.shape))
+            raise EdgeReconstructionError(
+                f"negative edge reconstruction {edges.min():.6g} at {name} {idx}")
     return rho_xe, rho_ye
 
 

@@ -14,8 +14,9 @@ def grid1001():
 def ops1001(grid1001):
     """Operator pairs for all four schemes on the 1001-point analysis grid.
 
-    Built once per session; each compact operator is one banded solve with
-    1001 right-hand sides, and the dense matrices are shared by the tests.
+    Built once per session and shared by the tests. Operators are stored
+    banded; a dense matrix is formed (one banded solve with 1001
+    right-hand sides) only when a test reads `.matrix`, and then cached.
     """
     return {scheme: scheme_operators(scheme, grid1001) for scheme in SchemeId}
 

@@ -159,6 +159,37 @@ def test_non_finite_physical_input_exits_two(cmd, flag, value, why, tmp_path, ca
     assert why in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-3", "0"])
+def test_wavepacket_rejects_bad_qwindow_efolds(value, tmp_path, capsys):
+    # refused up front: nan would surface later as an empty q-wave window
+    # blamed on t, and a negative margin would run
+    out = tmp_path / "out"
+    assert run_cli(["wavepacket", "--n", "101", "--dt", "0.01", "--t-end", "0.02",
+                    "--qwindow-efolds", value, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "--qwindow-efolds must be finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scheme", ["implicit-oucs3-lele", "imex-oucs3-lele", "imex-nccd"])
+def test_wavepacket_da_two_exits_three(scheme, tmp_path, capsys):
+    # Da = lam dt = 2 makes 1 - Da/2 vanish: the implicit stage eliminates
+    # u through that factor, so it refuses the input
+    assert run_cli(["wavepacket", "--scheme", scheme, "--n", "101", "--dt", "0.01",
+                    "--t-end", "0.02", "--lam", "200", "--out", str(tmp_path)]) == 3
+    assert "needs 1 - Da/2 != 0" in capsys.readouterr().err
+
+
+def test_pks_negative_edge_reconstruction_exits_three(tmp_path, capsys, monkeypatch):
+    from adrlab import pks2d
+
+    def broken_slopes(rho, theta):  # a limiter that lets every edge value go negative
+        return 1e3 * np.ones_like(rho.values), np.zeros_like(rho.values)
+
+    monkeypatch.setattr(pks2d, "adaptive_slopes", broken_slopes)
+    assert run_cli(["pks", "--n", "16", "--t-end", "1e-8", "--out", str(tmp_path)]) == 3
+    assert "negative edge reconstruction" in capsys.readouterr().err
+
+
 def test_wavepacket_t_end_off_the_step_grid_exits_two(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(["wavepacket", "--n", "201", "--t-end", "0.015", "--dt", "0.01",

@@ -1,0 +1,43 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+_spec = importlib.util.spec_from_file_location("compare_outputs", _PATH)
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
+
+
+def write(d: Path, name: str, text: str) -> None:
+    d.mkdir(parents=True, exist_ok=True)
+    (d / name).write_text(text)
+
+
+def test_reports_identical_and_per_column_differences(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
+        write(d, "same.csv", "# scheme=x\nkh,g\n0.5,1\n")
+    write(a, "moved.csv", "x,u\n0,2\n1,-4\n")
+    write(b, "moved.csv", "x,u\n0,2\n1,-4.000000000004\n")
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "same.csv: byte-identical" in out
+    assert "moved.csv: max|d|/max|col|: x 0, u 1e-12" in out
+    write(b, "moved.csv", "x,u\n0,2\n1,-4\n")
+    assert compare_outputs.main([str(a), str(b)]) == 0
+
+
+@pytest.mark.parametrize("text_b,why", [
+    ("x,v\n0,2\n", "header"),
+    ("x,u\n0,2\n1,3\n", "row count"),
+])
+def test_structural_differences_and_missing_files_fail(tmp_path, capsys, text_b, why):
+    a, b = tmp_path / "a", tmp_path / "b"
+    write(a, "f.csv", "x,u\n0,2\n")
+    write(b, "f.csv", text_b)
+    write(a, "only_a.csv", "x\n1\n")
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert why in out
+    assert "only_a.csv: only in" in out

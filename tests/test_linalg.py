@@ -72,6 +72,17 @@ def test_banded_singular_raises():
     a = tridiagonal(0.0, np.zeros(4), 0.0)
     with pytest.raises(LinearSolveError):
         solve_banded(a, np.ones(4))
+    with pytest.raises(LinearSolveError):
+        a.factor()
+
+
+def test_banded_factor_keeps_the_matrix_and_solves_complex_input(rng):
+    a = BandedMatrix.from_rows(rng.uniform(-1, 1, (12, 4)) + [0, 0, 4, 0], 2)
+    bands = a.bands.copy()
+    lu = a.factor()
+    assert np.array_equal(a.bands, bands)
+    b = rng.normal(size=12) + 1j * rng.normal(size=12)
+    assert np.max(np.abs(a.to_dense() @ lu.solve(b) - b)) < 1e-12
 
 
 def test_dense_scaled_identity():

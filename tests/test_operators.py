@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from adrlab import operators
+from adrlab.linalg import solve_banded
 from adrlab.operators import (
     DEFAULT_OUCS3,
     Grid1D,
@@ -209,3 +213,65 @@ def test_small_grid_rejected():
         build_oucs3(Grid1D(6, 1.0))
     with pytest.raises(ValueError):
         Grid1D(4, 1.0)
+
+
+def cd2_patch(n, w):
+    return [(1, 0, w), (n - 2, n - 3, w)]
+
+
+def near_boundary_patch(n):
+    b2, bn = DEFAULT_OUCS3.beta2, DEFAULT_OUCS3.beta_n
+    row = lambda b: np.array([2 * b / 3 - 1 / 3, -(8 * b / 3 + 0.5), 4 * b + 1,
+                              -(8 * b / 3 + 1 / 6), 2 * b / 3])
+    return [(1, 0, row(b2)), (n - 2, n - 5, -row(bn)[::-1])]
+
+
+@pytest.mark.parametrize("n", [41, 201])
+def test_matrix_is_the_dense_solve_of_the_system_with_its_patch(n):
+    # .matrix is one solve_banded(A, B) with the columns of B as right-hand
+    # sides, then the patched rows overwritten: equal bit for bit
+    grid = unit_grid(n)
+    cases = [
+        (oucs3_system, [build_oucs3(grid)], [cd2_patch(n, (-0.5, 0.0, 0.5))]),
+        (lele_system, [build_lele_second(grid)], [[]]),
+        (nccd_system, list(build_nccd(grid)),
+         [near_boundary_patch(n), cd2_patch(n, (1.0, -2.0, 1.0))]),
+    ]
+    for system, ops, patches in cases:
+        y = solve_banded(*system(grid))
+        for part, (op, patch) in enumerate(zip(ops, patches)):
+            want = y[part::len(ops)].copy()
+            for row, first, w in patch:
+                want[row] = 0.0
+                want[row, first:first + len(w)] = w
+            assert np.array_equal(op.matrix, want)
+
+
+def test_nccd_pair_reads_its_matrices_from_one_solve(monkeypatch):
+    calls = []
+    real = operators.solve_banded
+    monkeypatch.setattr(operators, "solve_banded", lambda *a: calls.append(1) or real(*a))
+    d1, d2 = build_nccd(unit_grid(41))
+    assert calls == []  # building forms no dense matrix
+    d1.matrix, d2.matrix, d1.matrix
+    assert len(calls) == 1
+
+
+def test_apply_matches_matrix_for_real_and_complex_input(rng):
+    for name, build in ALL_BUILDERS:
+        op = build(unit_grid(57))
+        for u in (rng.normal(size=57), rng.normal(size=57) + 1j * rng.normal(size=57)):
+            want = op.scale * (op.matrix @ u)
+            assert np.max(np.abs(op.apply(u) - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
+def test_nccd_build_allocates_no_dense_matrix():
+    n = 2001
+    tracemalloc.start()
+    try:
+        d1, d2 = build_nccd(Grid1D(n, 1.0))
+        d1.apply(np.ones(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n  # one eighth of one dense N x N array

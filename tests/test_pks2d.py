@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from adrlab.pks2d import (
+    EdgeReconstructionError,
     ExplicitPksStepper,
     Field2D,
     ImexNccdStepper,
@@ -146,6 +147,17 @@ def test_reconstruction_linear_field_exact_upwind():
     xe, _ = reconstruct_edges(rho, slopes, ue, ve)
     edges = 5.0 + (x[:-1] + mesh.h / 2)
     assert np.max(np.abs(xe - edges[:, None])) < 1e-12
+
+
+def test_reconstruction_reports_negative_edge():
+    # a slope of 10/h in cell (3, 5) puts rho - (h/2) s = 1 - 5 on its left
+    # face, which the upwind rule takes for x-edge (2, 5) under a leftward wind
+    mesh = Mesh2D.unit_square(16)
+    rho = Field2D(mesh, np.ones((16, 16)))
+    sx = np.zeros((16, 16))
+    sx[3, 5] = 10.0 / mesh.h
+    with pytest.raises(EdgeReconstructionError, match=r"reconstruction -4 at x-edge \(2, 5\)"):
+        reconstruct_edges(rho, (sx, np.zeros((16, 16))), -np.ones((15, 16)), np.ones((16, 15)))
 
 
 def test_reconstruction_nonnegative_randomized(rng):
