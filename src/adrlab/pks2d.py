@@ -29,7 +29,8 @@ The variants differ only in the split:
   accepted density field is nonnegative.
 * ``imex-nccd`` - z_I = lap(rho) for rho and lap(c) - c for c; z_E =
   -div(flux) for rho and rho for c; combined compact (NCCD) operators
-  applied line by line, mirror ghosts folded into the boundary columns.
+  applied line by line, mirror ghosts folded into the boundary columns;
+  stage 1 applies the inverses of the x and y line factors.
   Positivity is not kept near blow-up: the compact second-derivative row
   has alternating-sign weights (-0.558 two cells away), so once the spike
   is cell-size rho + (dt/2) lap(rho) turns negative beside it, whatever
@@ -42,8 +43,9 @@ Solutions above the critical mass concentrate into a cell-size spike in
 finite time; runs stop at the requested horizon or abort with a
 positivity/finiteness diagnostic, with no regularization added.
 
-A state is owned by one stepper at a time; steppers hold only immutable
-factorizations, and diagnostics are read-only.
+A stepper owns mutable work arrays that each of its steps reuses, so use
+one stepper per thread. Steps never write into a state, and the states
+they return own their arrays; diagnostics are read-only.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .operators import Grid1D, build_nccd
 
@@ -177,43 +178,98 @@ def minmod(*args):
 # Every 2D kernel below works along axis 0 (x); the y direction is the same
 # kernel applied to transposed views. Kernels return arrays in their input's
 # memory layout, so a y pass never mixes C- and Fortran-ordered operands.
+# Each takes an optional `work` set (`_Work`): with one, its results and
+# scratch live in work arrays; without, it returns fresh arrays.
 
-def _axis_diff(f: np.ndarray, h: float) -> np.ndarray:
-    return (f[1:] - f[:-1]) / h
+class _Work:
+    """The reusable work arrays of one stepper, for one mesh shape.
+
+    Each is a flat buffer large enough for an array of the mesh with one
+    more row and column, so the same buffer serves the x pass and, as a
+    transposed view, the y pass. `take` hands out a free buffer and makes
+    one only when none is free, so during its first step a stepper grows
+    the set to the most arrays a step holds at once. `give` frees a buffer
+    and ignores arrays that are not work arrays; `reset` frees them all at
+    the start of a step, so a step that raised leaves none taken.
+    """
+
+    def __init__(self, shape):
+        self.shape = shape
+        self._size = (shape[0] + 1) * (shape[1] + 1)
+        self.buffers: list = []
+        self._free: list = []
+
+    def reset(self) -> None:
+        self._free = list(self.buffers)
+
+    def take(self, shape, transposed: bool) -> np.ndarray:
+        if not self._free:
+            self.buffers.append(np.empty(self._size))
+            self._free.append(self.buffers[-1])
+        flat = self._free.pop()[:shape[0] * shape[1]]
+        return flat.reshape(shape[::-1]).T if transposed else flat.reshape(shape)
+
+    def give(self, *arrays) -> None:
+        for a in arrays:
+            if (any(a.base is b for b in self.buffers)
+                    and not any(a.base is b for b in self._free)):
+                self._free.append(a.base)
 
 
-def _limited_slopes(rho: np.ndarray, h: float, theta: float) -> np.ndarray:
+def _take(work, like: np.ndarray, rows: int) -> np.ndarray:
+    """An uninitialised array of `rows` rows in `like`'s layout."""
+    shape = (rows,) + like.shape[1:]
+    if work is None:
+        return np.empty_like(like, shape=shape)
+    return work.take(shape, like.flags.f_contiguous and not like.flags.c_contiguous)
+
+
+def _give(work, *arrays) -> None:
+    if work is not None:
+        work.give(*arrays)
+
+
+def _axis_diff(f: np.ndarray, h: float, out=None) -> np.ndarray:
+    out = np.subtract(f[1:], f[:-1], out=out)
+    return np.divide(out, h, out=out)
+
+
+def _limited_slopes(rho: np.ndarray, h: float, theta: float, work=None) -> np.ndarray:
     """Centered slopes (one-sided at the walls), minmod-limited where the
     centered reconstruction would produce a negative point value."""
-    fwd = np.zeros_like(rho)
-    fwd[:-1] = _axis_diff(rho, h)
-    bwd = np.zeros_like(rho)
-    bwd[1:] = fwd[:-1]
-    s = np.empty_like(rho)
-    s[1:-1] = (rho[2:] - rho[:-2]) / (2 * h)
-    s[0], s[-1] = fwd[0], bwd[-1]
-    hs = 0.5 * h * s
-    bad = (rho - hs < 0) | (rho + hs < 0)
-    s[bad] = minmod(theta * fwd[bad], s[bad], theta * bwd[bad])
+    n = len(rho)
+    s = _take(work, rho, n)
+    np.subtract(rho[2:], rho[:-2], out=s[1:-1])
+    s[1:-1] /= 2 * h
+    s[0], s[-1] = (rho[1] - rho[0]) / h, (rho[-1] - rho[-2]) / h
+    # rho - (h/2) s < 0 or rho + (h/2) s < 0 holds exactly when rho < |(h/2) s|
+    hs = np.multiply(s, 0.5 * h, out=_take(work, rho, n))
+    bad = rho < np.abs(hs, out=hs)
+    _give(work, hs)
+    if bad.any():
+        # d[i] = (rho[i] - rho[i-1]) / h, zero beyond the walls: the forward
+        # differences are d[1:], the backward ones d[:-1]
+        d = _take(work, rho, n + 1)
+        d[0] = d[-1] = 0.0
+        _axis_diff(rho, h, out=d[1:-1])
+        s[bad] = minmod(theta * d[1:][bad], s[bad], theta * d[:-1][bad])
+        _give(work, d)
     return s
 
 
-def adaptive_slopes(rho_field: Field2D, theta: float):
+def adaptive_slopes(rho_field: Field2D, theta: float, work=None):
     """Cell slopes (x, y) from `_limited_slopes`."""
     rho, m = rho_field.values, rho_field.mesh
-    return _limited_slopes(rho, m.h, theta), _limited_slopes(rho.T, m.k, theta).T
+    return _limited_slopes(rho, m.h, theta, work), _limited_slopes(rho.T, m.k, theta, work).T
 
 
-def _mirror(f: np.ndarray) -> np.ndarray:
-    """f with a mirror-ghost row at each end (zero-Neumann walls), in f's layout."""
-    g = np.empty_like(f, shape=(len(f) + 2,) + f.shape[1:])
-    g[1:-1], g[0], g[-1] = f, f[0], f[-1]
-    return g
-
-
-def _cd2_velocity(c: np.ndarray, h: float) -> np.ndarray:
-    g = _mirror(c)
-    return (g[2:] - g[:-2]) / (2 * h)
+def _cd2_velocity(c: np.ndarray, h: float, work=None) -> np.ndarray:
+    """(c[i+1] - c[i-1]) / 2h with mirror ghosts (zero-Neumann walls)."""
+    g = _take(work, c, len(c))
+    np.subtract(c[2:], c[:-2], out=g[1:-1])
+    np.subtract(c[1], c[0], out=g[0])
+    np.subtract(c[-1], c[-2], out=g[-1])
+    return np.divide(g, 2 * h, out=g)
 
 
 def _fold_ghosts(mp: np.ndarray) -> np.ndarray:
@@ -236,13 +292,25 @@ def _nccd_line_ops(n: int):
     return _LINE_OPS[n]
 
 
-def _lines(d: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _lines(d: np.ndarray, f: np.ndarray, out=None) -> np.ndarray:
     """d @ f (d applied to every line along axis 0), in f's memory layout."""
-    return (f.T @ d.T).T if f.flags.f_contiguous else d @ f
+    if f.flags.f_contiguous:
+        return np.matmul(f.T, d.T, out=None if out is None else out.T).T
+    return np.matmul(d, f, out=out)
 
 
-def _nccd_velocity(c: np.ndarray, h: float) -> np.ndarray:
-    return _lines(_nccd_line_ops(len(c))[0], c) / h
+def _nccd_velocity(c: np.ndarray, h: float, work=None) -> np.ndarray:
+    out = _lines(_nccd_line_ops(len(c))[0], c, _take(work, c, len(c)))
+    return np.divide(out, h, out=out)
+
+
+def _edge_mean(w: np.ndarray, work=None) -> np.ndarray:
+    out = np.add(w[:-1], w[1:], out=_take(work, w, len(w) - 1))
+    return np.multiply(out, 0.5, out=out)
+
+
+def _velocity_kernel(variant: PksVariant):
+    return _cd2_velocity if variant is PksVariant.EXPLICIT_OUCS3_CD2 else _nccd_velocity
 
 
 def chemotactic_velocity(c_field: Field2D, variant: PksVariant):
@@ -252,14 +320,32 @@ def chemotactic_velocity(c_field: Field2D, variant: PksVariant):
     interior x-edges (boundary edges carry no flux), v_edge likewise.
     """
     c, m = c_field.values, c_field.mesh
-    d1 = _cd2_velocity if variant is PksVariant.EXPLICIT_OUCS3_CD2 else _nccd_velocity
+    d1 = _velocity_kernel(variant)
     u, vt = d1(c, m.h), d1(c.T, m.k)
-    u_edge, vt_edge = (0.5 * (w[:-1] + w[1:]) for w in (u, vt))
-    return u, vt.T, u_edge, vt_edge.T
+    return u, vt.T, _edge_mean(u), _edge_mean(vt).T
 
 
-def _upwind(rho: np.ndarray, s: np.ndarray, h: float, w_edge: np.ndarray) -> np.ndarray:
-    return np.where(w_edge > 0, rho[:-1] + 0.5 * h * s[:-1], rho[1:] - 0.5 * h * s[1:])
+def _upwind(rho: np.ndarray, s: np.ndarray, h: float, w_edge: np.ndarray,
+            work=None, out=None) -> np.ndarray:
+    """rho[:-1] + (h/2) s[:-1] where w_edge > 0, else rho[1:] - (h/2) s[1:]."""
+    out = np.multiply(s[1:], 0.5 * h, out=out)
+    np.subtract(rho[1:], out, out=out)
+    left = np.multiply(s[:-1], 0.5 * h, out=_take(work, rho, len(rho) - 1))
+    np.add(rho[:-1], left, out=left)
+    np.copyto(out, left, where=w_edge > 0)
+    _give(work, left)
+    return out
+
+
+def _edge_floor(rho: np.ndarray) -> float:
+    return -1e-12 * max(rho.max(initial=1.0), 1.0)
+
+
+def _check_edges(edges: np.ndarray, floor: float, name: str) -> None:
+    if edges.min(initial=0.0) < floor:
+        idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(edges)), edges.shape))
+        raise EdgeReconstructionError(
+            f"negative edge reconstruction {edges.min():.6g} at {name} {idx}")
 
 
 def reconstruct_edges(rho_field: Field2D, slopes, u_edge, v_edge):
@@ -275,83 +361,120 @@ def reconstruct_edges(rho_field: Field2D, slopes, u_edge, v_edge):
     rho, m = rho_field.values, rho_field.mesh
     rho_xe = _upwind(rho, slopes[0], m.h, u_edge)
     rho_ye = _upwind(rho.T, slopes[1].T, m.k, v_edge.T).T
-    floor = -1e-12 * max(rho.max(initial=1.0), 1.0)
+    floor = _edge_floor(rho)
     for name, edges in (("x-edge", rho_xe), ("y-edge", rho_ye)):
-        if edges.min(initial=0.0) < floor:
-            idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(edges)), edges.shape))
-            raise EdgeReconstructionError(
-                f"negative edge reconstruction {edges.min():.6g} at {name} {idx}")
+        _check_edges(edges, floor, name)
     return rho_xe, rho_ye
 
 
-def _wall_flux(chi: float, rho_edge: np.ndarray, w_edge: np.ndarray) -> np.ndarray:
-    """Fluxes on all edges along axis 0, zero on the two walls."""
-    out = np.zeros_like(rho_edge, shape=(len(rho_edge) + 2,) + rho_edge.shape[1:])
-    out[1:-1] = chi * rho_edge * w_edge
+def _axis_flux(rho: np.ndarray, s: np.ndarray, c: np.ndarray, h: float, chi: float,
+               variant: PksVariant, floor: float, axis: int, work) -> np.ndarray:
+    """chi rho_edge w_edge on all edges along axis 0, zero on the two walls,
+    from the cell slopes s; `axis` is the field axis of the pass (0 for x,
+    1 for y), which names an edge that `_check_edges` rejects."""
+    w = _velocity_kernel(variant)(c, h, work)
+    w_edge = _edge_mean(w, work)
+    _give(work, w)
+    flux = _take(work, rho, len(rho) + 1)
+    flux[0] = flux[-1] = 0.0
+    edges = _upwind(rho, s, h, w_edge, work, out=flux[1:-1])
+    _give(work, s)
+    _check_edges(edges.T if axis else edges, floor, ("x-edge", "y-edge")[axis])
+    np.multiply(edges, chi, out=edges)
+    np.multiply(edges, w_edge, out=edges)
+    _give(work, w_edge)
+    return flux
+
+
+def edge_fluxes(state: PksState, variant: PksVariant, work=None) -> EdgeFluxes:
+    rho, c, m = state.rho.values, state.c.values, state.rho.mesh
+    sx, sy = adaptive_slopes(state.rho, state.theta, work)
+    floor = _edge_floor(rho)
+    return EdgeFluxes(_axis_flux(rho, sx, c, m.h, state.chi, variant, floor, 0, work),
+                      _axis_flux(rho.T, sy.T, c.T, m.k, state.chi, variant, floor, 1, work).T)
+
+
+def _cd2_second(f: np.ndarray, h: float, out=None) -> np.ndarray:
+    """(f[i+1] - 2 f[i] + f[i-1]) / h^2 with mirror ghosts (zero-Neumann walls)."""
+    out = np.multiply(f, 2, out=out)
+    np.subtract(f[1:], out[:-1], out=out[:-1])
+    np.subtract(f[-1], out[-1], out=out[-1])
+    np.add(out[1:], f[:-1], out=out[1:])
+    np.add(out[0], f[0], out=out[0])
+    return np.divide(out, h**2, out=out)
+
+
+def _nccd_second(f: np.ndarray, h: float, out=None) -> np.ndarray:
+    out = _lines(_nccd_line_ops(len(f))[1], f, out)
+    return np.divide(out, h**2, out=out)
+
+
+def _lap(second, f: np.ndarray, h: float, k: float, work) -> np.ndarray:
+    out = second(f, h, _take(work, f, len(f)))
+    fy = second(f.T, k, _take(work, f.T, len(f.T)))
+    out += fy.T
+    _give(work, fy)
     return out
 
 
-def edge_fluxes(state: PksState, variant: PksVariant) -> EdgeFluxes:
-    _, _, u_edge, v_edge = chemotactic_velocity(state.c, variant)
-    slopes = adaptive_slopes(state.rho, state.theta)
-    rho_xe, rho_ye = reconstruct_edges(state.rho, slopes, u_edge, v_edge)
-    return EdgeFluxes(_wall_flux(state.chi, rho_xe, u_edge),
-                      _wall_flux(state.chi, rho_ye.T, v_edge.T).T)
+def _lap_cd2(f: np.ndarray, h: float, k: float, work=None) -> np.ndarray:
+    return _lap(_cd2_second, f, h, k, work)
 
 
-def _cd2_second(f: np.ndarray, h: float) -> np.ndarray:
-    g = _mirror(f)
-    return (g[2:] - 2 * f + g[:-2]) / h**2
+def _lap_nccd(f: np.ndarray, h: float, k: float, work=None) -> np.ndarray:
+    return _lap(_nccd_second, f, h, k, work)
 
 
-def _nccd_second(f: np.ndarray, h: float) -> np.ndarray:
-    return _lines(_nccd_line_ops(len(f))[1], f) / h**2
-
-
-def _lap_cd2(f: np.ndarray, h: float, k: float) -> np.ndarray:
-    return _cd2_second(f, h) + _cd2_second(f.T, k).T
-
-
-def _lap_nccd(f: np.ndarray, h: float, k: float) -> np.ndarray:
-    return _nccd_second(f, h) + _nccd_second(f.T, k).T
-
-
-def laplacian(f_field: Field2D, variant: PksVariant) -> np.ndarray:
+def laplacian(f_field: Field2D, variant: PksVariant, work=None) -> np.ndarray:
     m = f_field.mesh
     lap = _lap_cd2 if variant is PksVariant.EXPLICIT_OUCS3_CD2 else _lap_nccd
-    return lap(f_field.values, m.h, m.k)
+    return lap(f_field.values, m.h, m.k, work)
 
 
-def _flux_divergence(state: PksState, variant: PksVariant) -> np.ndarray:
+def _flux_divergence(state: PksState, variant: PksVariant, work=None) -> np.ndarray:
     m = state.rho.mesh
-    fl = edge_fluxes(state, variant)
-    return _axis_diff(fl.p, m.h) + _axis_diff(fl.q.T, m.k).T
+    fl = edge_fluxes(state, variant, work)
+    div = _axis_diff(fl.p, m.h, _take(work, state.rho.values, m.nx))
+    div_y = _axis_diff(fl.q.T, m.k, _take(work, fl.q.T, m.ny))
+    _give(work, fl.p, fl.q)
+    div += div_y.T
+    _give(work, div_y)
+    return div
 
 
-def rho_rhs(state: PksState, variant: PksVariant = PksVariant.EXPLICIT_OUCS3_CD2) -> Field2D:
+def rho_rhs(state: PksState, variant: PksVariant = PksVariant.EXPLICIT_OUCS3_CD2,
+            work=None) -> Field2D:
     """-(P_x + Q_y) + lap(rho) with zero-flux boundary edges."""
-    vals = -_flux_divergence(state, variant) + laplacian(state.rho, variant)
+    div = _flux_divergence(state, variant, work)
+    vals = laplacian(state.rho, variant, work)
+    vals -= div
+    _give(work, div)
     return Field2D(state.rho.mesh, vals)
 
 
-def c_rhs(state: PksState, variant: PksVariant = PksVariant.EXPLICIT_OUCS3_CD2) -> Field2D:
+def c_rhs(state: PksState, variant: PksVariant = PksVariant.EXPLICIT_OUCS3_CD2,
+          work=None) -> Field2D:
     """lap(c) - c + rho."""
-    vals = laplacian(state.c, variant) - state.c.values + state.rho.values
+    vals = laplacian(state.c, variant, work)
+    vals -= state.c.values
+    vals += state.rho.values
     return Field2D(state.c.mesh, vals)
 
 
-def _explicit_split(state: PksState):
+def _explicit_split(state: PksState, work):
     """z_I = 0 (None); z_E is the whole right-hand side, with CD2 operators."""
-    return None, (rho_rhs(state).values, c_rhs(state).values)
+    return None, (rho_rhs(state, work=work).values, c_rhs(state, work=work).values)
 
 
-def _imex_split(state: PksState):
+def _imex_split(state: PksState, work):
     """z_I = (lap rho, lap c - c) and z_E = (-div(flux), rho), NCCD operators."""
     m = state.rho.mesh
     rho, c = state.rho.values, state.c.values
-    # first, while the fewest arrays are alive: its temporaries set the memory peak
-    adv = -_flux_divergence(state, PksVariant.IMEX_NCCD)
-    return (_lap_nccd(rho, m.h, m.k), _lap_nccd(c, m.h, m.k) - c), (adv, rho)
+    adv = _flux_divergence(state, PksVariant.IMEX_NCCD, work)
+    np.negative(adv, out=adv)
+    lap_c = _lap_nccd(c, m.h, m.k, work)
+    lap_c -= c
+    return (_lap_nccd(rho, m.h, m.k, work), lap_c), (adv, rho)
 
 
 #: variant -> (split of the (rho, c) right-hand sides into (z_I, z_E), and the
@@ -363,16 +486,32 @@ _SPLITS = {
 }
 
 
-def _line_lus(mesh: Mesh2D, dt: float, rate: float):
-    """LU factors of the x and y line factors (1 + rate dt/4) I - (dt/2) L of
-    I - (dt/2)(lap - rate): the reaction is shared half-and-half."""
-    return [lu_factor((1 + rate * dt / 4) * np.eye(n) - (dt / 2) * (_nccd_line_ops(n)[1] / s**2))
+def _line_inverses(mesh: Mesh2D, dt: float, rate: float):
+    """Inverses of the x and y line factors (1 + rate dt/4) I - (dt/2) L of
+    I - (dt/2)(lap - rate): the reaction is shared half-and-half. Each is
+    one LU solve against I, made once, so that stage 1 is two matrix
+    products."""
+    return [np.linalg.inv((1 + rate * dt / 4) * np.eye(n) - (dt / 2) * (_nccd_line_ops(n)[1] / s**2))
             for n, s in ((mesh.nx, mesh.h), (mesh.ny, mesh.k))]
 
 
-def _z(zi, ze):
-    """z = z_I + z_E per equation; z_E alone when z_I = 0 (None)."""
-    return ze if zi is None else [i + e for i, e in zip(zi, ze)]
+def _axpy(f: np.ndarray, a: float, e: np.ndarray, work) -> np.ndarray:
+    """f + a e, in a new array."""
+    out = np.multiply(e, a, out=_take(work, f, len(f)))
+    return np.add(f, out, out=out)
+
+
+def _z(zi, ze, work):
+    """z = z_I + z_E per equation, into z_I's arrays; z_E alone when z_I = 0
+    (None). z_E's arrays are not read again and go back to `work`: its rho
+    is the caller's field, which `work` does not own, or u*, which the step
+    no longer needs."""
+    if zi is None:
+        return ze
+    for i, e in zip(zi, ze):
+        i += e
+    _give(work, *ze)
+    return zi
 
 
 def _check_fields(rho: np.ndarray, c: np.ndarray, t: float) -> None:
@@ -389,10 +528,13 @@ def _check_fields(rho: np.ndarray, c: np.ndarray, t: float) -> None:
 class PksStepper:
     """The two-stage update of the module docstring for one variant.
 
-    With z_I present, stage 1 solves x-then-y line factors, one LU per
+    With z_I present, stage 1 applies the inverse x line factor and then
+    the inverse y one, each a matrix product over all lines, made once per
     direction and equation for the run (second-order consistent with the
     mid-point stage); `mesh` is read only then. Each stage checks that rho
-    and c are finite and rho is nonnegative.
+    and c are finite and rho is nonnegative. Intermediate arrays live in
+    the stepper's work set, made during its first step; only the returned
+    fields are new memory.
     """
 
     def __init__(self, variant: PksVariant, mesh: Mesh2D | None, dt: float):
@@ -400,29 +542,44 @@ class PksStepper:
             raise ValueError("dt must be positive")
         self.dt = dt
         self.split, rates = _SPLITS[variant]
-        self.lus = None if rates is None else [_line_lus(mesh, dt, r) for r in rates]
+        self.inverses = None if rates is None else [_line_inverses(mesh, dt, r) for r in rates]
+        self.work = None
 
     def _state(self, state: PksState, fields, t_check: float) -> PksState:
         _check_fields(*fields, t_check)
         rho, c = (Field2D(state.rho.mesh, f) for f in fields)
         return PksState(rho, c, state.t + self.dt, state.chi, state.theta)
 
-    def _stage1(self, u, zi, ze):
-        """u* and z(u), from the split of z(u); the solve runs x lines, then y."""
+    def _stage1(self, u, zi, ze, work):
+        """u* and z(u), from the split of z(u)."""
         dt = self.dt
         if zi is None:
-            return [f + dt * e for f, e in zip(u, ze)], ze
-        us = [lu_solve(ly, lu_solve(lx, f + (dt / 2) * i + dt * e).T).T
-              for (lx, ly), f, i, e in zip(self.lus, u, zi, ze)]
-        return us, _z(zi, ze)
+            return [_axpy(f, dt, e, work) for f, e in zip(u, ze)], ze
+        us = []
+        for (ix, iy), f, i, e in zip(self.inverses, u, zi, ze):
+            b = _axpy(f, dt / 2, i, work)
+            t = np.multiply(e, dt, out=_take(work, f, len(f)))
+            b += t
+            x = _lines(ix, b, t)                     # x lines; t is free again
+            us.append(_lines(iy, x.T, b.T).T)        # then y lines, into b
+            _give(work, x)
+        return us, _z(zi, ze, work)
 
     def step(self, state: PksState) -> PksState:
         u = (state.rho.values, state.c.values)
-        us, z = self._stage1(u, *self.split(state))
+        if self.work is None or self.work.shape != u[0].shape:
+            self.work = _Work(u[0].shape)
+        work = self.work
+        work.reset()
+        us, z = self._stage1(u, *self.split(state, work), work)
         mid = self._state(state, us, state.t)
-        zs = _z(*self.split(mid))
-        return self._state(state, [f + 0.5 * self.dt * (a + b) for f, a, b in zip(u, z, zs)],
-                           state.t + self.dt)
+        zs = _z(*self.split(mid, work), work)
+        new = []
+        for f, a, b in zip(u, z, zs):
+            g = np.add(a, b)                         # the returned fields' own memory
+            np.multiply(g, 0.5 * self.dt, out=g)
+            new.append(np.add(f, g, out=g))
+        return self._state(state, new, state.t + self.dt)
 
 
 #: ExplicitPksStepper(dt) and ImexNccdStepper(mesh, dt)
@@ -472,22 +629,24 @@ def diagnostics(state: PksState) -> dict:
 
 
 def write_snapshot_csv(state: PksState, path) -> None:
+    """Rows x, y, rho, c with 12 significant digits, written one mesh row at a time."""
     m = state.rho.mesh
     x, y = m.centers()
+    cols = np.empty((m.ny, 4))
+    cols[:, 1] = y
+    line = "%.12g,%.12g,%.12g,%.12g\n" * m.ny
     with open(path, "w") as fh:
         fh.write("x,y,rho,c\n")
         for i in range(m.nx):
-            for j in range(m.ny):
-                fh.write(f"{x[i]:.12g},{y[j]:.12g},"
-                         f"{state.rho.values[i, j]:.12g},{state.c.values[i, j]:.12g}\n")
+            cols[:, 0], cols[:, 2], cols[:, 3] = x[i], state.rho.values[i], state.c.values[i]
+            fh.write(line % tuple(cols.ravel().tolist()))
 
 
 def write_radial_csv(state: PksState, path) -> None:
     r, prof = radial_profile(state)
     with open(path, "w") as fh:
         fh.write("r,rho\n")
-        for ri, pi in zip(r, prof):
-            fh.write(f"{ri:.12g},{pi:.12g}\n")
+        fh.write(("%.12g,%.12g\n" * len(r)) % tuple(np.column_stack((r, prof)).ravel().tolist()))
 
 
 def write_metadata(path, variant: PksVariant, dt: float, t_end: float,

@@ -182,7 +182,7 @@ def test_wavepacket_da_two_exits_three(scheme, tmp_path, capsys):
 def test_pks_negative_edge_reconstruction_exits_three(tmp_path, capsys, monkeypatch):
     from adrlab import pks2d
 
-    def broken_slopes(rho, theta):  # a limiter that lets every edge value go negative
+    def broken_slopes(rho, theta, work=None):  # a limiter that lets every edge value go negative
         return 1e3 * np.ones_like(rho.values), np.zeros_like(rho.values)
 
     monkeypatch.setattr(pks2d, "adaptive_slopes", broken_slopes)

@@ -41,3 +41,24 @@ def test_structural_differences_and_missing_files_fail(tmp_path, capsys, text_b,
     out = capsys.readouterr().out
     assert why in out
     assert "only_a.csv: only in" in out
+
+
+def test_reports_metadata_numeric_leaves(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    meta = '{"variant": "%s", "mesh": {"nx": 8}, "diagnostics": [%s]}\n'
+    sample = '{"t": %s, "mass": %s}'
+    write(a, "run_meta.json", meta % ("x", ", ".join([sample % (0, 2.0), sample % (1, -4.0)])))
+    write(b, "run_meta.json", meta % ("x", ", ".join([sample % (0, 2.0),
+                                                       sample % (1, -4.000000000004)])))
+    write(a, "same_meta.json", '{"dt": 1e-08}\n')
+    write(b, "same_meta.json", '{"dt": 1e-08}\n')
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "same_meta.json: byte-identical" in out
+    assert "run_meta.json: max|d|/max|col|: mesh.nx 0, diagnostics.t 0, diagnostics.mass 1e-12" in out
+    write(b, "run_meta.json", meta % ("y", ", ".join([sample % (0, 2.0), sample % (1, -4.0)])))
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    assert "run_meta.json: non-numeric values differ: variant" in capsys.readouterr().out
+    write(b, "run_meta.json", meta % ("x", sample % (0, 2.0)))
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    assert "run_meta.json: keys or list lengths differ" in capsys.readouterr().out

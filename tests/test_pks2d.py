@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -368,6 +369,130 @@ def test_writers(tmp_path):
     assert meta["variant"] == "imex-nccd"
     assert meta["mesh"]["nx"] == 16
     assert meta["diagnostics"][0]["mass"] == pytest.approx(total_mass(state))
+
+
+def test_writers_match_per_value_formatting(tmp_path):
+    # the row-at-a-time writers give the bytes of formatting each value alone
+    mesh = Mesh2D(16, 12, 1.0 / 16, 0.75 / 12, (-0.5, -0.375))
+    x, y = mesh.centers()
+    rho = 1e3 * np.exp(-40.0 * (x[:, None] ** 2 + 2.0 * y[None, :] ** 2))
+    rho[3, 4], rho[5, 6] = 0.0, -0.0
+    state = state_from(mesh, rho, np.cos(x)[:, None] * np.sin(y)[None, :] - 1e-300)
+    write_snapshot_csv(state, tmp_path / "snap.csv")
+    expected = "x,y,rho,c\n" + "".join(
+        f"{x[i]:.12g},{y[j]:.12g},{state.rho.values[i, j]:.12g},{state.c.values[i, j]:.12g}\n"
+        for i in range(16) for j in range(12))
+    assert (tmp_path / "snap.csv").read_bytes() == expected.encode()
+    write_radial_csv(state, tmp_path / "rad.csv")
+    r, prof = radial_profile(state)
+    expected = "r,rho\n" + "".join(f"{ri:.12g},{pi:.12g}\n" for ri, pi in zip(r, prof))
+    assert (tmp_path / "rad.csv").read_bytes() == expected.encode()
+
+
+def skewed_state(nx=24, ny=20):
+    """An off-center blob on a mesh with nx != ny and h != k."""
+    mesh = Mesh2D(nx, ny, 1.0 / nx, 0.75 / ny, (-0.5, -0.375))
+    x, y = mesh.centers()
+    r2 = (x[:, None] - 0.05) ** 2 + 2.0 * (y[None, :] + 0.03) ** 2
+    return state_from(mesh, 200.0 * np.exp(-40.0 * r2), 100.0 * np.exp(-20.0 * r2))
+
+
+def fields(state):
+    return state.rho.values, state.c.values
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_work_arrays_never_escape(variant):
+    state = skewed_state()
+    mesh = state.rho.mesh
+    stepper = make_stepper(variant, mesh, 1e-7)
+    first = stepper.step(state)
+    kept = [f.copy() for f in fields(first)]
+    again = stepper.step(state)
+    for f in fields(first) + fields(again):
+        assert not any(np.shares_memory(f, b) for b in stepper.work.buffers)
+    assert all((a == b).all() for a, b in zip(fields(first), fields(again)))
+    cur = first
+    for _ in range(3):
+        cur = stepper.step(cur)
+    assert all((a == b).all() for a, b in zip(fields(first), kept))
+    # two steppers stepped in alternation match each one stepped alone
+    other = state_from(mesh, 0.5 * state.rho.values[::-1].copy(), state.c.values[:, ::-1].copy())
+    s1, s2 = make_stepper(variant, mesh, 1e-7), make_stepper(variant, mesh, 1e-7)
+    a, b = state, other
+    for _ in range(3):
+        a, b = s1.step(a), s2.step(b)
+    alone_a, alone_b = state, other
+    lone1, lone2 = make_stepper(variant, mesh, 1e-7), make_stepper(variant, mesh, 1e-7)
+    for _ in range(3):
+        alone_a = lone1.step(alone_a)
+    for _ in range(3):
+        alone_b = lone2.step(alone_b)
+    for x, y in zip(fields(a) + fields(b), fields(alone_a) + fields(alone_b)):
+        assert (x == y).all()
+    # no step carries a value over in a work array, so only this shows that
+    # the two never share one (which two threads would race on)
+    assert not any(np.shares_memory(x, y) for x in s1.work.buffers for y in s2.work.buffers)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_step_allocates_at_most_six_mesh_arrays(variant):
+    # a step allocates its two returned fields and small masks; everything
+    # else lives in the stepper's work arrays, made during the first step
+    state = skewed_state(96, 80)
+    mesh = state.rho.mesh
+    stepper = make_stepper(variant, mesh, 1e-8)
+    state = stepper.step(state)
+    retained = sum(b.nbytes for b in stepper.work.buffers)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        state = stepper.step(state)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    for _ in range(3):
+        state = stepper.step(state)
+    array = mesh.nx * mesh.ny * 8
+    assert sum(b.nbytes for b in stepper.work.buffers) == retained
+    assert peak <= 6 * array, f"step peak {peak / array:.2f} arrays"
+    assert retained + peak <= 14 * array, f"{retained / array:.2f} + {peak / array:.2f} arrays"
+
+
+def test_explicit_step_is_heun_bit_for_bit_where_the_limiter_acts():
+    # a density front over a near-vacuum: centered slopes at its foot would
+    # extrapolate below zero, so the masked minmod branch runs; the stepper
+    # has stepped once before, so its work arrays hold stale values
+    state = skewed_state()
+    mesh, dt = state.rho.mesh, 1e-8
+    stepper = ExplicitPksStepper(dt)
+    stepper.step(state)
+    rho = np.full((mesh.nx, mesh.ny), 1e-8)
+    rho[12:, 5:-1] = 1.0         # and beside the last y wall, so a wall cell is limited
+    state = state_from(mesh, rho, state.c.values, chi=1.0)
+    from adrlab.pks2d import _limited_slopes
+    centered = (rho[2:] - rho[:-2]) / (2 * mesh.h)
+    assert (_limited_slopes(rho, mesh.h, 1.0)[1:-1] != centered).any()
+    one_sided = (rho[:, -1] - rho[:, -2]) / mesh.k
+    assert (_limited_slopes(rho.T, mesh.k, 1.0)[-1] != one_sided).any()
+    fr, fc = rho_rhs(state).values, c_rhs(state).values
+    mid = PksState(Field2D(mesh, state.rho.values + dt * fr),
+                   Field2D(mesh, state.c.values + dt * fc), dt, state.chi, state.theta)
+    want_rho = state.rho.values + 0.5 * dt * (fr + rho_rhs(mid).values)
+    want_c = state.c.values + 0.5 * dt * (fc + c_rhs(mid).values)
+    out = stepper.step(state)
+    assert (out.rho.values == want_rho).all() and (out.c.values == want_c).all()
+
+
+@pytest.mark.parametrize("dt", [1e-8, 1e-6])
+def test_inverse_line_factors(dt):
+    from adrlab.pks2d import _nccd_line_ops
+    mesh = Mesh2D.unit_square(200)
+    stepper = ImexNccdStepper(mesh, dt)
+    for rate, inverses in zip((0.0, 1.0), stepper.inverses):
+        for inv, s in zip(inverses, (mesh.h, mesh.k)):
+            m = (1 + rate * dt / 4) * np.eye(200) - (dt / 2) * (_nccd_line_ops(200)[1] / s**2)
+            assert np.abs(m @ inv - np.eye(200)).sum(axis=1).max() <= 1e-12
 
 
 def test_edge_fluxes_zero_on_boundary():

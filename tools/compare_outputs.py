@@ -1,19 +1,24 @@
 #!/usr/bin/env python3
-"""Compare the CSV outputs of two runs, file by file.
+"""Compare the CSV and metadata outputs of two runs, file by file.
 
     python tools/compare_outputs.py DIR_A DIR_B
 
-CSV files are matched by their path relative to each directory. For each
-one a line is printed: ``byte-identical``, or per column the largest
-difference relative to the column's size in A, max|B - A| / max|A| (the
-absolute max|B - A| where column A is all zero). Comment lines (``#``) and
-the header row must match exactly. The exit code is 0 when every CSV is in
-both directories and byte-identical, else 1.
+CSV and ``*_meta.json`` files are matched by their path relative to each
+directory. For each one a line is printed: ``byte-identical``, or per
+column the largest difference relative to the column's size in A,
+max|B - A| / max|A| (the absolute max|B - A| where column A is all zero).
+In a CSV, comment lines (``#``) and the header row must match exactly. In
+a metadata file, each numeric leaf is a column named by its key path, and
+the items of a list share their list's column (``diagnostics.mass`` holds
+the mass of every history sample); every other leaf must match exactly.
+The exit code is 0 when every file is in both directories and
+byte-identical, else 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -28,19 +33,61 @@ def _table(path: Path):
     return comments, rows[0], body
 
 
+def _report(names, cols_a, cols_b) -> str:
+    parts = []
+    for name, col_a, col_b in zip(names, cols_a, cols_b):
+        col_a, col_b = np.asarray(col_a, dtype=float), np.asarray(col_b, dtype=float)
+        diff = float(np.max(np.abs(col_b - col_a), initial=0.0))
+        scale = float(np.max(np.abs(col_a), initial=0.0))
+        parts.append(f"{name} {diff / scale if scale > 0 else diff:.2g}")
+    return "max|d|/max|col|: " + ", ".join(parts)
+
+
 def compare_csv(a: Path, b: Path) -> str:
-    """The report line for one pair of files."""
+    """The report line for one pair of CSV files."""
     if a.read_bytes() == b.read_bytes():
         return "byte-identical"
     (ca, ha, xa), (cb, hb, xb) = _table(a), _table(b)
     if ca != cb or ha != hb or xa.shape != xb.shape:
         return "comments, header or row count differ"
-    parts = []
-    for name, col_a, col_b in zip(ha, xa.T, xb.T):
-        diff = float(np.max(np.abs(col_b - col_a), initial=0.0))
-        scale = float(np.max(np.abs(col_a), initial=0.0))
-        parts.append(f"{name} {diff / scale if scale > 0 else diff:.2g}")
-    return "max|d|/max|col|: " + ", ".join(parts)
+    return _report(ha, xa.T, xb.T)
+
+
+def _leaves(obj, path: str = ""):
+    """(key path, value) of every leaf; list items share their list's path."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _leaves(value, path)
+    else:
+        yield path, obj
+
+
+def _columns(path: Path) -> dict:
+    cols: dict = {}
+    for name, value in _leaves(json.loads(path.read_text())):
+        cols.setdefault(name, []).append(value)
+    return cols
+
+
+def _numeric(values) -> bool:
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
+
+
+def compare_json(a: Path, b: Path) -> str:
+    """The report line for one pair of metadata files."""
+    if a.read_bytes() == b.read_bytes():
+        return "byte-identical"
+    ca, cb = _columns(a), _columns(b)
+    if ca.keys() != cb.keys() or any(len(ca[k]) != len(cb[k]) for k in ca):
+        return "keys or list lengths differ"
+    other = [k for k in ca if not (_numeric(ca[k]) and _numeric(cb[k])) and ca[k] != cb[k]]
+    if other:
+        return "non-numeric values differ: " + ", ".join(other)
+    names = [k for k in ca if _numeric(ca[k]) and _numeric(cb[k])]
+    return _report(names, [ca[k] for k in names], [cb[k] for k in names])
 
 
 def main(argv=None) -> int:
@@ -48,7 +95,8 @@ def main(argv=None) -> int:
     ap.add_argument("dir_a", type=Path)
     ap.add_argument("dir_b", type=Path)
     args = ap.parse_args(argv)
-    names = sorted({p.relative_to(d) for d in (args.dir_a, args.dir_b) for p in d.rglob("*.csv")})
+    names = sorted({p.relative_to(d) for d in (args.dir_a, args.dir_b)
+                    for pattern in ("*.csv", "*_meta.json") for p in d.rglob(pattern)})
     ok = bool(names)
     for name in names:
         a, b = args.dir_a / name, args.dir_b / name
@@ -56,7 +104,7 @@ def main(argv=None) -> int:
             print(f"{name}: only in {args.dir_a if a.exists() else args.dir_b}")
             ok = False
             continue
-        report = compare_csv(a, b)
+        report = (compare_json if name.suffix == ".json" else compare_csv)(a, b)
         print(f"{name}: {report}")
         ok = ok and report == "byte-identical"
     return 0 if ok else 1
