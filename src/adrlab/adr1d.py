@@ -47,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
+from . import NumericalError, whole_steps
 from .linalg import BandedLU, LinearSolveError
 from .operators import (
     DerivativeOperator,
@@ -58,7 +59,7 @@ from .operators import (
 )
 
 
-class AdrInstabilityError(Exception):
+class AdrInstabilityError(NumericalError):
     """Non-finite value produced during a run; carries step and node index."""
 
     def __init__(self, step: int, node: int, t: float):
@@ -317,25 +318,6 @@ def make_stepper(scheme: SchemeId, cfg: AdrConfig, ops=None) -> Stepper:
     """Build (and for implicit schemes factor) the stepper for one config."""
     d1, d2 = scheme_operators(scheme, cfg.grid) if ops is None else ops
     return Stepper(scheme, cfg, d1, d2)
-
-
-def whole_steps(span: float, dt: float) -> int:
-    """Number of steps of size dt in `span` (t_end minus the start time).
-
-    Raises ValueError unless dt is finite and > 0, span >= 0 and span/dt
-    lies within 1e-9 (relative) of a whole number, so a run never ends at a
-    time other than the requested one.
-    """
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt must be > 0 and finite (got {dt:g})")
-    steps = span / dt
-    if not (math.isfinite(steps) and steps >= 0):
-        raise ValueError(f"t_end must be finite and >= the start time (span {span:g})")
-    n = round(steps)
-    if abs(steps - n) > 1e-9 * max(steps, 1.0):
-        raise ValueError(f"t_end is not a whole number of steps: span {span:g} is "
-                         f"{steps:.12g} steps of dt = {dt:g}")
-    return n
 
 
 def run(scheme: SchemeId, cfg: AdrConfig, u0: SolutionState, t_end: float,

@@ -4,8 +4,9 @@ Every command is deterministic (no seeds, no environment dependence beyond
 the output directory) and emits CSV files with 12-significant-digit floats,
 so identical flags reproduce byte-identical outputs.
 
-Exit codes: 0 success, 2 argument error, 3 numerical failure (instability,
-positivity violation, negative edge reconstruction, or singular system).
+Exit codes: 0 success, 2 argument error, 3 numerical failure (any
+`adrlab.NumericalError`: instability, positivity violation, negative edge
+reconstruction, or singular system).
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import argparse
 import math
 import os
 import sys
+
+from . import NumericalError, whole_steps
 
 _SCHEMES = ["explicit-oucs3-cd2", "implicit-oucs3-lele", "imex-oucs3-lele", "imex-nccd"]
 _VARIANTS = ["explicit-oucs3-cd2", "imex-nccd"]
@@ -227,7 +230,6 @@ def cmd_wavepacket(args) -> int:
 
 def cmd_pks(args) -> int:
     from . import pks2d
-    from .adr1d import whole_steps
 
     variant = pks2d.PksVariant(args.variant)
     n_steps = whole_steps(args.t_end, args.dt)
@@ -260,17 +262,12 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    from .adr1d import AdrInstabilityError
-    from .linalg import LinearSolveError
-    from .pks2d import EdgeReconstructionError, NonFiniteError, PositivityError
-
     handler = {"dispersion-map": cmd_dispersion_map,
                "wavepacket": cmd_wavepacket,
                "pks": cmd_pks}[args.command]
     try:
         return handler(args)
-    except (AdrInstabilityError, PositivityError, NonFiniteError, EdgeReconstructionError,
-            LinearSolveError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

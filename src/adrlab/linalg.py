@@ -31,8 +31,10 @@ import scipy.linalg
 import scipy.sparse
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
+from . import NumericalError
 
-class LinearSolveError(Exception):
+
+class LinearSolveError(NumericalError):
     """Singular or numerically singular system encountered in a direct solve."""
 
 

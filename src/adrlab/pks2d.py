@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Grid1D, build_nccd
+from . import NumericalError
 
 
 class PksVariant(enum.Enum):
@@ -65,7 +65,7 @@ class PksVariant(enum.Enum):
     IMEX_NCCD = "imex-nccd"
 
 
-class PositivityError(Exception):
+class PositivityError(NumericalError):
     """A stage or step produced a negative density."""
 
     def __init__(self, t: float, index, value: float):
@@ -75,7 +75,7 @@ class PositivityError(Exception):
         super().__init__(f"rho < 0 at cell {index} (value {value:.6g}, t = {t:g})")
 
 
-class NonFiniteError(Exception):
+class NonFiniteError(NumericalError):
     """A stage or step produced a non-finite value in the named field."""
 
     def __init__(self, t: float, index, field: str = "rho"):
@@ -85,7 +85,7 @@ class NonFiniteError(Exception):
         super().__init__(f"non-finite {field} at cell {index} (t = {t:g})")
 
 
-class EdgeReconstructionError(Exception):
+class EdgeReconstructionError(NumericalError):
     """An upwind edge value came out negative: the slope limiter failed."""
 
 
@@ -285,8 +285,11 @@ _LINE_OPS: dict = {}
 def _nccd_line_ops(n: int):
     """Cached per-line compact (D1, D2) as n x n matrices: built on n + 2
     nodes for the mirror-padded line (u_1, u_1..u_n, u_n), ghost rows dropped
-    and ghost columns folded into the boundary columns (zero-Neumann)."""
+    and ghost columns folded into the boundary columns (zero-Neumann).
+    Only the IMEX variant calls this, so only it loads `operators` (SciPy)."""
     if n not in _LINE_OPS:
+        from .operators import Grid1D, build_nccd
+
         d1p, d2p = build_nccd(Grid1D(n + 2, 1.0))
         _LINE_OPS[n] = (_fold_ghosts(d1p.matrix), _fold_ghosts(d2p.matrix))
     return _LINE_OPS[n]

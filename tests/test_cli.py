@@ -6,7 +6,11 @@ import sys
 import numpy as np
 import pytest
 
+from adrlab import NumericalError
+from adrlab.adr1d import AdrInstabilityError
 from adrlab.cli import main
+from adrlab.linalg import LinearSolveError
+from adrlab.pks2d import EdgeReconstructionError, NonFiniteError, PositivityError
 
 
 def run_cli(args):
@@ -241,3 +245,50 @@ def test_cli_import_leaves_numpy_unloaded():
     code = "import sys, adrlab.cli; sys.exit('numpy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.path.join(src, "src"))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def _fresh_run(code: str, tmp_path):
+    """Exit code and sorted module names of a fresh interpreter that runs
+    `code` and then prints sys.modules as its last stdout line."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(src, "src"))
+    script = ("import json, sys\nrc = 0\n" + code
+              + "\nprint(json.dumps(sorted(sys.modules)))\nsys.exit(rc)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True)
+    return proc.returncode, json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _main_call(*argv) -> str:
+    return f"from adrlab.cli import main\nrc = main({list(argv) + ['--out', 'out']!r})"
+
+
+def test_wavepacket_run_leaves_scipy_integrate_unloaded(tmp_path):
+    # the exact solution is a closed form; no command needs quadrature
+    rc, mods = _fresh_run(_main_call("wavepacket", "--n", "101", "--t-end", "0.02"), tmp_path)
+    assert rc == 0
+    assert "scipy.integrate" not in mods
+
+
+@pytest.mark.parametrize("code", [
+    _main_call("pks", "--variant", "explicit-oucs3-cd2", "--n", "16", "--t-end", "1e-8"),
+    "import adrlab.pks2d",
+], ids=["explicit-pks-run", "import-pks2d"])
+def test_explicit_pks_loads_no_scipy(code, tmp_path):
+    rc, mods = _fresh_run(code, tmp_path)
+    assert rc == 0
+    assert [m for m in mods if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def test_imex_pks_run_loads_nccd_operators_on_demand(tmp_path):
+    rc, mods = _fresh_run(_main_call("pks", "--variant", "imex-nccd", "--n", "16",
+                                     "--t-end", "1e-8"), tmp_path)
+    assert rc == 0
+    assert "adrlab.operators" in mods
+
+
+@pytest.mark.parametrize("cls", [LinearSolveError, AdrInstabilityError, PositivityError,
+                                 NonFiniteError, EdgeReconstructionError],
+                         ids=lambda cls: cls.__name__)
+def test_numerical_errors_share_one_base(cls):
+    assert issubclass(cls, NumericalError) and not issubclass(cls, ValueError)

@@ -115,24 +115,33 @@ def test_exact_solution_pure_advection_translates():
     assert np.max(np.abs(ue[10:] - u0[:-10])) < 1e-7
 
 
+def fourier_reference(cfg, adr, t, dk=0.1, k_max=400.0):
+    """e^{lam t} 2 int_0^inf A0c(k) e^{-nu k^2 t} cos(k xi) dk by the composite
+    trapezoid rule. The integrand is even in k, so this is the full-line
+    trapezoid rule: spectrally accurate, its error being the solution's
+    aliases at xi +- 2 pi m / dk (here > 60 length units away)."""
+    g, k0 = cfg.gamma, cfg.k0
+    k = np.arange(0.0, k_max + dk / 2, dk)
+    a0c = (np.exp(-((k - k0) ** 2) / (4 * g)) + np.exp(-((k + k0) ** 2) / (4 * g))) \
+        / (4 * np.sqrt(np.pi * g))
+    w = np.full(k.size, dk)
+    w[0] = w[-1] = dk / 2
+    weights = 2.0 * w * a0c * np.exp(-adr.nu * k**2 * t)
+    xi = cfg.grid().x() - cfg.x0 - adr.c * t
+    return np.exp(adr.lam * t) * (np.cos(np.outer(xi, k)) @ weights)
+
+
 def test_exact_solution_closed_form_oracle():
-    # Gaussian-cosine under advection+diffusion+reaction has the closed form
-    # u = e^{lam t} Re[ C exp(-xi^2/(4(a+b))) exp(i a k0 xi/(a+b)) ],
-    # a = 1/(4 gamma), b = nu t, xi = x - x0 - c t.
-    gamma, t = 50.0, 10.0
-    cfg = cfg_of(gamma)
-    adr = adr_of(cfg)
-    a, b = 1.0 / (4 * gamma), NU * t
-    k0 = cfg.k0
-    coef = (1.0 / (2 * np.sqrt(np.pi * gamma))) * np.sqrt(np.pi / (a + b)) \
-        * np.exp(a**2 * k0**2 / (a + b) - a * k0**2)
-    x = cfg.grid().x()
-    xi = x - C * t
-    closed = np.exp(LAM * t) * np.real(
-        coef * np.exp(-(xi**2) / (4 * (a + b))) * np.exp(1j * a * k0 * xi / (a + b)))
-    ue = exact_solution(cfg, adr, t).values
-    assert np.max(np.abs(ue - closed)) < 1e-10
+    # the closed form against an independent Fourier-integral reference
+    t = 10.0
+    for gamma in (50.0, 1e4):
+        cfg = cfg_of(gamma)
+        adr = adr_of(cfg)
+        ue = exact_solution(cfg, adr, t).values
+        assert np.max(np.abs(ue - fourier_reference(cfg, adr, t))) < 1e-10
     # reaction scales the packet by e^{lam t} relative to the lam = 0 run
+    cfg = cfg_of(50.0)
+    ue = exact_solution(cfg, adr_of(cfg), t).values
     ue0 = exact_solution(cfg, adr_of(cfg, lam=0.0), t).values
     assert abs(np.max(np.abs(ue)) / np.max(np.abs(ue0)) - np.exp(LAM * t)) < 1e-6
 
