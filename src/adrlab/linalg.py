@@ -4,10 +4,12 @@ The operator builders assemble every compact left-hand side as a
 `BandedMatrix` (row-wise stencils via `BandedMatrix.from_rows` or
 `tridiagonal`) and every right-hand side as a sparse matrix
 (`stencil_matrix`). Operators are applied through a `BandedLU`, factored
-once and solved against one vector per call; ``A^{-1} B`` is formed
-densely only on request, by one `solve_banded` call with the columns of
-``B`` as right-hand sides. `solve_dense` is the dense reference the banded
-solves are tested against; no operator assembly calls it.
+once and solved against one vector per call; rows of ``A^{-1} B`` are
+formed only on request, by `solve_banded` calls with the columns of ``B``
+as right-hand sides, one block of columns at a time
+(`operators.BandedSystem.solve_columns`). `solve_dense` is the dense
+reference the banded solves are tested against; no operator assembly
+calls it.
 
 Dense matrices are plain float64/complex128 ndarrays of shape (n, m).
 Banded matrices use the LAPACK band layout (`scipy.linalg.solve_banded`):
@@ -157,18 +159,19 @@ def tridiagonal(lo, diag, up) -> BandedMatrix:
     return BandedMatrix.from_rows(np.column_stack(np.broadcast_arrays(lo, diag, up)), 1)
 
 
-def solve_banded(a: BandedMatrix, b: np.ndarray) -> np.ndarray:
+def solve_banded(a: BandedMatrix, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
     """Solve a x = b for one or many right-hand sides.
 
     Raises LinearSolveError on a singular or near-singular pivot, which in
     this code base signals an ill-posed stencil assembly. A sparse b is
-    expanded first.
+    expanded first. With ``overwrite_b`` a Fortran-ordered float b is
+    solved in place and returned as x.
     """
     b = np.asarray(dense(b), dtype=float)
     if b.shape[0] != a.size:
         raise ValueError("rhs row count must equal matrix size")
     try:
-        x = scipy.linalg.solve_banded((a.lower, a.upper), a.bands, b)
+        x = scipy.linalg.solve_banded((a.lower, a.upper), a.bands, b, overwrite_b=overwrite_b)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise LinearSolveError(str(exc)) from exc
     if not np.all(np.isfinite(x)):

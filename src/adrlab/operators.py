@@ -11,18 +11,20 @@ bands on each side) together with B as a sparse matrix of row stencils
 wraps the pair in a `BandedSystem` plus the boundary rows it patches. The
 explicit CD2 operators are the same with A = I. Nothing of size N x N is formed:
 ``D @ u`` is one solve with the pre-factored A plus the patched rows, O(N)
-per call. The dense D is built only when `DerivativeOperator.matrix` is
-read (the spectral analysis and the PKS line operators read it), by one
-`linalg.solve_banded` with the columns of B as right-hand sides, and
-cached.
+per call. Rows of D come from `linalg.solve_banded` with B's columns as
+right-hand sides, ``BLOCK`` columns at a time (`BandedSystem.solve_columns`),
+so B is never expanded whole. The dense D (`DerivativeOperator.matrix`) is
+filled block by block on first read; the PKS line operators and the tests
+read it. Row symbols read one row (`DerivativeOperator.row`), kept from
+each block and cached per node, and never form D.
 
 Node numbering follows the 1-based convention j = 1..N+1 common in the
 compact-scheme literature; storage is 0-based, so "row j" below means matrix
 row j-1.
 
 Builders are pure functions and the returned operators never change what
-they represent. Their LU factors and dense matrix are computed on first use
-and cached without a lock; two threads that both compute one get equal
+they represent. Their LU factors, dense matrix and rows are computed on first
+use and cached without a lock; two threads that both compute one get equal
 results, and neither sees the other's work in progress.
 """
 
@@ -41,6 +43,9 @@ from .linalg import BandedLU, BandedMatrix, solve_banded, stencil_matrix, tridia
 #:   = b/(4h^2) (u_{j-2} - 2u_j + u_{j+2}) + a/h^2 (u_{j-1} - 2u_j + u_{j+1}).
 #: The classical sixth-order family.
 LELE_INTERIOR = (2.0 / 11.0, 12.0 / 11.0, 3.0 / 11.0)
+
+#: Columns of B per right-hand-side block of `BandedSystem.solve_columns`.
+BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -72,8 +77,10 @@ class BandedSystem:
     A (``lhs``) is a `BandedMatrix` of size r N and B (``rhs``) a sparse
     matrix of shape (r N, N); node j owns rows r j .. r j + r - 1 of y, and
     an operator reads one of them (NCCD: r = 2, u' and u'' of one solve).
-    The LU factors of A (made from a private copy) and the dense A^{-1} B
-    are computed on first use and cached.
+    The LU factors of A (made from a private copy), the dense A^{-1} B and
+    each node's rows of it are computed on first use and cached. The last
+    two come from `solve_columns`: `dense` is read by the PKS line operators
+    and the tests, `node_rows` by the row symbols.
     """
 
     lhs: BandedMatrix
@@ -91,12 +98,46 @@ class BandedSystem:
         """y = A^{-1} B u, O(N)."""
         return self.lu.solve(self.rhs @ u)
 
+    def solve_columns(self, rows: slice) -> np.ndarray:
+        """``rows`` of A^{-1} B, solved ``BLOCK`` columns of B at a time.
+
+        Each block is expanded into one reused buffer and solved in place by
+        one `solve_banded`, of which only ``rows`` is kept, so B is never
+        expanded whole and the blocks allocate nothing of their size.
+        LAPACK solves each right-hand side on its own, so the result equals
+        the same rows of one solve with all of B bit for bit.
+        """
+        rhs = self.rhs.tocsc()
+        m, n = rhs.shape
+        out = np.empty((len(range(*rows.indices(m))), n))
+        buf = np.empty((m, min(BLOCK, n)), order="F")
+        for c0 in range(0, n, BLOCK):
+            b = rhs[:, c0:c0 + BLOCK].toarray(out=buf[:, :min(BLOCK, n - c0)])
+            out[:, c0:c0 + BLOCK] = solve_banded(self.lhs, b, True)[rows]  # overwrites b
+        return out
+
     @cached_property
     def dense(self) -> np.ndarray:
-        """A^{-1} B as a dense (r N, N) matrix: one `solve_banded` with the
-        columns of B as right-hand sides. Each operator of the system
-        patches its own rows of it in place (`DerivativeOperator.matrix`)."""
-        return solve_banded(self.lhs, self.rhs)
+        """A^{-1} B as a dense (r N, N) matrix, filled block by block. Each
+        operator of the system patches its own rows of it in place
+        (`DerivativeOperator.matrix`)."""
+        return self.solve_columns(slice(None))
+
+    @cached_property
+    def _rows(self) -> dict:
+        return {}
+
+    def node_rows(self, node: int) -> np.ndarray:
+        """Rows r node .. r node + r - 1 of A^{-1} B, shape (r, N), read-only.
+
+        Cached per node, so the operators that share the system (NCCD: D1
+        and D2) share one `solve_columns` pass."""
+        rows = self._rows.get(node)
+        if rows is None:
+            r = self.per_node
+            rows = self._rows[node] = self.solve_columns(slice(r * node, r * node + r))
+            rows.flags.writeable = False
+        return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +177,8 @@ class DerivativeOperator:
     def matrix(self) -> np.ndarray:
         """D as a dense N x N matrix, built on first access: a view of the
         system's dense A^{-1} B (`BandedSystem.dense`) with the patch
-        written into its rows."""
+        written into its rows. It is read by the PKS line operators and the
+        tests; row symbols read one blocked row (`row`) instead."""
         m = self.system.dense[self.part::self.system.per_node]
         for row, first, w in self.patch:  # one write per row, so a repeat changes nothing
             m[row] = np.pad(w, (first, len(m) - first - len(w)))
@@ -157,16 +199,30 @@ class DerivativeOperator:
         rows, cols = np.array(rows, dtype=np.int32), np.array(cols, dtype=np.int32)
         return pick, scipy.sparse.csr_array((vals, (rows, cols)), shape=(n, n))
 
+    def row(self, node: int) -> np.ndarray:
+        """Row `node` (0-based) of D, equal to ``matrix[node]`` bit for bit
+        without forming D: the patch stencil, padded, at a patched row, else
+        this operator's part of `BandedSystem.node_rows`. Raises ValueError
+        unless 0 <= node < N."""
+        n = self.n_points
+        if not 0 <= node < n:
+            raise ValueError(f"node {node} is outside the rows 0..{n - 1}")
+        for row, first, w in self.patch:
+            if row == node:
+                return np.pad(w, (first, n - first - len(w)))
+        return self.system.node_rows(node)[self.part]
+
     def row_symbol(self, node: int, kh):
         """Fourier symbol of row `node` (0-based): sum_r M[j,r] e^{i kh (r-j)}.
 
         This is the dimensionless modified-wavenumber transform used by the
-        amplification-factor formulas. kh may be an array; each entry is
-        summed exactly as a scalar kh is.
+        amplification-factor formulas. It reads one row (`row`), so D is
+        never formed, and raises ValueError for a node outside 0..N-1. kh
+        may be an array; each entry is summed exactly as a scalar kh is.
         """
         kh = np.asarray(kh, dtype=float)
         r = np.arange(self.n_points) - node
-        s = np.sum(self.matrix[node] * np.exp(1j * np.multiply.outer(kh, r)), axis=-1)
+        s = np.sum(self.row(node) * np.exp(1j * np.multiply.outer(kh, r)), axis=-1)
         return complex(s) if kh.ndim == 0 else s
 
 

@@ -15,8 +15,9 @@ def ops1001(grid1001):
     """Operator pairs for all four schemes on the 1001-point analysis grid.
 
     Built once per session and shared by the tests. Operators are stored
-    banded; a dense matrix is formed (one banded solve with 1001
-    right-hand sides) only when a test reads `.matrix`, and then cached.
+    banded. A test that reads `.matrix` forms the dense matrix, one banded
+    solve per block of `operators.BLOCK` columns, and caches it; row symbols
+    read one row per node, solved block by block the same way and cached.
     """
     return {scheme: scheme_operators(scheme, grid1001) for scheme in SchemeId}
 

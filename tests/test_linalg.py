@@ -40,6 +40,19 @@ def test_banded_matches_dense_lu(rng):
     assert residual_inf(dense, xb, b) <= residual_bound(dense, xb, b)
 
 
+@pytest.mark.parametrize("lower, upper", [(1, 1), (2, 1)])  # tridiagonal and general band
+def test_banded_overwrite_solves_in_place(rng, lower, upper):
+    n = 30
+    bands = rng.normal(size=(lower + upper + 1, n))
+    bands[upper] += 6.0  # diagonally dominant
+    a = BandedMatrix(n, lower, upper, bands)
+    b = np.asfortranarray(rng.normal(size=(n, 4)))
+    want = solve_banded(a, b)
+    x = solve_banded(a, b, overwrite_b=True)
+    assert np.shares_memory(x, b)
+    assert np.array_equal(x, want)
+
+
 def test_band_roundtrip(rng):
     dense = np.triu(np.tril(rng.normal(size=(7, 7)), 1), -2)
     bm = BandedMatrix.from_dense(dense, 2, 1)

@@ -275,3 +275,37 @@ def test_nccd_build_allocates_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < n * n  # one eighth of one dense N x N array
+
+
+ROW_BUILDERS = ALL_BUILDERS + [
+    ("nccd_d1_raw", lambda g: build_nccd(g, boundary_fix=False)[0]),
+    ("nccd_d2_raw", lambda g: build_nccd(g, boundary_fix=False)[1]),
+]
+
+
+@pytest.mark.parametrize("n", [7, 64, 65, 1001])  # one block, exactly one, one column over
+def test_row_is_the_matrix_row_bit_for_bit(n):
+    for name, build in ROW_BUILDERS:
+        op = build(Grid1D(n, 1.0))
+        for j in (0, 1, n // 2, n - 2, n - 1):  # rows 1 and n-2 are the patched ones
+            assert np.array_equal(op.row(j), op.matrix[j]), (name, j)
+
+
+def test_nccd_pair_reads_its_rows_from_one_blocked_pass(monkeypatch):
+    calls = []
+    real = operators.solve_banded
+    monkeypatch.setattr(operators, "solve_banded", lambda *a: calls.append(1) or real(*a))
+    n = 1001
+    d1, d2 = build_nccd(Grid1D(n, 1.0))
+    d1.row(500), d2.row(500), d1.row_symbol(500, 0.3), d2.row_symbol(500, 0.3)
+    assert len(calls) == -(-n // operators.BLOCK)
+    assert "dense" not in d1.system.__dict__
+
+
+@pytest.mark.parametrize("node", [-1, 21])
+def test_row_symbol_rejects_a_node_outside_the_grid(node):
+    op = build_oucs3(Grid1D(21, 1.0))
+    with pytest.raises(ValueError, match=rf"node {node} .*0\.\.20"):
+        op.row_symbol(node, 0.5)
+    with pytest.raises(ValueError, match=rf"node {node}"):
+        op.row(node)

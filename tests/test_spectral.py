@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adrlab.adr1d import SchemeId, scheme_operators
+from adrlab.adr1d import AdrConfig, SchemeId, scheme_operators
 from adrlab.operators import Grid1D
 from adrlab.spectral import (
     SpectralParams,
@@ -19,6 +21,7 @@ from adrlab.spectral import (
     sweep,
     write_map_csv,
 )
+from adrlab.wavepacket import WavePacketConfig, point_diagnostics
 
 PE, DA = 0.01, -0.01
 
@@ -192,3 +195,23 @@ def test_stability_boundary_requires_stable_start(ops1001):
     scheme = SchemeId.EXPLICIT_OUCS3_CD2
     with pytest.raises(ValueError):
         stability_boundary(scheme, ops1001[scheme], PE, DA, nc_start=2.5)
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId))
+def test_analysis_paths_form_no_dense_operator(scheme):
+    # the map and packet diagnostics read single rows: neither the system's
+    # dense A^{-1} B nor anything near one dense D (N^2 doubles) is allocated
+    n = 2001
+    cfg = WavePacketConfig(0.1, 0.0, 0.5, 5.0, n)
+    tracemalloc.start()
+    try:
+        ops = scheme_operators(scheme, cfg.grid())
+        sweep(scheme, np.linspace(0.1, 2.5, 8), np.linspace(0.01, 0.3, 8), PE, DA,
+              n // 2, n, ops)
+        point_diagnostics(scheme, cfg, AdrConfig(0.1, 1e-4, -1.0, 0.01, cfg.grid()), ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for op in ops:
+        assert "dense" not in op.system.__dict__
+    assert peak < n * n * 8 / 4
