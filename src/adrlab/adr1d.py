@@ -45,7 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from . import NumericalError, whole_steps
 from .linalg import BandedLU, LinearSolveError
@@ -212,6 +211,8 @@ class ImplicitStage:
 
     def _eliminate(self, n: int, alpha: float, terms, size: int):
         """W = T^{-1} and W E."""
+        import scipy.sparse
+
         interior = np.ones(n)
         interior[[0, -1]] = 0.0
         e = p = 0
@@ -241,7 +242,7 @@ class ImplicitStage:
             for s, pos in zip(self.systems, self.pos):
                 yield from diagonals(s.lhs, pos)
                 for i in range(0, len(pos), _CHUNK):  # -B W E x, _CHUNK rows at a time
-                    k = (s.rhs[i:i + _CHUNK] @ self.we).tocoo()
+                    k = (s.rhs.csr[i:i + _CHUNK] @ self.we).tocoo()
                     yield pos[i + k.row], k.col, -k.data
 
         spans = [(np.max(r - c), np.max(c - r)) for r, c, _ in entries()]
@@ -256,7 +257,7 @@ class ImplicitStage:
         wy = self.w @ y
         rhs = np.empty(self.we.shape[1], dtype=wy.dtype)
         for s, pos in zip(self.systems, self.pos):
-            rhs[pos] = s.rhs @ wy
+            rhs[pos] = s.rhs.csr @ wy
         return wy + self.we @ self.lu.solve(rhs)
 
 

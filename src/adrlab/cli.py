@@ -229,6 +229,8 @@ def cmd_wavepacket(args) -> int:
 
 
 def cmd_pks(args) -> int:
+    if args.log_every < 1:
+        raise ValueError(f"--log-every must be >= 1 (got {args.log_every})")
     from . import pks2d
 
     variant = pks2d.PksVariant(args.variant)
@@ -239,7 +241,7 @@ def cmd_pks(args) -> int:
     history = [pks2d.diagnostics(state)]
     for k in range(1, n_steps + 1):
         state = stepper.step(state)
-        if k % max(args.log_every, 1) == 0 or k == n_steps:
+        if k % args.log_every == 0 or k == n_steps:
             history.append(pks2d.diagnostics(state))
     os.makedirs(args.out, exist_ok=True)
     tag = f"{variant.value}_{args.n}"

@@ -6,17 +6,20 @@ dimensionless D. The compact schemes all have the form D = A^{-1} B with a
 banded A. Each is assembled in two steps: a ``*_system`` function returns A
 as a `linalg.BandedMatrix` (tridiagonal for OUCS3 and Lele; for NCCD the
 2x2 block-tridiagonal system with its (u', u'') unknowns interleaved, three
-bands on each side) together with B as a sparse matrix of row stencils
-(`linalg.stencil_matrix`, five to seven entries per row), and the builder
+bands on each side) together with B as a `linalg.StencilMatrix`, the NumPy
+weights of its row stencils (five to seven entries per row), and the builder
 wraps the pair in a `BandedSystem` plus the boundary rows it patches. The
 explicit CD2 operators are the same with A = I. Nothing of size N x N is formed:
-``D @ u`` is one solve with the pre-factored A plus the patched rows, O(N)
-per call. Rows of D come from `linalg.solve_banded` with B's columns as
-right-hand sides, ``BLOCK`` columns at a time (`BandedSystem.solve_columns`),
-so B is never expanded whole. The dense D (`DerivativeOperator.matrix`) is
-filled block by block on first read; the PKS line operators and the tests
-read it. Row symbols read one row (`DerivativeOperator.row`), kept from
-each block and cached per node, and never form D.
+``D @ u`` is one solve with the pre-factored A (LAPACK) plus the patched
+rows, O(N) per call. Row i of A^{-1} B is B^T y with A^T y = e_i, one O(N)
+transposed solve with NumPy LU factors of A (`linalg.TransposedBandLU`), so
+neither B nor D is expanded to get a row. Row symbols read one row
+(`DerivativeOperator.row`), cached per node. The dense D
+(`DerivativeOperator.matrix`) is every row solved the same way, in blocks of
+unit right-hand sides, on first read; the PKS line operators and the tests
+read it. A row therefore equals the same row of the dense D bit for bit.
+Forming rows needs NumPy alone; SciPy is loaded only when an operator is
+applied (`BandedSystem.solve`, `DerivativeOperator.split`).
 
 Node numbering follows the 1-based convention j = 1..N+1 common in the
 compact-scheme literature; storage is 0-based, so "row j" below means matrix
@@ -34,18 +37,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
 
-from .linalg import BandedLU, BandedMatrix, solve_banded, stencil_matrix, tridiagonal
+from .linalg import BandedLU, BandedMatrix, StencilMatrix, TransposedBandLU, tridiagonal
 
 #: Interior coefficients of the tridiagonal second-derivative scheme:
 #: alpha u''_{j-1} + u''_j + alpha u''_{j+1}
 #:   = b/(4h^2) (u_{j-2} - 2u_j + u_{j+2}) + a/h^2 (u_{j-1} - 2u_j + u_{j+1}).
 #: The classical sixth-order family.
 LELE_INTERIOR = (2.0 / 11.0, 12.0 / 11.0, 3.0 / 11.0)
-
-#: Columns of B per right-hand-side block of `BandedSystem.solve_columns`.
-BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -74,68 +73,56 @@ class Grid1D:
 class BandedSystem:
     """The system A y = B u behind one or more derivative operators.
 
-    A (``lhs``) is a `BandedMatrix` of size r N and B (``rhs``) a sparse
-    matrix of shape (r N, N); node j owns rows r j .. r j + r - 1 of y, and
-    an operator reads one of them (NCCD: r = 2, u' and u'' of one solve).
-    The LU factors of A (made from a private copy), the dense A^{-1} B and
-    each node's rows of it are computed on first use and cached. The last
-    two come from `solve_columns`: `dense` is read by the PKS line operators
-    and the tests, `node_rows` by the row symbols.
+    A (``lhs``) is a `BandedMatrix` of size r N and B (``rhs``) a
+    `StencilMatrix` of shape (r N, N); node j owns rows r j .. r j + r - 1
+    of y, and an operator reads one of them (NCCD: r = 2, u' and u'' of one
+    solve). Two factorizations of A are made on first use and cached: the
+    LAPACK one (``lu``, of a private copy) applies the operators, and the
+    NumPy one (``row_lu``) gives rows of A^{-1} B by transposed solves:
+    `dense`, read by the PKS line operators and the tests, and `node_rows`,
+    read by the row symbols.
     """
 
     lhs: BandedMatrix
-    rhs: scipy.sparse.csr_array
+    rhs: StencilMatrix
 
     @cached_property
     def lu(self) -> BandedLU:
         return self.lhs.factor()
 
+    @cached_property
+    def row_lu(self) -> TransposedBandLU:
+        return TransposedBandLU(self.lhs)
+
     @property
     def per_node(self) -> int:
-        return self.rhs.shape[0] // self.rhs.shape[1]
+        return self.rhs.per_node
 
     def solve(self, u: np.ndarray) -> np.ndarray:
         """y = A^{-1} B u, O(N)."""
-        return self.lu.solve(self.rhs @ u)
-
-    def solve_columns(self, rows: slice) -> np.ndarray:
-        """``rows`` of A^{-1} B, solved ``BLOCK`` columns of B at a time.
-
-        Each block is expanded into one reused buffer and solved in place by
-        one `solve_banded`, of which only ``rows`` is kept, so B is never
-        expanded whole and the blocks allocate nothing of their size.
-        LAPACK solves each right-hand side on its own, so the result equals
-        the same rows of one solve with all of B bit for bit.
-        """
-        rhs = self.rhs.tocsc()
-        m, n = rhs.shape
-        out = np.empty((len(range(*rows.indices(m))), n))
-        buf = np.empty((m, min(BLOCK, n)), order="F")
-        for c0 in range(0, n, BLOCK):
-            b = rhs[:, c0:c0 + BLOCK].toarray(out=buf[:, :min(BLOCK, n - c0)])
-            out[:, c0:c0 + BLOCK] = solve_banded(self.lhs, b, True)[rows]  # overwrites b
-        return out
+        return self.lu.solve(self.rhs.csr @ u)
 
     @cached_property
     def dense(self) -> np.ndarray:
-        """A^{-1} B as a dense (r N, N) matrix, filled block by block. Each
-        operator of the system patches its own rows of it in place
-        (`DerivativeOperator.matrix`)."""
-        return self.solve_columns(slice(None))
+        """A^{-1} B as a dense (r N, N) matrix, every row one transposed
+        solve (`TransposedBandLU.inverse_rows`). Each operator of the system
+        patches its own rows of it in place (`DerivativeOperator.matrix`)."""
+        return self.row_lu.inverse_rows(self.rhs, range(self.rhs.shape[0]))
 
     @cached_property
     def _rows(self) -> dict:
         return {}
 
     def node_rows(self, node: int) -> np.ndarray:
-        """Rows r node .. r node + r - 1 of A^{-1} B, shape (r, N), read-only.
-
-        Cached per node, so the operators that share the system (NCCD: D1
-        and D2) share one `solve_columns` pass."""
+        """Rows r node .. r node + r - 1 of A^{-1} B, shape (r, N), read-only,
+        from r transposed solves, O(N). Cached per node, so the operators
+        that share the system (NCCD: D1 and D2) share one solve, and equal to
+        the same rows of `dense` bit for bit."""
         rows = self._rows.get(node)
         if rows is None:
             r = self.per_node
-            rows = self._rows[node] = self.solve_columns(slice(r * node, r * node + r))
+            rows = self.row_lu.inverse_rows(self.rhs, range(r * node, r * node + r))
+            self._rows[node] = rows
             rows.flags.writeable = False
         return rows
 
@@ -178,7 +165,7 @@ class DerivativeOperator:
         """D as a dense N x N matrix, built on first access: a view of the
         system's dense A^{-1} B (`BandedSystem.dense`) with the patch
         written into its rows. It is read by the PKS line operators and the
-        tests; row symbols read one blocked row (`row`) instead."""
+        tests; row symbols read one row (`row`) instead."""
         m = self.system.dense[self.part::self.system.per_node]
         for row, first, w in self.patch:  # one write per row, so a repeat changes nothing
             m[row] = np.pad(w, (first, len(m) - first - len(w)))
@@ -187,6 +174,8 @@ class DerivativeOperator:
     def split(self):
         """Sparse (S, P) with D = S A^{-1} B + P: S picks row ``part`` of
         each node's block of y except at the patched rows, which P holds."""
+        import scipy.sparse
+
         n, r = self.n_points, self.system.per_node
         keep = np.setdiff1d(np.arange(n, dtype=np.int32), [row for row, _, _ in self.patch])
         pick = scipy.sparse.csr_array((np.ones(len(keep)), (keep, r * keep + self.part)),
@@ -310,7 +299,7 @@ def _explicit(order: int, grid: Grid1D, interior, first, last) -> DerivativeOper
     b = np.zeros((5, n))  # column offsets -2..2
     b[1:4, 1:n - 1] = np.array(interior)[:, None]
     b[2:5, 0], b[0:3, n - 1] = first, last
-    system = BandedSystem(BandedMatrix(n, 0, 0, np.ones((1, n))), stencil_matrix(b, 2))
+    system = BandedSystem(BandedMatrix(n, 0, 0, np.ones((1, n))), StencilMatrix(b, 2))
     return DerivativeOperator(order, 1.0 / grid.h**order, system)
 
 
@@ -348,7 +337,7 @@ def oucs3_system(grid: Grid1D, coeffs: Oucs3Coefficients = DEFAULT_OUCS3):
     b[2:7, 1] = _near_boundary_first_row(coeffs.beta2)
     b[0:5, n - 2] = -_near_boundary_first_row(coeffs.beta_n)[::-1]
     b[1:4, n - 1] = (0.5, -2.0, 1.5)
-    return tridiagonal(*a.T), stencil_matrix(b, 3)
+    return tridiagonal(*a.T), StencilMatrix(b, 3)
 
 
 def build_oucs3(grid: Grid1D, coeffs: Oucs3Coefficients = DEFAULT_OUCS3) -> DerivativeOperator:
@@ -387,7 +376,7 @@ def lele_system(grid: Grid1D, interior=LELE_INTERIOR):
     b[3:6, 0] = (1.0, -2.0, 1.0)
     b[2:5, [1, n - 2]] = np.array([12.0, -24.0, 12.0])[:, None]
     b[0:4, n - 1] = (-1.0, 15.0, -27.0, 13.0)
-    return tridiagonal(*a.T), stencil_matrix(b, 3)
+    return tridiagonal(*a.T), StencilMatrix(b, 3)
 
 
 def build_lele_second(grid: Grid1D, interior=LELE_INTERIOR) -> DerivativeOperator:
@@ -411,7 +400,7 @@ def nccd_system(grid: Grid1D):
     With the unknowns ordered (v_1, w_1, v_2, w_2, ...) the first equation of
     node j is row 2j-2 and the second row 2j-1, and ``lhs`` is a
     `BandedMatrix` of size 2(N+1) with three bands on each side of the
-    diagonal. ``rhs`` is the sparse (2(N+1), N+1) matrix with the right-hand
+    diagonal. ``rhs`` is the (2(N+1), N+1) `StencilMatrix` with the right-hand
     sides interleaved the same way (two rows per node), so
     ``lhs^{-1} rhs`` holds D1 in its even and D2 in its odd rows.
     """
@@ -431,7 +420,7 @@ def nccd_system(grid: Grid1D):
     rhs[2:5, 0] = [(-3.5, 9.0), (4.0, -12.0), (-0.5, 3.0)]
     rhs[0:3, n - 1] = [(0.5, 3.0), (-4.0, -12.0), (3.5, 9.0)]
     return (BandedMatrix.from_rows(lhs.reshape(2 * n, 7), 3),
-            stencil_matrix(rhs.reshape(5, 2 * n), 2, per_node=2))
+            StencilMatrix(rhs.reshape(5, 2 * n), 2, per_node=2))
 
 
 def nccd_blocks(grid: Grid1D):

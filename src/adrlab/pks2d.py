@@ -286,7 +286,7 @@ def _nccd_line_ops(n: int):
     """Cached per-line compact (D1, D2) as n x n matrices: built on n + 2
     nodes for the mirror-padded line (u_1, u_1..u_n, u_n), ghost rows dropped
     and ghost columns folded into the boundary columns (zero-Neumann).
-    Only the IMEX variant calls this, so only it loads `operators` (SciPy)."""
+    Only the IMEX variant calls this, so only it loads `operators` (NumPy only)."""
     if n not in _LINE_OPS:
         from .operators import Grid1D, build_nccd
 

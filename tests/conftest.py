@@ -15,9 +15,10 @@ def ops1001(grid1001):
     """Operator pairs for all four schemes on the 1001-point analysis grid.
 
     Built once per session and shared by the tests. Operators are stored
-    banded. A test that reads `.matrix` forms the dense matrix, one banded
-    solve per block of `operators.BLOCK` columns, and caches it; row symbols
-    read one row per node, solved block by block the same way and cached.
+    banded. Row symbols read one row per node, one O(N) transposed solve
+    (`linalg.TransposedBandLU`), cached per node. A test that reads
+    `.matrix` forms the dense matrix from the same transposed solves, in
+    blocks of `linalg.UNIT_BLOCK` unit right-hand sides, and caches it.
     """
     return {scheme: scheme_operators(scheme, grid1001) for scheme in SchemeId}
 

@@ -212,6 +212,15 @@ def test_pks_t_end_off_the_step_grid_exits_two(t_end, dt, why, tmp_path, capsys)
     assert why in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_pks_log_every_below_one_exits_two(value, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(["pks", "--n", "16", "--t-end", "1e-8", "--log-every", value,
+                    "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "--log-every" in capsys.readouterr().err
+
+
 def test_pks_imex_default_dt_runs(tmp_path, capsys):
     assert run_cli(["pks", "--variant", "imex-nccd", "--n", "16", "--t-end", "1e-7",
                     "--out", str(tmp_path)]) == 0
@@ -273,8 +282,14 @@ def test_wavepacket_run_leaves_scipy_integrate_unloaded(tmp_path):
 @pytest.mark.parametrize("code", [
     _main_call("pks", "--variant", "explicit-oucs3-cd2", "--n", "16", "--t-end", "1e-8"),
     "import adrlab.pks2d",
-], ids=["explicit-pks-run", "import-pks2d"])
+    _main_call("dispersion-map", "--scheme", "imex-nccd", "--n", "21", "--node", "10",
+               "--kh-points", "3", "--nc-points", "2"),
+    _main_call("pks", "--variant", "imex-nccd", "--n", "16", "--t-end", "1e-8"),
+    "import adrlab.spectral",
+], ids=["explicit-pks-run", "import-pks2d", "dispersion-map-run", "imex-pks-run",
+        "import-spectral"])
 def test_explicit_pks_loads_no_scipy(code, tmp_path):
+    # only the 1D steppers (wavepacket) apply operators, which loads SciPy
     rc, mods = _fresh_run(code, tmp_path)
     assert rc == 0
     assert [m for m in mods if m == "scipy" or m.startswith("scipy.")] == []

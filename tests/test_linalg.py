@@ -4,6 +4,8 @@ import pytest
 from adrlab.linalg import (
     BandedMatrix,
     LinearSolveError,
+    StencilMatrix,
+    TransposedBandLU,
     residual_bound,
     residual_inf,
     solve_banded,
@@ -38,19 +40,6 @@ def test_banded_matches_dense_lu(rng):
     xd = solve_dense(dense, b)
     assert np.max(np.abs(xb - xd)) < 1e-10
     assert residual_inf(dense, xb, b) <= residual_bound(dense, xb, b)
-
-
-@pytest.mark.parametrize("lower, upper", [(1, 1), (2, 1)])  # tridiagonal and general band
-def test_banded_overwrite_solves_in_place(rng, lower, upper):
-    n = 30
-    bands = rng.normal(size=(lower + upper + 1, n))
-    bands[upper] += 6.0  # diagonally dominant
-    a = BandedMatrix(n, lower, upper, bands)
-    b = np.asfortranarray(rng.normal(size=(n, 4)))
-    want = solve_banded(a, b)
-    x = solve_banded(a, b, overwrite_b=True)
-    assert np.shares_memory(x, b)
-    assert np.array_equal(x, want)
 
 
 def test_band_roundtrip(rng):
@@ -126,3 +115,110 @@ def test_inverse_roundtrip(rng):
     a = rng.normal(size=(30, 30)) + 10.0 * np.eye(30)
     inv = solve_dense(a, np.eye(30))
     assert np.max(np.abs(a @ inv - np.eye(30))) < 1e-9
+
+
+def random_band(rng, n, lower, upper, dominant):
+    bands = rng.normal(size=(lower + upper + 1, n))  # corner entries outside the matrix too
+    if dominant:
+        bands[upper] += 2.0 * (lower + upper + 1)
+    return BandedMatrix(n, lower, upper, bands)
+
+
+def transposed_reference(a, b):
+    """LAPACK solve of a^T x = b."""
+    return solve_banded(BandedMatrix.from_dense(a.to_dense().T, a.upper, a.lower), b)
+
+
+@pytest.mark.parametrize("n, lower, upper", [(40, 1, 1), (40, 2, 1), (40, 3, 3), (7, 3, 3),
+                                             (12, 0, 2), (9, 0, 0)])
+@pytest.mark.parametrize("dominant", [True, False], ids=["dominant", "pivoting"])
+def test_transposed_lu_matches_lapack(rng, n, lower, upper, dominant):
+    a = random_band(rng, n, lower, upper, dominant)
+    lu = TransposedBandLU(a)
+    if not dominant and lower:
+        assert any(p != j for j, p in enumerate(lu.piv))  # the case exercises row interchanges
+    b = rng.normal(size=(n, 5))
+    want = transposed_reference(a, b)
+    x = lu.solve(b)
+    assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+    assert residual_inf(a.to_dense().T, x, b) <= residual_bound(a.to_dense().T, x, b)
+
+
+def test_transposed_lu_pivots_past_a_zero_diagonal():
+    # [[0, 1, 0], [1, 0, 1], [0, 1, 0.5]]: no LU without row interchanges
+    a = tridiagonal(1.0, np.array([0.0, 0.0, 0.5]), 1.0)
+    b = np.eye(3)
+    assert np.allclose(TransposedBandLU(a).solve(b), np.linalg.inv(a.to_dense().T), rtol=0,
+                       atol=1e-15)
+
+
+@pytest.mark.parametrize("a", [
+    tridiagonal(0.0, np.zeros(4), 0.0),
+    BandedMatrix.from_rows([[0, 1, 1], [1, 1, 0], [0, 1, 0], [0, 1, 0]], 1),  # rows 0, 1 equal
+    tridiagonal(0.0, np.array([1.0, np.nan, 1.0]), 0.0),
+], ids=["zero-diagonal", "singular", "nan"])
+def test_transposed_lu_zero_pivot_raises(a):
+    with pytest.raises(LinearSolveError, match="zero pivot"):
+        TransposedBandLU(a)
+
+
+def test_transposed_solve_of_a_non_finite_rhs_raises():
+    lu = TransposedBandLU(tridiagonal(1.0, 4.0 * np.ones(5), 1.0))
+    b = np.ones((5, 2))
+    b[3, 1] = np.inf
+    with pytest.raises(LinearSolveError, match="non-finite"), np.errstate(invalid="ignore"):
+        lu.solve(b)
+
+
+def test_one_column_alone_equals_its_column_of_a_many_column_solve(rng):
+    a = random_band(rng, 60, 3, 2, dominant=False)
+    lu = TransposedBandLU(a)
+    b = rng.normal(size=(60, 9))
+    many = lu.solve(b)
+    for c in range(9):
+        alone = lu.solve(b[:, c:c + 1])[:, 0]
+        assert np.array_equal(alone.view(np.int64), many[:, c].view(np.int64)), c
+
+
+def test_solve_leaves_its_right_hand_side_as_it_is(rng):
+    lu = TransposedBandLU(random_band(rng, 20, 1, 1, dominant=True))
+    b = rng.normal(size=(20, 3))
+    keep = b.copy()
+    lu.solve(b)
+    assert np.array_equal(b, keep)
+
+
+@pytest.mark.parametrize("per_node, lower", [(1, 3), (2, 2)])
+def test_stencil_matrix_forms_agree(rng, per_node, lower):
+    n = 9
+    weights = rng.normal(size=(2 * lower + 1, per_node * n))
+    weights[1, 4] = 0.0
+    b = StencilMatrix(weights, lower, per_node)
+    assert b.shape == (per_node * n, n)
+    want = np.zeros(b.shape)
+    for k in range(2 * lower + 1):
+        for i in range(per_node * n):
+            c = i // per_node + k - lower
+            if 0 <= c < n:
+                want[i, c] = weights[k, i]
+    assert np.array_equal(b.toarray(), want)
+    assert np.array_equal(b.csr.toarray(), want)
+    y = rng.normal(size=(per_node * n, 4))
+    assert np.allclose(b.tdot(y), want.T @ y, rtol=0, atol=1e-13)
+    for c in range(4):
+        assert np.array_equal(b.tdot(y[:, c:c + 1])[:, 0], b.tdot(y)[:, c])
+
+
+def test_inverse_rows_are_rows_of_the_dense_solve(rng, monkeypatch):
+    from adrlab import linalg
+
+    monkeypatch.setattr(linalg, "UNIT_BLOCK", 4)  # several blocks, the last one short
+    n = 11
+    a = random_band(rng, 2 * n, 3, 3, dominant=False)
+    b = StencilMatrix(rng.normal(size=(5, 2 * n)), 2, per_node=2)
+    want = solve_dense(a.to_dense(), b)
+    rows = range(3, 2 * n)
+    got = TransposedBandLU(a).inverse_rows(b, rows)
+    assert got.shape == (len(rows), n)
+    assert np.max(np.abs(got - want[3:])) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(TransposedBandLU(a).inverse_rows(b, range(7, 8))[0], got[4])

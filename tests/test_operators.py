@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from adrlab import operators
+from adrlab import linalg
 from adrlab.linalg import solve_banded
 from adrlab.operators import (
     DEFAULT_OUCS3,
@@ -228,8 +228,10 @@ def near_boundary_patch(n):
 
 @pytest.mark.parametrize("n", [41, 201])
 def test_matrix_is_the_dense_solve_of_the_system_with_its_patch(n):
-    # .matrix is one solve_banded(A, B) with the columns of B as right-hand
-    # sides, then the patched rows overwritten: equal bit for bit
+    # .matrix is the LAPACK solve_banded(A, B), with the columns of B as
+    # right-hand sides, to 1e-13 of each row's largest entry (its rows come
+    # from transposed solves, another algorithm), and the patched rows are
+    # the patch stencils exactly
     grid = unit_grid(n)
     cases = [
         (oucs3_system, [build_oucs3(grid)], [cd2_patch(n, (-0.5, 0.0, 0.5))]),
@@ -244,17 +246,29 @@ def test_matrix_is_the_dense_solve_of_the_system_with_its_patch(n):
             for row, first, w in patch:
                 want[row] = 0.0
                 want[row, first:first + len(w)] = w
-            assert np.array_equal(op.matrix, want)
+            err = np.max(np.abs(op.matrix - want), axis=1)
+            assert np.all(err <= 1e-13 * np.max(np.abs(want), axis=1)), system.__name__
+            for row, _, _ in patch:
+                assert np.array_equal(op.matrix[row], want[row])
+
+
+def count_row_solves(monkeypatch):
+    """Calls of the NumPy factorization and of its row pass, as two lists."""
+    factors, passes = [], []
+    init, rows = linalg.TransposedBandLU.__init__, linalg.TransposedBandLU.inverse_rows
+    monkeypatch.setattr(linalg.TransposedBandLU, "__init__",
+                        lambda self, a: factors.append(1) or init(self, a))
+    monkeypatch.setattr(linalg.TransposedBandLU, "inverse_rows",
+                        lambda self, *a: passes.append(1) or rows(self, *a))
+    return factors, passes
 
 
 def test_nccd_pair_reads_its_matrices_from_one_solve(monkeypatch):
-    calls = []
-    real = operators.solve_banded
-    monkeypatch.setattr(operators, "solve_banded", lambda *a: calls.append(1) or real(*a))
+    factors, passes = count_row_solves(monkeypatch)
     d1, d2 = build_nccd(unit_grid(41))
-    assert calls == []  # building forms no dense matrix
+    assert factors == passes == []  # building forms no dense matrix
     d1.matrix, d2.matrix, d1.matrix
-    assert len(calls) == 1
+    assert (len(factors), len(passes)) == (1, 1)
 
 
 def test_apply_matches_matrix_for_real_and_complex_input(rng):
@@ -292,13 +306,11 @@ def test_row_is_the_matrix_row_bit_for_bit(n):
 
 
 def test_nccd_pair_reads_its_rows_from_one_blocked_pass(monkeypatch):
-    calls = []
-    real = operators.solve_banded
-    monkeypatch.setattr(operators, "solve_banded", lambda *a: calls.append(1) or real(*a))
-    n = 1001
-    d1, d2 = build_nccd(Grid1D(n, 1.0))
+    # one factorization and one pass of transposed solves serve both rows
+    factors, passes = count_row_solves(monkeypatch)
+    d1, d2 = build_nccd(Grid1D(1001, 1.0))
     d1.row(500), d2.row(500), d1.row_symbol(500, 0.3), d2.row_symbol(500, 0.3)
-    assert len(calls) == -(-n // operators.BLOCK)
+    assert (len(factors), len(passes)) == (1, 1)
     assert "dense" not in d1.system.__dict__
 
 
