@@ -30,8 +30,9 @@ way the interior stencil rows stay exactly as analyzed spectrally.
 
 Nothing of size N x N is formed. Explicit parts are operator products
 (`DerivativeOperator.__matmul__`, one banded solve each) and the stage
-matrix I - z_I/2 is factored once as one banded LU (`ImplicitStage`), so
-building a stepper and taking a step both cost O(N).
+matrix I - z_I/2 is reduced to one banded system that is factored once
+(`ImplicitStage`), so building a stepper and taking a step both cost O(N).
+Everything here runs on NumPy alone.
 
 Steppers factor their stage matrix once per configuration and are
 immutable afterwards; a run owns its state, so independent runs can
@@ -47,7 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import NumericalError, whole_steps
-from .linalg import BandedLU, LinearSolveError
+from .linalg import (LinearSolveError, PartitionedLU, StencilMatrix,
+                     probe_stencil, trim_stencil)
 from .operators import (
     DerivativeOperator,
     Grid1D,
@@ -170,29 +172,29 @@ def _pin(values: np.ndarray, bc) -> np.ndarray:
     return values
 
 
-#: rows of the reduced stage system formed at a time
-_CHUNK = 1 << 12
-
-
 class ImplicitStage:
     """Solver of the stage-1 system (I - z_I/2) w = y, end rows identity.
 
     Row j of I - z_I/2 reads alpha w_j - sum_q beta_q (D_q w)_j for the
     implicit operators D_q (``terms``, pairs (D_q, beta_q)). Each D_q w is
-    S_q x + P_q w (`DerivativeOperator.split`), where x solves the
-    operator's system A x = B w (`BandedSystem`); the x of all distinct
-    systems are interleaved node by node. With E = sum_q beta_q S_q and
-    P = sum_q beta_q P_q (both zero in the end rows) the stage reads
+    row ``part`` of each node's block of x, where x solves the operator's
+    system A x = B w (`BandedSystem`), except at the patched rows, whose
+    stencils P_q read w itself. The x of all distinct systems are
+    interleaved node by node. With E x = sum_q beta_q (those rows of x)
+    and P = sum_q beta_q P_q (both zero in the end rows) the stage reads
 
         T w = y + E x,   T = diag(alpha; 1 at the ends) - P.
 
     T is diagonal but for the patched rows, whose stencils reach only
-    unpatched nodes, so W = T^{-1} is sparse and w = W (y + E x).
-    Substituted into A x = B w this leaves one banded system in x,
+    unpatched nodes, so W = T^{-1} = D^{-1} + D^{-1} P' D^{-1} (D the
+    diagonal and P' the rest of P) and w = W (y + E x). Substituted into
+    A x = B w this leaves one banded system in x,
 
         (A - B W E) x = B W y,
 
-    factored once. For imex-oucs3-lele it is the Lele system's
+    whose matrix and right-hand-side stencils are read from products with
+    comb vectors (`linalg.probe_stencil`) and factored once, B W folded in
+    (`linalg.PartitionedLU`). For imex-oucs3-lele it is the Lele system's
     tridiagonal-plus-stencil matrix A - (Pe/2)/(1 - Da/2) B. The
     elimination needs 1 - Da/2 != 0 (and a nonzero diagonal of T at the
     patched rows); LinearSolveError is raised otherwise.
@@ -200,65 +202,98 @@ class ImplicitStage:
 
     def __init__(self, n: int, alpha: float, terms):
         self.systems = list({id(op.system): op.system for op, _ in terms}.values())
-        width = sum(s.per_node for s in self.systems)
-        self.pos, off = [], 0
-        for s in self.systems:  # place of each x of a system in the interleaved order
-            i = np.arange(s.rhs.shape[0], dtype=np.int32)
+        offsets = np.cumsum([0] + [s.per_node for s in self.systems])
+        self.width = width = int(offsets[-1])
+        self.pos = []  # place of each x of a system in the interleaved order
+        for s, off in zip(self.systems, offsets):
+            i = np.arange(s.rhs.shape[0])
             self.pos.append(width * (i // s.per_node) + off + i % s.per_node)
-            off += s.per_node
-        self.w, self.we = self._eliminate(n, alpha, terms, width * n)
-        self.lu = self._factor(width * n)
+        self._eliminate(n, alpha, terms, offsets)
+        self.lu = PartitionedLU(*self.system())
 
-    def _eliminate(self, n: int, alpha: float, terms, size: int):
-        """W = T^{-1} and W E."""
-        import scipy.sparse
+    def system(self):
+        """(rows, lower, rhs): the row stencils of A - B W E with their
+        lower bandwidth, and B W as a `StencilMatrix`, both read from
+        products with comb vectors."""
+        width, n = self.width, len(self.dinv)
+        size = width * n
+        bw, bw_lower = trim_stencil(probe_stencil(self._bw, size, n, self.bw_lower,
+                                                  self.bw_upper, width), self.bw_lower)
+        # (A - B W E) reaches as many nodes as A and B W do
+        reach = [max(max(-(-getattr(s.lhs, side) // s.per_node) for s in self.systems), bw_side)
+                 for side, bw_side in (("lower", bw_lower), ("upper", len(bw) - 1 - bw_lower))]
+        lower, upper = (width * r + width - 1 for r in reach)
+        rows, lower = trim_stencil(probe_stencil(self._stage, size, size, lower, upper), lower)
+        return rows.T, lower, StencilMatrix(bw, bw_lower, width)
 
+    def _eliminate(self, n: int, alpha: float, terms, offsets):
+        """E (``e``: the weight of each interleaved x of a node), and W =
+        T^{-1} as ``dinv`` plus the patched rows' ``fix``; the node reach of
+        B W (``bw_lower``, ``bw_upper``)."""
         interior = np.ones(n)
         interior[[0, -1]] = 0.0
-        e = p = 0
+        self.e = np.zeros((n, self.width))
+        patch = {}  # (row, column) -> entry of P
         for op, beta in terms:
-            pick, patch = (scipy.sparse.diags_array(beta * interior) @ m for m in op.split())
-            pick = pick.tocoo()
-            pos = self.pos[[s is op.system for s in self.systems].index(True)]
-            e = e + scipy.sparse.csr_array((pick.data, (pick.row, pos[pick.col])), shape=(n, size))
-            p = p + patch
-        d = np.where(interior > 0, alpha, 1.0) - p.diagonal()
+            keep = interior.copy()
+            keep[[row for row, _, _ in op.patch]] = 0.0
+            self.e[:, offsets[self.systems.index(op.system)] + op.part] += beta * keep
+            for row, first, w in op.patch:
+                if interior[row]:
+                    for k, wk in enumerate(w):
+                        patch[row, first + k] = patch.get((row, first + k), 0.0) + beta * wk
+        d = np.where(interior > 0, alpha, 1.0)
+        for (row, col), v in patch.items():
+            if row == col:
+                d[row] -= v
         if not np.all(d):
             raise LinearSolveError(f"the implicit stage elimination needs 1 - Da/2 != 0 and a "
                                    f"nonzero patched-row pivot (1 - Da/2 = {alpha:g}, zero pivot "
                                    f"at node {int(np.argmin(np.abs(d)))})")
-        inv = scipy.sparse.diags_array(1 / d)
-        w = inv @ (scipy.sparse.eye_array(n) + (p - scipy.sparse.diags_array(p.diagonal())) @ inv)
-        return w.tocsr(), (w @ e).tocsr()
+        self.dinv = 1 / d
+        off = {rc: v for rc, v in patch.items() if rc[0] != rc[1]}
+        rows = sorted({r for r, _ in off})
+        cols = sorted({c for _, c in off})
+        k = np.zeros((len(rows), len(cols)))
+        for (r, c), v in off.items():
+            k[rows.index(r), cols.index(c)] = self.dinv[r] * v
+        self.fix = (np.array(rows, dtype=int), np.array(cols, dtype=int), k)
+        reach = [c - r for r, c in off] + [0]
+        self.bw_lower = max(s.rhs.lower for s in self.systems) - min(reach)
+        self.bw_upper = max(s.rhs.weights.shape[0] - 1 - s.rhs.lower
+                            for s in self.systems) + max(reach)
 
-    def _factor(self, size: int) -> BandedLU:
-        """LU of A - B W E in LAPACK factorization layout."""
-        def diagonals(a, pos):  # A x, one diagonal at a time
-            for d in range(-a.lower, a.upper + 1):
-                j = np.arange(max(d, 0), min(a.size, a.size + d))
-                yield pos[j - d], pos[j], a.bands[a.upper - d, j]
+    def _w(self, v: np.ndarray) -> np.ndarray:
+        """W v."""
+        t = self.dinv * v
+        rows, cols, k = self.fix
+        if len(rows):
+            t[rows] += k @ t[cols]
+        return t
 
-        def entries():  # (rows, columns, values), no position twice in one group
-            for s, pos in zip(self.systems, self.pos):
-                yield from diagonals(s.lhs, pos)
-                for i in range(0, len(pos), _CHUNK):  # -B W E x, _CHUNK rows at a time
-                    k = (s.rhs.csr[i:i + _CHUNK] @ self.we).tocoo()
-                    yield pos[i + k.row], k.col, -k.data
+    def _ex(self, x: np.ndarray) -> np.ndarray:
+        """E x."""
+        return np.einsum("ij,ij->i", x.reshape(-1, self.width), self.e)
 
-        spans = [(np.max(r - c), np.max(c - r)) for r, c, _ in entries()]
-        lower, upper = (int(max(x)) for x in zip(*spans))
-        ab = np.zeros((2 * lower + upper + 1, size), order="F")
-        for r, c, v in entries():
-            ab[lower + upper + r - c, c] += v
-        return BandedLU(ab, lower, upper)
+    def _stage(self, x: np.ndarray) -> np.ndarray:
+        """(A - B W E) x."""
+        wex = self._w(self._ex(x))
+        out = np.empty(len(x))
+        for s, pos in zip(self.systems, self.pos):
+            out[pos] = s.lhs @ x[pos] - s.rhs @ wex
+        return out
+
+    def _bw(self, y: np.ndarray) -> np.ndarray:
+        """B W y."""
+        wy = self._w(y)
+        out = np.empty(self.width * len(y))
+        for s, pos in zip(self.systems, self.pos):
+            out[pos] = s.rhs @ wy
+        return out
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """w with (I - z_I/2) w = y (end rows: w = y); complex y as two real solves."""
-        wy = self.w @ y
-        rhs = np.empty(self.we.shape[1], dtype=wy.dtype)
-        for s, pos in zip(self.systems, self.pos):
-            rhs[pos] = s.rhs.csr @ wy
-        return wy + self.we @ self.lu.solve(rhs)
+        return self._w(y + self._ex(self.lu.solve(y)))
 
 
 class Stepper:

@@ -1,14 +1,15 @@
-"""Banded and dense linear algebra.
+"""Banded and dense linear algebra, in NumPy.
 
 The operator builders assemble every compact left-hand side as a
 `BandedMatrix` (row-wise stencils via `BandedMatrix.from_rows` or
 `tridiagonal`) and every right-hand side as a `StencilMatrix`, the NumPy
 stencil weights of a sparse matrix. Two factorizations serve two jobs:
 
-* `BandedLU` (LAPACK gbtrf/gbtrs) applies an operator: factored once,
-  solved against one vector per step. With the CSR form of a
-  `StencilMatrix` (`StencilMatrix.csr`) it is all the 1D steppers need.
-* `TransposedBandLU` (NumPy, partial pivoting) forms rows of ``A^{-1} B``:
+* `PartitionedLU` applies ``A^{-1} B``: factored once, solved against one
+  vector per step. It cuts A into diagonal blocks with dense inverses and
+  couples them through a small interface system (a "SPIKE" solver), so a
+  solve is a few matrix products over runs of equal blocks, O(n).
+* `TransposedBandLU` (partial pivoting) forms rows of ``A^{-1} B``:
   row i is ``B^T y`` with ``A^T y = e_i``, so a row costs one O(n)
   transposed solve, and many rows are many unit right-hand sides of one
   call (`TransposedBandLU.inverse_rows`). Its solve loops over the
@@ -16,30 +17,27 @@ stencil weights of a sparse matrix. Two factorizations serve two jobs:
   operations, so a column solved alone equals the same column of a
   many-column call bit for bit.
 
-`solve_banded` and `solve_dense` (LAPACK) are the references the NumPy
-factorization and the operators are tested against; no operator assembly
-calls them. SciPy is imported only inside the LAPACK pieces (`BandedLU`,
-`solve_banded`, `solve_dense`) and `StencilMatrix.csr`, so forming rows
-and dense operators needs NumPy alone.
+`probe_stencil` reads the stencil weights of any banded linear map from a
+few products with comb vectors; the implicit 1D stage assembles its banded
+system with it. Nothing here imports SciPy.
 
 Dense matrices are plain float64/complex128 ndarrays of shape (n, m).
-Banded matrices use the LAPACK band layout (`scipy.linalg.solve_banded`):
-diagonal number ``u - i + j`` of the matrix lands in row ``i`` of the band
-array. All solvers are direct with partial pivoting; the operator assemblies
+Banded matrices use the LAPACK band layout: diagonal number ``u - i + j``
+of the matrix lands in row ``i`` of the band array. The operator assemblies
 combine boundary rows that break diagonal dominance (Lele's last row
-``u''_{N+1} + 11 u''_N``), so pivoting is not optional.
+``u''_{N+1} + 11 u''_N``), so the row solve pivots; the partitioned solve
+pivots only within a block (`np.linalg.inv`), and raises `LinearSolveError`
+on a singular block even where A itself is regular.
 
 Every solve satisfies the residual contract
 ``||a x - b||_inf <= 1e-10 (||a||_inf ||x||_inf + ||b||_inf)``
-for well-conditioned inputs; `residual_inf` and `residual_bound` compute
-its two sides so tests can assert it per call.
+for well-conditioned inputs; the tests assert it per call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +45,10 @@ from . import NumericalError
 
 #: unit right-hand sides per `TransposedBandLU.solve` call in `inverse_rows`
 UNIT_BLOCK = 512
+
+#: largest interface system `PartitionedLU` inverts densely; a larger one
+#: is partitioned again
+DENSE_INTERFACE = 512
 
 
 class LinearSolveError(NumericalError):
@@ -74,20 +76,6 @@ class BandedMatrix:
             raise ValueError("bandwidths must be < size")
         if self.bands.shape != (self.lower + self.upper + 1, self.size):
             raise ValueError("band array shape mismatch")
-
-    @classmethod
-    def from_dense(cls, a: np.ndarray, lower: int, upper: int) -> "BandedMatrix":
-        n = a.shape[0]
-        if a.shape != (n, n):
-            raise ValueError("matrix must be square")
-        bands = np.zeros((lower + upper + 1, n), dtype=a.dtype)
-        for d in range(-lower, upper + 1):
-            diag = np.diagonal(a, d)
-            if d >= 0:
-                bands[upper - d, d:d + len(diag)] = diag
-            else:
-                bands[upper - d, : len(diag)] = diag
-        return cls(n, lower, upper, bands)
 
     @classmethod
     def from_rows(cls, rows, lower: int) -> "BandedMatrix":
@@ -118,11 +106,19 @@ class BandedMatrix:
             rows[i, k] = self.bands[self.upper - d, i + d]
         return rows
 
-    def factor(self) -> "BandedLU":
-        """LU factors of a private copy; the matrix is left as it is."""
-        ab = np.zeros((2 * self.lower + self.upper + 1, self.size), order="F")
-        ab[self.lower:] = self.bands
-        return BandedLU(ab, self.lower, self.upper)
+    def factor(self, rhs: "StencilMatrix | None" = None) -> "PartitionedLU":
+        """Factors for ``x = a^{-1} rhs u`` (``a^{-1} u`` without ``rhs``);
+        the matrix is left as it is."""
+        return PartitionedLU(self.to_rows(), self.lower, rhs)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """a x for a vector x, one diagonal at a time."""
+        n = self.size
+        y = np.zeros(n, dtype=np.result_type(x, float))
+        for d in range(-self.lower, self.upper + 1):
+            j0, j1 = max(0, d), min(n, n + d)  # columns j of rows i = j - d inside
+            y[j0 - d:j1 - d] += self.bands[self.upper - d, j0:j1] * x[j0:j1]
+        return y
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.size, self.size), dtype=self.bands.dtype)
@@ -149,28 +145,26 @@ class StencilMatrix:
         m = self.weights.shape[1]
         return m, m // self.per_node
 
-    def _entries(self):
-        """(values, rows, columns) of the weights inside the matrix, row by
-        row in column order within each stencil offset."""
-        width, m = self.weights.shape
-        i = np.tile(np.arange(m, dtype=np.int32), width)
-        c = i // self.per_node + np.repeat(np.arange(width, dtype=np.int32), m) - self.lower
-        ok = (c >= 0) & (c < self.shape[1]) & (self.weights.ravel() != 0)
-        return self.weights.ravel()[ok], i[ok], c[ok]
-
     def toarray(self) -> np.ndarray:
+        width, m = self.weights.shape
         out = np.zeros(self.shape)
-        vals, i, c = self._entries()
-        out[i, c] = vals
+        i = np.tile(np.arange(m), width)
+        c = i // self.per_node + np.repeat(np.arange(width), m) - self.lower
+        ok = (c >= 0) & (c < self.shape[1])
+        out[i[ok], c[ok]] = self.weights.ravel()[ok]
         return out
 
-    @cached_property
-    def csr(self):
-        """The matrix as a scipy.sparse CSR array, made on first use."""
-        import scipy.sparse
-
-        vals, i, c = self._entries()
-        return scipy.sparse.csr_array((vals, (i, c)), shape=self.shape)
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """B v for a vector v of length n, one stencil entry at a time."""
+        width, m = self.weights.shape
+        r, n = self.per_node, self.shape[1]
+        out = np.zeros(m, dtype=np.result_type(v, float))
+        rows = out.reshape(n, r)
+        for k in range(width):
+            d = k - self.lower  # node q's rows reach column q + d
+            q0, q1 = max(0, -d), min(n, n - d)
+            rows[q0:q1] += self.weights[k].reshape(n, r)[q0:q1] * v[q0 + d:q1 + d, None]
+        return out
 
     def tdot(self, y: np.ndarray) -> np.ndarray:
         """B^T y for y of shape (r n, k), one stencil entry at a time, so
@@ -187,36 +181,183 @@ class StencilMatrix:
         return out
 
 
-def dense(m) -> np.ndarray:
-    """m as an ndarray; a sparse or stencil matrix is expanded."""
-    return m.toarray() if hasattr(m, "toarray") else np.asarray(m)
+def block_rows(lower: int, upper: int) -> int:
+    """Rows per diagonal block of `PartitionedLU` for a band: the power of
+    two at or above 8 (lower + upper + 1). A block is then at least 8 times
+    as tall as its interface (lower + upper rows), and a power of two is a
+    whole number of nodes of any interleaving of up to 8 unknowns per node
+    that this code base assembles, so interior blocks repeat."""
+    return 1 << (8 * (lower + upper + 1) - 1).bit_length()
 
 
-class BandedLU:
-    """LU factors of a banded matrix (LAPACK gbtrf, partial pivoting).
+class PartitionedLU:
+    """``x = A^{-1} B u`` for a banded A of size n, given by its row
+    stencils (``rows[i, k] = A[i, i - lower + k]``, as `BandedMatrix.to_rows`)
+    with bandwidths kl = ``lower`` and ku, and a `StencilMatrix` B of n rows
+    (the identity when ``rhs`` is None), by a partitioned ("SPIKE")
+    factorization in NumPy.
 
-    ``ab`` is a Fortran-ordered array of shape (2 lower + upper + 1, size)
-    holding the matrix in band layout from row ``lower`` on (the rows above
-    take the fill-in of pivoting); it is factored in place, so pass a
-    private array (`BandedMatrix.factor` does). Raises LinearSolveError on
-    an exactly singular pivot.
+    A is cut into p diagonal blocks A_i of m = `block_rows` (kl, ku) rows,
+    the last one completed by identity rows (so n <= m is one block). With
+    g_i = A_i^{-1} B_i u, block i of x is
+
+        x_i = g_i - W_i x_{i-1}^b - V_i x_{i+1}^t,
+
+    where the spikes W_i, V_i are A_i^{-1} times the coupling columns of A
+    left and right of the block that hold a nonzero entry at some cut, and
+    x^b, x^t the entries of the neighbouring blocks at those columns (at
+    most kl and ku of them). These equations taken at the rows of x^b and
+    x^t are the interface system of all cuts: banded, at most kl + ku
+    unknowns per cut, inverted densely up to ``DENSE_INTERFACE`` unknowns
+    and partitioned again by this class above that. Its own cuts couple
+    through as many columns, so every level keeps kl + ku unknowns per cut
+    and a solve is O(n) in time and memory.
+
+    Blocks whose rows of A and of B are byte-identical share one dense
+    inverse (the constant-coefficient interior makes nearly all of them
+    equal), and each run of equal blocks is applied as one GEMM: the rows
+    [input window of B_i, x_{i-1}^b, x_{i+1}^t] of all its blocks times
+    [A_i^{-1} B_i, -W_i, -V_i]^T. There is no pivoting across blocks: a
+    singular block, or a singular interface system, raises
+    LinearSolveError naming its rows, even where A itself is regular.
+    ``labels`` names the unknowns in those messages (the original rows,
+    when this is an interface system), and blocks hold a whole number of
+    ``period`` rows (the length of an interface system's row pattern).
     """
 
-    def __init__(self, ab: np.ndarray, lower: int, upper: int):
-        from scipy.linalg.lapack import dgbtrf, dgbtrs
+    def __init__(self, rows, lower: int, rhs: StencilMatrix | None = None, labels=None,
+                 period: int = 1):
+        rows = np.asarray(rows, dtype=float)
+        n, kl, ku = len(rows), lower, rows.shape[1] - 1 - lower
+        if rhs is None:
+            rhs = StencilMatrix(np.ones((1, n)), 0)
+        if rhs.shape[0] != n:
+            raise ValueError("rhs row count must equal matrix size")
+        r, width = rhs.per_node, rhs.weights.shape[0]
+        m = block_rows(kl, ku)
+        m += -m % math.lcm(r, period)  # blocks start at a node and repeat the rows' pattern
+        p = -(-n // m)
+        self.size, self.blocks, self.rows = n, p, m
+        self._zeros = (np.zeros(rhs.lower),
+                       np.zeros(p * m // r + width - 1 - rhs.lower - rhs.shape[1]))
+        self._take = (m // r) * np.arange(p)[:, None] + np.arange((m - 1) // r + width)
+        kinds, kind = {}, []  # key -> (kind number, A_i with its coupling columns, B_i, A_i^-1)
+        for i in range(p):
+            a_i, b_i = rows[i * m:i * m + m], rhs.weights[:, i * m:i * m + m]
+            if len(a_i) < m:  # identity rows complete the last block
+                a_i = np.vstack([a_i, np.eye(1, kl + ku + 1, kl).repeat(m - len(a_i), 0)])
+                b_i = np.hstack([b_i, np.zeros((width, m - b_i.shape[1]))])
+            key = a_i.tobytes() + b_i.tobytes()
+            if key not in kinds:
+                wide = _sheared(a_i)  # columns -kl .. m + ku - 1 of the block
+                rows_i = _name(labels, np.arange(i * m, min(n, i * m + m)))
+                kinds[key] = (len(kinds), wide, b_i.copy(),
+                              _inverse(wide[:, kl:kl + m], "diagonal block", rows_i))
+            kind.append(kinds[key][0])
+        kinds = list(kinds.values())
+        left = right = np.arange(0)  # the coupling columns with a nonzero entry
+        if p > 1:
+            left, right = (np.flatnonzero(np.any([np.any(k[1][:, cols] != 0, axis=0)
+                                                  for k in kinds], axis=0))
+                           for cols in (slice(0, kl), slice(kl + m, None)))
+        self._kl, self._ku = len(left), len(right)
+        self._s = s = len(left) + len(right)
+        made = []  # full, iface, tip of each kind
+        for _, wide, b_i, inv in kinds:
+            node = np.arange(m) // r  # each row's node in the input window
+            bd = np.zeros((m, node[-1] + width))
+            for k in range(width):
+                bd[np.arange(m), node + k] = b_i[k]
+            g = inv @ bd
+            spikes = inv @ np.hstack([wide[:, left], wide[:, kl + m + right]])
+            edge = np.r_[right, m - kl + left]  # rows of x^t, then of x^b
+            made.append((np.ascontiguousarray(np.hstack([g, -spikes]).T), g[edge].T.copy(),
+                         spikes[edge]))
+        self.runs = []  # [first block, count, full, iface] of each run of equal blocks
+        for i, k in enumerate(kind):
+            if i and kind[i - 1] == k:
+                self.runs[-1][1] += 1
+            else:
+                self.runs.append([i, 1, made[k][0], made[k][1]])
+        self._inv = self._child = None
+        if s:
+            cuts = m * np.arange(1, p)[:, None]
+            unknowns = _name(labels, np.hstack([cuts - kl + left, cuts + right]).ravel())
+            self._interface([made[k][2] for k in kind], unknowns)
+            self._ytake = (s * np.arange(p)[:, None]  # x_{i-1}^b, x_{i+1}^t
+                           + np.r_[self._ku:s, 2 * s:2 * s + self._ku])
 
-        self.lu, self.piv, info = dgbtrf(ab, lower, upper, overwrite_ab=1)
-        if info > 0:
-            raise LinearSolveError(f"singular banded system (zero pivot in column {info - 1})")
-        self.lower, self.upper = lower, upper
-        self._trs = dgbtrs
+    def _interface(self, tips, unknowns):
+        """The interface system, from the spikes at the interface rows of
+        every block (``tips``, rows x^t then x^b, columns W then V): its
+        dense inverse (``_inv``) or, above ``DENSE_INTERFACE`` unknowns, a
+        `PartitionedLU` of it (``_child``)."""
+        kl, ku, s, p = self._kl, self._ku, self._s, self.blocks
+        tips = np.array(tips)
+        lower, upper = (s + kl - 1 if kl else 0), (s + ku - 1 if ku else 0)
+        rows = np.zeros((p - 1, s, lower + upper + 1))  # cut c: x_c^b then x_{c+1}^t
+        rows[:, :, lower] = 1.0
+        t, q = np.arange(kl)[:, None], np.arange(ku)[None, :]
+        rows[:, t, lower + kl + q - t] = tips[:-1, ku:, kl:]  # V_c^b x_{c+1}^t
+        q = np.arange(kl)[None, :]
+        rows[:, t, lower - s + q - t] = tips[:-1, ku:, :kl]  # W_c^b x_{c-1}^b
+        t, q = np.arange(ku)[:, None], np.arange(kl)[None, :]
+        rows[:, kl + t, lower + q - kl - t] = tips[1:, :ku, :kl]  # W_{c+1}^t x_c^b
+        q = np.arange(ku)[None, :]
+        rows[:, kl + t, lower + s + q - t] = tips[1:, :ku, kl:]  # V_{c+1}^t x_{c+2}^t
+        rows, tips = rows.reshape(-1, lower + upper + 1), None
+        if len(rows) > DENSE_INTERFACE:
+            self._child = PartitionedLU(rows, lower, labels=unknowns, period=s)
+        else:
+            self._inv = _inverse(_sheared(rows)[:, lower:lower + len(rows)],
+                                 "interface system", unknowns)
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """x with a x = b, in the storage of b when b is a contiguous real
-        vector (pass a temporary); complex b is solved as two real ones."""
-        if np.iscomplexobj(b):
-            return self.solve(b.real.copy()) + 1j * self.solve(b.imag.copy())
-        return self._trs(self.lu, self.lower, self.upper, b, self.piv, overwrite_b=1)[0]
+    def solve(self, u: np.ndarray) -> np.ndarray:
+        """x = A^{-1} B u for a real or complex vector u; complex u is solved
+        as two real vectors."""
+        if np.iscomplexobj(u):
+            return self._solve(u.real) + 1j * self._solve(u.imag)
+        return self._solve(u)
+
+    def _solve(self, u: np.ndarray) -> np.ndarray:
+        ku, s, p, m = self._ku, self._s, self.blocks, self.rows
+        pad = np.concatenate((self._zeros[0], u, self._zeros[1]))
+        if len(pad) != self._take[-1, -1] + 1:
+            raise ValueError("input length does not match the right-hand side's columns")
+        q = np.empty((p, self._take.shape[1] + s))
+        q[:, :q.shape[1] - s] = pad[self._take]
+        if s:
+            g = np.empty((p, s))  # g_i^t, g_i^b of every block
+            for i, count, _, iface in self.runs:
+                np.matmul(q[i:i + count, :-s], iface, out=g[i:i + count])
+            rhs = g.reshape(-1)[ku:(p - 1) * s + ku]
+            x_edge = np.zeros((p + 2) * s)  # x_i^t, x_i^b of block i at (i + 1) s
+            if self._child is None:
+                np.matmul(self._inv, rhs, out=x_edge[s + ku:p * s + ku])
+            else:
+                x_edge[s + ku:p * s + ku] = self._child.solve(rhs)
+            q[:, -s:] = x_edge[self._ytake]
+        x = np.empty(p * m)
+        for i, count, full, _ in self.runs:
+            np.matmul(q[i:i + count], full, out=x[i * m:(i + count) * m].reshape(count, m))
+        return x[:self.size]
+
+
+def _name(labels, rows: np.ndarray) -> np.ndarray:
+    """The names of ``rows``: the rows themselves without ``labels``."""
+    return rows if labels is None else np.take(labels, rows, mode="clip")
+
+
+def _inverse(a: np.ndarray, what: str, labels) -> np.ndarray:
+    """a^{-1}; LinearSolveError naming the rows ``labels`` when a is singular."""
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        inv = None
+    if inv is None or not np.all(np.isfinite(inv)):
+        raise LinearSolveError(f"singular banded system (singular {what} of rows "
+                               f"{min(labels)}..{max(labels)}; no pivoting across blocks)")
+    return inv
 
 
 class TransposedBandLU:
@@ -303,6 +444,45 @@ class TransposedBandLU:
         return out
 
 
+def _sheared(rows: np.ndarray) -> np.ndarray:
+    """Row stencils ``rows`` (m, w) placed densely: entry [i, i + k] is
+    rows[i, k], so columns lower .. lower + m - 1 are the matrix."""
+    m, w = rows.shape
+    out = np.zeros((m, m + w - 1))
+    t = np.arange(m)
+    for k in range(w):
+        out[t, t + k] = rows[:, k]
+    return out
+
+
+def probe_stencil(apply, rows: int, cols: int, lower: int, upper: int,
+                  per_node: int = 1) -> np.ndarray:
+    """Stencil weights (lower + upper + 1, rows) of the linear map `apply`
+    from vectors of length ``cols`` to length ``rows``, in `StencilMatrix`
+    layout: row i may reach only the columns i // per_node - lower ..
+    i // per_node + upper, and must, or the comb teeth alias. One product
+    per comb vector (every (lower + upper + 1)-th column set to 1), so
+    O(rows) memory whatever the size."""
+    width = lower + upper + 1
+    weights = np.zeros((width, rows))
+    for c in range(width):
+        comb = np.zeros(cols)
+        comb[c::width] = 1.0
+        got = apply(comb).reshape(-1, per_node)
+        for k in range(width):
+            q0 = (c - k + lower) % width  # nodes whose column k is a tooth
+            weights[k].reshape(-1, per_node)[q0::width] = got[q0::width]
+    return weights
+
+
+def trim_stencil(weights: np.ndarray, lower: int):
+    """(weights, lower) without the all-zero outer stencil entries."""
+    used = np.flatnonzero(np.any(weights != 0, axis=1))
+    if not len(used):
+        return weights[lower:lower + 1], 0
+    return weights[used[0]:used[-1] + 1], lower - int(used[0])
+
+
 def tridiagonal(lo, diag, up) -> BandedMatrix:
     """Banded matrix with constant or per-row sub/main/super diagonals.
 
@@ -312,64 +492,19 @@ def tridiagonal(lo, diag, up) -> BandedMatrix:
     return BandedMatrix.from_rows(np.column_stack(np.broadcast_arrays(lo, diag, up)), 1)
 
 
-def solve_banded(a: BandedMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b for one or many right-hand sides (LAPACK).
-
-    Raises LinearSolveError on a singular or near-singular pivot, which in
-    this code base signals an ill-posed stencil assembly. A sparse or
-    stencil b is expanded first.
-    """
-    import scipy.linalg
-
-    b = np.asarray(dense(b), dtype=float)
-    if b.shape[0] != a.size:
-        raise ValueError("rhs row count must equal matrix size")
-    try:
-        x = scipy.linalg.solve_banded((a.lower, a.upper), a.bands, b)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise LinearSolveError(str(exc)) from exc
-    if not np.all(np.isfinite(x)):
-        raise LinearSolveError("non-finite solution (singular banded system)")
-    return x
-
-
 def solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """LU solve with partial pivoting; b may hold multiple right-hand sides.
-
-    Inverse-times-matrix is one call: solve_dense(a, m) == a^{-1} m. A
-    sparse or stencil b is expanded first.
-    """
-    import scipy.linalg
-
-    a = np.asarray(a)
+    """LU solve with partial pivoting (`numpy.linalg.solve`); b may hold
+    multiple right-hand sides, so solve_dense(a, m) == a^{-1} m."""
+    a, b = np.asarray(a), np.asarray(b)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
-    b = dense(b)
     if b.shape[0] != n:
         raise ValueError("rhs row count must equal matrix size")
     try:
-        x = scipy.linalg.solve(a, b)
-    except scipy.linalg.LinAlgError as exc:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
         raise LinearSolveError(str(exc)) from exc
     if not np.all(np.isfinite(x)):
         raise LinearSolveError("non-finite solution (singular dense system)")
     return x
-
-
-def residual_inf(a, x, b) -> float:
-    """||a x - b||_inf, for asserting the solve contract (b may be sparse)."""
-    a = np.asarray(a)
-    if isinstance(a, np.ndarray) and a.ndim == 2:
-        r = a @ x - dense(b)
-    else:
-        raise ValueError("dense matrix expected")
-    return float(np.max(np.abs(r)))
-
-
-def residual_bound(a, x, b, tol: float = 1e-10) -> float:
-    """Right-hand side of the residual contract for given operands."""
-    na = float(np.max(np.sum(np.abs(a), axis=1)))
-    nx = float(np.max(np.abs(x)))
-    nb = float(np.max(np.abs(dense(b))))
-    return tol * (na * nx + nb)

@@ -10,16 +10,16 @@ bands on each side) together with B as a `linalg.StencilMatrix`, the NumPy
 weights of its row stencils (five to seven entries per row), and the builder
 wraps the pair in a `BandedSystem` plus the boundary rows it patches. The
 explicit CD2 operators are the same with A = I. Nothing of size N x N is formed:
-``D @ u`` is one solve with the pre-factored A (LAPACK) plus the patched
-rows, O(N) per call. Row i of A^{-1} B is B^T y with A^T y = e_i, one O(N)
-transposed solve with NumPy LU factors of A (`linalg.TransposedBandLU`), so
-neither B nor D is expanded to get a row. Row symbols read one row
+``D @ u`` is one partitioned solve of A x = B u with B folded into its block
+products (`linalg.PartitionedLU`) plus the patched rows, O(N) per call. Row
+i of A^{-1} B is B^T y with A^T y = e_i, one O(N) transposed solve with
+NumPy LU factors of A (`linalg.TransposedBandLU`), so neither B nor D is
+expanded to get a row. Row symbols read one row
 (`DerivativeOperator.row`), cached per node. The dense D
 (`DerivativeOperator.matrix`) is every row solved the same way, in blocks of
 unit right-hand sides, on first read; the PKS line operators and the tests
 read it. A row therefore equals the same row of the dense D bit for bit.
-Forming rows needs NumPy alone; SciPy is loaded only when an operator is
-applied (`BandedSystem.solve`, `DerivativeOperator.split`).
+Building, reading and applying operators needs NumPy alone.
 
 Node numbering follows the 1-based convention j = 1..N+1 common in the
 compact-scheme literature; storage is 0-based, so "row j" below means matrix
@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import BandedLU, BandedMatrix, StencilMatrix, TransposedBandLU, tridiagonal
+from .linalg import BandedMatrix, PartitionedLU, StencilMatrix, TransposedBandLU, tridiagonal
 
 #: Interior coefficients of the tridiagonal second-derivative scheme:
 #: alpha u''_{j-1} + u''_j + alpha u''_{j+1}
@@ -77,8 +77,8 @@ class BandedSystem:
     `StencilMatrix` of shape (r N, N); node j owns rows r j .. r j + r - 1
     of y, and an operator reads one of them (NCCD: r = 2, u' and u'' of one
     solve). Two factorizations of A are made on first use and cached: the
-    LAPACK one (``lu``, of a private copy) applies the operators, and the
-    NumPy one (``row_lu``) gives rows of A^{-1} B by transposed solves:
+    partitioned one of A with B folded in (``lu``) applies the operators,
+    and the pivoting LU (``row_lu``) gives rows of A^{-1} B by transposed solves:
     `dense`, read by the PKS line operators and the tests, and `node_rows`,
     read by the row symbols.
     """
@@ -87,8 +87,8 @@ class BandedSystem:
     rhs: StencilMatrix
 
     @cached_property
-    def lu(self) -> BandedLU:
-        return self.lhs.factor()
+    def lu(self) -> PartitionedLU:
+        return self.lhs.factor(self.rhs)
 
     @cached_property
     def row_lu(self) -> TransposedBandLU:
@@ -100,7 +100,7 @@ class BandedSystem:
 
     def solve(self, u: np.ndarray) -> np.ndarray:
         """y = A^{-1} B u, O(N)."""
-        return self.lu.solve(self.rhs.csr @ u)
+        return self.lu.solve(u)
 
     @cached_property
     def dense(self) -> np.ndarray:
@@ -170,23 +170,6 @@ class DerivativeOperator:
         for row, first, w in self.patch:  # one write per row, so a repeat changes nothing
             m[row] = np.pad(w, (first, len(m) - first - len(w)))
         return m
-
-    def split(self):
-        """Sparse (S, P) with D = S A^{-1} B + P: S picks row ``part`` of
-        each node's block of y except at the patched rows, which P holds."""
-        import scipy.sparse
-
-        n, r = self.n_points, self.system.per_node
-        keep = np.setdiff1d(np.arange(n, dtype=np.int32), [row for row, _, _ in self.patch])
-        pick = scipy.sparse.csr_array((np.ones(len(keep)), (keep, r * keep + self.part)),
-                                      shape=(n, r * n))
-        rows, cols, vals = [], [], []
-        for row, first, w in self.patch:
-            rows += [row] * len(w)
-            cols += range(first, first + len(w))
-            vals += list(w)
-        rows, cols = np.array(rows, dtype=np.int32), np.array(cols, dtype=np.int32)
-        return pick, scipy.sparse.csr_array((vals, (rows, cols)), shape=(n, n))
 
     def row(self, node: int) -> np.ndarray:
         """Row `node` (0-based) of D, equal to ``matrix[node]`` bit for bit

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -11,6 +12,9 @@ from adrlab.adr1d import AdrInstabilityError
 from adrlab.cli import main
 from adrlab.linalg import LinearSolveError
 from adrlab.pks2d import EdgeReconstructionError, NonFiniteError, PositivityError
+
+
+SCHEMES = ["explicit-oucs3-cd2", "implicit-oucs3-lele", "imex-oucs3-lele", "imex-nccd"]
 
 
 def run_cli(args):
@@ -286,13 +290,29 @@ def test_wavepacket_run_leaves_scipy_integrate_unloaded(tmp_path):
                "--kh-points", "3", "--nc-points", "2"),
     _main_call("pks", "--variant", "imex-nccd", "--n", "16", "--t-end", "1e-8"),
     "import adrlab.spectral",
-], ids=["explicit-pks-run", "import-pks2d", "dispersion-map-run", "imex-pks-run",
-        "import-spectral"])
+] + [_main_call("wavepacket", "--scheme", s, "--n", "101", "--t-end", "0.02") for s in SCHEMES],
+    ids=["explicit-pks-run", "import-pks2d", "dispersion-map-run", "imex-pks-run",
+         "import-spectral"] + [f"wavepacket-{s}-run" for s in SCHEMES])
 def test_explicit_pks_loads_no_scipy(code, tmp_path):
-    # only the 1D steppers (wavepacket) apply operators, which loads SciPy
+    # every command runs on NumPy alone, the 1D steppers' solves included
     rc, mods = _fresh_run(code, tmp_path)
     assert rc == 0
     assert [m for m in mods if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def test_no_program_module_imports_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src",
+                       "adrlab")
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as f:
+                tree = ast.parse(f.read(), name)
+            for node in ast.walk(tree):
+                mods = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                        else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+                found += [(name, m) for m in mods if m.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_imex_pks_run_loads_nccd_operators_on_demand(tmp_path):

@@ -6,12 +6,10 @@ from adrlab.linalg import (
     LinearSolveError,
     StencilMatrix,
     TransposedBandLU,
-    residual_bound,
-    residual_inf,
-    solve_banded,
     solve_dense,
     tridiagonal,
 )
+from reference import from_dense, residual_bound, residual_inf, solve_banded
 
 
 def test_banded_identity():
@@ -44,7 +42,7 @@ def test_banded_matches_dense_lu(rng):
 
 def test_band_roundtrip(rng):
     dense = np.triu(np.tril(rng.normal(size=(7, 7)), 1), -2)
-    bm = BandedMatrix.from_dense(dense, 2, 1)
+    bm = from_dense(dense, 2, 1)
     assert np.array_equal(bm.to_dense(), dense)
 
 
@@ -61,7 +59,7 @@ def test_from_rows_places_stencils_and_drops_outside_entries(rng):
     bm = BandedMatrix.from_rows(rows, lower)
     assert (bm.lower, bm.upper) == (lower, upper)
     assert np.array_equal(bm.to_dense(), want)
-    assert np.array_equal(BandedMatrix.from_dense(want, lower, upper).bands, bm.bands)
+    assert np.array_equal(from_dense(want, lower, upper).bands, bm.bands)
 
 
 def test_tridiagonal_per_row_arrays():
@@ -126,7 +124,7 @@ def random_band(rng, n, lower, upper, dominant):
 
 def transposed_reference(a, b):
     """LAPACK solve of a^T x = b."""
-    return solve_banded(BandedMatrix.from_dense(a.to_dense().T, a.upper, a.lower), b)
+    return solve_banded(from_dense(a.to_dense().T, a.upper, a.lower), b)
 
 
 @pytest.mark.parametrize("n, lower, upper", [(40, 1, 1), (40, 2, 1), (40, 3, 3), (7, 3, 3),
@@ -202,7 +200,8 @@ def test_stencil_matrix_forms_agree(rng, per_node, lower):
             if 0 <= c < n:
                 want[i, c] = weights[k, i]
     assert np.array_equal(b.toarray(), want)
-    assert np.array_equal(b.csr.toarray(), want)
+    v = rng.normal(size=n)
+    assert np.allclose(b @ v, want @ v, rtol=0, atol=1e-13)
     y = rng.normal(size=(per_node * n, 4))
     assert np.allclose(b.tdot(y), want.T @ y, rtol=0, atol=1e-13)
     for c in range(4):
@@ -216,9 +215,100 @@ def test_inverse_rows_are_rows_of_the_dense_solve(rng, monkeypatch):
     n = 11
     a = random_band(rng, 2 * n, 3, 3, dominant=False)
     b = StencilMatrix(rng.normal(size=(5, 2 * n)), 2, per_node=2)
-    want = solve_dense(a.to_dense(), b)
+    want = solve_dense(a.to_dense(), b.toarray())
     rows = range(3, 2 * n)
     got = TransposedBandLU(a).inverse_rows(b, rows)
     assert got.shape == (len(rows), n)
     assert np.max(np.abs(got - want[3:])) <= 1e-12 * np.max(np.abs(want))
     assert np.array_equal(TransposedBandLU(a).inverse_rows(b, range(7, 8))[0], got[4])
+
+
+# The partitioned factorization of every matrix a stepper factors, against
+# LAPACK (`reference.solve_banded`).
+
+def stage_config(n):
+    from adrlab.adr1d import AdrConfig
+    from adrlab.operators import Grid1D
+
+    # N_c = 0.3, Pe = 0.225, Da = -0.01 (the banded-step test's) at any n
+    return AdrConfig(15.0, 11.25, -0.5, 0.02, Grid1D(n, 1.0))
+
+
+def factored(name, n):
+    """(factorization, A as row stencils with its lower bandwidth, B) of one
+    matrix a stepper factors, on n nodes."""
+    from adrlab.adr1d import SchemeId, make_stepper
+    from adrlab import operators
+
+    grid = operators.Grid1D(n, 1.0)
+    if name in ("cd2", "oucs3", "lele", "nccd"):
+        build = {"cd2": operators.build_cd2_second, "oucs3": operators.build_oucs3,
+                 "lele": operators.build_lele_second,
+                 "nccd": lambda g: operators.build_nccd(g)[0]}[name]
+        system = build(grid).system
+        return system.lu, system.lhs.to_rows(), system.lhs.lower, system.rhs
+    stage = make_stepper(SchemeId(name), stage_config(n)).stage
+    return (stage.lu,) + stage.system()
+
+
+FACTORED = ["cd2", "oucs3", "lele", "nccd", "implicit-oucs3-lele", "imex-oucs3-lele",
+            "imex-nccd"]
+
+
+def one_block_nodes(name):
+    """Nodes that make the system exactly one block of the factorization."""
+    lu = factored(name, 101)[0]
+    return lu.rows * 101 // lu.size
+
+
+@pytest.mark.parametrize("name", FACTORED)
+@pytest.mark.parametrize("where", ["n7", "one-block", "one-node-over", "n1001"])
+def test_partitioned_solve_matches_lapack(rng, name, where):
+    n = {"n7": 7, "n1001": 1001}.get(where) or one_block_nodes(name) + (where == "one-node-over")
+    lu, rows, lower, b = factored(name, n)
+    assert (lu.blocks == 1) == (where in ("n7", "one-block")) or where == "n1001"
+    a = BandedMatrix.from_rows(rows, lower)
+    bd = b.toarray()
+    for u in (rng.normal(size=n), rng.normal(size=n) + 1j * rng.normal(size=n)):
+        rhs = bd @ u
+        want = solve_banded(a, rhs.real) + 1j * solve_banded(a, rhs.imag)
+        x = lu.solve(u)
+        assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want)), name
+        assert residual_inf(a.to_dense(), x, rhs) <= residual_bound(a.to_dense(), x, rhs)
+
+
+@pytest.mark.parametrize("name", FACTORED)
+def test_partitioned_solve_residual_at_n_1e5(rng, name):
+    n = 100_000
+    lu, rows, lower, b = factored(name, n)
+    assert lu._child is not None or name == "cd2"  # A = I has no interface system
+    a = BandedMatrix.from_rows(rows, lower)
+    u = rng.normal(size=n)
+    x, rhs = lu.solve(u), b @ u
+    residual = np.max(np.abs(a @ x - rhs))
+    bound = 1e-10 * (np.max(np.sum(np.abs(rows), axis=1)) * np.max(np.abs(x))
+                     + np.max(np.abs(rhs)))
+    assert residual <= bound, name
+
+
+def test_partitioned_singular_diagonal_block_raises_naming_its_rows():
+    # A is regular (row 31 reads x_32), but block 0 (rows 0..31) has a zero row
+    n = 64
+    rows = np.tile([0.5, 4.0, 0.5], (n, 1))
+    rows[31] = (0.0, 0.0, 1.0)
+    assert abs(np.linalg.det(BandedMatrix.from_rows(rows, 1).to_dense())) > 0
+    with pytest.raises(LinearSolveError, match=r"diagonal block of rows 0\.\.31"):
+        BandedMatrix.from_rows(rows, 1).factor()
+
+
+def test_partitioned_singular_matrix_raises_naming_its_rows():
+    # rows 31 and 32 are equal; each diagonal block alone is regular
+    n = 64
+    rows = np.tile([0.0, 1.0, 0.0], (n, 1))
+    rows[31] = rows[32] = (1.0, 1.0, 1.0)
+    rows[31, 0] = rows[32, 2] = 0.0
+    rows[31, 2], rows[32, 0] = 1.0, 1.0
+    with pytest.raises(LinearSolveError, match=r"interface system of rows 31\.\.32"):
+        BandedMatrix.from_rows(rows, 1).factor()
+    with pytest.raises(LinearSolveError, match="singular"):
+        tridiagonal(0.0, np.zeros(4), 0.0).factor()
