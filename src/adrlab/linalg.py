@@ -183,10 +183,8 @@ class StencilMatrix:
 
 def block_rows(lower: int, upper: int) -> int:
     """Rows per diagonal block of `PartitionedLU` for a band: the power of
-    two at or above 8 (lower + upper + 1). A block is then at least 8 times
-    as tall as its interface (lower + upper rows), and a power of two is a
-    whole number of nodes of any interleaving of up to 8 unknowns per node
-    that this code base assembles, so interior blocks repeat."""
+    two at or above 8 (lower + upper + 1), so a block is at least 8 times
+    as tall as its interface (at most lower + upper rows)."""
     return 1 << (8 * (lower + upper + 1) - 1).bit_length()
 
 
@@ -462,7 +460,7 @@ def probe_stencil(apply, rows: int, cols: int, lower: int, upper: int,
     layout: row i may reach only the columns i // per_node - lower ..
     i // per_node + upper, and must, or the comb teeth alias. One product
     per comb vector (every (lower + upper + 1)-th column set to 1), so
-    O(rows) memory whatever the size."""
+    beside the weights it holds a few vectors, never a dense matrix."""
     width = lower + upper + 1
     weights = np.zeros((width, rows))
     for c in range(width):
@@ -478,8 +476,6 @@ def probe_stencil(apply, rows: int, cols: int, lower: int, upper: int,
 def trim_stencil(weights: np.ndarray, lower: int):
     """(weights, lower) without the all-zero outer stencil entries."""
     used = np.flatnonzero(np.any(weights != 0, axis=1))
-    if not len(used):
-        return weights[lower:lower + 1], 0
     return weights[used[0]:used[-1] + 1], lower - int(used[0])
 
 
