@@ -217,8 +217,12 @@ class ImplicitStage:
         products with comb vectors."""
         width, n = self.width, len(self.dinv)
         size = width * n
+        # a copy, so the untrimmed probe goes before the stage is probed and
+        # factored (the stage stencil is not copied: it is trimmed little or
+        # not at all, and a copy would double it at the peak)
         bw, bw_lower = trim_stencil(probe_stencil(self._bw, size, n, self.bw_lower,
                                                   self.bw_upper, width), self.bw_lower)
+        bw = bw.copy()
         # (A - B W E) reaches as many nodes as A and B W do
         reach = [max(max(-(-getattr(s.lhs, side) // s.per_node) for s in self.systems), bw_side)
                  for side, bw_side in (("lower", bw_lower), ("upper", len(bw) - 1 - bw_lower))]

@@ -34,10 +34,13 @@ The variants differ only in the split:
   Positivity is not kept near blow-up: the compact second-derivative row
   has alternating-sign weights (-0.558 two cells away), so once the spike
   is cell-size rho + (dt/2) lap(rho) turns negative beside it, whatever
-  dt. On the 200^2 Gaussian run (chi = 30) this happens near t = 3.5e-6,
-  at cell (100, 102), for dt = 1e-8 to 5e-8. The line operators are not in
-  conservation form, so mass also drifts where rho at the walls is far
-  from zero (coarse meshes).
+  dt. On the 200^2 Gaussian run (chi = 30) this happens at t = 3.48e-6
+  for dt = 1e-8 and 2e-8 and at 3.45e-6 for 5e-8. The run is symmetric
+  under the eight reflections of the square, so the eight images of the
+  cell tie up to roundoff and roundoff picks the one named: at dt = 1e-8
+  (value -4.06737) it is (102, 99) with one BLAS thread and (99, 102) with
+  two. The line operators are not in conservation form, so mass also
+  drifts where rho at the walls is far from zero (coarse meshes).
 
 Solutions above the critical mass concentrate into a cell-size spike in
 finite time; runs stop at the requested horizon or abort with a
@@ -175,58 +178,79 @@ def minmod(*args):
     return np.where(mn > 0, mn, np.where(mx < 0, mx, 0.0))
 
 
-# Every 2D kernel below works along axis 0 (x); the y direction is the same
-# kernel applied to transposed views. Kernels return arrays in their input's
-# memory layout, so a y pass never mixes C- and Fortran-ordered operands.
-# Each takes an optional `work` set (`_Work`): with one, its results and
-# scratch live in work arrays; without, it returns fresh arrays.
+# Every 2D kernel below works along axis 0 (x) of a C-contiguous array; the
+# y pass is the same kernel applied to a C-contiguous copy of the field's
+# transpose (`_transposed`), so both passes run along contiguous lines, and
+# the y results come back as transposed views. Each kernel takes an optional
+# `work` set (`_Work`): with one, its results and scratch live in work
+# arrays; without, it returns fresh arrays.
 
 class _Work:
     """The reusable work arrays of one stepper, for one mesh shape.
 
-    Each is a flat buffer large enough for an array of the mesh with one
-    more row and column, so the same buffer serves the x pass and, as a
-    transposed view, the y pass. `take` hands out a free buffer and makes
-    one only when none is free, so during its first step a stepper grows
-    the set to the most arrays a step holds at once. `give` frees a buffer
-    and ignores arrays that are not work arrays; `reset` frees them all at
-    the start of a step, so a step that raised leaves none taken.
+    Each is a flat buffer large enough for an array of the mesh, or of its
+    transpose, with one more row and column. `take` hands out a free buffer
+    and makes one only when none is free, so during its first step a
+    stepper grows the set to the most arrays a step holds at once. `give`
+    frees a buffer, found by id, and ignores arrays that are not work
+    arrays; `reset` frees them all at the start of a step, so a step that
+    raised leaves none taken. `transposed` copies a field's transpose once
+    and hands out that copy until `give_transposed`, which each split of
+    the right-hand sides, and stage 1, calls when done with the copies.
     """
 
     def __init__(self, shape):
         self.shape = shape
         self._size = (shape[0] + 1) * (shape[1] + 1)
         self.buffers: list = []
-        self._free: list = []
+        self._ids: set = set()
+        self._free: dict = {}
+        self._transposes: dict = {}
 
     def reset(self) -> None:
-        self._free = list(self.buffers)
+        self._free = {id(b): b for b in self.buffers}
+        self._transposes = {}
 
-    def take(self, shape, transposed: bool) -> np.ndarray:
+    def take(self, shape) -> np.ndarray:
         if not self._free:
-            self.buffers.append(np.empty(self._size))
-            self._free.append(self.buffers[-1])
-        flat = self._free.pop()[:shape[0] * shape[1]]
-        return flat.reshape(shape[::-1]).T if transposed else flat.reshape(shape)
+            b = np.empty(self._size)
+            self.buffers.append(b)
+            self._ids.add(id(b))
+            self._free[id(b)] = b
+        return self._free.popitem()[1][:shape[0] * shape[1]].reshape(shape)
 
     def give(self, *arrays) -> None:
         for a in arrays:
-            if (any(a.base is b for b in self.buffers)
-                    and not any(a.base is b for b in self._free)):
-                self._free.append(a.base)
+            if id(a.base) in self._ids:
+                self._free[id(a.base)] = a.base
+
+    def transposed(self, f: np.ndarray) -> np.ndarray:
+        # keyed by id; the entry holds f, so no other array takes its id
+        if id(f) not in self._transposes:
+            t = self.take(f.shape[::-1])
+            np.copyto(t, f.T)
+            self._transposes[id(f)] = (f, t)
+        return self._transposes[id(f)][1]
+
+    def give_transposed(self) -> None:
+        self.give(*(t for _, t in self._transposes.values()))
+        self._transposes = {}
 
 
 def _take(work, like: np.ndarray, rows: int) -> np.ndarray:
-    """An uninitialised array of `rows` rows in `like`'s layout."""
+    """An uninitialised C-contiguous array of `rows` rows shaped like `like`."""
     shape = (rows,) + like.shape[1:]
-    if work is None:
-        return np.empty_like(like, shape=shape)
-    return work.take(shape, like.flags.f_contiguous and not like.flags.c_contiguous)
+    return np.empty(shape) if work is None else work.take(shape)
 
 
 def _give(work, *arrays) -> None:
     if work is not None:
         work.give(*arrays)
+
+
+def _transposed(f: np.ndarray, work=None) -> np.ndarray:
+    """f.T as a C-contiguous array: the y lines of f as rows, for the x kernels."""
+    return np.ascontiguousarray(f.T) if work is None else work.transposed(f)
 
 
 def _axis_diff(f: np.ndarray, h: float, out=None) -> np.ndarray:
@@ -260,7 +284,8 @@ def _limited_slopes(rho: np.ndarray, h: float, theta: float, work=None) -> np.nd
 def adaptive_slopes(rho_field: Field2D, theta: float, work=None):
     """Cell slopes (x, y) from `_limited_slopes`."""
     rho, m = rho_field.values, rho_field.mesh
-    return _limited_slopes(rho, m.h, theta, work), _limited_slopes(rho.T, m.k, theta, work).T
+    return (_limited_slopes(rho, m.h, theta, work),
+            _limited_slopes(_transposed(rho, work), m.k, theta, work).T)
 
 
 def _cd2_velocity(c: np.ndarray, h: float, work=None) -> np.ndarray:
@@ -283,27 +308,61 @@ _LINE_OPS: dict = {}
 
 
 def _nccd_line_ops(n: int):
-    """Cached per-line compact (D1, D2) as n x n matrices: built on n + 2
-    nodes for the mirror-padded line (u_1, u_1..u_n, u_n), ghost rows dropped
-    and ghost columns folded into the boundary columns (zero-Neumann).
-    Only the IMEX variant calls this, so only it loads `operators` (NumPy only)."""
+    """Cached per-line compact (D1, D2, D2's `_halves`), D1 and D2 as n x n
+    matrices: built on n + 2 nodes for the mirror-padded line (u_1,
+    u_1..u_n, u_n), ghost rows dropped and ghost columns folded into the
+    boundary columns (zero-Neumann). Only the IMEX variant calls this, so
+    only it loads `operators` (NumPy only)."""
     if n not in _LINE_OPS:
         from .operators import Grid1D, build_nccd
 
         d1p, d2p = build_nccd(Grid1D(n + 2, 1.0))
-        _LINE_OPS[n] = (_fold_ghosts(d1p.matrix), _fold_ghosts(d2p.matrix))
+        d2 = _fold_ghosts(d2p.matrix)
+        _LINE_OPS[n] = (_fold_ghosts(d1p.matrix), d2, _halves(d2))
     return _LINE_OPS[n]
 
 
-def _lines(d: np.ndarray, f: np.ndarray, out=None) -> np.ndarray:
-    """d @ f (d applied to every line along axis 0), in f's memory layout."""
-    if f.flags.f_contiguous:
-        return np.matmul(f.T, d.T, out=None if out is None else out.T).T
-    return np.matmul(d, f, out=out)
+def _halves(m: np.ndarray):
+    """The reflection halves (S, A) of a centrosymmetric n x n matrix M
+    (J M J = M, J the reversal), read from its top r = n - n // 2 rows.
+
+    M maps even vectors (Jf = f) to even ones and odd vectors (Jf = -f) to
+    odd ones. With h = n // 2, p = f[:r] + (Jf)[:r] is twice the top r
+    entries of f's even part and q = f[:h] - (Jf)[:h] twice the top h of its
+    odd part (the middle entry of an odd n is even); S p and A q are the top
+    entries of the even and odd parts of M f, from which `_reflected`
+    assembles M f. D2 and the stage-1 line factors are centrosymmetric to
+    roundoff; D1 is not, its beta rows at the two ends differ.
+    """
+    n = len(m)
+    h = n // 2
+    r = n - h
+    s = m[:r, :r].copy()
+    s[:, :h] += m[:r, r:][:, ::-1]
+    return 0.5 * s, 0.5 * (m[:h, :h] - m[:h, r:][:, ::-1])
+
+
+def _reflected(halves, f: np.ndarray, out: np.ndarray, work=None) -> np.ndarray:
+    """M @ f into `out` (which must not overlap f), for M given by its
+    `_halves`: the two half-size products on (p, q) do half the flops of
+    one n x n product."""
+    s_half, a_half = halves
+    n = len(f)
+    h = n // 2
+    r = n - h
+    pq = _take(work, f, n)
+    np.add(f[:r], f[h:][::-1], out=pq[:r])
+    np.subtract(f[:h], f[r:][::-1], out=pq[r:])
+    s = np.matmul(s_half, pq[:r], out=out[:r])
+    a = np.matmul(a_half, pq[r:], out=pq[:h])     # over p, which s has read
+    np.subtract(s[:h], a, out=out[r:][::-1])
+    np.add(s[:h], a, out=out[:h])
+    _give(work, pq)
+    return out
 
 
 def _nccd_velocity(c: np.ndarray, h: float, work=None) -> np.ndarray:
-    out = _lines(_nccd_line_ops(len(c))[0], c, _take(work, c, len(c)))
+    out = np.matmul(_nccd_line_ops(len(c))[0], c, out=_take(work, c, len(c)))
     return np.divide(out, h, out=out)
 
 
@@ -324,7 +383,7 @@ def chemotactic_velocity(c_field: Field2D, variant: PksVariant):
     """
     c, m = c_field.values, c_field.mesh
     d1 = _velocity_kernel(variant)
-    u, vt = d1(c, m.h), d1(c.T, m.k)
+    u, vt = d1(c, m.h), d1(_transposed(c), m.k)
     return u, vt.T, _edge_mean(u), _edge_mean(vt).T
 
 
@@ -394,11 +453,13 @@ def edge_fluxes(state: PksState, variant: PksVariant, work=None) -> EdgeFluxes:
     sx, sy = adaptive_slopes(state.rho, state.theta, work)
     floor = _edge_floor(rho)
     return EdgeFluxes(_axis_flux(rho, sx, c, m.h, state.chi, variant, floor, 0, work),
-                      _axis_flux(rho.T, sy.T, c.T, m.k, state.chi, variant, floor, 1, work).T)
+                      _axis_flux(_transposed(rho, work), sy.T, _transposed(c, work), m.k,
+                                 state.chi, variant, floor, 1, work).T)
 
 
-def _cd2_second(f: np.ndarray, h: float, out=None) -> np.ndarray:
-    """(f[i+1] - 2 f[i] + f[i-1]) / h^2 with mirror ghosts (zero-Neumann walls)."""
+def _cd2_second(f: np.ndarray, h: float, out: np.ndarray, work=None) -> np.ndarray:
+    """(f[i+1] - 2 f[i] + f[i-1]) / h^2 with mirror ghosts (zero-Neumann
+    walls); `work` is unused (both second-derivative kernels take it)."""
     out = np.multiply(f, 2, out=out)
     np.subtract(f[1:], out[:-1], out=out[:-1])
     np.subtract(f[-1], out[-1], out=out[-1])
@@ -407,14 +468,15 @@ def _cd2_second(f: np.ndarray, h: float, out=None) -> np.ndarray:
     return np.divide(out, h**2, out=out)
 
 
-def _nccd_second(f: np.ndarray, h: float, out=None) -> np.ndarray:
-    out = _lines(_nccd_line_ops(len(f))[1], f, out)
+def _nccd_second(f: np.ndarray, h: float, out: np.ndarray, work=None) -> np.ndarray:
+    out = _reflected(_nccd_line_ops(len(f))[2], f, out, work)
     return np.divide(out, h**2, out=out)
 
 
 def _lap(second, f: np.ndarray, h: float, k: float, work) -> np.ndarray:
-    out = second(f, h, _take(work, f, len(f)))
-    fy = second(f.T, k, _take(work, f.T, len(f.T)))
+    out = second(f, h, _take(work, f, len(f)), work)
+    ft = _transposed(f, work)
+    fy = second(ft, k, _take(work, ft, len(ft)), work)
     out += fy.T
     _give(work, fy)
     return out
@@ -466,7 +528,9 @@ def c_rhs(state: PksState, variant: PksVariant = PksVariant.EXPLICIT_OUCS3_CD2,
 
 def _explicit_split(state: PksState, work):
     """z_I = 0 (None); z_E is the whole right-hand side, with CD2 operators."""
-    return None, (rho_rhs(state, work=work).values, c_rhs(state, work=work).values)
+    z = rho_rhs(state, work=work).values, c_rhs(state, work=work).values
+    work.give_transposed()
+    return None, z
 
 
 def _imex_split(state: PksState, work):
@@ -477,7 +541,9 @@ def _imex_split(state: PksState, work):
     np.negative(adv, out=adv)
     lap_c = _lap_nccd(c, m.h, m.k, work)
     lap_c -= c
-    return (_lap_nccd(rho, m.h, m.k, work), lap_c), (adv, rho)
+    lap_rho = _lap_nccd(rho, m.h, m.k, work)
+    work.give_transposed()
+    return (lap_rho, lap_c), (adv, rho)
 
 
 #: variant -> (split of the (rho, c) right-hand sides into (z_I, z_E), and the
@@ -491,10 +557,12 @@ _SPLITS = {
 
 def _line_inverses(mesh: Mesh2D, dt: float, rate: float):
     """Inverses of the x and y line factors (1 + rate dt/4) I - (dt/2) L of
-    I - (dt/2)(lap - rate): the reaction is shared half-and-half. Each is
-    one LU solve against I, made once, so that stage 1 is two matrix
-    products."""
-    return [np.linalg.inv((1 + rate * dt / 4) * np.eye(n) - (dt / 2) * (_nccd_line_ops(n)[1] / s**2))
+    I - (dt/2)(lap - rate), as `_halves`: the reaction is shared
+    half-and-half. Each is one LU solve against I, made once, so that
+    stage 1 is two reflected products. A line factor is centrosymmetric
+    with D2, and so is its inverse."""
+    return [_halves(np.linalg.inv((1 + rate * dt / 4) * np.eye(n)
+                                  - (dt / 2) * (_nccd_line_ops(n)[1] / s**2)))
             for n, s in ((mesh.nx, mesh.h), (mesh.ny, mesh.k))]
 
 
@@ -532,9 +600,10 @@ class PksStepper:
     """The two-stage update of the module docstring for one variant.
 
     With z_I present, stage 1 applies the inverse x line factor and then
-    the inverse y one, each a matrix product over all lines, made once per
-    direction and equation for the run (second-order consistent with the
-    mid-point stage); `mesh` is read only then. Each stage checks that rho
+    the inverse y one, each a reflected product (`_reflected`) over all
+    lines, the y one on the transpose, made once per direction and
+    equation for the run (second-order consistent with the mid-point
+    stage); `mesh` is read only then. Each stage checks that rho
     and c are finite and rho is nonnegative. Intermediate arrays live in
     the stepper's work set, made during its first step; only the returned
     fields are new memory.
@@ -563,9 +632,14 @@ class PksStepper:
             b = _axpy(f, dt / 2, i, work)
             t = np.multiply(e, dt, out=_take(work, f, len(f)))
             b += t
-            x = _lines(ix, b, t)                     # x lines; t is free again
-            us.append(_lines(iy, x.T, b.T).T)        # then y lines, into b
+            x = _reflected(ix, b, t, work)           # x lines, into t
+            xt = _transposed(x, work)                # y lines as rows
             _give(work, x)
+            yt = _reflected(iy, xt, _take(work, xt, len(xt)), work)
+            np.copyto(b, yt.T)                       # u*, into b
+            us.append(b)
+            _give(work, yt)
+            work.give_transposed()
         return us, _z(zi, ze, work)
 
     def step(self, state: PksState) -> PksState:

@@ -246,6 +246,7 @@ def test_stepper_memory_is_linear_in_n(scheme):
     finally:
         tracemalloc.stop()
     assert np.all(np.isfinite(state.values))
-    # measured 31 / 64 / 39 / 69 MB (explicit / implicit / imex-oucs3-lele /
-    # imex-nccd); an operator keeps A next to the LU factors of a copy of it
+    # measured 22.7 / 68.8 / 33.6 / 60.9 MB (explicit / implicit /
+    # imex-oucs3-lele / imex-nccd); the implicit set-up peaks while the
+    # stage's partitioned LU is built from its probed stencils
     assert peak < 80e6, f"peak {peak / 1e6:.1f} MB"

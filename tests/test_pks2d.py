@@ -20,6 +20,7 @@ from adrlab.pks2d import (
     diagnostics,
     edge_fluxes,
     init_gaussian,
+    laplacian,
     make_stepper,
     minmod,
     oscillation_metric,
@@ -486,13 +487,82 @@ def test_explicit_step_is_heun_bit_for_bit_where_the_limiter_acts():
 
 @pytest.mark.parametrize("dt", [1e-8, 1e-6])
 def test_inverse_line_factors(dt):
-    from adrlab.pks2d import _nccd_line_ops
+    from adrlab.pks2d import _nccd_line_ops, _reflected
     mesh = Mesh2D.unit_square(200)
     stepper = ImexNccdStepper(mesh, dt)
     for rate, inverses in zip((0.0, 1.0), stepper.inverses):
-        for inv, s in zip(inverses, (mesh.h, mesh.k)):
+        for halves, s in zip(inverses, (mesh.h, mesh.k)):
+            inv = _reflected(halves, np.eye(200), np.empty((200, 200)))
             m = (1 + rate * dt / 4) * np.eye(200) - (dt / 2) * (_nccd_line_ops(200)[1] / s**2)
             assert np.abs(m @ inv - np.eye(200)).sum(axis=1).max() <= 1e-12
+
+
+@pytest.mark.parametrize("nx,ny", [(25, 32), (32, 25)])
+def test_reflected_products_match_dense(nx, ny, rng):
+    # D2 and the stage-1 inverses are applied from their reflection halves;
+    # odd and even line lengths, both axes, h != k
+    from adrlab.pks2d import _nccd_line_ops, _reflected
+    mesh, dt = Mesh2D(nx, ny, 1.0 / nx, 0.8 / ny), 1e-5
+    stepper = ImexNccdStepper(mesh, dt)
+    for axis, (n, s) in enumerate(((nx, mesh.h), (ny, mesh.k))):
+        f = rng.standard_normal((n, 7))
+        d2 = _nccd_line_ops(n)[1]
+        want = d2 @ f
+        got = _reflected(_nccd_line_ops(n)[2], f, np.empty_like(f))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        for rate, inverses in zip((0.0, 1.0), stepper.inverses):
+            dense = np.linalg.inv((1 + rate * dt / 4) * np.eye(n) - (dt / 2) * (d2 / s**2))
+            want = dense @ f
+            got = _reflected(inverses[axis], f, np.empty_like(f))
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # the compact Laplacian, whose y pass runs on the transposed copy
+    f = rng.standard_normal((nx, ny))
+    want = _nccd_line_ops(nx)[1] @ f / mesh.h**2 + f @ _nccd_line_ops(ny)[1].T / mesh.k**2
+    got = laplacian(Field2D(mesh, f), PksVariant.IMEX_NCCD)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_work_set_survives_steps_that_raise(variant):
+    mesh = Mesh2D.unit_square(32)
+    stepper, fresh = make_stepper(variant, mesh, 1e-6), make_stepper(variant, mesh, 1e-6)
+    good = init_gaussian(mesh, chi=1e-3)
+    stepper.step(good)
+    buffers = list(stepper.work.buffers)
+    for _ in range(3):
+        stepper.step(good)
+    assert stepper.work.buffers == buffers
+    # chi = 30 puts the chemotactic CFL near 3: stage 1 goes negative
+    with pytest.raises(PositivityError):
+        stepper.step(init_gaussian(mesh, chi=30.0))
+    assert all((a == b).all() for a, b in zip(fields(stepper.step(good)), fields(fresh.step(good))))
+    # a negative cell makes the split raise after it copied the transpose of
+    # rho; the step after it must not read that copy once rho is mended
+    rho = good.rho.values.copy()
+    rho[5, 9] = -1.0
+    bad = state_from(mesh, rho, good.c.values, chi=good.chi)
+    with pytest.raises(EdgeReconstructionError):
+        stepper.step(bad)
+    rho[5, 9] = good.rho.values[5, 9]
+    assert all((a == b).all() for a, b in zip(fields(stepper.step(bad)), fields(fresh.step(good))))
+    assert stepper.work.buffers == buffers
+
+
+def test_work_give_ignores_foreign_arrays():
+    from adrlab.pks2d import _Work
+    work, other = _Work((8, 8)), _Work((8, 8))
+    work.reset()
+    other.reset()
+    a = work.take((8, 8))
+    foreign = [np.empty((8, 8)), np.empty(81)[:64].reshape(8, 8), other.take((8, 8)), a[1:].copy()]
+    work.give(*foreign)
+    t = work.take((8, 8))
+    assert not any(np.shares_memory(t, f) for f in foreign)
+    assert len(work.buffers) == 2
+    work.give(a, a.T, a)                 # one buffer, given three times, is freed once
+    b, c = work.take((9, 7)), work.take((8, 8))
+    assert np.shares_memory(a, b) and not np.shares_memory(a, c)
+    assert len(work.buffers) == 3
 
 
 def test_edge_fluxes_zero_on_boundary():
