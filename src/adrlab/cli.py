@@ -54,6 +54,8 @@ def _check_map_args(args) -> None:
         raise ValueError("--node must be an interior node: 1 < node < n")
     if args.kh_points < 1 or args.nc_points < 1:
         raise ValueError("--kh-points and --nc-points must be >= 1")
+    if args.kh_points > 1 and not args.kh_min < args.kh_max:
+        raise ValueError("--kh-points > 1 needs --kh-min < --kh-max")
 
 
 def _load_config(path: str) -> dict:
@@ -189,10 +191,9 @@ def cmd_dispersion_map(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"dispersion_{scheme.value}.csv")
     spectral.write_map_csv(dmap, path)
-    stable = [nc for nc, row in zip(nc_axis, dmap.points)
-              if all(pt.g_ratio <= 1 + spectral.STABILITY_TOL for pt in row)]
-    if stable:
-        print(f"stability boundary (max sampled N_c with G ratio <= 1): {_fmt(max(stable))}")
+    boundary = spectral.sampled_stability_boundary(dmap)
+    if boundary is not None:
+        print(f"stability boundary (max sampled N_c with G ratio <= 1): {_fmt(boundary)}")
     else:
         print("stability boundary: no sampled N_c is ratio-stable across the kh axis")
     print(f"wrote {path}")
@@ -208,7 +209,11 @@ def cmd_wavepacket(args) -> int:
     scheme = SchemeId(args.scheme)
     cfg = wp.WavePacketConfig(args.gamma, args.x0, args.k0h, args.half_length, args.n)
     adr = AdrConfig(args.c, args.nu, args.lam, args.dt, cfg.grid())
-    snap_times = [float(s) for s in args.snapshots.split(",") if s.strip()]
+    try:
+        snap_times = [float(s) for s in args.snapshots.split(",") if s.strip()]
+    except ValueError:
+        raise ValueError(f"--snapshots must be comma-separated times "
+                         f"(got {args.snapshots!r})") from None
     ops = scheme_operators(scheme, cfg.grid())  # shared by the run and the diagnostics
     result = wp.run_experiment(scheme, cfg, adr, args.t_end, snap_times,
                                efolds=args.qwindow_efolds, ops=ops)

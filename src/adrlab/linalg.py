@@ -3,19 +3,13 @@
 The operator builders assemble every compact left-hand side as a
 `BandedMatrix` (row-wise stencils via `BandedMatrix.from_rows` or
 `tridiagonal`) and every right-hand side as a `StencilMatrix`, the NumPy
-stencil weights of a sparse matrix. Two factorizations serve two jobs:
-
-* `PartitionedLU` applies ``A^{-1} B``: factored once, solved against one
-  vector per step. It cuts A into diagonal blocks with dense inverses and
-  couples them through a small interface system (a "SPIKE" solver), so a
-  solve is a few matrix products over runs of equal blocks, O(n).
-* `TransposedBandLU` (partial pivoting) forms rows of ``A^{-1} B``:
-  row i is ``B^T y`` with ``A^T y = e_i``, so a row costs one O(n)
-  transposed solve, and many rows are many unit right-hand sides of one
-  call (`TransposedBandLU.inverse_rows`). Its solve loops over the
-  unknowns and updates every right-hand-side column by elementwise
-  operations, so a column solved alone equals the same column of a
-  many-column call bit for bit.
+stencil weights of a sparse matrix. One factorization serves every solve:
+`PartitionedLU` cuts A into diagonal blocks with dense inverses and couples
+them through a small interface system (a "SPIKE" solver), so a solve is a
+few matrix products over runs of equal blocks, O(n). Factored with B folded
+in, it applies ``A^{-1} B`` to one vector per step; factored for the
+transpose (`BandedMatrix.transpose`), it gives rows of ``A^{-1} B``: row i
+is ``B^T y`` with ``A^T y = e_i`` (`StencilMatrix.tdot`), one O(n) solve.
 
 `probe_stencil` reads the stencil weights of any banded linear map from a
 few products with comb vectors; the implicit 1D stage assembles its banded
@@ -25,9 +19,9 @@ Dense matrices are plain float64/complex128 ndarrays of shape (n, m).
 Banded matrices use the LAPACK band layout: diagonal number ``u - i + j``
 of the matrix lands in row ``i`` of the band array. The operator assemblies
 combine boundary rows that break diagonal dominance (Lele's last row
-``u''_{N+1} + 11 u''_N``), so the row solve pivots; the partitioned solve
-pivots only within a block (`np.linalg.inv`), and raises `LinearSolveError`
-on a singular block even where A itself is regular.
+``u''_{N+1} + 11 u''_N``); the partitioned solve pivots within a block
+(`np.linalg.inv`) and not across blocks, and raises `LinearSolveError` on
+a singular block even where A itself is regular.
 
 Every solve satisfies the residual contract
 ``||a x - b||_inf <= 1e-10 (||a||_inf ||x||_inf + ||b||_inf)``
@@ -42,9 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import NumericalError
-
-#: unit right-hand sides per `TransposedBandLU.solve` call in `inverse_rows`
-UNIT_BLOCK = 512
 
 #: largest interface system `PartitionedLU` inverts densely; a larger one
 #: is partitioned again
@@ -110,6 +101,14 @@ class BandedMatrix:
         """Factors for ``x = a^{-1} rhs u`` (``a^{-1} u`` without ``rhs``);
         the matrix is left as it is."""
         return PartitionedLU(self.to_rows(), self.lower, rhs)
+
+    def transpose(self) -> "BandedMatrix":
+        """a^T: diagonal d of a is diagonal -d of a^T, lower and upper swapped."""
+        n, bands = self.size, np.zeros_like(self.bands)
+        for d in range(-self.lower, self.upper + 1):  # a[i, i + d] is a^T[i + d, i]
+            i0, m = max(-d, 0), n - abs(d)
+            bands[self.lower + d, i0:i0 + m] = self.bands[self.upper - d, i0 + d:i0 + d + m]
+        return BandedMatrix(n, self.upper, self.lower, bands)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """a x for a vector x, one diagonal at a time."""
@@ -356,90 +355,6 @@ def _inverse(a: np.ndarray, what: str, labels) -> np.ndarray:
         raise LinearSolveError(f"singular banded system (singular {what} of rows "
                                f"{min(labels)}..{max(labels)}; no pivoting across blocks)")
     return inv
-
-
-class TransposedBandLU:
-    """LU factors of a `BandedMatrix` a with partial pivoting, made in
-    Python and NumPy, for solves with a^T over many right-hand sides.
-
-    As in LAPACK gbtf2, step j swaps row ``piv[j]`` into place and
-    eliminates below it, so a = P_0 L_0 P_1 L_1 ... U. ``diag[j]`` holds
-    U[j, j], ``ratio[j, d]`` U[j, j + 1 + d] / U[j, j] (d < lower + upper)
-    and ``l[j, d]`` the multiplier of row j + 1 + d at step j; entries
-    beyond the last column are 0. Raises LinearSolveError on a zero or
-    non-finite pivot.
-    """
-
-    def __init__(self, a: BandedMatrix):
-        n, kl, w = a.size, a.lower, a.lower + a.upper + 1
-        rows = a.to_rows()
-        u, l, piv = np.empty((n, w)), np.zeros((n, kl)), [0] * n
-        # active rows j .. j + kl over the columns j .. j + w - 1, as lists
-        act = [rows[i, kl - i:].tolist() + [0.0] * (kl - i) for i in range(min(kl + 1, n))]
-        for j in range(n):
-            col = [abs(r[0]) for r in act]
-            p = col.index(max(col))
-            top = act[p]
-            if not 0.0 < abs(top[0]) < math.inf:
-                raise LinearSolveError(f"singular banded system (zero pivot in column {j})")
-            act[p], piv[j], u[j] = act[0], j + p, top
-            nxt, mult, tail = [], [], top[1:]
-            for r in act[1:]:
-                m = r[0] / top[0]
-                mult.append(m)
-                nxt.append([x - m * y for x, y in zip(r[1:], tail)] + [0.0])
-            l[j, :len(mult)] = mult
-            if j + 1 + kl < n:
-                nxt.append(rows[j + 1 + kl].tolist())
-            act = nxt
-        self.diag, self.ratio = u[:, 0].copy(), u[:, 1:] / u[:, :1]
-        self.l, self.piv = l, piv
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """x with a^T x = b for float b of shape (n, k). Each step updates
-        whole rows of x elementwise, with no BLAS call and no reduction, so
-        every column goes through the same operations whatever k is. Raises
-        LinearSolveError on a non-finite x.
-        """
-        n, kl, w = len(self.diag), self.l.shape[1], self.ratio.shape[1]
-        x = np.zeros((n + max(w, kl),) + b.shape[1:])  # rows past n take the zero entries
-        x[:n] = b
-        tmp = np.empty((max(w, kl),) + b.shape[1:])
-        if w:  # U^T x = b, forward, one column of U^T at a time; the divisions last
-            ratio, t = self.ratio[:, :, None], tmp[:w]
-            for j in range(n):
-                x[j + 1:j + 1 + w] -= np.multiply(ratio[j], x[j], out=t)
-        x[:n] /= self.diag[:, None]
-        if kl:  # L^T, backward, undoing the interchanges
-            l, t = self.l[:, :, None], tmp[:kl]
-            for j in range(n - 2, -1, -1):
-                xj = x[j]
-                np.multiply(l[j], x[j + 1:j + 1 + kl], out=t)
-                for d in range(kl):
-                    xj -= t[d]
-                p = self.piv[j]
-                if p != j:
-                    x[[j, p]] = x[[p, j]]
-        x = x[:n]
-        if not np.all(np.isfinite(x)):
-            raise LinearSolveError("non-finite solution (singular banded system)")
-        return x
-
-    def inverse_rows(self, b: StencilMatrix, rows: range) -> np.ndarray:
-        """Rows ``rows`` of a^{-1} B, shape (len(rows), n): row i is B^T y
-        with a^T y = e_i, O(n) per row. The unit right-hand sides are solved
-        ``UNIT_BLOCK`` at a time; a row does not depend on the block it
-        shares (`solve`, `StencilMatrix.tdot`)."""
-        m, n = b.shape
-        if m != len(self.diag):
-            raise ValueError("rhs row count must equal matrix size")
-        out = np.empty((len(rows), n))
-        for s in range(0, len(rows), UNIT_BLOCK):
-            block = np.asarray(rows[s:s + UNIT_BLOCK])
-            e = np.zeros((m, len(block)))
-            e[block, np.arange(len(block))] = 1.0
-            out[s:s + len(block)] = b.tdot(self.solve(e)).T
-        return out
 
 
 def _sheared(rows: np.ndarray) -> np.ndarray:

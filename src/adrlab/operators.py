@@ -12,14 +12,13 @@ wraps the pair in a `BandedSystem` plus the boundary rows it patches. The
 explicit CD2 operators are the same with A = I. Nothing of size N x N is formed:
 ``D @ u`` is one partitioned solve of A x = B u with B folded into its block
 products (`linalg.PartitionedLU`) plus the patched rows, O(N) per call. Row
-i of A^{-1} B is B^T y with A^T y = e_i, one O(N) transposed solve with
-NumPy LU factors of A (`linalg.TransposedBandLU`), so neither B nor D is
-expanded to get a row. Row symbols read one row
-(`DerivativeOperator.row`), cached per node. The dense D
-(`DerivativeOperator.matrix`) is every row solved the same way, in blocks of
-unit right-hand sides, on first read; the PKS line operators and the tests
-read it. A row therefore equals the same row of the dense D bit for bit.
-Building, reading and applying operators needs NumPy alone.
+i of A^{-1} B is B^T y with A^T y = e_i, one O(N) solve with the same kind
+of factors, made for A^T, so neither B nor D is expanded to get a row. Row
+symbols read one row (`DerivativeOperator.row`), cached per node. The dense
+D (`DerivativeOperator.matrix`), read by the PKS line operators and the
+tests, is every row solved the same way, on first read, so a row equals the
+same row of the dense D bit for bit. Building, reading and applying
+operators needs NumPy alone.
 
 Node numbering follows the 1-based convention j = 1..N+1 common in the
 compact-scheme literature; storage is 0-based, so "row j" below means matrix
@@ -38,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import BandedMatrix, PartitionedLU, StencilMatrix, TransposedBandLU, tridiagonal
+from .linalg import BandedMatrix, LinearSolveError, PartitionedLU, StencilMatrix, tridiagonal
 
 #: Interior coefficients of the tridiagonal second-derivative scheme:
 #: alpha u''_{j-1} + u''_j + alpha u''_{j+1}
@@ -76,11 +75,11 @@ class BandedSystem:
     A (``lhs``) is a `BandedMatrix` of size r N and B (``rhs``) a
     `StencilMatrix` of shape (r N, N); node j owns rows r j .. r j + r - 1
     of y, and an operator reads one of them (NCCD: r = 2, u' and u'' of one
-    solve). Two factorizations of A are made on first use and cached: the
-    partitioned one of A with B folded in (``lu``) applies the operators,
-    and the pivoting LU (``row_lu``) gives rows of A^{-1} B by transposed solves:
-    `dense`, read by the PKS line operators and the tests, and `node_rows`,
-    read by the row symbols.
+    solve). Two partitioned factorizations are made on first use and cached:
+    the one of A with B folded in (``lu``) applies the operators, and the one
+    of A^T (``row_lu``) gives rows of A^{-1} B (`solve_rows`): `dense`, read
+    by the PKS line operators and the tests, and `node_rows`, read by the row
+    symbols.
     """
 
     lhs: BandedMatrix
@@ -91,8 +90,8 @@ class BandedSystem:
         return self.lhs.factor(self.rhs)
 
     @cached_property
-    def row_lu(self) -> TransposedBandLU:
-        return TransposedBandLU(self.lhs)
+    def row_lu(self) -> PartitionedLU:
+        return self.lhs.transpose().factor()
 
     @property
     def per_node(self) -> int:
@@ -102,12 +101,28 @@ class BandedSystem:
         """y = A^{-1} B u, O(N)."""
         return self.lu.solve(u)
 
+    def solve_rows(self, rows) -> np.ndarray:
+        """Rows ``rows`` of A^{-1} B, shape (len(rows), N): row i is B^T y
+        with A^T y = e_i, one O(N) solve per row. Each y is solved alone and
+        `StencilMatrix.tdot` sums every column in the same order, so a row
+        does not depend on the rows read with it. Raises LinearSolveError on
+        a non-finite row."""
+        e, y = np.zeros(self.lhs.size), np.empty((self.lhs.size, len(rows)))
+        for c, i in enumerate(rows):
+            e[i] = 1.0
+            y[:, c] = self.row_lu.solve(e)
+            e[i] = 0.0
+        out = np.ascontiguousarray(self.rhs.tdot(y).T)
+        if not np.all(np.isfinite(out)):
+            raise LinearSolveError("non-finite row of A^-1 B (singular banded system)")
+        return out
+
     @cached_property
     def dense(self) -> np.ndarray:
-        """A^{-1} B as a dense (r N, N) matrix, every row one transposed
-        solve (`TransposedBandLU.inverse_rows`). Each operator of the system
-        patches its own rows of it in place (`DerivativeOperator.matrix`)."""
-        return self.row_lu.inverse_rows(self.rhs, range(self.rhs.shape[0]))
+        """A^{-1} B as a dense (r N, N) matrix, every row from `solve_rows`.
+        Each operator of the system patches its own rows of it in place
+        (`DerivativeOperator.matrix`)."""
+        return self.solve_rows(range(self.lhs.size))
 
     @cached_property
     def _rows(self) -> dict:
@@ -115,13 +130,13 @@ class BandedSystem:
 
     def node_rows(self, node: int) -> np.ndarray:
         """Rows r node .. r node + r - 1 of A^{-1} B, shape (r, N), read-only,
-        from r transposed solves, O(N). Cached per node, so the operators
-        that share the system (NCCD: D1 and D2) share one solve, and equal to
-        the same rows of `dense` bit for bit."""
+        from `solve_rows`, O(N). Cached per node, so the operators that share
+        the system (NCCD: D1 and D2) share one pass, and equal to the same
+        rows of `dense` bit for bit."""
         rows = self._rows.get(node)
         if rows is None:
             r = self.per_node
-            rows = self.row_lu.inverse_rows(self.rhs, range(r * node, r * node + r))
+            rows = self.solve_rows(range(r * node, r * node + r))
             self._rows[node] = rows
             rows.flags.writeable = False
         return rows

@@ -274,11 +274,29 @@ def max_ratio_over_kh(scheme: SchemeId, kh_axis, nc: float, pe: float, da: float
     return _max_ratio(scheme, _symbols(ops, node, n_points, kh), kh, nc, pe, da)
 
 
+def sampled_stability_boundary(dmap: DispersionMap):
+    """Largest N_c of the map's own axis whose whole kh row has
+    |G_num/G_exact| <= 1 + STABILITY_TOL, or None when no row does.
+
+    The two stability boundaries differ in how they search N_c. This one
+    reads a computed map, on the map's kh axis: it returns a sample of the
+    N_c axis, so it is only as fine as that axis, and it is the largest
+    stable sample even when a smaller one is unstable. `stability_boundary`
+    bisects N_c upward from a stable nc_start, on its own kh axis, to the
+    bisection's resolution, and so assumes that the stable N_c above
+    nc_start form one interval.
+    """
+    stable = [nc for nc, row in zip(dmap.nc_axis, dmap.points)
+              if all(pt.g_ratio <= 1 + STABILITY_TOL for pt in row)]
+    return float(max(stable)) if stable else None
+
+
 def stability_boundary(scheme: SchemeId, ops, pe: float, da: float,
                        node: int = 500, n_points: int = 1001,
                        kh_axis=None, nc_start: float = 0.5, nc_max: float = 3.2,
                        tol: float = STABILITY_TOL, iters: int = 40) -> float:
-    """Largest N_c with |G_num/G_exact| <= 1 + tol across the kh axis.
+    """Largest N_c with |G_num/G_exact| <= 1 + tol across the kh axis,
+    bisected (see `sampled_stability_boundary` for how the two differ).
 
     Bisected upward from nc_start (which must itself be stable). Returns
     nc_max when the whole search range is stable; very small N_c can be

@@ -15,10 +15,10 @@ def ops1001(grid1001):
     """Operator pairs for all four schemes on the 1001-point analysis grid.
 
     Built once per session and shared by the tests. Operators are stored
-    banded. Row symbols read one row per node, one O(N) transposed solve
-    (`linalg.TransposedBandLU`), cached per node. A test that reads
-    `.matrix` forms the dense matrix from the same transposed solves, in
-    blocks of `linalg.UNIT_BLOCK` unit right-hand sides, and caches it.
+    banded. Row symbols read one row per node, one O(N) solve with the
+    partitioned factors of A^T (`operators.BandedSystem.solve_rows`), cached
+    per node. A test that reads `.matrix` forms the dense matrix from the
+    same solves, one per row, and caches it.
     """
     return {scheme: scheme_operators(scheme, grid1001) for scheme in SchemeId}
 

@@ -137,7 +137,7 @@ def test_config_unknown_key_exits_two(tmp_path, capsys):
     ("--nc-min", "0"), ("--nc-min", "-0.1"), ("--nc-max", "nan"), ("--nc-max", "0.01"),
     ("--kh-min", "-0.1"), ("--kh-max", "3.2"), ("--kh-max", "inf"),
     ("--n", "6"), ("--node", "1"), ("--node", "51"),
-    ("--kh-points", "0"), ("--nc-points", "0"),
+    ("--kh-points", "0"), ("--nc-points", "0"), ("--kh-max", "0"),
 ])
 def test_dispersion_map_rejects_bad_input(flag, value, tmp_path, capsys):
     out = tmp_path / "out"
@@ -145,7 +145,8 @@ def test_dispersion_map_rejects_bad_input(flag, value, tmp_path, capsys):
                     "--nc-points", "2", flag, value, "--out", str(out)])
     assert code == 2
     assert not out.exists()  # refused before any CSV is written
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and flag in err  # the message names the flag
 
 
 @pytest.mark.parametrize("cmd,flag,value,why", [
@@ -153,6 +154,7 @@ def test_dispersion_map_rejects_bad_input(flag, value, tmp_path, capsys):
     ("wavepacket", "--c", "inf", "c must be finite"),
     ("wavepacket", "--nu", "inf", "nu must be finite"),
     ("wavepacket", "--snapshots", "nan", "snapshot time must be finite"),
+    ("wavepacket", "--snapshots", "abc", "--snapshots must be comma-separated times"),
     ("wavepacket", "--gamma", "inf", "gamma must be positive and finite"),
     ("wavepacket", "--half-length", "inf", "L finite"),
     ("pks", "--chi", "inf", "chi must be positive and finite"),

@@ -5,7 +5,6 @@ from adrlab.linalg import (
     BandedMatrix,
     LinearSolveError,
     StencilMatrix,
-    TransposedBandLU,
     solve_dense,
     tridiagonal,
 )
@@ -44,6 +43,7 @@ def test_band_roundtrip(rng):
     dense = np.triu(np.tril(rng.normal(size=(7, 7)), 1), -2)
     bm = from_dense(dense, 2, 1)
     assert np.array_equal(bm.to_dense(), dense)
+    assert np.array_equal(bm.transpose().to_dense(), dense.T)
 
 
 def test_from_rows_places_stencils_and_drops_outside_entries(rng):
@@ -122,32 +122,14 @@ def random_band(rng, n, lower, upper, dominant):
     return BandedMatrix(n, lower, upper, bands)
 
 
-def transposed_reference(a, b):
-    """LAPACK solve of a^T x = b."""
-    return solve_banded(from_dense(a.to_dense().T, a.upper, a.lower), b)
-
-
-@pytest.mark.parametrize("n, lower, upper", [(40, 1, 1), (40, 2, 1), (40, 3, 3), (7, 3, 3),
-                                             (12, 0, 2), (9, 0, 0)])
-@pytest.mark.parametrize("dominant", [True, False], ids=["dominant", "pivoting"])
-def test_transposed_lu_matches_lapack(rng, n, lower, upper, dominant):
-    a = random_band(rng, n, lower, upper, dominant)
-    lu = TransposedBandLU(a)
-    if not dominant and lower:
-        assert any(p != j for j, p in enumerate(lu.piv))  # the case exercises row interchanges
-    b = rng.normal(size=(n, 5))
-    want = transposed_reference(a, b)
-    x = lu.solve(b)
-    assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
-    assert residual_inf(a.to_dense().T, x, b) <= residual_bound(a.to_dense().T, x, b)
-
-
 def test_transposed_lu_pivots_past_a_zero_diagonal():
-    # [[0, 1, 0], [1, 0, 1], [0, 1, 0.5]]: no LU without row interchanges
+    # a^T = [[0, 1, 0], [1, 0, 1], [0, 1, 0.5]]: one diagonal block, no LU
+    # of it without row interchanges
     a = tridiagonal(1.0, np.array([0.0, 0.0, 0.5]), 1.0)
-    b = np.eye(3)
-    assert np.allclose(TransposedBandLU(a).solve(b), np.linalg.inv(a.to_dense().T), rtol=0,
-                       atol=1e-15)
+    lu = a.transpose().factor()
+    assert lu.blocks == 1
+    x = np.column_stack([lu.solve(e) for e in np.eye(3)])
+    assert np.allclose(x, np.linalg.inv(a.to_dense().T), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("a", [
@@ -156,31 +138,34 @@ def test_transposed_lu_pivots_past_a_zero_diagonal():
     tridiagonal(0.0, np.array([1.0, np.nan, 1.0]), 0.0),
 ], ids=["zero-diagonal", "singular", "nan"])
 def test_transposed_lu_zero_pivot_raises(a):
-    with pytest.raises(LinearSolveError, match="zero pivot"):
-        TransposedBandLU(a)
+    with pytest.raises(LinearSolveError, match="singular"):
+        a.transpose().factor()
 
 
 def test_transposed_solve_of_a_non_finite_rhs_raises():
-    lu = TransposedBandLU(tridiagonal(1.0, 4.0 * np.ones(5), 1.0))
-    b = np.ones((5, 2))
-    b[3, 1] = np.inf
+    from adrlab.operators import BandedSystem
+
+    weights = np.ones((3, 5))
+    weights[1, 3] = np.inf
+    system = BandedSystem(tridiagonal(1.0, 4.0 * np.ones(5), 1.0), StencilMatrix(weights, 1))
     with pytest.raises(LinearSolveError, match="non-finite"), np.errstate(invalid="ignore"):
-        lu.solve(b)
+        system.solve_rows(range(5))
 
 
 def test_one_column_alone_equals_its_column_of_a_many_column_solve(rng):
-    a = random_band(rng, 60, 3, 2, dominant=False)
-    lu = TransposedBandLU(a)
-    b = rng.normal(size=(60, 9))
-    many = lu.solve(b)
+    from adrlab.operators import BandedSystem
+
+    system = BandedSystem(random_band(rng, 60, 3, 2, dominant=False),
+                          StencilMatrix(rng.normal(size=(5, 60)), 2))
+    many = system.solve_rows(range(9))
     for c in range(9):
-        alone = lu.solve(b[:, c:c + 1])[:, 0]
-        assert np.array_equal(alone.view(np.int64), many[:, c].view(np.int64)), c
+        alone = system.solve_rows(range(c, c + 1))[0]
+        assert np.array_equal(alone.view(np.int64), many[c].view(np.int64)), c
 
 
 def test_solve_leaves_its_right_hand_side_as_it_is(rng):
-    lu = TransposedBandLU(random_band(rng, 20, 1, 1, dominant=True))
-    b = rng.normal(size=(20, 3))
+    lu = random_band(rng, 20, 1, 1, dominant=True).transpose().factor()
+    b = rng.normal(size=20)
     keep = b.copy()
     lu.solve(b)
     assert np.array_equal(b, keep)
@@ -208,19 +193,18 @@ def test_stencil_matrix_forms_agree(rng, per_node, lower):
         assert np.array_equal(b.tdot(y[:, c:c + 1])[:, 0], b.tdot(y)[:, c])
 
 
-def test_inverse_rows_are_rows_of_the_dense_solve(rng, monkeypatch):
-    from adrlab import linalg
+def test_inverse_rows_are_rows_of_the_dense_solve(rng):
+    from adrlab.operators import BandedSystem
 
-    monkeypatch.setattr(linalg, "UNIT_BLOCK", 4)  # several blocks, the last one short
     n = 11
     a = random_band(rng, 2 * n, 3, 3, dominant=False)
     b = StencilMatrix(rng.normal(size=(5, 2 * n)), 2, per_node=2)
     want = solve_dense(a.to_dense(), b.toarray())
     rows = range(3, 2 * n)
-    got = TransposedBandLU(a).inverse_rows(b, rows)
+    got = BandedSystem(a, b).solve_rows(rows)
     assert got.shape == (len(rows), n)
     assert np.max(np.abs(got - want[3:])) <= 1e-12 * np.max(np.abs(want))
-    assert np.array_equal(TransposedBandLU(a).inverse_rows(b, range(7, 8))[0], got[4])
+    assert np.array_equal(BandedSystem(a, b).solve_rows(range(7, 8))[0], got[4])
 
 
 # The partitioned factorization of every matrix a stepper factors, against
@@ -236,23 +220,27 @@ def stage_config(n):
 
 def factored(name, n):
     """(factorization, A as row stencils with its lower bandwidth, B) of one
-    matrix a stepper factors, on n nodes."""
+    matrix a stepper or a row pass factors, on n nodes."""
     from adrlab.adr1d import SchemeId, make_stepper
     from adrlab import operators
 
     grid = operators.Grid1D(n, 1.0)
-    if name in ("cd2", "oucs3", "lele", "nccd"):
+    base = name.removesuffix("-transposed")
+    if base in ("cd2", "oucs3", "lele", "nccd"):
         build = {"cd2": operators.build_cd2_second, "oucs3": operators.build_oucs3,
                  "lele": operators.build_lele_second,
-                 "nccd": lambda g: operators.build_nccd(g)[0]}[name]
+                 "nccd": lambda g: operators.build_nccd(g)[0]}[base]
         system = build(grid).system
+        if base != name:  # the factors of A^T that give the operator's rows
+            a = system.lhs.transpose()
+            return system.row_lu, a.to_rows(), a.lower, StencilMatrix(np.ones((1, a.size)), 0)
         return system.lu, system.lhs.to_rows(), system.lhs.lower, system.rhs
     stage = make_stepper(SchemeId(name), stage_config(n)).stage
     return (stage.lu,) + stage.system()
 
 
 FACTORED = ["cd2", "oucs3", "lele", "nccd", "implicit-oucs3-lele", "imex-oucs3-lele",
-            "imex-nccd"]
+            "imex-nccd", "oucs3-transposed", "lele-transposed", "nccd-transposed"]
 
 
 def one_block_nodes(name):
@@ -268,9 +256,9 @@ def test_partitioned_solve_matches_lapack(rng, name, where):
     lu, rows, lower, b = factored(name, n)
     if where != "n1001":
         assert lu.blocks == (2 if where == "one-node-over" else 1)
-    a = BandedMatrix.from_rows(rows, lower)
+    a, m = BandedMatrix.from_rows(rows, lower), b.shape[1]
     bd = b.toarray()
-    for u in (rng.normal(size=n), rng.normal(size=n) + 1j * rng.normal(size=n)):
+    for u in (rng.normal(size=m), rng.normal(size=m) + 1j * rng.normal(size=m)):
         rhs = bd @ u
         want = solve_banded(a, rhs.real) + 1j * solve_banded(a, rhs.imag)
         x = lu.solve(u)
@@ -284,7 +272,7 @@ def test_partitioned_solve_residual_at_n_1e5(rng, name):
     lu, rows, lower, b = factored(name, n)
     assert lu._child is not None or name == "cd2"  # A = I has no interface system
     a = BandedMatrix.from_rows(rows, lower)
-    u = rng.normal(size=n)
+    u = rng.normal(size=b.shape[1])
     x, rhs = lu.solve(u), b @ u
     residual = np.max(np.abs(a @ x - rhs))
     bound = 1e-10 * (np.max(np.sum(np.abs(rows), axis=1)) * np.max(np.abs(x))

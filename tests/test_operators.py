@@ -5,6 +5,7 @@ import pytest
 
 from adrlab import linalg
 from adrlab.operators import (
+    BandedSystem,
     DEFAULT_OUCS3,
     Grid1D,
     build_cd2_first,
@@ -253,12 +254,12 @@ def test_matrix_is_the_dense_solve_of_the_system_with_its_patch(n):
 
 
 def count_row_solves(monkeypatch):
-    """Calls of the NumPy factorization and of its row pass, as two lists."""
+    """Calls of the banded factorization and of the row pass, as two lists."""
     factors, passes = [], []
-    init, rows = linalg.TransposedBandLU.__init__, linalg.TransposedBandLU.inverse_rows
-    monkeypatch.setattr(linalg.TransposedBandLU, "__init__",
-                        lambda self, a: factors.append(1) or init(self, a))
-    monkeypatch.setattr(linalg.TransposedBandLU, "inverse_rows",
+    factor, rows = linalg.BandedMatrix.factor, BandedSystem.solve_rows
+    monkeypatch.setattr(linalg.BandedMatrix, "factor",
+                        lambda self, *a: factors.append(1) or factor(self, *a))
+    monkeypatch.setattr(BandedSystem, "solve_rows",
                         lambda self, *a: passes.append(1) or rows(self, *a))
     return factors, passes
 
@@ -312,6 +313,20 @@ def test_nccd_pair_reads_its_rows_from_one_blocked_pass(monkeypatch):
     d1.row(500), d2.row(500), d1.row_symbol(500, 0.3), d2.row_symbol(500, 0.3)
     assert (len(factors), len(passes)) == (1, 1)
     assert "dense" not in d1.system.__dict__
+
+
+def test_rows_at_n_1e5_match_the_operator(rng):
+    # at N = 10^5 the interface systems of both factorizations are
+    # partitioned again; row N-1 of Lele's D2 is its (11, 1) row
+    n = 100_000
+    grid = Grid1D(n, 1.0)
+    u = rng.normal(size=n)
+    for op in (*build_nccd(grid), build_lele_second(grid)):
+        assert op.system.row_lu._child is not None
+        du = op @ u
+        for j in (2, n // 2, n - 3, n - 1):
+            row = op.row(j)
+            assert abs(row @ u - du[j]) <= 1e-12 * (np.abs(row) @ np.abs(u)), j
 
 
 @pytest.mark.parametrize("node", [-1, 21])

@@ -17,6 +17,7 @@ from adrlab.spectral import (
     group_velocity_ratio,
     phase_shift,
     phase_speed_error,
+    sampled_stability_boundary,
     stability_boundary,
     sweep,
     write_map_csv,
@@ -195,6 +196,21 @@ def test_stability_boundary_requires_stable_start(ops1001):
     scheme = SchemeId.EXPLICIT_OUCS3_CD2
     with pytest.raises(ValueError):
         stability_boundary(scheme, ops1001[scheme], PE, DA, nc_start=2.5)
+
+
+def test_sampled_stability_boundary_on_a_small_map():
+    # the largest N_c sample whose whole kh row is ratio-stable: 1.0 on this
+    # axis, the sample just below the bisected boundary; no imex-nccd row is
+    kh, nc = np.linspace(0.0, np.pi, 9), np.linspace(0.1, 1.6, 16)
+    got = {}
+    for scheme in (SchemeId.EXPLICIT_OUCS3_CD2, SchemeId.IMEX_NCCD):
+        ops = scheme_operators(scheme, Grid1D(51, 1.0))
+        got[scheme] = sampled_stability_boundary(sweep(scheme, kh, nc, PE, DA, 25, 51, ops))
+    explicit = SchemeId.EXPLICIT_OUCS3_CD2
+    assert got[explicit] == nc[9] == 1.0
+    ops = scheme_operators(explicit, Grid1D(51, 1.0))
+    assert nc[9] < stability_boundary(explicit, ops, PE, DA, 25, 51, kh[1:]) < nc[10]
+    assert got[SchemeId.IMEX_NCCD] is None
 
 
 @pytest.mark.parametrize("scheme", list(SchemeId))
