@@ -48,8 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import NumericalError, whole_steps
-from .linalg import (LinearSolveError, PartitionedLU, StencilMatrix,
-                     probe_stencil, trim_stencil)
+from .linalg import LinearSolveError, PartitionedLU, StencilMatrix, probe_stencil
 from .operators import (
     DerivativeOperator,
     Grid1D,
@@ -212,23 +211,20 @@ class ImplicitStage:
         self.lu = PartitionedLU(*self.system())
 
     def system(self):
-        """(rows, lower, rhs): the row stencils of A - B W E with their
-        lower bandwidth, and B W as a `StencilMatrix`, both read from
-        products with comb vectors."""
+        """(A - B W E, B W) as two `StencilMatrix`, both read from products
+        with comb vectors."""
         width, n = self.width, len(self.dinv)
         size = width * n
+        bw = probe_stencil(self._bw, size, n, self.bw_lower, self.bw_upper, width)
         # a copy, so the untrimmed probe goes before the stage is probed and
         # factored (the stage stencil is not copied: it is trimmed little or
         # not at all, and a copy would double it at the peak)
-        bw, bw_lower = trim_stencil(probe_stencil(self._bw, size, n, self.bw_lower,
-                                                  self.bw_upper, width), self.bw_lower)
-        bw = bw.copy()
+        bw = StencilMatrix(bw.weights.copy(), bw.lower, width)
         # (A - B W E) reaches as many nodes as A and B W do
-        reach = [max(max(-(-getattr(s.lhs, side) // s.per_node) for s in self.systems), bw_side)
-                 for side, bw_side in (("lower", bw_lower), ("upper", len(bw) - 1 - bw_lower))]
+        reach = [max(max(-(-getattr(s.lhs, side) // s.per_node) for s in self.systems),
+                     getattr(bw, side)) for side in ("lower", "upper")]
         lower, upper = (width * r + width - 1 for r in reach)
-        rows, lower = trim_stencil(probe_stencil(self._stage, size, size, lower, upper), lower)
-        return rows.T, lower, StencilMatrix(bw, bw_lower, width)
+        return probe_stencil(self._stage, size, size, lower, upper), bw
 
     def _eliminate(self, n: int, alpha: float, terms, offsets):
         """E (``e``: the weight of each interleaved x of a node), and W =

@@ -1,27 +1,27 @@
 """Banded and dense linear algebra, in NumPy.
 
-The operator builders assemble every compact left-hand side as a
-`BandedMatrix` (row-wise stencils via `BandedMatrix.from_rows` or
-`tridiagonal`) and every right-hand side as a `StencilMatrix`, the NumPy
-stencil weights of a sparse matrix. One factorization serves every solve:
-`PartitionedLU` cuts A into diagonal blocks with dense inverses and couples
-them through a small interface system (a "SPIKE" solver), so a solve is a
-few matrix products over runs of equal blocks, O(n). Factored with B folded
-in, it applies ``A^{-1} B`` to one vector per step; factored for the
-transpose (`BandedMatrix.transpose`), it gives rows of ``A^{-1} B``: row i
-is ``B^T y`` with ``A^T y = e_i`` (`StencilMatrix.tdot`), one O(n) solve.
+Every banded matrix is a `StencilMatrix`: the NumPy weights of its row
+stencils, ``weights[k, i]`` at column ``i // per_node + k - lower``. The
+operator builders assemble each compact left-hand side A with one row per
+node (``per_node = 1``, square, via `tridiagonal` or directly) and each
+right-hand side B with one or two rows per node. One factorization serves
+every solve: `PartitionedLU` cuts A into diagonal blocks with dense
+inverses and couples them through a small interface system (a "SPIKE"
+solver), so a solve is a few matrix products over runs of equal blocks,
+O(n). Factored with B folded in, it applies ``A^{-1} B`` to one vector per
+step; factored for the transpose (`StencilMatrix.transpose`), it gives rows
+of ``A^{-1} B``: row i is ``B^T y`` with ``A^T y = e_i``
+(`StencilMatrix.tdot`), one O(n) solve.
 
-`probe_stencil` reads the stencil weights of any banded linear map from a
+`probe_stencil` reads the `StencilMatrix` of any banded linear map from a
 few products with comb vectors; the implicit 1D stage assembles its banded
 system with it. Nothing here imports SciPy.
 
-Dense matrices are plain float64/complex128 ndarrays of shape (n, m).
-Banded matrices use the LAPACK band layout: diagonal number ``u - i + j``
-of the matrix lands in row ``i`` of the band array. The operator assemblies
-combine boundary rows that break diagonal dominance (Lele's last row
-``u''_{N+1} + 11 u''_N``); the partitioned solve pivots within a block
-(`np.linalg.inv`) and not across blocks, and raises `LinearSolveError` on
-a singular block even where A itself is regular.
+Dense matrices are plain float64/complex128 ndarrays of shape (n, m). The
+operator assemblies combine boundary rows that break diagonal dominance
+(Lele's last row ``u''_{N+1} + 11 u''_N``); the partitioned solve pivots
+within a block (`np.linalg.inv`) and not across blocks, and raises
+`LinearSolveError` on a singular block even where A itself is regular.
 
 Every solve satisfies the residual contract
 ``||a x - b||_inf <= 1e-10 (||a||_inf ||x||_inf + ||b||_inf)``
@@ -46,103 +46,50 @@ class LinearSolveError(NumericalError):
     """Singular or numerically singular system encountered in a direct solve."""
 
 
-@dataclass(frozen=True)
-class BandedMatrix:
-    """Square banded matrix in LAPACK band storage.
-
-    ``bands`` has shape (lower + upper + 1, size); entry (i, j) of the dense
-    matrix sits at ``bands[upper + i - j, j]`` for ``-lower <= j - i <= upper``.
-    Out-of-band entries are implicitly zero.
-    """
-
-    size: int
-    lower: int
-    upper: int
-    bands: np.ndarray
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("size must be >= 1")
-        if not (0 <= self.lower < self.size and 0 <= self.upper < self.size):
-            raise ValueError("bandwidths must be < size")
-        if self.bands.shape != (self.lower + self.upper + 1, self.size):
-            raise ValueError("band array shape mismatch")
-
-    @classmethod
-    def from_rows(cls, rows, lower: int) -> "BandedMatrix":
-        """Banded matrix from row-wise stencils: ``rows[i, k] = a[i, i - lower + k]``.
-
-        ``rows`` has shape (size, lower + upper + 1). Stencil entries that
-        fall outside the matrix (left of column 0 in the first rows, right of
-        the last column in the last rows) are ignored.
-        """
-        rows = np.asarray(rows, dtype=float)
-        n, width = rows.shape
-        upper = width - lower - 1
-        bands = np.zeros((width, n))
-        for k in range(width):
-            d = k - lower  # column offset j - i of this stencil entry
-            i = np.arange(max(0, -d), min(n, n - d))
-            bands[upper - d, i + d] = rows[i, k]
-        return cls(n, lower, upper, bands)
-
-    def to_rows(self) -> np.ndarray:
-        """Row-wise stencils, the inverse of `from_rows`: ``rows[i, k] =
-        a[i, i - lower + k]``, 0 where the column falls outside the matrix."""
-        n, width = self.size, self.lower + self.upper + 1
-        rows = np.zeros((n, width))
-        for k in range(width):
-            d = k - self.lower
-            i = np.arange(max(0, -d), min(n, n - d))
-            rows[i, k] = self.bands[self.upper - d, i + d]
-        return rows
-
-    def factor(self, rhs: "StencilMatrix | None" = None) -> "PartitionedLU":
-        """Factors for ``x = a^{-1} rhs u`` (``a^{-1} u`` without ``rhs``);
-        the matrix is left as it is."""
-        return PartitionedLU(self.to_rows(), self.lower, rhs)
-
-    def transpose(self) -> "BandedMatrix":
-        """a^T: diagonal d of a is diagonal -d of a^T, lower and upper swapped."""
-        n, bands = self.size, np.zeros_like(self.bands)
-        for d in range(-self.lower, self.upper + 1):  # a[i, i + d] is a^T[i + d, i]
-            i0, m = max(-d, 0), n - abs(d)
-            bands[self.lower + d, i0:i0 + m] = self.bands[self.upper - d, i0 + d:i0 + d + m]
-        return BandedMatrix(n, self.upper, self.lower, bands)
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """a x for a vector x, one diagonal at a time."""
-        n = self.size
-        y = np.zeros(n, dtype=np.result_type(x, float))
-        for d in range(-self.lower, self.upper + 1):
-            j0, j1 = max(0, d), min(n, n + d)  # columns j of rows i = j - d inside
-            y[j0 - d:j1 - d] += self.bands[self.upper - d, j0:j1] * x[j0:j1]
-        return y
-
-    def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.size, self.size), dtype=self.bands.dtype)
-        for d in range(-self.lower, self.upper + 1):
-            m = self.size - abs(d)
-            vals = self.bands[self.upper - d, max(d, 0):max(d, 0) + m]
-            a += np.diag(vals, d)
-        return a
-
-
 @dataclass(frozen=True, eq=False)
 class StencilMatrix:
     """Sparse matrix of shape (r n, n), r = ``per_node``, holding
     ``weights[k, i]`` at (i, i // r + k - lower): each node carries r rows
     centred on its own column. Weights that fall outside the columns are
-    ignored. ``weights`` has shape (stencil width, r n)."""
+    ignored. ``weights`` has shape (stencil width, r n), and the stencil
+    holds the column i // r: 0 <= ``lower`` < width."""
 
     weights: np.ndarray
     lower: int
     per_node: int = 1
 
+    def __post_init__(self):
+        if np.ndim(self.weights) != 2:
+            raise ValueError("stencil weights must be 2-D (stencil width, rows)")
+        if not 0 <= self.lower < self.weights.shape[0]:
+            raise ValueError(f"lower {self.lower} is outside the stencil width "
+                             f"{self.weights.shape[0]}")
+        if self.weights.shape[1] % self.per_node:
+            raise ValueError(f"{self.weights.shape[1]} rows are not a whole number of "
+                             f"{self.per_node} rows per node")
+
     @property
     def shape(self) -> tuple:
         m = self.weights.shape[1]
         return m, m // self.per_node
+
+    @property
+    def upper(self) -> int:
+        return self.weights.shape[0] - 1 - self.lower
+
+    def transpose(self) -> "StencilMatrix":
+        """The transpose of a square matrix (``per_node`` 1): weight k of
+        row i moves to weight width - 1 - k of row i + k - lower, so lower
+        and upper swap. Weights outside the matrix are dropped."""
+        if self.per_node != 1:
+            raise ValueError("only a square stencil matrix has a stencil transpose")
+        w, n = self.weights, self.weights.shape[1]
+        out = np.zeros(w.shape)
+        for k in range(len(w)):
+            d = k - self.lower  # a[i, i + d] is a^T[i + d, i]
+            i0, i1 = max(0, -d), min(n, n - d)
+            out[-1 - k, i0 + d:i1 + d] = w[k, i0:i1]
+        return StencilMatrix(out, self.upper)
 
     def toarray(self) -> np.ndarray:
         width, m = self.weights.shape
@@ -188,11 +135,10 @@ def block_rows(lower: int, upper: int) -> int:
 
 
 class PartitionedLU:
-    """``x = A^{-1} B u`` for a banded A of size n, given by its row
-    stencils (``rows[i, k] = A[i, i - lower + k]``, as `BandedMatrix.to_rows`)
-    with bandwidths kl = ``lower`` and ku, and a `StencilMatrix` B of n rows
-    (the identity when ``rhs`` is None), by a partitioned ("SPIKE")
-    factorization in NumPy.
+    """``x = A^{-1} B u`` for a banded A of size n, a square `StencilMatrix`
+    with bandwidths kl = ``a.lower`` and ku = ``a.upper``, and a
+    `StencilMatrix` B of n rows (the identity when ``rhs`` is None), by a
+    partitioned ("SPIKE") factorization in NumPy. A is read, never written.
 
     A is cut into p diagonal blocks A_i of m = `block_rows` (kl, ku) rows,
     the last one completed by identity rows (so n <= m is one block). With
@@ -222,10 +168,12 @@ class PartitionedLU:
     ``period`` rows (the length of an interface system's row pattern).
     """
 
-    def __init__(self, rows, lower: int, rhs: StencilMatrix | None = None, labels=None,
+    def __init__(self, a: StencilMatrix, rhs: StencilMatrix | None = None, labels=None,
                  period: int = 1):
-        rows = np.asarray(rows, dtype=float)
-        n, kl, ku = len(rows), lower, rows.shape[1] - 1 - lower
+        if a.per_node != 1:
+            raise ValueError("the matrix must be square (one row per node)")
+        rows = a.weights.T  # a view: rows[i, k] = A[i, i - kl + k]
+        n, kl, ku = len(rows), a.lower, a.upper
         if rhs is None:
             rhs = StencilMatrix(np.ones((1, n)), 0)
         if rhs.shape[0] != n:
@@ -240,7 +188,7 @@ class PartitionedLU:
         self._take = (m // r) * np.arange(p)[:, None] + np.arange((m - 1) // r + width)
         kinds, kind = {}, []  # key -> (kind number, A_i with its coupling columns, B_i, A_i^-1)
         for i in range(p):
-            a_i, b_i = rows[i * m:i * m + m], rhs.weights[:, i * m:i * m + m]
+            a_i, b_i = _inside(rows[i * m:i * m + m], i * m, n, kl), rhs.weights[:, i * m:i * m + m]
             if len(a_i) < m:  # identity rows complete the last block
                 a_i = np.vstack([a_i, np.eye(1, kl + ku + 1, kl).repeat(m - len(a_i), 0)])
                 b_i = np.hstack([b_i, np.zeros((width, m - b_i.shape[1]))])
@@ -304,7 +252,7 @@ class PartitionedLU:
         rows[:, kl + t, lower + s + q - t] = tips[1:, :ku, kl:]  # V_{c+1}^t x_{c+2}^t
         rows, tips = rows.reshape(-1, lower + upper + 1), None
         if len(rows) > DENSE_INTERFACE:
-            self._child = PartitionedLU(rows, lower, labels=unknowns, period=s)
+            self._child = PartitionedLU(StencilMatrix(rows.T, lower), labels=unknowns, period=s)
         else:
             self._inv = _inverse(_sheared(rows)[:, lower:lower + len(rows)],
                                  "interface system", unknowns)
@@ -357,6 +305,13 @@ def _inverse(a: np.ndarray, what: str, labels) -> np.ndarray:
     return inv
 
 
+def _inside(rows: np.ndarray, first: int, n: int, lower: int) -> np.ndarray:
+    """A copy of the row stencils ``rows`` of rows ``first``.. of a square
+    matrix of size n, 0 where a stencil reaches outside its columns."""
+    cols = first + np.arange(len(rows))[:, None] + np.arange(rows.shape[1]) - lower
+    return np.where((cols >= 0) & (cols < n), rows, 0.0)
+
+
 def _sheared(rows: np.ndarray) -> np.ndarray:
     """Row stencils ``rows`` (m, w) placed densely: entry [i, i + k] is
     rows[i, k], so columns lower .. lower + m - 1 are the matrix."""
@@ -369,13 +324,14 @@ def _sheared(rows: np.ndarray) -> np.ndarray:
 
 
 def probe_stencil(apply, rows: int, cols: int, lower: int, upper: int,
-                  per_node: int = 1) -> np.ndarray:
-    """Stencil weights (lower + upper + 1, rows) of the linear map `apply`
-    from vectors of length ``cols`` to length ``rows``, in `StencilMatrix`
-    layout: row i may reach only the columns i // per_node - lower ..
-    i // per_node + upper, and must, or the comb teeth alias. One product
-    per comb vector (every (lower + upper + 1)-th column set to 1), so
-    beside the weights it holds a few vectors, never a dense matrix."""
+                  per_node: int = 1) -> StencilMatrix:
+    """The `StencilMatrix` of the linear map `apply` from vectors of length
+    ``cols`` to length ``rows``: row i may reach only the columns
+    i // per_node - lower .. i // per_node + upper, and must, or the comb
+    teeth alias. One product per comb vector (every (lower + upper + 1)-th
+    column set to 1), so beside the weights it holds a few vectors, never a
+    dense matrix. The all-zero outer stencil entries are trimmed off; the
+    weights are a view of the probed ones."""
     width = lower + upper + 1
     weights = np.zeros((width, rows))
     for c in range(width):
@@ -385,22 +341,17 @@ def probe_stencil(apply, rows: int, cols: int, lower: int, upper: int,
         for k in range(width):
             q0 = (c - k + lower) % width  # nodes whose column k is a tooth
             weights[k].reshape(-1, per_node)[q0::width] = got[q0::width]
-    return weights
-
-
-def trim_stencil(weights: np.ndarray, lower: int):
-    """(weights, lower) without the all-zero outer stencil entries."""
     used = np.flatnonzero(np.any(weights != 0, axis=1))
-    return weights[used[0]:used[-1] + 1], lower - int(used[0])
+    return StencilMatrix(weights[used[0]:used[-1] + 1], lower - int(used[0]), per_node)
 
 
-def tridiagonal(lo, diag, up) -> BandedMatrix:
-    """Banded matrix with constant or per-row sub/main/super diagonals.
+def tridiagonal(lo, diag, up) -> StencilMatrix:
+    """Square `StencilMatrix` with constant or per-row sub/main/super diagonals.
 
     Per-row arrays are indexed by row: ``lo[i] = a[i, i-1]`` and
     ``up[i] = a[i, i+1]``; ``lo[0]`` and ``up[-1]`` are ignored.
     """
-    return BandedMatrix.from_rows(np.column_stack(np.broadcast_arrays(lo, diag, up)), 1)
+    return StencilMatrix(np.array(np.broadcast_arrays(lo, diag, up), dtype=float), 1)
 
 
 def solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -4,12 +4,12 @@ Every builder returns a `DerivativeOperator`: the derivative of nodal
 values ``u`` is ``scale * (D @ u)`` with ``scale = 1/h**order`` and a
 dimensionless D. The compact schemes all have the form D = A^{-1} B with a
 banded A. Each is assembled in two steps: a ``*_system`` function returns A
-as a `linalg.BandedMatrix` (tridiagonal for OUCS3 and Lele; for NCCD the
-2x2 block-tridiagonal system with its (u', u'') unknowns interleaved, three
-bands on each side) together with B as a `linalg.StencilMatrix`, the NumPy
-weights of its row stencils (five to seven entries per row), and the builder
-wraps the pair in a `BandedSystem` plus the boundary rows it patches. The
-explicit CD2 operators are the same with A = I. Nothing of size N x N is formed:
+and B as `linalg.StencilMatrix`, the NumPy weights of their row stencils (A
+tridiagonal for OUCS3 and Lele; for NCCD the 2x2 block-tridiagonal system
+with its (u', u'') unknowns interleaved, three bands on each side; B five
+to seven entries per row), and the builder wraps the pair in a
+`BandedSystem` plus the boundary rows it patches. The explicit CD2
+operators are the same with A = I. Nothing of size N x N is formed:
 ``D @ u`` is one partitioned solve of A x = B u with B folded into its block
 products (`linalg.PartitionedLU`) plus the patched rows, O(N) per call. Row
 i of A^{-1} B is B^T y with A^T y = e_i, one O(N) solve with the same kind
@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import BandedMatrix, LinearSolveError, PartitionedLU, StencilMatrix, tridiagonal
+from .linalg import LinearSolveError, PartitionedLU, StencilMatrix, tridiagonal
 
 #: Interior coefficients of the tridiagonal second-derivative scheme:
 #: alpha u''_{j-1} + u''_j + alpha u''_{j+1}
@@ -72,7 +72,7 @@ class Grid1D:
 class BandedSystem:
     """The system A y = B u behind one or more derivative operators.
 
-    A (``lhs``) is a `BandedMatrix` of size r N and B (``rhs``) a
+    A (``lhs``) is a square `StencilMatrix` of size r N and B (``rhs``) a
     `StencilMatrix` of shape (r N, N); node j owns rows r j .. r j + r - 1
     of y, and an operator reads one of them (NCCD: r = 2, u' and u'' of one
     solve). Two partitioned factorizations are made on first use and cached:
@@ -82,16 +82,16 @@ class BandedSystem:
     symbols.
     """
 
-    lhs: BandedMatrix
+    lhs: StencilMatrix
     rhs: StencilMatrix
 
     @cached_property
     def lu(self) -> PartitionedLU:
-        return self.lhs.factor(self.rhs)
+        return PartitionedLU(self.lhs, self.rhs)
 
     @cached_property
     def row_lu(self) -> PartitionedLU:
-        return self.lhs.transpose().factor()
+        return PartitionedLU(self.lhs.transpose())
 
     @property
     def per_node(self) -> int:
@@ -107,7 +107,8 @@ class BandedSystem:
         `StencilMatrix.tdot` sums every column in the same order, so a row
         does not depend on the rows read with it. Raises LinearSolveError on
         a non-finite row."""
-        e, y = np.zeros(self.lhs.size), np.empty((self.lhs.size, len(rows)))
+        n = self.lhs.shape[0]
+        e, y = np.zeros(n), np.empty((n, len(rows)))
         for c, i in enumerate(rows):
             e[i] = 1.0
             y[:, c] = self.row_lu.solve(e)
@@ -122,7 +123,7 @@ class BandedSystem:
         """A^{-1} B as a dense (r N, N) matrix, every row from `solve_rows`.
         Each operator of the system patches its own rows of it in place
         (`DerivativeOperator.matrix`)."""
-        return self.solve_rows(range(self.lhs.size))
+        return self.solve_rows(range(self.lhs.shape[0]))
 
     @cached_property
     def _rows(self) -> dict:
@@ -297,7 +298,7 @@ def _explicit(order: int, grid: Grid1D, interior, first, last) -> DerivativeOper
     b = np.zeros((5, n))  # column offsets -2..2
     b[1:4, 1:n - 1] = np.array(interior)[:, None]
     b[2:5, 0], b[0:3, n - 1] = first, last
-    system = BandedSystem(BandedMatrix(n, 0, 0, np.ones((1, n))), StencilMatrix(b, 2))
+    system = BandedSystem(StencilMatrix(np.ones((1, n)), 0), StencilMatrix(b, 2))
     return DerivativeOperator(order, 1.0 / grid.h**order, system)
 
 
@@ -396,8 +397,8 @@ def nccd_system(grid: Grid1D):
         j = N+1:      mirrored j = 1 rows.
 
     With the unknowns ordered (v_1, w_1, v_2, w_2, ...) the first equation of
-    node j is row 2j-2 and the second row 2j-1, and ``lhs`` is a
-    `BandedMatrix` of size 2(N+1) with three bands on each side of the
+    node j is row 2j-2 and the second row 2j-1, and ``lhs`` is a square
+    `StencilMatrix` of size 2(N+1) with three bands on each side of the
     diagonal. ``rhs`` is the (2(N+1), N+1) `StencilMatrix` with the right-hand
     sides interleaved the same way (two rows per node), so
     ``lhs^{-1} rhs`` holds D1 in its even and D2 in its odd rows.
@@ -417,7 +418,7 @@ def nccd_system(grid: Grid1D):
     rhs[1:4, 1:n - 1] = np.array([(-15.0 / 16.0, 3.0), (0.0, -6.0), (15.0 / 16.0, 3.0)])[:, None]
     rhs[2:5, 0] = [(-3.5, 9.0), (4.0, -12.0), (-0.5, 3.0)]
     rhs[0:3, n - 1] = [(0.5, 3.0), (-4.0, -12.0), (3.5, 9.0)]
-    return (BandedMatrix.from_rows(lhs.reshape(2 * n, 7), 3),
+    return (StencilMatrix(lhs.reshape(2 * n, 7).T.copy(), 3),
             StencilMatrix(rhs.reshape(5, 2 * n), 2, per_node=2))
 
 
@@ -429,7 +430,7 @@ def nccd_blocks(grid: Grid1D):
     serves checks stated in block form.
     """
     lhs, rhs = nccd_system(grid)
-    a, c = lhs.to_dense(), rhs.toarray()
+    a, c = lhs.toarray(), rhs.toarray()
     return a[0::2, 0::2], a[0::2, 1::2], c[0::2], a[1::2, 0::2], a[1::2, 1::2], c[1::2]
 
 

@@ -8,7 +8,7 @@ only the tests need.
 import numpy as np
 import scipy.linalg
 
-from adrlab.linalg import BandedMatrix, LinearSolveError
+from adrlab.linalg import LinearSolveError, StencilMatrix
 
 
 def dense(m) -> np.ndarray:
@@ -16,32 +16,43 @@ def dense(m) -> np.ndarray:
     return m.toarray() if hasattr(m, "toarray") else np.asarray(m)
 
 
-def from_dense(a: np.ndarray, lower: int, upper: int) -> BandedMatrix:
-    """The band of a dense square matrix as a `BandedMatrix`."""
+def from_dense(a: np.ndarray, lower: int, upper: int) -> StencilMatrix:
+    """The band of a dense square matrix as a square `StencilMatrix`,
+    0 at the weights outside the matrix."""
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
-    bands = np.zeros((lower + upper + 1, n), dtype=a.dtype)
+    weights = np.zeros((lower + upper + 1, n), dtype=a.dtype)
     for d in range(-lower, upper + 1):
-        diag = np.diagonal(a, d)
-        if d >= 0:
-            bands[upper - d, d:d + len(diag)] = diag
-        else:
-            bands[upper - d, : len(diag)] = diag
-    return BandedMatrix(n, lower, upper, bands)
+        diag = np.diagonal(a, d)  # a[i, i + d], from row max(-d, 0)
+        weights[lower + d, max(-d, 0):max(-d, 0) + len(diag)] = diag
+    return StencilMatrix(weights, lower)
 
 
-def solve_banded(a: BandedMatrix, b) -> np.ndarray:
-    """Solve a x = b for one or many right-hand sides (LAPACK gbsv).
+def lapack_bands(a: StencilMatrix) -> np.ndarray:
+    """A square `StencilMatrix` in the LAPACK band layout: entry (i, j) at
+    ``bands[upper + i - j, j]``; weights outside the matrix are dropped."""
+    n = a.shape[0]
+    bands = np.zeros((a.lower + a.upper + 1, n))
+    for k in range(a.lower + a.upper + 1):
+        d = k - a.lower  # column offset j - i of this stencil entry
+        i = np.arange(max(0, -d), min(n, n - d))
+        bands[a.upper - d, i + d] = a.weights[k, i]
+    return bands
+
+
+def solve_banded(a: StencilMatrix, b) -> np.ndarray:
+    """Solve a x = b for a square `StencilMatrix` a and one or many
+    right-hand sides (LAPACK gbsv).
 
     Raises LinearSolveError on a singular pivot or a non-finite result. A
     stencil b is expanded first.
     """
     b = dense(b)
-    if b.shape[0] != a.size:
+    if b.shape[0] != a.shape[0]:
         raise ValueError("rhs row count must equal matrix size")
     try:
-        x = scipy.linalg.solve_banded((a.lower, a.upper), a.bands, b)
+        x = scipy.linalg.solve_banded((a.lower, a.upper), lapack_bands(a), b)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise LinearSolveError(str(exc)) from exc
     if not np.all(np.isfinite(x)):

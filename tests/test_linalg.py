@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from adrlab.linalg import (
-    BandedMatrix,
     LinearSolveError,
+    PartitionedLU,
     StencilMatrix,
     solve_dense,
     tridiagonal,
@@ -20,7 +20,7 @@ def test_banded_identity():
 def test_banded_constructed_exact_solution():
     # tridiag(1, 10, 1), rhs = row sums -> all-ones solution
     a = tridiagonal(1.0, 10.0 * np.ones(5), 1.0)
-    b = a.to_dense() @ np.ones(5)
+    b = a.toarray() @ np.ones(5)
     x = solve_banded(a, b)
     assert np.allclose(x, 1.0, rtol=0, atol=1e-13)
 
@@ -31,7 +31,7 @@ def test_banded_matches_dense_lu(rng):
     up = rng.normal(size=n)
     diag = 4.0 + rng.random(n)  # diagonally dominant
     a = tridiagonal(lo, diag, up)
-    dense = a.to_dense()
+    dense = a.toarray()
     b = rng.normal(size=(n, 3))
     xb = solve_banded(a, b)
     xd = solve_dense(dense, b)
@@ -41,31 +41,62 @@ def test_banded_matches_dense_lu(rng):
 
 def test_band_roundtrip(rng):
     dense = np.triu(np.tril(rng.normal(size=(7, 7)), 1), -2)
-    bm = from_dense(dense, 2, 1)
-    assert np.array_equal(bm.to_dense(), dense)
-    assert np.array_equal(bm.transpose().to_dense(), dense.T)
+    a = from_dense(dense, 2, 1)
+    assert (a.lower, a.upper) == (2, 1)
+    assert np.array_equal(a.toarray(), dense)
+    assert np.array_equal(a.transpose().toarray(), dense.T)
+    assert np.array_equal(a.transpose().weights, from_dense(dense.T, 1, 2).weights)
 
 
-def test_from_rows_places_stencils_and_drops_outside_entries(rng):
-    # rows[i, k] is entry (i, i - lower + k); stencil entries left of
-    # column 0 or right of the last column are dropped
-    n, lower, upper = 6, 3, 2
-    rows = rng.normal(size=(n, lower + upper + 1))
+def bits(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+def test_stencil_weights_outside_the_matrix_are_dropped(rng):
+    # weights[k, i] is entry (i, i - lower + k); the weights left of column
+    # 0 or right of the last column, NaN here, change no result, bit for
+    # bit. At n = 65 the factorization has two blocks, the second of one
+    # row, so the first block holds a row that reaches past the last column.
+    n, lower, upper = 65, 3, 2
+    weights = rng.normal(size=(lower + upper + 1, n))
+    weights[lower] += 2.0 * (lower + upper + 1)
     want = np.zeros((n, n))
     for i in range(n):
         for k in range(lower + upper + 1):
             if 0 <= i - lower + k < n:
-                want[i, i - lower + k] = rows[i, k]
-    bm = BandedMatrix.from_rows(rows, lower)
-    assert (bm.lower, bm.upper) == (lower, upper)
-    assert np.array_equal(bm.to_dense(), want)
-    assert np.array_equal(from_dense(want, lower, upper).bands, bm.bands)
+                want[i, i - lower + k] = weights[k, i]
+            else:
+                weights[k, i] = np.nan
+    a, clean = StencilMatrix(weights, lower), from_dense(want, lower, upper)
+    assert np.array_equal(a.toarray(), want)
+    assert np.array_equal(a.transpose().toarray(), want.T)
+    assert np.array_equal(bits(a.transpose().weights), bits(clean.transpose().weights))
+    v, y = rng.normal(size=n), rng.normal(size=(n, 3))
+    b = StencilMatrix(rng.normal(size=(3, n)), 1)
+    assert PartitionedLU(a, b).blocks == 2
+    for got, ref in [(a @ v, clean @ v), (a.tdot(y), clean.tdot(y)),
+                     (PartitionedLU(a, b).solve(v), PartitionedLU(clean, b).solve(v)),
+                     (PartitionedLU(a.transpose()).solve(v),
+                      PartitionedLU(clean.transpose()).solve(v))]:
+        assert np.array_equal(bits(got), bits(ref))
+    assert np.allclose(PartitionedLU(a).solve(want @ v), v, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("weights, lower, per_node", [
+    (np.ones(6), 0, 1),
+    (np.ones((3, 6)), 3, 1),
+    (np.ones((3, 6)), -1, 1),
+    (np.ones((3, 6)), 1, 4),
+], ids=["one-dimensional", "lower-past-the-width", "negative-lower", "partial-node"])
+def test_stencil_matrix_rejects_a_malformed_shape(weights, lower, per_node):
+    with pytest.raises(ValueError):
+        StencilMatrix(weights, lower, per_node)
 
 
 def test_tridiagonal_per_row_arrays():
     lo, diag, up = np.array([9.0, 1.0, 2.0]), np.array([3.0, 4.0, 5.0]), np.array([6.0, 7.0, 9.0])
     want = np.array([[3.0, 6.0, 0.0], [1.0, 4.0, 7.0], [0.0, 2.0, 5.0]])
-    assert np.array_equal(tridiagonal(lo, diag, up).to_dense(), want)
+    assert np.array_equal(tridiagonal(lo, diag, up).toarray(), want)
 
 
 def test_banded_singular_raises():
@@ -73,16 +104,17 @@ def test_banded_singular_raises():
     with pytest.raises(LinearSolveError):
         solve_banded(a, np.ones(4))
     with pytest.raises(LinearSolveError):
-        a.factor()
+        PartitionedLU(a)
 
 
 def test_banded_factor_keeps_the_matrix_and_solves_complex_input(rng):
-    a = BandedMatrix.from_rows(rng.uniform(-1, 1, (12, 4)) + [0, 0, 4, 0], 2)
-    bands = a.bands.copy()
-    lu = a.factor()
-    assert np.array_equal(a.bands, bands)
+    # the weights outside the matrix are nonzero and stay as they are
+    a = StencilMatrix(rng.uniform(-1, 1, (4, 12)) + [[0], [0], [4], [0]], 2)
+    weights = a.weights.copy()
+    lu = PartitionedLU(a)
+    assert np.array_equal(a.weights, weights)
     b = rng.normal(size=12) + 1j * rng.normal(size=12)
-    assert np.max(np.abs(a.to_dense() @ lu.solve(b) - b)) < 1e-12
+    assert np.max(np.abs(a.toarray() @ lu.solve(b) - b)) < 1e-12
 
 
 def test_dense_scaled_identity():
@@ -116,30 +148,30 @@ def test_inverse_roundtrip(rng):
 
 
 def random_band(rng, n, lower, upper, dominant):
-    bands = rng.normal(size=(lower + upper + 1, n))  # corner entries outside the matrix too
+    weights = rng.normal(size=(lower + upper + 1, n))  # weights outside the matrix too
     if dominant:
-        bands[upper] += 2.0 * (lower + upper + 1)
-    return BandedMatrix(n, lower, upper, bands)
+        weights[lower] += 2.0 * (lower + upper + 1)
+    return StencilMatrix(weights, lower)
 
 
 def test_transposed_lu_pivots_past_a_zero_diagonal():
     # a^T = [[0, 1, 0], [1, 0, 1], [0, 1, 0.5]]: one diagonal block, no LU
     # of it without row interchanges
     a = tridiagonal(1.0, np.array([0.0, 0.0, 0.5]), 1.0)
-    lu = a.transpose().factor()
+    lu = PartitionedLU(a.transpose())
     assert lu.blocks == 1
     x = np.column_stack([lu.solve(e) for e in np.eye(3)])
-    assert np.allclose(x, np.linalg.inv(a.to_dense().T), rtol=0, atol=1e-15)
+    assert np.allclose(x, np.linalg.inv(a.toarray().T), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("a", [
     tridiagonal(0.0, np.zeros(4), 0.0),
-    BandedMatrix.from_rows([[0, 1, 1], [1, 1, 0], [0, 1, 0], [0, 1, 0]], 1),  # rows 0, 1 equal
+    StencilMatrix(np.array([[0, 1, 1], [1, 1, 0], [0, 1, 0], [0, 1, 0]]).T, 1),  # rows 0, 1 equal
     tridiagonal(0.0, np.array([1.0, np.nan, 1.0]), 0.0),
 ], ids=["zero-diagonal", "singular", "nan"])
 def test_transposed_lu_zero_pivot_raises(a):
     with pytest.raises(LinearSolveError, match="singular"):
-        a.transpose().factor()
+        PartitionedLU(a.transpose())
 
 
 def test_transposed_solve_of_a_non_finite_rhs_raises():
@@ -164,7 +196,7 @@ def test_one_column_alone_equals_its_column_of_a_many_column_solve(rng):
 
 
 def test_solve_leaves_its_right_hand_side_as_it_is(rng):
-    lu = random_band(rng, 20, 1, 1, dominant=True).transpose().factor()
+    lu = PartitionedLU(random_band(rng, 20, 1, 1, dominant=True).transpose())
     b = rng.normal(size=20)
     keep = b.copy()
     lu.solve(b)
@@ -199,7 +231,7 @@ def test_inverse_rows_are_rows_of_the_dense_solve(rng):
     n = 11
     a = random_band(rng, 2 * n, 3, 3, dominant=False)
     b = StencilMatrix(rng.normal(size=(5, 2 * n)), 2, per_node=2)
-    want = solve_dense(a.to_dense(), b.toarray())
+    want = solve_dense(a.toarray(), b.toarray())
     rows = range(3, 2 * n)
     got = BandedSystem(a, b).solve_rows(rows)
     assert got.shape == (len(rows), n)
@@ -219,8 +251,8 @@ def stage_config(n):
 
 
 def factored(name, n):
-    """(factorization, A as row stencils with its lower bandwidth, B) of one
-    matrix a stepper or a row pass factors, on n nodes."""
+    """(factorization, A, B) of one matrix a stepper or a row pass factors,
+    on n nodes."""
     from adrlab.adr1d import SchemeId, make_stepper
     from adrlab import operators
 
@@ -233,8 +265,8 @@ def factored(name, n):
         system = build(grid).system
         if base != name:  # the factors of A^T that give the operator's rows
             a = system.lhs.transpose()
-            return system.row_lu, a.to_rows(), a.lower, StencilMatrix(np.ones((1, a.size)), 0)
-        return system.lu, system.lhs.to_rows(), system.lhs.lower, system.rhs
+            return system.row_lu, a, StencilMatrix(np.ones((1, a.shape[0])), 0)
+        return system.lu, system.lhs, system.rhs
     stage = make_stepper(SchemeId(name), stage_config(n)).stage
     return (stage.lu,) + stage.system()
 
@@ -253,29 +285,27 @@ def one_block_nodes(name):
 @pytest.mark.parametrize("where", ["n7", "one-block", "one-node-over", "n1001"])
 def test_partitioned_solve_matches_lapack(rng, name, where):
     n = {"n7": 7, "n1001": 1001}.get(where) or one_block_nodes(name) + (where == "one-node-over")
-    lu, rows, lower, b = factored(name, n)
+    lu, a, b = factored(name, n)
     if where != "n1001":
         assert lu.blocks == (2 if where == "one-node-over" else 1)
-    a, m = BandedMatrix.from_rows(rows, lower), b.shape[1]
-    bd = b.toarray()
+    m, bd = b.shape[1], b.toarray()
     for u in (rng.normal(size=m), rng.normal(size=m) + 1j * rng.normal(size=m)):
         rhs = bd @ u
         want = solve_banded(a, rhs.real) + 1j * solve_banded(a, rhs.imag)
         x = lu.solve(u)
         assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want)), name
-        assert residual_inf(a.to_dense(), x, rhs) <= residual_bound(a.to_dense(), x, rhs)
+        assert residual_inf(a.toarray(), x, rhs) <= residual_bound(a.toarray(), x, rhs)
 
 
 @pytest.mark.parametrize("name", FACTORED)
 def test_partitioned_solve_residual_at_n_1e5(rng, name):
     n = 100_000
-    lu, rows, lower, b = factored(name, n)
+    lu, a, b = factored(name, n)
     assert lu._child is not None or name == "cd2"  # A = I has no interface system
-    a = BandedMatrix.from_rows(rows, lower)
     u = rng.normal(size=b.shape[1])
     x, rhs = lu.solve(u), b @ u
     residual = np.max(np.abs(a @ x - rhs))
-    bound = 1e-10 * (np.max(np.sum(np.abs(rows), axis=1)) * np.max(np.abs(x))
+    bound = 1e-10 * (np.max(np.sum(np.abs(a.weights), axis=0)) * np.max(np.abs(x))
                      + np.max(np.abs(rhs)))
     assert residual <= bound, name
 
@@ -285,9 +315,9 @@ def test_partitioned_singular_diagonal_block_raises_naming_its_rows():
     n = 64
     rows = np.tile([0.5, 4.0, 0.5], (n, 1))
     rows[31] = (0.0, 0.0, 1.0)
-    assert abs(np.linalg.det(BandedMatrix.from_rows(rows, 1).to_dense())) > 0
+    assert abs(np.linalg.det(StencilMatrix(rows.T, 1).toarray())) > 0
     with pytest.raises(LinearSolveError, match=r"diagonal block of rows 0\.\.31"):
-        BandedMatrix.from_rows(rows, 1).factor()
+        PartitionedLU(StencilMatrix(rows.T, 1))
 
 
 def test_partitioned_singular_matrix_raises_naming_its_rows():
@@ -298,6 +328,6 @@ def test_partitioned_singular_matrix_raises_naming_its_rows():
     rows[31, 0] = rows[32, 2] = 0.0
     rows[31, 2], rows[32, 0] = 1.0, 1.0
     with pytest.raises(LinearSolveError, match=r"interface system of rows 31\.\.32"):
-        BandedMatrix.from_rows(rows, 1).factor()
+        PartitionedLU(StencilMatrix(rows.T, 1))
     with pytest.raises(LinearSolveError, match="singular"):
-        tridiagonal(0.0, np.zeros(4), 0.0).factor()
+        PartitionedLU(tridiagonal(0.0, np.zeros(4), 0.0))

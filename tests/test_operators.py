@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from adrlab import linalg
+from adrlab import linalg, operators
 from adrlab.operators import (
     BandedSystem,
     DEFAULT_OUCS3,
@@ -179,7 +179,7 @@ def test_nccd_defining_relations_pre_fix(n):
     lhs, rhs = nccd_system(grid)
     x = np.empty((2 * n, n))
     x[0::2], x[1::2] = d1.matrix, d2.matrix
-    a = lhs.to_dense()
+    a = lhs.toarray()
     assert (lhs.lower, lhs.upper) == (3, 3)
     assert residual_inf(a, x, rhs) <= residual_bound(a, x, rhs)
 
@@ -193,7 +193,7 @@ def test_banded_assembly_matches_dense_solve(system, build, patched, n):
     grid = unit_grid(n)
     a, b = system(grid)
     assert (a.lower, a.upper) == (1, 1)
-    want = np.delete(solve_dense(a.to_dense(), b.toarray()), patched(n), axis=0)
+    want = np.delete(solve_dense(a.toarray(), b.toarray()), patched(n), axis=0)
     got = np.delete(build(grid).matrix, patched(n), axis=0)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
@@ -256,9 +256,9 @@ def test_matrix_is_the_dense_solve_of_the_system_with_its_patch(n):
 def count_row_solves(monkeypatch):
     """Calls of the banded factorization and of the row pass, as two lists."""
     factors, passes = [], []
-    factor, rows = linalg.BandedMatrix.factor, BandedSystem.solve_rows
-    monkeypatch.setattr(linalg.BandedMatrix, "factor",
-                        lambda self, *a: factors.append(1) or factor(self, *a))
+    factor, rows = linalg.PartitionedLU, BandedSystem.solve_rows
+    monkeypatch.setattr(operators, "PartitionedLU",
+                        lambda *a: factors.append(1) or factor(*a))
     monkeypatch.setattr(BandedSystem, "solve_rows",
                         lambda self, *a: passes.append(1) or rows(self, *a))
     return factors, passes
