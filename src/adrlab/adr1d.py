@@ -29,8 +29,9 @@ carrying the boundary data, and stage 2 re-imposes the end values. Either
 way the interior stencil rows stay exactly as analyzed spectrally.
 
 Nothing of size N x N is formed. Explicit parts are operator products
-(`DerivativeOperator.__matmul__`, one banded solve each) and the stage
-matrix I - z_I/2 is reduced to one banded system that is factored once
+(`DerivativeOperator.__matmul__`, one banded solve each), and the stage
+I - z_I/2 is written as one banded system, in the unknowns of the implicit
+operators' systems and the stage's own, that is factored once
 (`ImplicitStage`), so building a stepper and taking a step both cost O(N).
 Everything here runs on NumPy alone.
 
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import NumericalError, whole_steps
-from .linalg import LinearSolveError, PartitionedLU, StencilMatrix, probe_stencil
+from .linalg import LinearSolveError, PartitionedLU, StencilMatrix
 from .operators import (
     DerivativeOperator,
     Grid1D,
@@ -178,122 +179,77 @@ class ImplicitStage:
     implicit operators D_q (``terms``, pairs (D_q, beta_q)). Each D_q w is
     row ``part`` of each node's block of x, where x solves the operator's
     system A x = B w (`BandedSystem`), except at the patched rows, whose
-    stencils P_q read w itself. The x of all distinct systems are
-    interleaved node by node. With E x = sum_q beta_q (those rows of x)
-    and P = sum_q beta_q P_q (both zero in the end rows) the stage reads
+    stencils read w itself. The stage is one banded system in the x of
+    every distinct system and w, interleaved node by node with w last:
 
-        T w = y + E x,   T = diag(alpha; 1 at the ends) - P.
+        A x - B w = 0                                for each system,
+        alpha w_j - sum_q beta_q (D_q w)_j = y_j     at the interior nodes,
+        w_j = y_j                                    at the two end nodes.
 
-    T is diagonal but for the patched rows, whose stencils reach only
-    unpatched nodes, so W = T^{-1} = D^{-1} + D^{-1} P' D^{-1} (D the
-    diagonal and P' the rest of P) and w = W (y + E x). Substituted into
-    A x = B w this leaves one banded system in x,
-
-        (A - B W E) x = B W y,
-
-    whose matrix and right-hand-side stencils are read from products with
-    comb vectors (`linalg.probe_stencil`) and factored once, B W folded in
-    (`linalg.PartitionedLU`). For imex-oucs3-lele it is the Lele system's
-    tridiagonal-plus-stencil matrix A - (Pe/2)/(1 - Da/2) B. The
-    elimination needs 1 - Da/2 != 0 (and a nonzero diagonal of T at the
-    patched rows); LinearSolveError is raised otherwise.
+    Its matrix is written entry by entry from the systems' stencils and
+    the patches (`system`) and factored once with y's selection as the
+    right-hand side (`linalg.PartitionedLU`), so a solve is one partitioned
+    solve. 1 - Da/2 = 0, the pole of the scheme's amplification factor at
+    kh = 0 (where every derivative symbol vanishes), raises LinearSolveError.
     """
 
     def __init__(self, n: int, alpha: float, terms):
+        if alpha == 0:
+            raise LinearSolveError("the implicit stage needs 1 - Da/2 != 0 (1 - Da/2 is the "
+                                   "denominator of the amplification factor at kh = 0)")
+        self.n, self.alpha, self.terms = n, alpha, terms
         self.systems = list({id(op.system): op.system for op, _ in terms}.values())
-        offsets = np.cumsum([0] + [s.per_node for s in self.systems])
-        self.width = width = int(offsets[-1])
-        self.pos = []  # place of each x of a system in the interleaved order
-        for s, off in zip(self.systems, offsets):
-            i = np.arange(s.rhs.shape[0])
-            self.pos.append(width * (i // s.per_node) + off + i % s.per_node)
-        self._eliminate(n, alpha, terms, offsets)
+        self.offsets = np.cumsum([0] + [s.per_node for s in self.systems]).tolist()
+        self.width = self.offsets[-1] + 1
         self.lu = PartitionedLU(*self.system())
 
     def system(self):
-        """(A - B W E, B W) as two `StencilMatrix`, both read from products
-        with comb vectors."""
-        width, n = self.width, len(self.dinv)
-        size = width * n
-        bw = probe_stencil(self._bw, size, n, self.bw_lower, self.bw_upper, width)
-        # a copy, so the untrimmed probe goes before the stage is probed and
-        # factored (the stage stencil is not copied: it is trimmed little or
-        # not at all, and a copy would double it at the peak)
-        bw = StencilMatrix(bw.weights.copy(), bw.lower, width)
-        # (A - B W E) reaches as many nodes as A and B W do
-        reach = [max(max(-(-getattr(s.lhs, side) // s.per_node) for s in self.systems),
-                     getattr(bw, side)) for side in ("lower", "upper")]
-        lower, upper = (width * r + width - 1 for r in reach)
-        return probe_stencil(self._stage, size, size, lower, upper), bw
+        """(stage matrix, selection of y) as two `StencilMatrix`, the
+        matrix's bandwidths read from its nonzero entries."""
+        width, size = self.width, self.width * self.n
+        reach = [0] + [d for _, d, v in self._bands() if np.any(v)]
+        lower = -min(reach)
+        weights = np.zeros((lower + max(reach) + 1, size))
+        for slot, d, v in self._bands():
+            weights[lower + d, slot::width] += v
+        select = np.zeros((1, size))
+        select[0, width - 1::width] = 1.0
+        return StencilMatrix(weights, lower), StencilMatrix(select, 0, width)
 
-    def _eliminate(self, n: int, alpha: float, terms, offsets):
-        """E (``e``: the weight of each interleaved x of a node), and W =
-        T^{-1} as ``dinv`` plus the patched rows' ``fix``; the node reach of
-        B W (``bw_lower``, ``bw_upper``)."""
-        interior = np.ones(n)
-        interior[[0, -1]] = 0.0
-        self.e = np.zeros((n, self.width))
-        patch = {}  # (row, column) -> entry of P
-        for op, beta in terms:
-            keep = interior.copy()
-            keep[[row for row, _, _ in op.patch]] = 0.0
-            self.e[:, offsets[self.systems.index(op.system)] + op.part] += beta * keep
+    def _bands(self):
+        """(slot, offset, weights) of each band of the stage matrix: weight j
+        is the entry of the row of unknown ``slot`` of node j, ``offset``
+        columns right of the diagonal, and 0 where that column is outside."""
+        n, width = self.n, self.width
+        j = np.arange(n)
+
+        def inside(v, shift):  # v, 0 where node j + shift is outside
+            return np.where((j + shift >= 0) & (j + shift < n), v, 0.0)
+
+        for s, off in zip(self.systems, self.offsets):
+            r = s.per_node
+            for p in range(r):  # the rows A x - B w of unknown p of each node
+                for k, a in enumerate(s.lhs.weights[:, p::r]):
+                    q, slot = divmod(p + k - s.lhs.lower, r)
+                    yield off + p, width * q + slot - p, inside(a, q)
+                for k, b in enumerate(s.rhs.weights[:, p::r]):
+                    q = k - s.rhs.lower
+                    yield off + p, width * q + width - 1 - off - p, inside(-b, q)
+        end = (j == 0) | (j == n - 1)
+        yield width - 1, 0, np.where(end, 1.0, self.alpha)
+        for op, beta in self.terms:
+            patched = end | np.isin(j, [row for row, _, _ in op.patch])
+            off = self.offsets[self.systems.index(op.system)]
+            yield width - 1, off + op.part - (width - 1), np.where(patched, 0.0, -beta)
             for row, first, w in op.patch:
-                if interior[row]:
-                    for k, wk in enumerate(w):
-                        patch[row, first + k] = patch.get((row, first + k), 0.0) + beta * wk
-        d = np.where(interior > 0, alpha, 1.0)
-        for (row, col), v in patch.items():
-            if row == col:
-                d[row] -= v
-        if not np.all(d):
-            raise LinearSolveError(f"the implicit stage elimination needs 1 - Da/2 != 0 and a "
-                                   f"nonzero patched-row pivot (1 - Da/2 = {alpha:g}, zero pivot "
-                                   f"at node {int(np.argmin(np.abs(d)))})")
-        self.dinv = 1 / d
-        off = {rc: v for rc, v in patch.items() if rc[0] != rc[1]}
-        rows = sorted({r for r, _ in off})
-        cols = sorted({c for _, c in off})
-        k = np.zeros((len(rows), len(cols)))
-        for (r, c), v in off.items():
-            k[rows.index(r), cols.index(c)] = self.dinv[r] * v
-        self.fix = (np.array(rows, dtype=int), np.array(cols, dtype=int), k)
-        reach = [c - r for r, c in off] + [0]
-        self.bw_lower = max(s.rhs.lower for s in self.systems) - min(reach)
-        self.bw_upper = max(s.rhs.weights.shape[0] - 1 - s.rhs.lower
-                            for s in self.systems) + max(reach)
-
-    def _w(self, v: np.ndarray) -> np.ndarray:
-        """W v."""
-        t = self.dinv * v
-        rows, cols, k = self.fix
-        if len(rows):
-            t[rows] += k @ t[cols]
-        return t
-
-    def _ex(self, x: np.ndarray) -> np.ndarray:
-        """E x."""
-        return np.einsum("ij,ij->i", x.reshape(-1, self.width), self.e)
-
-    def _stage(self, x: np.ndarray) -> np.ndarray:
-        """(A - B W E) x."""
-        wex = self._w(self._ex(x))
-        out = np.empty(len(x))
-        for s, pos in zip(self.systems, self.pos):
-            out[pos] = s.lhs @ x[pos] - s.rhs @ wex
-        return out
-
-    def _bw(self, y: np.ndarray) -> np.ndarray:
-        """B W y."""
-        wy = self._w(y)
-        out = np.empty(self.width * len(y))
-        for s, pos in zip(self.systems, self.pos):
-            out[pos] = s.rhs @ wy
-        return out
+                for k, wk in enumerate(w):
+                    v = np.zeros(n)
+                    v[row] = 0.0 if end[row] else -beta * wk
+                    yield width - 1, width * (first + k - row), v
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """w with (I - z_I/2) w = y (end rows: w = y); complex y as two real solves."""
-        return self._w(y + self._ex(self.lu.solve(y)))
+        return self.lu.solve(y)[self.width - 1::self.width]
 
 
 class Stepper:

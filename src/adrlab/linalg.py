@@ -11,11 +11,7 @@ solver), so a solve is a few matrix products over runs of equal blocks,
 O(n). Factored with B folded in, it applies ``A^{-1} B`` to one vector per
 step; factored for the transpose (`StencilMatrix.transpose`), it gives rows
 of ``A^{-1} B``: row i is ``B^T y`` with ``A^T y = e_i``
-(`StencilMatrix.tdot`), one O(n) solve.
-
-`probe_stencil` reads the `StencilMatrix` of any banded linear map from a
-few products with comb vectors; the implicit 1D stage assembles its banded
-system with it. Nothing here imports SciPy.
+(`StencilMatrix.tdot`), one O(n) solve. Nothing here imports SciPy.
 
 Dense matrices are plain float64/complex128 ndarrays of shape (n, m). The
 operator assemblies combine boundary rows that break diagonal dominance
@@ -218,6 +214,7 @@ class PartitionedLU:
             edge = np.r_[right, m - kl + left]  # rows of x^t, then of x^b
             made.append((np.ascontiguousarray(np.hstack([g, -spikes]).T), g[edge].T.copy(),
                          spikes[edge]))
+        kinds = wide = b_i = inv = None  # folded into made: freed before the interface
         self.runs = []  # [first block, count, full, iface] of each run of equal blocks
         for i, k in enumerate(kind):
             if i and kind[i - 1] == k:
@@ -321,28 +318,6 @@ def _sheared(rows: np.ndarray) -> np.ndarray:
     for k in range(w):
         out[t, t + k] = rows[:, k]
     return out
-
-
-def probe_stencil(apply, rows: int, cols: int, lower: int, upper: int,
-                  per_node: int = 1) -> StencilMatrix:
-    """The `StencilMatrix` of the linear map `apply` from vectors of length
-    ``cols`` to length ``rows``: row i may reach only the columns
-    i // per_node - lower .. i // per_node + upper, and must, or the comb
-    teeth alias. One product per comb vector (every (lower + upper + 1)-th
-    column set to 1), so beside the weights it holds a few vectors, never a
-    dense matrix. The all-zero outer stencil entries are trimmed off; the
-    weights are a view of the probed ones."""
-    width = lower + upper + 1
-    weights = np.zeros((width, rows))
-    for c in range(width):
-        comb = np.zeros(cols)
-        comb[c::width] = 1.0
-        got = apply(comb).reshape(-1, per_node)
-        for k in range(width):
-            q0 = (c - k + lower) % width  # nodes whose column k is a tooth
-            weights[k].reshape(-1, per_node)[q0::width] = got[q0::width]
-    used = np.flatnonzero(np.any(weights != 0, axis=1))
-    return StencilMatrix(weights[used[0]:used[-1] + 1], lower - int(used[0]), per_node)
 
 
 def tridiagonal(lo, diag, up) -> StencilMatrix:

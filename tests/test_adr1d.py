@@ -7,6 +7,7 @@ from scipy.linalg import lu_factor, lu_solve
 from adrlab.adr1d import (
     AdrConfig,
     AdrInstabilityError,
+    ImplicitStage,
     SchemeId,
     SolutionState,
     make_stepper,
@@ -15,7 +16,7 @@ from adrlab.adr1d import (
     whole_steps,
     z_parts,
 )
-from adrlab.operators import Grid1D
+from adrlab.operators import DerivativeOperator, Grid1D, build_lele_second
 from adrlab import spectral
 
 N_SMALL = 101
@@ -214,6 +215,34 @@ def test_banded_step_matches_dense_reference(scheme, kind, rng):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def stage_and_matrix(case):
+    """An `ImplicitStage` and its matrix, dense, with identity end rows."""
+    if case == "lele-adjacent-patches":
+        # CD2 rows at rows 1 and 2 of a Lele D2: a patched row reads another
+        n, cd2 = 41, (1.0, -2.0, 1.0)
+        op = DerivativeOperator(2, 1.0, build_lele_second(Grid1D(n, 1.0)).system,
+                                patch=((1, 0, cd2), (2, 1, cd2), (n - 2, n - 3, cd2)))
+        stage, m = ImplicitStage(n, 1.0, [(op, 0.3)]), np.eye(n) - 0.3 * op.matrix
+    else:
+        cfg, scheme = small_cfg(c=1.0, nu=0.05, lam=-0.5, dt=0.02), SchemeId(case)
+        ops = scheme_operators(scheme, cfg.grid)
+        ci = z_parts(scheme, cfg.n_c, cfg.pe, cfg.da)[0]
+        stage = make_stepper(scheme, cfg, ops).stage
+        m = ((1 - ci[2] / 2) * np.eye(N_SMALL)
+             - ci[0] / 2 * ops[0].matrix - ci[1] / 2 * ops[1].matrix)
+    m[[0, -1]] = np.eye(len(m))[[0, -1]]
+    return stage, m
+
+
+@pytest.mark.parametrize("case", ["lele-adjacent-patches", "implicit-oucs3-lele",
+                                  "imex-oucs3-lele", "imex-nccd"])
+def test_implicit_stage_solves_its_matrix(case, rng):
+    stage, m = stage_and_matrix(case)
+    y = rng.normal(size=len(m))
+    w = stage.solve(y)
+    assert np.linalg.norm(m @ w - y) <= 1e-12 * np.linalg.norm(y)
+
+
 @pytest.mark.parametrize("scheme", list(SchemeId))
 def test_operators_used_before_the_stepper_give_the_same_step(scheme, rng):
     # products and dense matrices leave an operator as it was: a stepper
@@ -246,7 +275,8 @@ def test_stepper_memory_is_linear_in_n(scheme):
     finally:
         tracemalloc.stop()
     assert np.all(np.isfinite(state.values))
-    # measured 22.7 / 68.8 / 33.6 / 60.9 MB (explicit / implicit /
+    # measured 22.7 / 76.1 / 43.8 / 65.2 MB (explicit / implicit /
     # imex-oucs3-lele / imex-nccd); the implicit set-up peaks while the
-    # stage's partitioned LU is built from its probed stencils
+    # stage's partitioned LU is built from its assembled matrix (three
+    # unknowns per node, 20 weights per row)
     assert peak < 80e6, f"peak {peak / 1e6:.1f} MB"

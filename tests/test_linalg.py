@@ -310,6 +310,27 @@ def test_partitioned_solve_residual_at_n_1e5(rng, name):
     assert residual <= bound, name
 
 
+@pytest.mark.parametrize("case", [(12, 0, 2), (200, 1, 1), (200, 3, 3), "implicit-oucs3-lele",
+                                  "imex-oucs3-lele", "imex-nccd"], ids=str)
+def test_partitioned_solve_backward_error(rng, case):
+    # ||A x - b|| / (||A|| ||x|| + ||b||) of the solve as it is, with no
+    # refinement step: on seeded non-dominant random bands (100 per shape),
+    # and on the stage systems, whose rows hold B's weights beside A's
+    if isinstance(case, str):
+        lu, a, b = factored(case, 1001)
+        u = rng.normal(size=b.shape[1])
+        draws = [(a, lu.solve(u), b @ u)]
+    else:
+        draws = []
+        for _ in range(100):
+            a, rhs = random_band(rng, *case, dominant=False), rng.normal(size=case[0])
+            draws.append((a, PartitionedLU(a).solve(rhs), rhs))
+    for a, x, rhs in draws:
+        norm = np.max(StencilMatrix(np.abs(a.weights), a.lower) @ np.ones(len(x)))
+        error = np.max(np.abs(a @ x - rhs)) / (norm * np.max(np.abs(x)) + np.max(np.abs(rhs)))
+        assert error <= 1e-11, case
+
+
 def test_partitioned_singular_diagonal_block_raises_naming_its_rows():
     # A is regular (row 31 reads x_32), but block 0 (rows 0..31) has a zero row
     n = 64
