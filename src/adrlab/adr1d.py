@@ -173,7 +173,8 @@ def _pin(values: np.ndarray, bc) -> np.ndarray:
 
 
 class ImplicitStage:
-    """Solver of the stage-1 system (I - z_I/2) w = y, end rows identity.
+    """Solver of the stage-1 system (I - z_I/2) w = y, its end rows from a
+    closure.
 
     Row j of I - z_I/2 reads alpha w_j - sum_q beta_q (D_q w)_j for the
     implicit operators D_q (``terms``, pairs (D_q, beta_q)). Each D_q w is
@@ -184,24 +185,33 @@ class ImplicitStage:
 
         A x - B w = 0                                for each system,
         alpha w_j - sum_q beta_q (D_q w)_j = y_j     at the interior nodes,
-        w_j = y_j                                    at the two end nodes.
+        closure rows                                 at the two end nodes.
 
-    Its matrix is written entry by entry from the systems' stencils and
-    the patches (`system`) and factored once with y's selection as the
-    right-hand side (`linalg.PartitionedLU`), so a solve is one partitioned
-    solve. 1 - Da/2 = 0, the pole of the scheme's amplification factor at
-    kh = 0 (where every derivative symbol vanishes), raises LinearSolveError.
+    Without a ``closure`` the end rows are identity rows carrying y's end
+    values (w_j = y_j, Dirichlet). A ``closure`` gives the two end rows as
+    (row, first, weights) stencils on w with zero data, and y then holds
+    the n - 2 inner nodes: ((0, 0, (1, -1)), (n - 1, n - 2, (-1, 1))) closes
+    a mirror-padded line (w_0 = w_1, w_{n-1} = w_{n-2}).
+
+    Its matrix is written entry by entry from the systems' stencils, the
+    patches and the closure (`system`) and factored once with y's selection
+    as the right-hand side (`linalg.PartitionedLU`), so a solve, of one
+    vector or of many as columns, is one partitioned solve. 1 - Da/2 = 0,
+    the pole of the scheme's amplification factor at kh = 0 (where every
+    derivative symbol vanishes), raises LinearSolveError.
     """
 
-    def __init__(self, n: int, alpha: float, terms):
+    def __init__(self, n: int, alpha: float, terms, closure=None):
         if alpha == 0:
             raise LinearSolveError("the implicit stage needs 1 - Da/2 != 0 (1 - Da/2 is the "
                                    "denominator of the amplification factor at kh = 0)")
         self.n, self.alpha, self.terms = n, alpha, terms
+        self.closure = ((0, 0, (1.0,)), (n - 1, n - 1, (1.0,))) if closure is None else closure
         self.systems = list({id(op.system): op.system for op, _ in terms}.values())
         self.offsets = np.cumsum([0] + [s.per_node for s in self.systems]).tolist()
         self.width = self.offsets[-1] + 1
-        self.lu = PartitionedLU(*self.system())
+        inputs = None if closure is None else np.r_[-1, np.arange(n - 2), -1]
+        self.lu = PartitionedLU(*self.system(), inputs=inputs)
 
     def system(self):
         """(stage matrix, selection of y) as two `StencilMatrix`, the
@@ -236,20 +246,24 @@ class ImplicitStage:
                     q = k - s.rhs.lower
                     yield off + p, width * q + width - 1 - off - p, inside(-b, q)
         end = (j == 0) | (j == n - 1)
-        yield width - 1, 0, np.where(end, 1.0, self.alpha)
+        yield width - 1, 0, np.where(end, 0.0, self.alpha)
+        rows = [(row, first, w, 1.0) for row, first, w in self.closure]
         for op, beta in self.terms:
             patched = end | np.isin(j, [row for row, _, _ in op.patch])
             off = self.offsets[self.systems.index(op.system)]
             yield width - 1, off + op.part - (width - 1), np.where(patched, 0.0, -beta)
-            for row, first, w in op.patch:
-                for k, wk in enumerate(w):
-                    v = np.zeros(n)
-                    v[row] = 0.0 if end[row] else -beta * wk
-                    yield width - 1, width * (first + k - row), v
+            rows += [(row, first, w, 0.0 if end[row] else -beta) for row, first, w in op.patch]
+        for row, first, w, scale in rows:  # stencils on w: the closure's, then the patches'
+            for k, wk in enumerate(w):
+                v = np.zeros(n)
+                v[row] = scale * wk
+                yield width - 1, width * (first + k - row), v
 
-    def solve(self, y: np.ndarray) -> np.ndarray:
-        """w with (I - z_I/2) w = y (end rows: w = y); complex y as two real solves."""
-        return self.lu.solve(y)[self.width - 1::self.width]
+    def solve(self, y: np.ndarray, scratch=None) -> np.ndarray:
+        """w with (I - z_I/2) w = y, for y one vector or the columns of an
+        array (`linalg.PartitionedLU.solve`, which ``scratch`` is passed
+        to); complex y as two real solves."""
+        return self.lu.solve(y, self.width, scratch)
 
 
 class Stepper:

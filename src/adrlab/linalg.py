@@ -8,9 +8,12 @@ right-hand side B with one or two rows per node. One factorization serves
 every solve: `PartitionedLU` cuts A into diagonal blocks with dense
 inverses and couples them through a small interface system (a "SPIKE"
 solver), so a solve is a few matrix products over runs of equal blocks,
-O(n). Factored with B folded in, it applies ``A^{-1} B`` to one vector per
-step; factored for the transpose (`StencilMatrix.transpose`), it gives rows
-of ``A^{-1} B``: row i is ``B^T y`` with ``A^T y = e_i``
+O(n). Factored with B folded in, it applies ``A^{-1} B`` to one vector, or
+to the columns of an array in the same number of products (the lines of a
+2D field); an input map lets B read some of its columns from other input
+rows, or read zeros (the mirror ghosts of a padded line), so no padded copy
+is made. Factored for the transpose (`StencilMatrix.transpose`), it gives
+rows of ``A^{-1} B``: row i is ``B^T y`` with ``A^T y = e_i``
 (`StencilMatrix.tdot`), one O(n) solve. Nothing here imports SciPy.
 
 Dense matrices are plain float64/complex128 ndarrays of shape (n, m). The
@@ -162,10 +165,12 @@ class PartitionedLU:
     ``labels`` names the unknowns in those messages (the original rows,
     when this is an interface system), and blocks hold a whole number of
     ``period`` rows (the length of an interface system's row pattern).
+    ``inputs`` maps each column of B to the row of the input u it reads, a
+    negative entry to a zero (default: column j reads u_j).
     """
 
     def __init__(self, a: StencilMatrix, rhs: StencilMatrix | None = None, labels=None,
-                 period: int = 1):
+                 period: int = 1, inputs=None):
         if a.per_node != 1:
             raise ValueError("the matrix must be square (one row per node)")
         rows = a.weights.T  # a view: rows[i, k] = A[i, i - kl + k]
@@ -179,9 +184,11 @@ class PartitionedLU:
         m += -m % math.lcm(r, period)  # blocks start at a node and repeat the rows' pattern
         p = -(-n // m)
         self.size, self.blocks, self.rows = n, p, m
-        self._zeros = (np.zeros(rhs.lower),
-                       np.zeros(p * m // r + width - 1 - rhs.lower - rhs.shape[1]))
-        self._take = (m // r) * np.arange(p)[:, None] + np.arange((m - 1) // r + width)
+        inputs = np.arange(rhs.shape[1]) if inputs is None else np.asarray(inputs)
+        self._inputs = int(inputs.max()) + 1
+        src = np.pad(inputs, (rhs.lower, p * m // r + width), constant_values=-1)[  # -1 outside B
+            (m // r) * np.arange(p)[:, None] + np.arange((m - 1) // r + width)]
+        self._take, self._zero = np.maximum(src, 0), np.nonzero(src < 0)  # u rows, zeros
         kinds, kind = {}, []  # key -> (kind number, A_i with its coupling columns, B_i, A_i^-1)
         for i in range(p):
             a_i, b_i = _inside(rows[i * m:i * m + m], i * m, n, kl), rhs.weights[:, i * m:i * m + m]
@@ -254,35 +261,57 @@ class PartitionedLU:
             self._inv = _inverse(_sheared(rows)[:, lower:lower + len(rows)],
                                  "interface system", unknowns)
 
-    def solve(self, u: np.ndarray) -> np.ndarray:
-        """x = A^{-1} B u for a real or complex vector u; complex u is solved
-        as two real vectors."""
+    def solve(self, u: np.ndarray, every: int = 1, scratch=None) -> np.ndarray:
+        """Every ``every``-th row of x = A^{-1} B u (rows every - 1,
+        2 every - 1, ...: the last row of each node when ``every`` is B's
+        rows per node), for u a real or complex vector or an (inputs, k)
+        array whose k columns are solved together, at the cost of one solve
+        in NumPy calls; complex u is solved as two real ones. ``every`` must
+        divide B's rows per node. With a ``scratch`` dict, a real solve of
+        many columns reuses its arrays and returns a view of one, valid
+        until the next solve with the same dict."""
         if np.iscomplexobj(u):
-            return self._solve(u.real) + 1j * self._solve(u.imag)
-        return self._solve(u)
-
-    def _solve(self, u: np.ndarray) -> np.ndarray:
+            return self.solve(u.real, every) + 1j * self.solve(u.imag, every)
         ku, s, p, m = self._ku, self._s, self.blocks, self.rows
-        pad = np.concatenate((self._zeros[0], u, self._zeros[1]))
-        if len(pad) != self._take[-1, -1] + 1:
+        if len(u) != self._inputs:
             raise ValueError("input length does not match the right-hand side's columns")
-        q = np.empty((p, self._take.shape[1] + s))
-        q[:, :q.shape[1] - s] = pad[self._take]
+        cols, w = u.shape[1:], self._take.shape[1]
+        pick = every if cols else 1  # one vector is solved whole, in the products of a whole solve
+        q = _scratch(scratch, "q", (p, w + s) + cols)
+        q[:, :w] = u[self._take]
+        q[:, :w][self._zero] = 0.0
         if s:
-            g = np.empty((p, s))  # g_i^t, g_i^b of every block
+            g = np.empty((p, s) + cols)  # g_i^t, g_i^b of every block
             for i, count, _, iface in self.runs:
-                np.matmul(q[i:i + count, :-s], iface, out=g[i:i + count])
-            rhs = g.reshape(-1)[ku:(p - 1) * s + ku]
-            x_edge = np.zeros((p + 2) * s)  # x_i^t, x_i^b of block i at (i + 1) s
+                _times(q[i:i + count, :w], iface, g[i:i + count])
+            rhs = g.reshape((-1,) + cols)[ku:(p - 1) * s + ku]
+            x_edge = np.zeros(((p + 2) * s,) + cols)  # x_i^t, x_i^b of block i at (i + 1) s
             if self._child is None:
                 np.matmul(self._inv, rhs, out=x_edge[s + ku:p * s + ku])
             else:
                 x_edge[s + ku:p * s + ku] = self._child.solve(rhs)
-            q[:, -s:] = x_edge[self._ytake]
-        x = np.empty(p * m)
+            q[:, w:] = x_edge[self._ytake]
+        x = _scratch(scratch, "x", (p, m // pick) + cols)
         for i, count, full, _ in self.runs:
-            np.matmul(q[i:i + count], full, out=x[i * m:(i + count) * m].reshape(count, m))
-        return x[:self.size]
+            _times(q[i:i + count], full if pick == 1 else full[:, pick - 1::pick].copy(),
+                   x[i:i + count])
+        return x.reshape((-1,) + cols)[every // pick - 1::every // pick][:self.size // every]
+
+
+def _times(q: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each block's input q_i times a: the rows q a for one vector (q of
+    shape (c, w)), a^T q_i for the columns of many (q of shape (c, w, k))."""
+    return np.matmul(q, a, out=out) if q.ndim == 2 else np.matmul(a.T, q, out=out)
+
+
+def _scratch(scratch, name: str, shape) -> np.ndarray:
+    """An uninitialised array of ``shape``: new without a ``scratch`` dict,
+    else a view of its array ``name``, made again only when too small."""
+    if scratch is None:
+        return np.empty(shape)
+    if scratch.get(name, np.empty(0)).size < math.prod(shape):
+        scratch[name] = np.empty(shape)
+    return scratch[name].ravel()[:math.prod(shape)].reshape(shape)
 
 
 def _name(labels, rows: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ products (`linalg.PartitionedLU`) plus the patched rows, O(N) per call. Row
 i of A^{-1} B is B^T y with A^T y = e_i, one O(N) solve with the same kind
 of factors, made for A^T, so neither B nor D is expanded to get a row. Row
 symbols read one row (`DerivativeOperator.row`), cached per node. The dense
-D (`DerivativeOperator.matrix`), read by the PKS line operators and the
+D (`DerivativeOperator.matrix`), read by the acceptance checks and the
 tests, is every row solved the same way, on first read, so a row equals the
 same row of the dense D bit for bit. Building, reading and applying
 operators needs NumPy alone.
@@ -78,7 +78,7 @@ class BandedSystem:
     solve). Two partitioned factorizations are made on first use and cached:
     the one of A with B folded in (``lu``) applies the operators, and the one
     of A^T (``row_lu``) gives rows of A^{-1} B (`solve_rows`): `dense`, read
-    by the PKS line operators and the tests, and `node_rows`, read by the row
+    by the acceptance checks and the tests, and `node_rows`, read by the row
     symbols.
     """
 
@@ -180,7 +180,7 @@ class DerivativeOperator:
     def matrix(self) -> np.ndarray:
         """D as a dense N x N matrix, built on first access: a view of the
         system's dense A^{-1} B (`BandedSystem.dense`) with the patch
-        written into its rows. It is read by the PKS line operators and the
+        written into its rows. It is read by the acceptance checks and the
         tests; row symbols read one row (`row`) instead."""
         m = self.system.dense[self.part::self.system.per_node]
         for row, first, w in self.patch:  # one write per row, so a repeat changes nothing

@@ -28,19 +28,20 @@ The variants differ only in the split:
   combination of forward-Euler stages, so under the CFL bound every
   accepted density field is nonnegative.
 * ``imex-nccd`` - z_I = lap(rho) for rho and lap(c) - c for c; z_E =
-  -div(flux) for rho and rho for c; combined compact (NCCD) operators
-  applied line by line, mirror ghosts folded into the boundary columns;
-  stage 1 applies the inverses of the x and y line factors.
+  -div(flux) for rho and rho for c; combined compact (NCCD) operators on
+  the mirror-padded lines (`_NccdLines`), all lines of a direction solved
+  as the columns of one partitioned solve; stage 1 solves the x and then
+  the y line factor, each an `adr1d.ImplicitStage` closed by mirror rows.
   Positivity is not kept near blow-up: the compact second-derivative row
   has alternating-sign weights (-0.558 two cells away), so once the spike
   is cell-size rho + (dt/2) lap(rho) turns negative beside it, whatever
   dt. On the 200^2 Gaussian run (chi = 30) this happens at t = 3.48e-6
   for dt = 1e-8 and 2e-8 and at 3.45e-6 for 5e-8. The run is symmetric
   under the eight reflections of the square, so the eight images of the
-  cell tie up to roundoff and roundoff picks the one named: at dt = 1e-8
-  (value -4.06737) it is (102, 99) with one BLAS thread and (99, 102) with
-  two. The line operators are not in conservation form, so mass also
-  drifts where rho at the walls is far from zero (coarse meshes).
+  cell tie up to roundoff, and roundoff picks which one is named (at
+  dt = 1e-8 the value is -4.06737). The line operators are not in
+  conservation form, so mass also drifts where rho at the walls is far
+  from zero (coarse meshes).
 
 Solutions above the critical mass concentrate into a cell-size spike in
 finite time; runs stop at the requested horizon or abort with a
@@ -61,6 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import NumericalError
+from .linalg import PartitionedLU
 
 
 class PksVariant(enum.Enum):
@@ -196,11 +198,17 @@ class _Work:
     arrays; `reset` frees them all at the start of a step, so a step that
     raised leaves none taken. `transposed` copies a field's transpose once
     and hands out that copy until `give_transposed`, which each split of
-    the right-hand sides, and stage 1, calls when done with the copies.
+    the right-hand sides calls when done with the copies.
+
+    The set also holds the stepper's NCCD lines per line length (``lines``,
+    `_NccdLines`) and the scratch arrays their solves reuse (``scratch``,
+    `linalg.PartitionedLU.solve`); neither is a work array.
     """
 
-    def __init__(self, shape):
+    def __init__(self, shape, lines=None):
         self.shape = shape
+        self.lines = lines or {}
+        self.scratch: dict = {}
         self._size = (shape[0] + 1) * (shape[1] + 1)
         self.buffers: list = []
         self._ids: set = set()
@@ -288,8 +296,9 @@ def adaptive_slopes(rho_field: Field2D, theta: float, work=None):
             _limited_slopes(_transposed(rho, work), m.k, theta, work).T)
 
 
-def _cd2_velocity(c: np.ndarray, h: float, work=None) -> np.ndarray:
-    """(c[i+1] - c[i-1]) / 2h with mirror ghosts (zero-Neumann walls)."""
+def _cd2_velocity(c: np.ndarray, h: float, work=None, lap=None) -> np.ndarray:
+    """(c[i+1] - c[i-1]) / 2h with mirror ghosts (zero-Neumann walls);
+    `lap` is unused (both velocity kernels take it)."""
     g = _take(work, c, len(c))
     np.subtract(c[2:], c[:-2], out=g[1:-1])
     np.subtract(c[1], c[0], out=g[0])
@@ -297,73 +306,45 @@ def _cd2_velocity(c: np.ndarray, h: float, work=None) -> np.ndarray:
     return np.divide(g, 2 * h, out=g)
 
 
-def _fold_ghosts(mp: np.ndarray) -> np.ndarray:
-    m = mp[1:-1, :].copy()
-    m[:, 1] += m[:, 0]
-    m[:, -2] += m[:, -1]
-    return m[:, 1:-1]
+class _NccdLines:
+    """The combined compact (NCCD) D1 and D2 along the lines of a field,
+    the columns of an (n, k) array, with zero-Neumann walls: built on
+    n + 2 nodes for the mirror-padded line (u_1, u_1..u_n, u_n). One
+    `linalg.PartitionedLU` of the NCCD system reads each ghost from its
+    mirror node (its input map), so no padded copy is made, and one solve
+    gives D1 and D2 together (`_nccd`). Only the IMEX variant makes
+    these, so only it loads `operators` (NumPy only)."""
 
-
-_LINE_OPS: dict = {}
-
-
-def _nccd_line_ops(n: int):
-    """Cached per-line compact (D1, D2, D2's `_halves`), D1 and D2 as n x n
-    matrices: built on n + 2 nodes for the mirror-padded line (u_1,
-    u_1..u_n, u_n), ghost rows dropped and ghost columns folded into the
-    boundary columns (zero-Neumann). Only the IMEX variant calls this, so
-    only it loads `operators` (NumPy only)."""
-    if n not in _LINE_OPS:
+    def __init__(self, n: int):
         from .operators import Grid1D, build_nccd
 
-        d1p, d2p = build_nccd(Grid1D(n + 2, 1.0))
-        d2 = _fold_ghosts(d2p.matrix)
-        _LINE_OPS[n] = (_fold_ghosts(d1p.matrix), d2, _halves(d2))
-    return _LINE_OPS[n]
+        self.ops = build_nccd(Grid1D(n + 2, 1.0))
+        self.nodes = np.r_[0, np.arange(n), n - 1]  # the line node each padded node reads
+        self.lu = PartitionedLU(self.ops[0].system.lhs, self.ops[0].system.rhs, inputs=self.nodes)
 
 
-def _halves(m: np.ndarray):
-    """The reflection halves (S, A) of a centrosymmetric n x n matrix M
-    (J M J = M, J the reversal), read from its top r = n - n // 2 rows.
-
-    M maps even vectors (Jf = f) to even ones and odd vectors (Jf = -f) to
-    odd ones. With h = n // 2, p = f[:r] + (Jf)[:r] is twice the top r
-    entries of f's even part and q = f[:h] - (Jf)[:h] twice the top h of its
-    odd part (the middle entry of an odd n is even); S p and A q are the top
-    entries of the even and odd parts of M f, from which `_reflected`
-    assembles M f. D2 and the stage-1 line factors are centrosymmetric to
-    roundoff; D1 is not, its beta rows at the two ends differ.
-    """
-    n = len(m)
-    h = n // 2
-    r = n - h
-    s = m[:r, :r].copy()
-    s[:, :h] += m[:r, r:][:, ::-1]
-    return 0.5 * s, 0.5 * (m[:h, :h] - m[:h, r:][:, ::-1])
+def _nccd(f: np.ndarray, parts, work=None) -> list:
+    """Dimensionless NCCD D f along axis 0, for each operator of ``parts``
+    (0: D1, 1: D2; (1,) or (0, 1)): views of one solve, in the scratch of
+    `work`, with the patched rows applied from their stencils as
+    `DerivativeOperator.__matmul__` does, ghost rows dropped. The lines are
+    the stepper's (`work`), or new ones without a work set."""
+    lines = _NccdLines(len(f)) if work is None else work.lines[len(f)]
+    x = lines.lu.solve(f, 2 // len(parts), None if work is None else work.scratch)
+    for i, part in enumerate(parts):
+        for row, first, w in lines.ops[part].patch:
+            x[i::len(parts)][row] = np.dot(w, f[lines.nodes[first:first + len(w)]])
+    return [x[i::len(parts)][1:-1] for i in range(len(parts))]
 
 
-def _reflected(halves, f: np.ndarray, out: np.ndarray, work=None) -> np.ndarray:
-    """M @ f into `out` (which must not overlap f), for M given by its
-    `_halves`: the two half-size products on (p, q) do half the flops of
-    one n x n product."""
-    s_half, a_half = halves
-    n = len(f)
-    h = n // 2
-    r = n - h
-    pq = _take(work, f, n)
-    np.add(f[:r], f[h:][::-1], out=pq[:r])
-    np.subtract(f[:h], f[r:][::-1], out=pq[r:])
-    s = np.matmul(s_half, pq[:r], out=out[:r])
-    a = np.matmul(a_half, pq[r:], out=pq[:h])     # over p, which s has read
-    np.subtract(s[:h], a, out=out[r:][::-1])
-    np.add(s[:h], a, out=out[:h])
-    _give(work, pq)
-    return out
-
-
-def _nccd_velocity(c: np.ndarray, h: float, work=None) -> np.ndarray:
-    out = np.matmul(_nccd_line_ops(len(c))[0], c, out=_take(work, c, len(c)))
-    return np.divide(out, h, out=out)
+def _nccd_velocity(c: np.ndarray, h: float, work=None, lap=None) -> np.ndarray:
+    """D1 c / h along axis 0 (NCCD); with `lap`, D2 c / h^2 of the same
+    solve is added into it."""
+    d1, d2 = _nccd(c, (0, 1), work)
+    if lap is not None:
+        d2 /= h**2
+        np.add(lap.T, d2.T, out=lap.T)  # in lap's own layout: NumPy buffers one operand, not two
+    return np.divide(d1, h, out=_take(work, c, len(c)))
 
 
 def _edge_mean(w: np.ndarray, work=None) -> np.ndarray:
@@ -429,12 +410,12 @@ def reconstruct_edges(rho_field: Field2D, slopes, u_edge, v_edge):
     return rho_xe, rho_ye
 
 
-def _axis_flux(rho: np.ndarray, s: np.ndarray, c: np.ndarray, h: float, chi: float,
-               variant: PksVariant, floor: float, axis: int, work) -> np.ndarray:
+def _axis_flux(rho: np.ndarray, s: np.ndarray, w: np.ndarray, h: float, chi: float,
+               floor: float, axis: int, work) -> np.ndarray:
     """chi rho_edge w_edge on all edges along axis 0, zero on the two walls,
-    from the cell slopes s; `axis` is the field axis of the pass (0 for x,
-    1 for y), which names an edge that `_check_edges` rejects."""
-    w = _velocity_kernel(variant)(c, h, work)
+    from the cell slopes s and velocities w; `axis` is the field axis of the
+    pass (0 for x, 1 for y), which names an edge that `_check_edges`
+    rejects."""
     w_edge = _edge_mean(w, work)
     _give(work, w)
     flux = _take(work, rho, len(rho) + 1)
@@ -448,13 +429,18 @@ def _axis_flux(rho: np.ndarray, s: np.ndarray, c: np.ndarray, h: float, chi: flo
     return flux
 
 
-def edge_fluxes(state: PksState, variant: PksVariant, work=None) -> EdgeFluxes:
+def edge_fluxes(state: PksState, variant: PksVariant, work=None, lap_c=None) -> EdgeFluxes:
+    """The fluxes of the variant's velocities. With `lap_c` (NCCD), c's
+    compact Laplacian is added into it from the solves that give them. The
+    NCCD solve gathers its input, so it reads c's y lines from c itself."""
     rho, c, m = state.rho.values, state.c.values, state.rho.mesh
     sx, sy = adaptive_slopes(state.rho, state.theta, work)
-    floor = _edge_floor(rho)
-    return EdgeFluxes(_axis_flux(rho, sx, c, m.h, state.chi, variant, floor, 0, work),
-                      _axis_flux(_transposed(rho, work), sy.T, _transposed(c, work), m.k,
-                                 state.chi, variant, floor, 1, work).T)
+    floor, velocity = _edge_floor(rho), _velocity_kernel(variant)
+    p = _axis_flux(rho, sx, velocity(c, m.h, work, lap_c), m.h, state.chi, floor, 0, work)
+    cy = c.T if variant is PksVariant.IMEX_NCCD else _transposed(c, work)
+    wy = velocity(cy, m.k, work, None if lap_c is None else lap_c.T)
+    return EdgeFluxes(p, _axis_flux(_transposed(rho, work), sy.T, wy, m.k, state.chi, floor, 1,
+                                    work).T)
 
 
 def _cd2_second(f: np.ndarray, h: float, out: np.ndarray, work=None) -> np.ndarray:
@@ -469,8 +455,8 @@ def _cd2_second(f: np.ndarray, h: float, out: np.ndarray, work=None) -> np.ndarr
 
 
 def _nccd_second(f: np.ndarray, h: float, out: np.ndarray, work=None) -> np.ndarray:
-    out = _reflected(_nccd_line_ops(len(f))[2], f, out, work)
-    return np.divide(out, h**2, out=out)
+    d2, = _nccd(f, (1,), work)
+    return np.divide(d2, h**2, out=out)
 
 
 def _lap(second, f: np.ndarray, h: float, k: float, work) -> np.ndarray:
@@ -496,9 +482,9 @@ def laplacian(f_field: Field2D, variant: PksVariant, work=None) -> np.ndarray:
     return lap(f_field.values, m.h, m.k, work)
 
 
-def _flux_divergence(state: PksState, variant: PksVariant, work=None) -> np.ndarray:
+def _flux_divergence(state: PksState, variant: PksVariant, work=None, lap_c=None) -> np.ndarray:
     m = state.rho.mesh
-    fl = edge_fluxes(state, variant, work)
+    fl = edge_fluxes(state, variant, work, lap_c)
     div = _axis_diff(fl.p, m.h, _take(work, state.rho.values, m.nx))
     div_y = _axis_diff(fl.q.T, m.k, _take(work, fl.q.T, m.ny))
     _give(work, fl.p, fl.q)
@@ -534,16 +520,16 @@ def _explicit_split(state: PksState, work):
 
 
 def _imex_split(state: PksState, work):
-    """z_I = (lap rho, lap c - c) and z_E = (-div(flux), rho), NCCD operators."""
-    m = state.rho.mesh
-    rho, c = state.rho.values, state.c.values
-    adv = _flux_divergence(state, PksVariant.IMEX_NCCD, work)
+    """z_I = (lap rho, lap c - c) and z_E = (-div(flux), rho), NCCD
+    operators. z_I's c part starts at -c, and the solves that give c's
+    velocities add lap c into it."""
+    c = state.c.values
+    lap_c = np.negative(c, out=_take(work, c, len(c)))
+    adv = _flux_divergence(state, PksVariant.IMEX_NCCD, work, lap_c)
     np.negative(adv, out=adv)
-    lap_c = _lap_nccd(c, m.h, m.k, work)
-    lap_c -= c
-    lap_rho = _lap_nccd(rho, m.h, m.k, work)
+    lap_rho = laplacian(state.rho, PksVariant.IMEX_NCCD, work)
     work.give_transposed()
-    return (lap_rho, lap_c), (adv, rho)
+    return (lap_rho, lap_c), (adv, state.rho.values)
 
 
 #: variant -> (split of the (rho, c) right-hand sides into (z_I, z_E), and the
@@ -553,17 +539,6 @@ _SPLITS = {
     PksVariant.EXPLICIT_OUCS3_CD2: (_explicit_split, None),
     PksVariant.IMEX_NCCD: (_imex_split, (0.0, 1.0)),
 }
-
-
-def _line_inverses(mesh: Mesh2D, dt: float, rate: float):
-    """Inverses of the x and y line factors (1 + rate dt/4) I - (dt/2) L of
-    I - (dt/2)(lap - rate), as `_halves`: the reaction is shared
-    half-and-half. Each is one LU solve against I, made once, so that
-    stage 1 is two reflected products. A line factor is centrosymmetric
-    with D2, and so is its inverse."""
-    return [_halves(np.linalg.inv((1 + rate * dt / 4) * np.eye(n)
-                                  - (dt / 2) * (_nccd_line_ops(n)[1] / s**2)))
-            for n, s in ((mesh.nx, mesh.h), (mesh.ny, mesh.k))]
 
 
 def _axpy(f: np.ndarray, a: float, e: np.ndarray, work) -> np.ndarray:
@@ -599,14 +574,17 @@ def _check_fields(rho: np.ndarray, c: np.ndarray, t: float) -> None:
 class PksStepper:
     """The two-stage update of the module docstring for one variant.
 
-    With z_I present, stage 1 applies the inverse x line factor and then
-    the inverse y one, each a reflected product (`_reflected`) over all
-    lines, the y one on the transpose, made once per direction and
-    equation for the run (second-order consistent with the mid-point
-    stage); `mesh` is read only then. Each stage checks that rho
-    and c are finite and rho is nonnegative. Intermediate arrays live in
-    the stepper's work set, made during its first step; only the returned
-    fields are new memory.
+    With z_I present, stage 1 solves the x line factor and then the y
+    one, (1 + r dt/4) I - (dt/2) D2 / h^2 for the reaction rate r of the
+    equation (second-order consistent with the mid-point stage). Each is
+    an `adr1d.ImplicitStage` on the n + 2 nodes of the mirror-padded line,
+    closed by the mirror rows w_0 - w_1 = 0 and w_{n+1} - w_n = 0 with zero
+    data at the ghosts, factored once for the run, and it solves all the
+    lines of the field as its columns; `mesh` is read only then. Each
+    stage checks that rho and c are finite and rho is nonnegative.
+    Intermediate arrays live in the stepper's work set, made during its
+    first step; only the returned fields and the scratch of the solves
+    (`_Work.scratch`, kept for the next step) are new memory.
     """
 
     def __init__(self, variant: PksVariant, mesh: Mesh2D | None, dt: float):
@@ -614,8 +592,17 @@ class PksStepper:
             raise ValueError("dt must be positive")
         self.dt = dt
         self.split, rates = _SPLITS[variant]
-        self.inverses = None if rates is None else [_line_inverses(mesh, dt, r) for r in rates]
-        self.work = None
+        self.lines, self.stages, self.work = {}, None, None
+        if rates is not None:
+            from .adr1d import ImplicitStage
+
+            axes = ((mesh.nx, mesh.h), (mesh.ny, mesh.k))
+            self.lines = {n: _NccdLines(n) for n, _ in axes}
+            made = {(n, s, r): ImplicitStage(n + 2, 1 + r * dt / 4,
+                                             [(self.lines[n].ops[1], dt / (2 * s**2))],
+                                             ((0, 0, (1.0, -1.0)), (n + 1, n, (-1.0, 1.0))))
+                    for n, s in set(axes) for r in rates}
+            self.stages = [[made[n, s, r] for n, s in axes] for r in rates]
 
     def _state(self, state: PksState, fields, t_check: float) -> PksState:
         _check_fields(*fields, t_check)
@@ -628,24 +615,20 @@ class PksStepper:
         if zi is None:
             return [_axpy(f, dt, e, work) for f, e in zip(u, ze)], ze
         us = []
-        for (ix, iy), f, i, e in zip(self.inverses, u, zi, ze):
+        for (sx, sy), f, i, e in zip(self.stages, u, zi, ze):
             b = _axpy(f, dt / 2, i, work)
             t = np.multiply(e, dt, out=_take(work, f, len(f)))
             b += t
-            x = _reflected(ix, b, t, work)           # x lines, into t
-            xt = _transposed(x, work)                # y lines as rows
-            _give(work, x)
-            yt = _reflected(iy, xt, _take(work, xt, len(xt)), work)
-            np.copyto(b, yt.T)                       # u*, into b
+            _give(work, t)
+            np.copyto(b, sx.solve(b, work.scratch)[1:-1])        # the x lines
+            np.copyto(b, sy.solve(b.T, work.scratch)[1:-1].T)    # the y lines: u*
             us.append(b)
-            _give(work, yt)
-            work.give_transposed()
         return us, _z(zi, ze, work)
 
     def step(self, state: PksState) -> PksState:
         u = (state.rho.values, state.c.values)
         if self.work is None or self.work.shape != u[0].shape:
-            self.work = _Work(u[0].shape)
+            self.work = _Work(u[0].shape, self.lines)
         work = self.work
         work.reset()
         us, z = self._stage1(u, *self.split(state, work), work)

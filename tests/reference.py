@@ -1,4 +1,5 @@
-"""Test-only references: LAPACK banded solves and the residual contract.
+"""Test-only references: LAPACK banded solves, dense line operators and
+the residual contract.
 
 The program solves in NumPy alone (`adrlab.linalg`); these helpers are
 what its solvers and operators are checked against. They use SciPy, which
@@ -74,3 +75,21 @@ def residual_bound(a, x, b, tol: float = 1e-10) -> float:
     nx = float(np.max(np.abs(x)))
     nb = float(np.max(np.abs(dense(b))))
     return tol * (na * nx + nb)
+
+
+def mirror_folded(m: np.ndarray) -> np.ndarray:
+    """An operator on n + 2 nodes as the n x n operator it is on the
+    mirror-padded line (u_1, u_1..u_n, u_n): ghost rows dropped, ghost
+    columns folded into the boundary columns."""
+    m = m[1:-1].copy()
+    m[:, 1] += m[:, 0]
+    m[:, -2] += m[:, -1]
+    return m[:, 1:-1]
+
+
+def nccd_line_operators(n: int):
+    """Dense dimensionless D1 and D2 of the NCCD scheme along a line of n
+    cells with zero-Neumann walls: `build_nccd` on n + 2 nodes, folded."""
+    from adrlab.operators import Grid1D, build_nccd
+
+    return [mirror_folded(op.matrix) for op in build_nccd(Grid1D(n + 2, 1.0))]

@@ -16,8 +16,9 @@ from adrlab.adr1d import (
     whole_steps,
     z_parts,
 )
-from adrlab.operators import DerivativeOperator, Grid1D, build_lele_second
+from adrlab.operators import DerivativeOperator, Grid1D, build_lele_second, build_nccd
 from adrlab import spectral
+from reference import nccd_line_operators
 
 N_SMALL = 101
 
@@ -216,7 +217,16 @@ def test_banded_step_matches_dense_reference(scheme, kind, rng):
 
 
 def stage_and_matrix(case):
-    """An `ImplicitStage` and its matrix, dense, with identity end rows."""
+    """An `ImplicitStage` and its matrix, dense, with identity end rows;
+    for the mirror-closed stage, the matrix of its inner nodes."""
+    if case == "pks-mirror-closure":
+        # the PKS line factor alpha I - beta D2 on n cells: the stage on the
+        # n + 2 nodes of the mirror-padded line, D2 folded (zero-Neumann)
+        n, alpha, beta = 30, 1.25, 0.3
+        d2 = build_nccd(Grid1D(n + 2, 1.0))[1]
+        closure = ((0, 0, (1.0, -1.0)), (n + 1, n, (-1.0, 1.0)))
+        stage = ImplicitStage(n + 2, alpha, [(d2, beta)], closure)
+        return stage, alpha * np.eye(n) - beta * nccd_line_operators(n)[1]
     if case == "lele-adjacent-patches":
         # CD2 rows at rows 1 and 2 of a Lele D2: a patched row reads another
         n, cd2 = 41, (1.0, -2.0, 1.0)
@@ -235,11 +245,14 @@ def stage_and_matrix(case):
 
 
 @pytest.mark.parametrize("case", ["lele-adjacent-patches", "implicit-oucs3-lele",
-                                  "imex-oucs3-lele", "imex-nccd"])
+                                  "imex-oucs3-lele", "imex-nccd", "pks-mirror-closure"])
 def test_implicit_stage_solves_its_matrix(case, rng):
     stage, m = stage_and_matrix(case)
     y = rng.normal(size=len(m))
     w = stage.solve(y)
+    if len(w) > len(y):  # the mirror-closed stage also returns its two ghosts
+        assert max(abs(w[0] - w[1]), abs(w[-1] - w[-2])) <= 1e-12 * np.max(np.abs(w))
+        w = w[1:-1]
     assert np.linalg.norm(m @ w - y) <= 1e-12 * np.linalg.norm(y)
 
 

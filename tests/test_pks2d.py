@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from reference import nccd_line_operators
 
 from adrlab.pks2d import (
     EdgeReconstructionError,
@@ -485,41 +486,54 @@ def test_explicit_step_is_heun_bit_for_bit_where_the_limiter_acts():
     assert (out.rho.values == want_rho).all() and (out.c.values == want_c).all()
 
 
+def line_factor(n, s, dt, rate):
+    """The dense x or y line factor (1 + rate dt/4) I - (dt/2) D2 / s^2."""
+    return (1 + rate * dt / 4) * np.eye(n) - (dt / 2) * (nccd_line_operators(n)[1] / s**2)
+
+
 @pytest.mark.parametrize("dt", [1e-8, 1e-6])
 def test_inverse_line_factors(dt):
-    from adrlab.pks2d import _nccd_line_ops, _reflected
+    # each stage-1 solve applies the inverse of its line factor: solved for
+    # the identity, as 200 columns, it leaves a residual of roundoff
     mesh = Mesh2D.unit_square(200)
     stepper = ImexNccdStepper(mesh, dt)
-    for rate, inverses in zip((0.0, 1.0), stepper.inverses):
-        for halves, s in zip(inverses, (mesh.h, mesh.k)):
-            inv = _reflected(halves, np.eye(200), np.empty((200, 200)))
-            m = (1 + rate * dt / 4) * np.eye(200) - (dt / 2) * (_nccd_line_ops(200)[1] / s**2)
+    for rate, stages in zip((0.0, 1.0), stepper.stages):
+        for stage, s in zip(stages, (mesh.h, mesh.k)):
+            inv = stage.solve(np.eye(200))[1:-1]
+            m = line_factor(200, s, dt, rate)
             assert np.abs(m @ inv - np.eye(200)).sum(axis=1).max() <= 1e-12
 
 
 @pytest.mark.parametrize("nx,ny", [(25, 32), (32, 25)])
-def test_reflected_products_match_dense(nx, ny, rng):
-    # D2 and the stage-1 inverses are applied from their reflection halves;
-    # odd and even line lengths, both axes, h != k
-    from adrlab.pks2d import _nccd_line_ops, _reflected
+def test_line_operators_match_dense(nx, ny, rng):
+    # D1, D2 and the stage-1 solves along the lines, odd and even line
+    # lengths, both axes, h != k, against the folded dense operators
+    from adrlab.pks2d import _nccd
     mesh, dt = Mesh2D(nx, ny, 1.0 / nx, 0.8 / ny), 1e-5
     stepper = ImexNccdStepper(mesh, dt)
+
+    def close(got, want):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
     for axis, (n, s) in enumerate(((nx, mesh.h), (ny, mesh.k))):
         f = rng.standard_normal((n, 7))
-        d2 = _nccd_line_ops(n)[1]
-        want = d2 @ f
-        got = _reflected(_nccd_line_ops(n)[2], f, np.empty_like(f))
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-        for rate, inverses in zip((0.0, 1.0), stepper.inverses):
-            dense = np.linalg.inv((1 + rate * dt / 4) * np.eye(n) - (dt / 2) * (d2 / s**2))
-            want = dense @ f
-            got = _reflected(inverses[axis], f, np.empty_like(f))
-            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-    # the compact Laplacian, whose y pass runs on the transposed copy
+        for got, op in zip(_nccd(f, (0, 1)), nccd_line_operators(n)):
+            close(got, op @ f)
+        for rate, stages in zip((0.0, 1.0), stepper.stages):
+            close(stages[axis].solve(f)[1:-1], np.linalg.solve(line_factor(n, s, dt, rate), f))
+    # the velocities and the compact Laplacian, whose y passes read the
+    # transposed field, and the Laplacian of c that the velocities' solves
+    # add into z_I
+    (d1x, d2x), (d1y, d2y) = nccd_line_operators(nx), nccd_line_operators(ny)
     f = rng.standard_normal((nx, ny))
-    want = _nccd_line_ops(nx)[1] @ f / mesh.h**2 + f @ _nccd_line_ops(ny)[1].T / mesh.k**2
-    got = laplacian(Field2D(mesh, f), PksVariant.IMEX_NCCD)
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    u, v, _, _ = chemotactic_velocity(Field2D(mesh, f), PksVariant.IMEX_NCCD)
+    close(u, d1x @ f / mesh.h)
+    close(v, f @ d1y.T / mesh.k)
+    want = d2x @ f / mesh.h**2 + f @ d2y.T / mesh.k**2
+    close(laplacian(Field2D(mesh, f), PksVariant.IMEX_NCCD), want)
+    lap_c = np.zeros((nx, ny))
+    edge_fluxes(state_from(mesh, np.ones((nx, ny)), f), PksVariant.IMEX_NCCD, lap_c=lap_c)
+    close(lap_c, want)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
