@@ -222,12 +222,14 @@ class PartitionedLU:
             made.append((np.ascontiguousarray(np.hstack([g, -spikes]).T), g[edge].T.copy(),
                          spikes[edge]))
         kinds = wide = b_i = inv = None  # folded into made: freed before the interface
-        self.runs = []  # [first block, count, full, iface] of each run of equal blocks
+        # [first block, count, {every: full narrowed to every every-th row of x}, iface]
+        # of each run of equal blocks
+        self.runs = []
         for i, k in enumerate(kind):
             if i and kind[i - 1] == k:
                 self.runs[-1][1] += 1
             else:
-                self.runs.append([i, 1, made[k][0], made[k][1]])
+                self.runs.append([i, 1, {1: made[k][0]}, made[k][1]])
         self._inv = self._child = None
         if s:
             cuts = m * np.arange(1, p)[:, None]
@@ -293,8 +295,9 @@ class PartitionedLU:
             q[:, w:] = x_edge[self._ytake]
         x = _scratch(scratch, "x", (p, m // pick) + cols)
         for i, count, full, _ in self.runs:
-            _times(q[i:i + count], full if pick == 1 else full[:, pick - 1::pick].copy(),
-                   x[i:i + count])
+            if pick not in full:  # made once per factorization and stride
+                full[pick] = np.ascontiguousarray(full[1][:, pick - 1::pick])
+            _times(q[i:i + count], full[pick], x[i:i + count])
         return x.reshape((-1,) + cols)[every // pick - 1::every // pick][:self.size // every]
 
 

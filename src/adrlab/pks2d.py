@@ -296,9 +296,8 @@ def adaptive_slopes(rho_field: Field2D, theta: float, work=None):
             _limited_slopes(_transposed(rho, work), m.k, theta, work).T)
 
 
-def _cd2_velocity(c: np.ndarray, h: float, work=None, lap=None) -> np.ndarray:
-    """(c[i+1] - c[i-1]) / 2h with mirror ghosts (zero-Neumann walls);
-    `lap` is unused (both velocity kernels take it)."""
+def _cd2_velocity(c: np.ndarray, h: float, work=None) -> np.ndarray:
+    """(c[i+1] - c[i-1]) / 2h with mirror ghosts (zero-Neumann walls)."""
     g = _take(work, c, len(c))
     np.subtract(c[2:], c[:-2], out=g[1:-1])
     np.subtract(c[1], c[0], out=g[0])
@@ -327,7 +326,8 @@ def _nccd(f: np.ndarray, parts, work=None) -> list:
     """Dimensionless NCCD D f along axis 0, for each operator of ``parts``
     (0: D1, 1: D2; (1,) or (0, 1)): views of one solve, in the scratch of
     `work`, with the patched rows applied from their stencils as
-    `DerivativeOperator.__matmul__` does, ghost rows dropped. The lines are
+    `DerivativeOperator.__matmul__` does, ghost rows dropped. Use them
+    before the next solve with `work`, which overwrites them. The lines are
     the stepper's (`work`), or new ones without a work set."""
     lines = _NccdLines(len(f)) if work is None else work.lines[len(f)]
     x = lines.lu.solve(f, 2 // len(parts), None if work is None else work.scratch)
@@ -338,8 +338,8 @@ def _nccd(f: np.ndarray, parts, work=None) -> list:
 
 
 def _nccd_velocity(c: np.ndarray, h: float, work=None, lap=None) -> np.ndarray:
-    """D1 c / h along axis 0 (NCCD); with `lap`, D2 c / h^2 of the same
-    solve is added into it."""
+    """D1 c / h along axis 0 (NCCD); with `lap` (the IMEX split), D2 c / h^2
+    of the same solve is added into it."""
     d1, d2 = _nccd(c, (0, 1), work)
     if lap is not None:
         d2 /= h**2
@@ -429,18 +429,20 @@ def _axis_flux(rho: np.ndarray, s: np.ndarray, w: np.ndarray, h: float, chi: flo
     return flux
 
 
-def edge_fluxes(state: PksState, variant: PksVariant, work=None, lap_c=None) -> EdgeFluxes:
-    """The fluxes of the variant's velocities. With `lap_c` (NCCD), c's
-    compact Laplacian is added into it from the solves that give them. The
-    NCCD solve gathers its input, so it reads c's y lines from c itself."""
-    rho, c, m = state.rho.values, state.c.values, state.rho.mesh
-    sx, sy = adaptive_slopes(state.rho, state.theta, work)
-    floor, velocity = _edge_floor(rho), _velocity_kernel(variant)
-    p = _axis_flux(rho, sx, velocity(c, m.h, work, lap_c), m.h, state.chi, floor, 0, work)
-    cy = c.T if variant is PksVariant.IMEX_NCCD else _transposed(c, work)
-    wy = velocity(cy, m.k, work, None if lap_c is None else lap_c.T)
-    return EdgeFluxes(p, _axis_flux(_transposed(rho, work), sy.T, wy, m.k, state.chi, floor, 1,
-                                    work).T)
+def _fluxes(state: PksState, wx, wy, work) -> EdgeFluxes:
+    """The fluxes of the velocities that `wx` and `wy` return when called,
+    along the x lines and along the y lines (transposed); each is called
+    when its pass needs it, so no two velocity arrays are held at once."""
+    rho, m, chi = state.rho.values, state.rho.mesh, state.chi
+    (sx, sy), floor = adaptive_slopes(state.rho, state.theta, work), _edge_floor(rho)
+    p = _axis_flux(rho, sx, wx(), m.h, chi, floor, 0, work)
+    return EdgeFluxes(p, _axis_flux(_transposed(rho, work), sy.T, wy(), m.k, chi, floor, 1, work).T)
+
+
+def edge_fluxes(state: PksState, variant: PksVariant, work=None) -> EdgeFluxes:
+    c, m, velocity = state.c.values, state.rho.mesh, _velocity_kernel(variant)
+    return _fluxes(state, lambda: velocity(c, m.h, work),
+                   lambda: velocity(_transposed(c, work), m.k, work), work)
 
 
 def _cd2_second(f: np.ndarray, h: float, out: np.ndarray, work=None) -> np.ndarray:
@@ -482,10 +484,9 @@ def laplacian(f_field: Field2D, variant: PksVariant, work=None) -> np.ndarray:
     return lap(f_field.values, m.h, m.k, work)
 
 
-def _flux_divergence(state: PksState, variant: PksVariant, work=None, lap_c=None) -> np.ndarray:
-    m = state.rho.mesh
-    fl = edge_fluxes(state, variant, work, lap_c)
-    div = _axis_diff(fl.p, m.h, _take(work, state.rho.values, m.nx))
+def _divergence(fl: EdgeFluxes, m: Mesh2D, work=None) -> np.ndarray:
+    """P_x + Q_y; the flux arrays go back to `work`."""
+    div = _axis_diff(fl.p, m.h, _take(work, fl.p, m.nx))
     div_y = _axis_diff(fl.q.T, m.k, _take(work, fl.q.T, m.ny))
     _give(work, fl.p, fl.q)
     div += div_y.T
@@ -496,7 +497,7 @@ def _flux_divergence(state: PksState, variant: PksVariant, work=None, lap_c=None
 def rho_rhs(state: PksState, variant: PksVariant = PksVariant.EXPLICIT_OUCS3_CD2,
             work=None) -> Field2D:
     """-(P_x + Q_y) + lap(rho) with zero-flux boundary edges."""
-    div = _flux_divergence(state, variant, work)
+    div = _divergence(edge_fluxes(state, variant, work), state.rho.mesh, work)
     vals = laplacian(state.rho, variant, work)
     vals -= div
     _give(work, div)
@@ -522,10 +523,12 @@ def _explicit_split(state: PksState, work):
 def _imex_split(state: PksState, work):
     """z_I = (lap rho, lap c - c) and z_E = (-div(flux), rho), NCCD
     operators. z_I's c part starts at -c, and the solves that give c's
-    velocities add lap c into it."""
-    c = state.c.values
+    velocities add lap c into it. Those solves gather their input, so the y
+    pass reads c's y lines from c itself."""
+    c, m = state.c.values, state.rho.mesh
     lap_c = np.negative(c, out=_take(work, c, len(c)))
-    adv = _flux_divergence(state, PksVariant.IMEX_NCCD, work, lap_c)
+    adv = _divergence(_fluxes(state, lambda: _nccd_velocity(c, m.h, work, lap_c),
+                              lambda: _nccd_velocity(c.T, m.k, work, lap_c.T), work), m, work)
     np.negative(adv, out=adv)
     lap_rho = laplacian(state.rho, PksVariant.IMEX_NCCD, work)
     work.give_transposed()
