@@ -222,7 +222,7 @@ class PartitionedLU:
             made.append((np.ascontiguousarray(np.hstack([g, -spikes]).T), g[edge].T.copy(),
                          spikes[edge]))
         kinds = wide = b_i = inv = None  # folded into made: freed before the interface
-        # [first block, count, {every: full narrowed to every every-th row of x}, iface]
+        # [first block, count, {stride: full narrowed to every stride-th row of x}, iface]
         # of each run of equal blocks
         self.runs = []
         for i, k in enumerate(kind):
