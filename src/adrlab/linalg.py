@@ -188,7 +188,7 @@ class PartitionedLU:
         self._inputs = int(inputs.max()) + 1
         src = np.pad(inputs, (rhs.lower, p * m // r + width), constant_values=-1)[  # -1 outside B
             (m // r) * np.arange(p)[:, None] + np.arange((m - 1) // r + width)]
-        self._take, self._zero = np.maximum(src, 0), np.nonzero(src < 0)  # u rows, zeros
+        self._take = np.maximum(src, 0)  # the u rows of each block's input window
         kinds, kind = {}, []  # key -> (kind number, A_i with its coupling columns, B_i, A_i^-1)
         for i in range(p):
             a_i, b_i = _inside(rows[i * m:i * m + m], i * m, n, kl), rhs.weights[:, i * m:i * m + m]
@@ -210,6 +210,8 @@ class PartitionedLU:
                            for cols in (slice(0, kl), slice(kl + m, None)))
         self._kl, self._ku = len(left), len(right)
         self._s = s = len(left) + len(right)
+        # the window entries that read a zero, as flat indices of the solve's (p, w + s) input
+        self._zero = np.ravel_multi_index(np.nonzero(src < 0), (p, src.shape[1] + s))
         made = []  # full, iface, tip of each kind
         for _, wide, b_i, inv in kinds:
             node = np.arange(m) // r  # each row's node in the input window
@@ -222,14 +224,15 @@ class PartitionedLU:
             made.append((np.ascontiguousarray(np.hstack([g, -spikes]).T), g[edge].T.copy(),
                          spikes[edge]))
         kinds = wide = b_i = inv = None  # folded into made: freed before the interface
-        # [first block, count, {stride: full narrowed to every stride-th row of x}, iface]
-        # of each run of equal blocks
+        # [first block, count, {d: full narrowed to every d-th row of x, for each d that
+        # divides B's rows per node}, iface] of each run of equal blocks
         self.runs = []
         for i, k in enumerate(kind):
             if i and kind[i - 1] == k:
                 self.runs[-1][1] += 1
             else:
-                self.runs.append([i, 1, {1: made[k][0]}, made[k][1]])
+                self.runs.append([i, 1, {d: np.ascontiguousarray(made[k][0][:, d - 1::d])
+                                         for d in range(1, r + 1) if r % d == 0}, made[k][1]])
         self._inv = self._child = None
         if s:
             cuts = m * np.arange(1, p)[:, None]
@@ -281,7 +284,7 @@ class PartitionedLU:
         pick = every if cols else 1  # one vector is solved whole, in the products of a whole solve
         q = _scratch(scratch, "q", (p, w + s) + cols)
         q[:, :w] = u[self._take]
-        q[:, :w][self._zero] = 0.0
+        q.reshape((-1,) + cols)[self._zero] = 0.0
         if s:
             g = np.empty((p, s) + cols)  # g_i^t, g_i^b of every block
             for i, count, _, iface in self.runs:
@@ -295,8 +298,6 @@ class PartitionedLU:
             q[:, w:] = x_edge[self._ytake]
         x = _scratch(scratch, "x", (p, m // pick) + cols)
         for i, count, full, _ in self.runs:
-            if pick not in full:  # made once per factorization and stride
-                full[pick] = np.ascontiguousarray(full[1][:, pick - 1::pick])
             _times(q[i:i + count], full[pick], x[i:i + count])
         return x.reshape((-1,) + cols)[every // pick - 1::every // pick][:self.size // every]
 
