@@ -288,7 +288,7 @@ def test_stepper_memory_is_linear_in_n(scheme):
     finally:
         tracemalloc.stop()
     assert np.all(np.isfinite(state.values))
-    # measured 22.7 / 76.1 / 43.8 / 65.2 MB (explicit / implicit /
+    # measured 21.9 / 78.0 / 45.6 / 67.1 MB (explicit / implicit /
     # imex-oucs3-lele / imex-nccd); the implicit set-up peaks while the
     # stage's partitioned LU is built from its assembled matrix (three
     # unknowns per node, 20 weights per row)
