@@ -6,7 +6,7 @@ so identical flags reproduce byte-identical outputs.
 
 Exit codes: 0 success, 2 argument error, 3 numerical failure (any
 `adrlab.NumericalError`: instability, positivity violation, negative edge
-reconstruction, or singular system).
+reconstruction, singular system, or a non-finite dispersion-map sample).
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ def _cap_threads(threads) -> None:
 
 
 def _check_map_args(args) -> None:
-    """Reject dispersion-map inputs that would give inf/NaN rows or a bad node."""
+    """Reject non-finite or out-of-range dispersion-map inputs; a sample that
+    is still not finite raises `spectral.NonFiniteSampleError` (exit 3)."""
     for dest in ("pe", "da", "kh_min", "kh_max", "nc_min", "nc_max"):
         if not math.isfinite(getattr(args, dest)):
             raise ValueError(f"--{dest.replace('_', '-')} must be finite")

@@ -14,11 +14,12 @@ operators are the same with A = I. Nothing of size N x N is formed:
 products (`linalg.PartitionedLU`) plus the patched rows, O(N) per call. Row
 i of A^{-1} B is B^T y with A^T y = e_i, one O(N) solve with the same kind
 of factors, made for A^T, so neither B nor D is expanded to get a row. Row
-symbols read one row (`DerivativeOperator.row`), cached per node. The dense
-D (`DerivativeOperator.matrix`), read by the acceptance checks and the
-tests, is every row solved the same way, on first read, so a row equals the
-same row of the dense D bit for bit. Building, reading and applying
-operators needs NumPy alone.
+symbols read one row (`DerivativeOperator.row`), cached per node, and a
+symbol and its kh-slope are summed from one table of exponentials
+(`row_symbol_and_slope`). The dense D (`DerivativeOperator.matrix`), read by
+the acceptance checks and the tests, is every row solved the same way, on
+first read, so a row equals the same row of the dense D bit for bit.
+Building, reading and applying operators needs NumPy alone.
 
 Node numbering follows the 1-based convention j = 1..N+1 common in the
 compact-scheme literature; storage is 0-based, so "row j" below means matrix
@@ -204,14 +205,25 @@ class DerivativeOperator:
         """Fourier symbol of row `node` (0-based): sum_r M[j,r] e^{i kh (r-j)}.
 
         This is the dimensionless modified-wavenumber transform used by the
-        amplification-factor formulas. It reads one row (`row`), so D is
-        never formed, and raises ValueError for a node outside 0..N-1. kh
-        may be an array; each entry is summed exactly as a scalar kh is.
+        amplification-factor formulas: the first of `row_symbol_and_slope`.
+        """
+        return self.row_symbol_and_slope(node, kh)[0]
+
+    def row_symbol_and_slope(self, node: int, kh):
+        """Row symbol S of row `node` (0-based) and its slope
+
+            dS/d(kh) = sum_r i (r-j) M[j,r] e^{i kh (r-j)},
+
+        both summed from one table of the exponentials. It reads one row
+        (`row`), so D is never formed, and raises ValueError for a node
+        outside 0..N-1. kh may be an array; each entry is summed exactly as
+        a scalar kh is.
         """
         kh = np.asarray(kh, dtype=float)
         r = np.arange(self.n_points) - node
-        s = np.sum(self.row(node) * np.exp(1j * np.multiply.outer(kh, r)), axis=-1)
-        return complex(s) if kh.ndim == 0 else s
+        terms = self.row(node) * np.exp(1j * np.multiply.outer(kh, r))
+        s, ds = np.sum(terms, axis=-1), 1j * np.sum(terms * r, axis=-1)
+        return (complex(s), complex(ds)) if kh.ndim == 0 else (s, ds)
 
 
 @dataclass(frozen=True)

@@ -692,17 +692,18 @@ def diagnostics(state: PksState) -> dict:
 
 
 def write_snapshot_csv(state: PksState, path) -> None:
-    """Rows x, y, rho, c with 12 significant digits, written one mesh row at a time."""
+    """Rows x, y, rho, c with 12 significant digits, written one mesh row at a
+    time; each x and y is formatted once."""
     m = state.rho.mesh
     x, y = m.centers()
-    cols = np.empty((m.ny, 4))
-    cols[:, 1] = y
-    line = "%.12g,%.12g,%.12g,%.12g\n" * m.ny
+    # x_i joins these pieces into row i's format: x_i y_0 %g %g, x_i y_1 ...
+    pieces = [""] + [f"{yj:.12g},%.12g,%.12g\n" for yj in y.tolist()]
+    cols = np.empty((m.ny, 2))
     with open(path, "w") as fh:
         fh.write("x,y,rho,c\n")
-        for i in range(m.nx):
-            cols[:, 0], cols[:, 2], cols[:, 3] = x[i], state.rho.values[i], state.c.values[i]
-            fh.write(line % tuple(cols.ravel().tolist()))
+        for i, xi in enumerate(x.tolist()):
+            cols[:, 0], cols[:, 1] = state.rho.values[i], state.c.values[i]
+            fh.write(f"{xi:.12g},".join(pieces) % tuple(cols.ravel().tolist()))
 
 
 def write_radial_csv(state: PksState, path) -> None:

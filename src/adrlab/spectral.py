@@ -20,18 +20,27 @@ Derived diagnostics:
     beta     = -atan2(Im G, Re G)                       (numerical phase shift)
     c-ratio  = -(1/N_c) (ln|G| - i beta) / ((Pe (kh)^2 - Da)/N_c + i kh)
     phase error = |1 - c-ratio|
-    V_g ratio   = (1/N_c) d beta / d(kh)
+    V_g ratio   = (1/N_c) d beta / d(kh) = -Im(G'/G) / N_c
 
 all of which are exactly 1/0 when G_num = G_exact (within the principal
-branch of beta).
+branch of beta). G' = dG/d(kh) is exact: the chain rule through the two
+stages above, with the symbols' slopes dS_n/d(kh) = sum_r i (r - j)
+D_n[j, r] e^{i kh (r - j)} summed from the same exponentials as S_n
+(`DerivativeOperator.row_symbol_and_slope`), so V_g has no difference
+step and no branch of beta to unwrap. The kh = 0 column of a map holds
+the scheme's own values there, which are its kh -> 0 limits: the phase
+error is finite at kh = 0 when Da != 0 (it equals `phase_speed_error`),
+and is stored as its limit 0 when Da = 0, where the exact phase speed is
+singular.
 
 Evaluation works on arrays. The symbols depend on kh only, so a (kh, N_c)
-map evaluates S1 and S2 once per kh (at kh and at kh +- VG_HALF_STEP) and
-broadcasts G over the N_c axis. The point functions (g_num,
-dispersion_point, group_velocity_ratio, max_ratio_over_kh, ...) are the
-same evaluation at the given samples, so a map entry equals the point
-function at that sample bit for bit. All evaluations are pure, and maps
-are emitted in a deterministic row-major order.
+map evaluates S1, S2 and their slopes once per kh and broadcasts G over
+the N_c axis. The point functions (g_num, dispersion_point,
+group_velocity_ratio, max_ratio_over_kh, ...) are the same evaluation at
+the given samples, so a map entry equals the point function at that
+sample bit for bit. All evaluations are pure, and maps are emitted in a
+deterministic row-major order. A sample whose G ratio, V_g or phase
+error is not finite raises `NonFiniteSampleError`.
 """
 
 from __future__ import annotations
@@ -40,14 +49,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import NumericalError
 from .adr1d import SchemeId, z_parts
-
-#: default half-step for the central kh-difference in group_velocity_ratio
-VG_HALF_STEP = 1e-4
 
 #: slack on |G_num/G_exact| <= 1 in stability scans; absorbs the O(Da^3)
 #: excess of the explicit reaction factor over exp(Da) at kh -> 0
 STABILITY_TOL = 1e-6
+
+
+class NonFiniteSampleError(NumericalError):
+    """A (kh, N_c) sample whose G ratio, V_g ratio or phase error is not
+    finite (a pole of the scheme's G, or an overflow); the message names it."""
 
 
 @dataclass(frozen=True)
@@ -106,40 +118,39 @@ def _grid(values, shape) -> np.ndarray:
 
 
 def _symbols(ops, node: int, n_points: int, kh) -> tuple:
-    """(S1, S2) row symbols at 1-based interior `node`, one per kh, shape (K,)."""
-    d1, d2 = ops
-    if d1.n_points != n_points:
+    """((S1, dS1/dkh), (S2, dS2/dkh)): row symbols at 1-based interior
+    `node` and their slopes, one per kh, each of shape (K,)."""
+    if ops[0].n_points != n_points:
         raise ValueError("operators were built for a different n_points")
-    kh = np.atleast_1d(kh)
-    return d1.row_symbol(node - 1, kh), d2.row_symbol(node - 1, kh)
+    return tuple(op.row_symbol_and_slope(node - 1, np.atleast_1d(kh)) for op in ops)
 
 
-def _g(scheme: SchemeId, s1, s2, nc, pe: float, da: float) -> np.ndarray:
-    """Template G over the grid nc x kh from symbols over kh, shape (len(nc), K).
+def _g(scheme: SchemeId, symbols, nc, pe: float, da: float) -> tuple:
+    """Template G and G' = dG/d(kh) over the grid nc x kh from `_symbols`
+    over kh, each of shape (len(nc), K).
 
         z_I + z_E = z = -N_c S1 + Pe S2 + Da     (split as in adr1d.SCHEMES)
         g* = (1 + z_I/2 + z_E) / (1 - z_I/2)
         G  = 1 + z (1 + g*)/2
+
+    and G' by the chain rule through both stages.
     """
     nc = np.atleast_1d(np.asarray(nc, dtype=float))
-    shape = (len(nc), len(s1))
-    s1, s2 = _grid(s1, shape), _grid(s2, shape)
-    z_i, z_e = (a1 * s1 + a2 * s2 + a0
-                for a1, a2, a0 in z_parts(scheme, _grid(nc[:, None], shape), pe, da))
+    shape = (len(nc), len(symbols[0][0]))
+    (s1, ds1), (s2, ds2) = ((_grid(s, shape), _grid(ds, shape)) for s, ds in symbols)
+    (z_i, dz_i), (z_e, dz_e) = (
+        (a1 * s1 + a2 * s2 + a0, a1 * ds1 + a2 * ds2)
+        for a1, a2, a0 in z_parts(scheme, _grid(nc[:, None], shape), pe, da))
     g_star = (1 + 0.5 * z_i + z_e) / (1 - 0.5 * z_i)
-    return 1 + 0.5 * (z_i + z_e) * (1 + g_star)
-
-
-def _gfun(scheme: SchemeId, nc, pe: float, da: float, node: int, n_points: int, ops):
-    """kh of shape (K,) -> G over the grid nc x kh: symbols once per kh,
-    G broadcast over N_c."""
-    return lambda kh: _g(scheme, *_symbols(ops, node, n_points, kh), nc, pe, da)
+    dg_star = (0.5 * dz_i * (1 + g_star) + dz_e) / (1 - 0.5 * z_i)
+    z = z_i + z_e
+    return 1 + 0.5 * z * (1 + g_star), 0.5 * ((dz_i + dz_e) * (1 + g_star) + z * dg_star)
 
 
 def g_num(scheme: SchemeId, p: SpectralParams, ops) -> complex:
     """One-step amplification factor of the scheme at row `node`."""
-    gfun = _gfun(scheme, p.nc, p.pe, p.da, p.node, p.n_points, ops)
-    return complex(gfun(p.kh)[0, 0])
+    g, _ = _g(scheme, _symbols(ops, p.node, p.n_points, p.kh), p.nc, p.pe, p.da)
+    return complex(g[0, 0])
 
 
 def phase_shift(g):
@@ -153,7 +164,8 @@ def phase_shift(g):
 
 
 def _c_ratio(kh, nc, pe, da, g):
-    """c_num/c_exact from the modulus and phase of G (kh != 0)."""
+    """c_num/c_exact from the modulus and phase of G; at kh = 0 it is
+    ln|G|/Da when G > 0 (`phase_speed_error`), singular when Da = 0 too."""
     num = np.log(abs(g)) - 1j * phase_shift(g)
     den = (pe * kh**2 - da) / nc + 1j * kh
     return -(1.0 / nc) * num / den
@@ -172,28 +184,9 @@ def phase_speed_error(p: SpectralParams, g: complex) -> float:
     return float(abs(1 - _c_ratio(p.kh, p.nc, p.pe, p.da, g)))
 
 
-def group_velocity_of_gfun(gfun, kh, nc, half_step: float = VG_HALF_STEP):
-    """(1/N_c) d beta/d(kh) for an arbitrary kh -> G map; elementwise on arrays.
-
-    Central difference of the phase with branch jumps unwrapped; within
-    half_step of kh = 0 or pi a one-sided difference is used, so the
-    endpoints are covered but only to first order there.
-    """
-    kh = np.asarray(kh, dtype=float)
-    lo, hi = kh - half_step, kh + half_step
-    edge = (lo < 0.0) | (hi > np.pi)
-    db = (phase_shift(gfun(np.where(hi > np.pi, kh, hi)))
-          - phase_shift(gfun(np.where(lo < 0.0, kh, lo))))
-    db = np.where(db > np.pi, db - 2 * np.pi, np.where(db < -np.pi, db + 2 * np.pi, db))
-    vg = db / np.where(edge, half_step, 2 * half_step) / nc
-    return float(vg) if np.ndim(vg) == 0 else vg
-
-
-def group_velocity_ratio(scheme: SchemeId, p: SpectralParams, ops,
-                         half_step: float = VG_HALF_STEP) -> float:
-    """Scaled group velocity of a scheme at one (kh, N_c) sample."""
-    gfun = _gfun(scheme, p.nc, p.pe, p.da, p.node, p.n_points, ops)
-    return float(group_velocity_of_gfun(gfun, [p.kh], p.nc, half_step)[0, 0])
+def group_velocity_ratio(scheme: SchemeId, p: SpectralParams, ops) -> float:
+    """Scaled group velocity -Im(G'/G)/N_c of a scheme at one (kh, N_c) sample."""
+    return dispersion_point(scheme, p, ops).vg_ratio
 
 
 def error_forcing_value(p: SpectralParams, a0, t: float, g: complex) -> complex:
@@ -227,21 +220,29 @@ def _points(scheme: SchemeId, kh_axis, nc_axis, pe: float, da: float,
             node: int, n_points: int, ops) -> list:
     """DispersionPoint rows over the grid nc x kh (nc outer, kh inner).
 
-    The kh = 0 column stores the analytic limits: the finite reaction-only
-    amplification ratio, phase error 0 and V_g ratio 1.
+    Every sample, kh = 0 included, takes the same formulas; only the phase
+    error at kh = 0 with Da = 0, where the exact phase speed is singular,
+    is stored as its limit 0. Raises NonFiniteSampleError, naming the first
+    sample in row-major order, when a G ratio, V_g or phase error is not
+    finite.
     """
     kh_axis = np.asarray(kh_axis, dtype=float)
     nc_axis = np.asarray(nc_axis, dtype=float)
     shape = (len(nc_axis), len(kh_axis))
     kh, nc = _grid(kh_axis, shape), _grid(nc_axis[:, None], shape)
-    gfun = _gfun(scheme, nc_axis, pe, da, node, n_points, ops)
-    g = gfun(kh_axis)
-    ratio = np.abs(g / _g_exact(kh, nc, pe, da))
-    at0 = kh == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):  # kh = 0 is overwritten
-        beta = np.where(at0, 0.0, phase_shift(g))
-        vg = np.where(at0, 1.0, group_velocity_of_gfun(gfun, kh_axis, nc))
-        perr = np.where(at0, 0.0, np.abs(1 - _c_ratio(kh, nc, pe, da, g)))
+    with np.errstate(all="ignore"):  # non-finite samples raise below
+        g, dg = _g(scheme, _symbols(ops, node, n_points, kh_axis), nc_axis, pe, da)
+        ratio = np.abs(g / _g_exact(kh, nc, pe, da))
+        vg = -(dg / g).imag / nc
+        phased = np.where(g == 0, np.nan, g)  # G = 0 has no phase
+        beta = phase_shift(phased)
+        perr = np.where((kh == 0.0) & (da == 0.0), 0.0,
+                        np.abs(1 - _c_ratio(kh, nc, pe, da, phased)))
+    bad = ~(np.isfinite(ratio) & np.isfinite(vg) & np.isfinite(perr))
+    if bad.any():
+        first = np.argmax(bad)
+        raise NonFiniteSampleError(f"non-finite G ratio, V_g or phase error at "
+                                   f"kh = {kh.flat[first]:.12g}, N_c = {nc.flat[first]:.12g}")
     cols = (kh, nc, g, ratio, beta, vg, perr)
     return [[DispersionPoint(*vals) for vals in zip(*(c[i].tolist() for c in cols))]
             for i in range(shape[0])]
@@ -254,7 +255,8 @@ def dispersion_point(scheme: SchemeId, p: SpectralParams, ops) -> DispersionPoin
 
 def sweep(scheme: SchemeId, kh_axis, nc_axis, pe: float, da: float,
           node: int, n_points: int, ops) -> DispersionMap:
-    """Rectangular (kh, N_c) map of DispersionPoint samples."""
+    """Rectangular (kh, N_c) map of DispersionPoint samples; raises
+    NonFiniteSampleError when a sample is not finite (`_points`)."""
     kh_axis = np.asarray(kh_axis, dtype=float)
     nc_axis = np.asarray(nc_axis, dtype=float)
     if np.any(np.diff(kh_axis) <= 0) or np.any(np.diff(nc_axis) < 0):
@@ -264,7 +266,7 @@ def sweep(scheme: SchemeId, kh_axis, nc_axis, pe: float, da: float,
 
 
 def _max_ratio(scheme: SchemeId, symbols, kh, nc: float, pe: float, da: float) -> float:
-    g = _g(scheme, *symbols, nc, pe, da)
+    g, _ = _g(scheme, symbols, nc, pe, da)
     return float(np.max(np.abs(g / _g_exact(kh, nc, pe, da)), initial=0.0))
 
 
@@ -330,7 +332,8 @@ def write_map_csv(dmap: DispersionMap, path) -> None:
         fh.write(f"# scheme={dmap.scheme.value},pe={dmap.pe:.12g},da={dmap.da:.12g},"
                  f"node={dmap.node},n_points={dmap.n_points}\n")
         fh.write("kh,nc,g_ratio,vg_ratio,phase_err\n")
-        for row in dmap.points:
-            for pt in row:
-                fh.write(f"{pt.kh:.12g},{pt.nc:.12g},{pt.g_ratio:.12g},"
-                         f"{pt.vg_ratio:.12g},{pt.phase_err:.12g}\n")
+        kh = [f"{k:.12g}," for k in dmap.kh_axis.tolist()]  # each axis value formatted once
+        for nc, row in zip(dmap.nc_axis.tolist(), dmap.points):
+            nc = f"{nc:.12g},"
+            fh.write("".join(f"{k}{nc}{pt.g_ratio:.12g},{pt.vg_ratio:.12g},{pt.phase_err:.12g}\n"
+                             for k, pt in zip(kh, row)))

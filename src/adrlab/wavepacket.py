@@ -213,7 +213,8 @@ def run_experiment(scheme: SchemeId, cfg: WavePacketConfig, adr: AdrConfig,
 
 def point_diagnostics(scheme: SchemeId, cfg: WavePacketConfig, adr: AdrConfig, ops=None):
     """(G ratio, V_g ratio, phase error) at the packet's central wavenumber,
-    from the scheme's operator pair `ops` (built when not given)."""
+    from the scheme's operator pair `ops` (built when not given): one
+    `spectral.dispersion_point`, so V_g is the exact -Im(G'/G)/N_c."""
     if ops is None:
         ops = scheme_operators(scheme, cfg.grid())
     node = (cfg.n_points + 1) // 2

@@ -1,17 +1,22 @@
 import ast
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from adrlab import NumericalError
 from adrlab.adr1d import AdrInstabilityError
 from adrlab.cli import main
 from adrlab.linalg import LinearSolveError
 from adrlab.pks2d import EdgeReconstructionError, NonFiniteError, PositivityError
+from adrlab.spectral import NonFiniteSampleError
 
 
 SCHEMES = ["explicit-oucs3-cd2", "implicit-oucs3-lele", "imex-oucs3-lele", "imex-nccd"]
@@ -189,6 +194,61 @@ def test_wavepacket_da_two_exits_three(scheme, tmp_path, capsys):
     assert "needs 1 - Da/2 != 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("da", ["2", "-2"])
+def test_dispersion_map_da_two(da, scheme, tmp_path, capsys):
+    # Da = 2 puts the pole 1 - Da/2 = 0 of the implicit stage at kh = 0, and
+    # Da = -2 the zero 1 + Da/2 = 0 of G (no phase, no V_g): the three schemes
+    # that treat the reaction implicitly fail numerically before any CSV is
+    # written; the explicit scheme has neither and writes its map
+    out = tmp_path / "out"
+    code = run_cli(["dispersion-map", "--scheme", scheme, f"--da={da}", "--n", "41",
+                    "--node", "20", "--kh-points", "4", "--nc-points", "4", "--out", str(out)])
+    if scheme == "explicit-oucs3-cd2":
+        assert code == 0
+        rows = np.loadtxt(out / f"dispersion_{scheme}.csv", delimiter=",", skiprows=2)
+        assert rows.shape == (16, 5) and np.all(np.isfinite(rows))
+    else:
+        assert code == 3
+        assert not out.exists()
+        assert "non-finite G ratio, V_g or phase error at kh = 0, N_c = 0.025" in (
+            capsys.readouterr().err)
+
+
+def _map_values(lo, hi):
+    # mostly from the accepted range, sometimes any float at all
+    return st.integers(0, 7).flatmap(lambda i: st.floats() if i == 0 else st.floats(lo, hi))
+
+
+def _map_range(lo, hi):
+    return st.tuples(_map_values(lo, hi), _map_values(lo, hi)).map(sorted)
+
+
+@settings(max_examples=60, deadline=None)
+@example(scheme="imex-nccd", pe=0.01, da=2.0, kh=(0.0, np.pi), nc=(0.025, 1.6), points=(4, 4))
+@example(scheme="explicit-oucs3-cd2", pe=1e300, da=-0.01, kh=(0.0, np.pi), nc=(0.025, 1.6),
+         points=(4, 4))
+@given(scheme=st.sampled_from(SCHEMES), pe=_map_values(0.0, 2.0), da=_map_values(-3.0, 3.0),
+       kh=_map_range(0.0, np.pi), nc=_map_range(1e-3, 3.0),
+       points=st.tuples(st.integers(0, 6), st.integers(0, 6)))
+def test_dispersion_map_writes_only_finite_values(scheme, pe, da, kh, nc, points):
+    # any input either is refused (2), fails numerically (3) or gives a CSV
+    # whose every value is finite (0), and never escapes as a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["dispersion-map", "--scheme", scheme, f"--pe={pe!r}", f"--da={da!r}",
+                "--n", "41", "--node", "20", f"--kh-min={kh[0]!r}", f"--kh-max={kh[1]!r}",
+                f"--nc-min={nc[0]!r}", f"--nc-max={nc[1]!r}", f"--kh-points={points[0]}",
+                f"--nc-points={points[1]}", "--out", tmp]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = run_cli(argv)
+        assert code in (0, 2, 3) and "Traceback" not in err.getvalue()
+        if code == 0:
+            rows = np.loadtxt(os.path.join(tmp, f"dispersion_{scheme}.csv"), delimiter=",",
+                              skiprows=2, ndmin=2)
+            assert rows.shape == (points[0] * points[1], 5) and np.all(np.isfinite(rows))
+
+
 def test_pks_negative_edge_reconstruction_exits_three(tmp_path, capsys, monkeypatch):
     from adrlab import pks2d
 
@@ -325,7 +385,8 @@ def test_imex_pks_run_loads_nccd_operators_on_demand(tmp_path):
 
 
 @pytest.mark.parametrize("cls", [LinearSolveError, AdrInstabilityError, PositivityError,
-                                 NonFiniteError, EdgeReconstructionError],
+                                 NonFiniteError, EdgeReconstructionError,
+                                 NonFiniteSampleError],
                          ids=lambda cls: cls.__name__)
 def test_numerical_errors_share_one_base(cls):
     assert issubclass(cls, NumericalError) and not issubclass(cls, ValueError)

@@ -13,7 +13,6 @@ from adrlab.spectral import (
     error_forcing_value,
     g_exact,
     g_num,
-    group_velocity_of_gfun,
     group_velocity_ratio,
     phase_shift,
     phase_speed_error,
@@ -72,20 +71,48 @@ def test_phase_speed_error_vanishes_for_exact_g():
         phase_speed_error(params(0.0, 0.1, da=0.0), 1.0 + 0j)
 
 
-def test_group_velocity_of_exact_advection_g():
-    nc = 0.37
-    gfun = lambda kh: np.exp(-1j * nc * kh)
-    for kh in (0.2, 1.5, 3.0):
-        assert abs(group_velocity_of_gfun(gfun, kh, nc) - 1.0) < 1e-6
+# the CLI default map: 64 x 64 samples of kh in [0, pi] and N_c in [0.025, 1.6]
+MAP_KH, MAP_NC = np.linspace(0.0, np.pi, 64), np.linspace(0.025, 1.6, 64)
 
 
-def test_group_velocity_unwraps_branch_cut():
-    # with N_c kh crossing pi the raw phase jumps by 2 pi; the derivative
-    # must come out smooth anyway
-    nc = 1.2
-    gfun = lambda kh: np.exp(-1j * nc * kh)
-    kh = np.pi / nc  # right at the wrap
-    assert abs(group_velocity_of_gfun(gfun, kh, nc) - 1.0) < 1e-6
+def _column(dmap, name):
+    return np.array([[getattr(pt, name) for pt in row] for row in dmap.points])
+
+
+def test_group_velocity_reference_value(ops1001):
+    # a steep sample of the default map, where a +-1e-4 phase difference
+    # reads 19.93610; differences with smaller steps converge to 19.934923
+    scheme = SchemeId.EXPLICIT_OUCS3_CD2
+    vg = group_velocity_ratio(scheme, params(MAP_KH[58], MAP_NC[34]), ops1001[scheme])
+    assert abs(vg - 19.934923) <= 1e-5
+
+
+def test_group_velocity_matches_unwrapped_phase_difference(ops1001):
+    # the closed form -Im(G'/G)/N_c against a delta = 1e-6 central difference
+    # of the phase, unwrapped where N_c kh crosses the branch cut of beta
+    delta, kh = 1e-6, MAP_KH[1:-1]
+    for scheme, ops in ops1001.items():
+        vg = _column(sweep(scheme, kh, MAP_NC, PE, DA, 500, 1001, ops), "vg_ratio")
+        plus, minus = (_column(sweep(scheme, kh + s, MAP_NC, PE, DA, 500, 1001, ops), "beta")
+                       for s in (delta, -delta))
+        diff = np.angle(np.exp(1j * (plus - minus))) / (2 * delta) / MAP_NC[:, None]
+        assert np.all(np.abs(vg - diff) <= 1e-6 * np.maximum(1.0, np.abs(vg))), scheme
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId))
+def test_map_edges_are_the_schemes_limits(scheme, ops1001):
+    # no override at kh = 0 or pi: V_g and the phase error there are the
+    # scheme's own values, which continue those just inside the interval
+    ops = ops1001[scheme]
+    dmap = sweep(scheme, [0.0, 1e-7, np.pi - 1e-7, np.pi], MAP_NC, PE, DA, 500, 1001, ops)
+    for name in ("vg_ratio", "phase_err"):
+        col = _column(dmap, name)
+        for edge, inside in ((0, 1), (3, 2)):
+            assert np.all(np.abs(col[:, edge] - col[:, inside])
+                          <= 1e-6 * np.maximum(1.0, np.abs(col[:, edge]))), (name, edge)
+    for nc, row in zip(MAP_NC, dmap.points):
+        p = params(0.0, nc)
+        assert abs(row[0].phase_err - phase_speed_error(p, g_num(scheme, p, ops))) <= 1e-9
 
 
 @pytest.mark.parametrize("scheme", list(SchemeId))
@@ -165,12 +192,22 @@ def test_template_g_matches_closed_forms(ops1001, scheme, kh, nc, pe, da):
 
 
 def test_sweep_kh0_column_stores_analytic_limits(ops1001):
+    # the kh = 0 column holds the scheme's limits: the reaction-only ratio,
+    # the phase error of phase_speed_error (finite for Da != 0) and a V_g
+    # that continues the kh > 0 values, not 1; with Da = 0 the phase error
+    # keeps its limit 0
     scheme = SchemeId.EXPLICIT_OUCS3_CD2
-    dmap = sweep(scheme, [0.0, 0.5], [0.1], PE, DA, 500, 1001, ops1001[scheme])
-    pt0 = dmap.points[0][0]
-    assert pt0.vg_ratio == 1.0 and pt0.phase_err == 0.0
+    ops = ops1001[scheme]
+    pt0, pt1 = sweep(scheme, [0.0, 1e-7], [0.1], PE, DA, 500, 1001, ops).points[0]
     want_ratio = abs((1 + DA + DA**2 / 2) / np.exp(DA))
     assert abs(pt0.g_ratio - want_ratio) < 1e-10
+    p0 = params(0.0, 0.1)
+    assert pt0.phase_err == pytest.approx(phase_speed_error(p0, g_num(scheme, p0, ops)),
+                                          abs=1e-12)
+    assert pt0.phase_err > 0
+    assert abs(pt0.vg_ratio - pt1.vg_ratio) < 1e-9 and pt0.vg_ratio != 1.0
+    pt0 = sweep(scheme, [0.0], [0.1], PE, 0.0, 500, 1001, ops).points[0][0]
+    assert pt0.phase_err == 0.0 and np.isfinite(pt0.vg_ratio)
 
 
 def test_map_csv_format(tmp_path, ops1001):
