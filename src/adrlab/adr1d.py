@@ -215,13 +215,15 @@ class ImplicitStage:
 
     def system(self):
         """(stage matrix, selection of y) as two `StencilMatrix`, the
-        matrix's bandwidths read from its nonzero entries."""
+        matrix's bandwidths read from its nonzero entries, so an all-zero
+        band (a closure weight of 0) is left out."""
         width, size = self.width, self.width * self.n
         reach = [0] + [d for _, d, v in self._bands() if np.any(v)]
         lower = -min(reach)
         weights = np.zeros((lower + max(reach) + 1, size))
         for slot, d, v in self._bands():
-            weights[lower + d, slot::width] += v
+            if np.any(v):
+                weights[lower + d, slot::width] += v
         select = np.zeros((1, size))
         select[0, width - 1::width] = 1.0
         return StencilMatrix(weights, lower), StencilMatrix(select, 0, width)

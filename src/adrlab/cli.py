@@ -1,8 +1,10 @@
 """Command-line front end: dispersion maps, wave-packet runs, chemotaxis runs.
 
-Every command is deterministic (no seeds, no environment dependence beyond
-the output directory) and emits CSV files with 12-significant-digit floats,
-so identical flags reproduce byte-identical outputs.
+Every command is deterministic (no seeds) and emits CSV files with
+12-significant-digit floats. Identical flags reproduce byte-identical
+outputs for a fixed BLAS build and BLAS thread cap: the thread count can
+move the last digits of products that BLAS splits across threads, so
+``--threads 1`` is the setting that reproduces across hosts.
 
 Exit codes: 0 success, 2 argument error, 3 numerical failure (any
 `adrlab.NumericalError`: instability, positivity violation, negative edge

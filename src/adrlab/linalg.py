@@ -90,27 +90,6 @@ class StencilMatrix:
             out[-1 - k, i0 + d:i1 + d] = w[k, i0:i1]
         return StencilMatrix(out, self.upper)
 
-    def toarray(self) -> np.ndarray:
-        width, m = self.weights.shape
-        out = np.zeros(self.shape)
-        i = np.tile(np.arange(m), width)
-        c = i // self.per_node + np.repeat(np.arange(width), m) - self.lower
-        ok = (c >= 0) & (c < self.shape[1])
-        out[i[ok], c[ok]] = self.weights.ravel()[ok]
-        return out
-
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        """B v for a vector v of length n, one stencil entry at a time."""
-        width, m = self.weights.shape
-        r, n = self.per_node, self.shape[1]
-        out = np.zeros(m, dtype=np.result_type(v, float))
-        rows = out.reshape(n, r)
-        for k in range(width):
-            d = k - self.lower  # node q's rows reach column q + d
-            q0, q1 = max(0, -d), min(n, n - d)
-            rows[q0:q1] += self.weights[k].reshape(n, r)[q0:q1] * v[q0 + d:q1 + d, None]
-        return out
-
     def tdot(self, y: np.ndarray) -> np.ndarray:
         """B^T y for y of shape (r n, k), one stencil entry at a time, so
         every column of y is summed in the same order whatever k is."""

@@ -16,17 +16,16 @@ i of A^{-1} B is B^T y with A^T y = e_i, one O(N) solve with the same kind
 of factors, made for A^T, so neither B nor D is expanded to get a row. Row
 symbols read one row (`DerivativeOperator.row`), cached per node, and a
 symbol and its kh-slope are summed from one table of exponentials
-(`row_symbol_and_slope`). The dense D (`DerivativeOperator.matrix`), read by
-the acceptance checks and the tests, is every row solved the same way, on
-first read, so a row equals the same row of the dense D bit for bit.
-Building, reading and applying operators needs NumPy alone.
+(`row_symbol_and_slope`). A row is solved alone, so it does not depend on
+which other rows are read. Building, reading and applying operators needs
+NumPy alone.
 
 Node numbering follows the 1-based convention j = 1..N+1 common in the
 compact-scheme literature; storage is 0-based, so "row j" below means matrix
 row j-1.
 
 Builders are pure functions and the returned operators never change what
-they represent. Their LU factors, dense matrix and rows are computed on first
+they represent. Their LU factors and rows are computed on first
 use and cached without a lock; two threads that both compute one get equal
 results, and neither sees the other's work in progress.
 """
@@ -58,15 +57,11 @@ class Grid1D:
     def __post_init__(self):
         if self.n_points < 5:
             raise ValueError("n_points must be >= 5 for stencil consistency")
-        if not self.h > 0:
-            raise ValueError("h must be positive")
+        if not (self.h > 0 and np.finfo(float).tiny <= self.h * self.h < np.inf):
+            raise ValueError(f"h must be positive and h**2 a finite normal float (got {self.h:g})")
 
     def x(self) -> np.ndarray:
         return self.x_start + self.h * np.arange(self.n_points)
-
-    @classmethod
-    def on_interval(cls, x_left: float, x_right: float, n_points: int) -> "Grid1D":
-        return cls(n_points, (x_right - x_left) / (n_points - 1), x_left)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,9 +73,8 @@ class BandedSystem:
     of y, and an operator reads one of them (NCCD: r = 2, u' and u'' of one
     solve). Two partitioned factorizations are made on first use and cached:
     the one of A with B folded in (``lu``) applies the operators, and the one
-    of A^T (``row_lu``) gives rows of A^{-1} B (`solve_rows`): `dense`, read
-    by the acceptance checks and the tests, and `node_rows`, read by the row
-    symbols.
+    of A^T (``row_lu``) gives rows of A^{-1} B (`solve_rows`), read per node
+    by the row symbols (`node_rows`).
     """
 
     lhs: StencilMatrix
@@ -120,21 +114,13 @@ class BandedSystem:
         return out
 
     @cached_property
-    def dense(self) -> np.ndarray:
-        """A^{-1} B as a dense (r N, N) matrix, every row from `solve_rows`.
-        Each operator of the system patches its own rows of it in place
-        (`DerivativeOperator.matrix`)."""
-        return self.solve_rows(range(self.lhs.shape[0]))
-
-    @cached_property
     def _rows(self) -> dict:
         return {}
 
     def node_rows(self, node: int) -> np.ndarray:
         """Rows r node .. r node + r - 1 of A^{-1} B, shape (r, N), read-only,
         from `solve_rows`, O(N). Cached per node, so the operators that share
-        the system (NCCD: D1 and D2) share one pass, and equal to the same
-        rows of `dense` bit for bit."""
+        the system (NCCD: D1 and D2) share one pass."""
         rows = self._rows.get(node)
         if rows is None:
             r = self.per_node
@@ -174,25 +160,10 @@ class DerivativeOperator:
             d[row] = np.dot(w, u[first:first + len(w)])
         return d
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.scale * (self @ u)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """D as a dense N x N matrix, built on first access: a view of the
-        system's dense A^{-1} B (`BandedSystem.dense`) with the patch
-        written into its rows. It is read by the acceptance checks and the
-        tests; row symbols read one row (`row`) instead."""
-        m = self.system.dense[self.part::self.system.per_node]
-        for row, first, w in self.patch:  # one write per row, so a repeat changes nothing
-            m[row] = np.pad(w, (first, len(m) - first - len(w)))
-        return m
-
     def row(self, node: int) -> np.ndarray:
-        """Row `node` (0-based) of D, equal to ``matrix[node]`` bit for bit
-        without forming D: the patch stencil, padded, at a patched row, else
-        this operator's part of `BandedSystem.node_rows`. Raises ValueError
-        unless 0 <= node < N."""
+        """Row `node` (0-based) of D without forming D: the patch stencil,
+        padded, at a patched row, else this operator's part of
+        `BandedSystem.node_rows`. Raises ValueError unless 0 <= node < N."""
         n = self.n_points
         if not 0 <= node < n:
             raise ValueError(f"node {node} is outside the rows 0..{n - 1}")
@@ -434,31 +405,14 @@ def nccd_system(grid: Grid1D):
             StencilMatrix(rhs.reshape(5, 2 * n), 2, per_node=2))
 
 
-def nccd_blocks(grid: Grid1D):
-    """Dense blocks (A1, B1, C1, A2, B2, C2) of `nccd_system`.
-
-    The same scheme written as A1 v + B1 w = C1 u and A2 v + B2 w = C2 u,
-    sliced out of the interleaved system. The builders never call this; it
-    serves checks stated in block form.
-    """
-    lhs, rhs = nccd_system(grid)
-    a, c = lhs.toarray(), rhs.toarray()
-    return a[0::2, 0::2], a[0::2, 1::2], c[0::2], a[1::2, 0::2], a[1::2, 1::2], c[1::2]
-
-
-def build_nccd(grid: Grid1D, coeffs: Oucs3Coefficients = DEFAULT_OUCS3,
-               boundary_fix: bool = True):
+def build_nccd(grid: Grid1D, coeffs: Oucs3Coefficients = DEFAULT_OUCS3):
     """First- and second-derivative operators of the combined compact scheme.
 
     Both read one `BandedSystem` of the interleaved system (`nccd_system`):
-    D1 its even rows and D2 its odd rows, so one solve serves both.
-
-    With ``boundary_fix`` (the production form) rows 2 and N of D1 are
-    patched with the explicit five-point near-boundary stencils (beta2/betaN)
-    and rows 2 and N of D2 with central CD2 rows, which suppresses the
-    near-boundary instability of the coupled closure. ``boundary_fix=False``
-    returns the raw solution of the system, for which
-    A1 D1 + B1 D2 = C1 and A2 D1 + B2 D2 = C2 hold to machine precision.
+    D1 its even rows and D2 its odd rows, so one solve serves both. Rows 2
+    and N of D1 are patched with the explicit five-point near-boundary
+    stencils (beta2/betaN) and rows 2 and N of D2 with central CD2 rows,
+    which suppresses the near-boundary instability of the coupled closure.
     """
     n = grid.n_points
     system = BandedSystem(*nccd_system(grid))
@@ -466,6 +420,6 @@ def build_nccd(grid: Grid1D, coeffs: Oucs3Coefficients = DEFAULT_OUCS3,
             (n - 2, n - 5, -_near_boundary_first_row(coeffs.beta_n)[::-1]))
     fix2 = ((1, 0, (1.0, -2.0, 1.0)), (n - 2, n - 3, (1.0, -2.0, 1.0)))
     return (
-        DerivativeOperator(1, 1.0 / grid.h, system, 0, fix1 if boundary_fix else ()),
-        DerivativeOperator(2, 1.0 / grid.h**2, system, 1, fix2 if boundary_fix else ()),
+        DerivativeOperator(1, 1.0 / grid.h, system, 0, fix1),
+        DerivativeOperator(2, 1.0 / grid.h**2, system, 1, fix2),
     )

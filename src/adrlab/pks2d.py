@@ -55,7 +55,6 @@ they return own their arrays; diagnostics are read-only.
 from __future__ import annotations
 
 import enum
-import functools
 import json
 from dataclasses import dataclass
 
@@ -115,6 +114,8 @@ class Mesh2D:
 
     @classmethod
     def unit_square(cls, n: int) -> "Mesh2D":
+        if n < 8:
+            raise ValueError("mesh must be at least 8x8 cells")
         return cls(n, n, 1.0 / n, 1.0 / n, (-0.5, -0.5))
 
 
@@ -356,18 +357,6 @@ def _velocity_kernel(variant: PksVariant):
     return _cd2_velocity if variant is PksVariant.EXPLICIT_OUCS3_CD2 else _nccd_velocity
 
 
-def chemotactic_velocity(c_field: Field2D, variant: PksVariant):
-    """Cell-center velocities (u, v) = grad c and their edge means.
-
-    Returns (u, v, u_edge, v_edge); u_edge has shape (nx-1, ny) covering the
-    interior x-edges (boundary edges carry no flux), v_edge likewise.
-    """
-    c, m = c_field.values, c_field.mesh
-    d1 = _velocity_kernel(variant)
-    u, vt = d1(c, m.h), d1(_transposed(c), m.k)
-    return u, vt.T, _edge_mean(u), _edge_mean(vt).T
-
-
 def _upwind(rho: np.ndarray, s: np.ndarray, h: float, w_edge: np.ndarray,
             work=None, out=None) -> np.ndarray:
     """rho[:-1] + (h/2) s[:-1] where w_edge > 0, else rho[1:] - (h/2) s[1:]."""
@@ -385,29 +374,13 @@ def _edge_floor(rho: np.ndarray) -> float:
 
 
 def _check_edges(edges: np.ndarray, floor: float, name: str) -> None:
+    """Raise EdgeReconstructionError, naming the edge of the lowest value,
+    when that value is below ``floor``: x-edge (i, j) lies between cells
+    (i, j) and (i+1, j), y-edge (i, j) between (i, j) and (i, j+1)."""
     if edges.min(initial=0.0) < floor:
         idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(edges)), edges.shape))
         raise EdgeReconstructionError(
             f"negative edge reconstruction {edges.min():.6g} at {name} {idx}")
-
-
-def reconstruct_edges(rho_field: Field2D, slopes, u_edge, v_edge):
-    """Upwind point values at interior edges from the limited linear pieces.
-
-    rho_{i+1/2,j} takes the left cell's rightward extrapolation when the
-    edge velocity is positive, else the right cell's leftward one; the
-    limiter guarantees both candidates are nonnegative. A value below
-    -1e-12 max(rho, 1) raises EdgeReconstructionError naming the edge:
-    x-edge (i, j) lies between cells (i, j) and (i+1, j), y-edge (i, j)
-    between (i, j) and (i, j+1).
-    """
-    rho, m = rho_field.values, rho_field.mesh
-    rho_xe = _upwind(rho, slopes[0], m.h, u_edge)
-    rho_ye = _upwind(rho.T, slopes[1].T, m.k, v_edge.T).T
-    floor = _edge_floor(rho)
-    for name, edges in (("x-edge", rho_xe), ("y-edge", rho_ye)):
-        _check_edges(edges, floor, name)
-    return rho_xe, rho_ye
 
 
 def _axis_flux(rho: np.ndarray, s: np.ndarray, w: np.ndarray, h: float, chi: float,
@@ -643,11 +616,6 @@ class PksStepper:
             np.multiply(g, 0.5 * self.dt, out=g)
             new.append(np.add(f, g, out=g))
         return self._state(state, new, state.t + self.dt)
-
-
-#: ExplicitPksStepper(dt) and ImexNccdStepper(mesh, dt)
-ExplicitPksStepper = functools.partial(PksStepper, PksVariant.EXPLICIT_OUCS3_CD2, None)
-ImexNccdStepper = functools.partial(PksStepper, PksVariant.IMEX_NCCD)
 
 
 def make_stepper(variant: PksVariant, mesh: Mesh2D, dt: float) -> PksStepper:

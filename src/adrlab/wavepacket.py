@@ -35,6 +35,8 @@ class WavePacketConfig:
     n_points: int
 
     def __post_init__(self):
+        if self.n_points < 5:
+            raise ValueError("n_points must be >= 5")
         if not 0 < self.gamma < np.inf:
             raise ValueError("gamma must be positive and finite")
         if not abs(self.x0) < self.length < np.inf:

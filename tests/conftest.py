@@ -17,8 +17,8 @@ def ops1001(grid1001):
     Built once per session and shared by the tests. Operators are stored
     banded. Row symbols read one row per node, one O(N) solve with the
     partitioned factors of A^T (`operators.BandedSystem.solve_rows`), cached
-    per node. A test that reads `.matrix` forms the dense matrix from the
-    same solves, one per row, and caches it.
+    per node. A test that reads the dense operator (`reference.dense`)
+    stacks those rows.
     """
     return {scheme: scheme_operators(scheme, grid1001) for scheme in SchemeId}
 

@@ -1,5 +1,5 @@
-"""Test-only references: LAPACK banded solves, dense line operators and
-the residual contract.
+"""Test-only references: stencil expansion, dense operators, LAPACK banded
+solves, the raw NCCD system and the residual contract.
 
 The program solves in NumPy alone (`adrlab.linalg`); these helpers are
 what its solvers and operators are checked against. They use SciPy, which
@@ -8,13 +8,30 @@ only the tests need.
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from adrlab.linalg import LinearSolveError, StencilMatrix
+from adrlab.operators import BandedSystem, DerivativeOperator, Grid1D, build_nccd, nccd_system
+
+
+def sparse(m: StencilMatrix) -> scipy.sparse.csr_array:
+    """A stencil matrix entry by entry: weight k of row i at column
+    i // per_node + k - lower, the weights outside the columns left out."""
+    width, rows = m.weights.shape
+    i = np.tile(np.arange(rows), width)
+    c = i // m.per_node + np.repeat(np.arange(width), rows) - m.lower
+    ok = (c >= 0) & (c < m.shape[1])
+    return scipy.sparse.csr_array((m.weights.ravel()[ok], (i[ok], c[ok])), shape=m.shape)
 
 
 def dense(m) -> np.ndarray:
-    """m as an ndarray; a stencil matrix is expanded."""
-    return m.toarray() if hasattr(m, "toarray") else np.asarray(m)
+    """m as an ndarray: a stencil matrix expanded (`sparse`), a derivative
+    operator stacked from its rows (`DerivativeOperator.row`)."""
+    if isinstance(m, StencilMatrix):
+        return sparse(m).toarray()
+    if isinstance(m, DerivativeOperator):
+        return np.array([m.row(j) for j in range(m.n_points)])
+    return np.asarray(m)
 
 
 def from_dense(a: np.ndarray, lower: int, upper: int) -> StencilMatrix:
@@ -90,6 +107,19 @@ def mirror_folded(m: np.ndarray) -> np.ndarray:
 def nccd_line_operators(n: int):
     """Dense dimensionless D1 and D2 of the NCCD scheme along a line of n
     cells with zero-Neumann walls: `build_nccd` on n + 2 nodes, folded."""
-    from adrlab.operators import Grid1D, build_nccd
+    return [mirror_folded(dense(op)) for op in build_nccd(Grid1D(n + 2, 1.0))]
 
-    return [mirror_folded(op.matrix) for op in build_nccd(Grid1D(n + 2, 1.0))]
+
+def nccd_raw(grid):
+    """D1 and D2 of `nccd_system` without `build_nccd`'s boundary patches:
+    the raw solution of the interleaved system."""
+    system = BandedSystem(*nccd_system(grid))
+    return (DerivativeOperator(1, 1.0 / grid.h, system, 0),
+            DerivativeOperator(2, 1.0 / grid.h**2, system, 1))
+
+
+def nccd_blocks(grid):
+    """Dense blocks (A1, B1, C1, A2, B2, C2) of `nccd_system`: the scheme
+    as A1 v + B1 w = C1 u and A2 v + B2 w = C2 u."""
+    a, c = (dense(m) for m in nccd_system(grid))
+    return a[0::2, 0::2], a[0::2, 1::2], c[0::2], a[1::2, 0::2], a[1::2, 1::2], c[1::2]

@@ -48,9 +48,9 @@ from adrlab.operators import (
     build_lele_second,
     build_nccd,
     build_oucs3,
-    nccd_blocks,
 )
 from adrlab import pks2d, spectral, wavepacket as wp
+from reference import dense, nccd_blocks, nccd_raw
 
 PE, DA = 0.01, -0.01
 NODE, N = 500, 1001
@@ -221,11 +221,11 @@ def test_criterion_6_operator_suite(rng, capsys):
         x = grid.x()
         for name, build in builders.items():
             op = build(grid)
-            worst_row = max(worst_row, np.max(np.abs(op.matrix.sum(axis=1))))
+            worst_row = max(worst_row, np.max(np.abs(dense(op).sum(axis=1))))
             if op.order == 1:
-                err = np.max(np.abs(op.apply(x - x[0])[3:-3] - 1.0))
+                err = np.max(np.abs(op.scale * (op @ (x - x[0]))[3:-3] - 1.0))
             else:
-                err = np.max(np.abs(op.apply((x - x[0]) ** 2)[3:-3] - 2.0))
+                err = np.max(np.abs(op.scale * (op @ ((x - x[0]) ** 2))[3:-3] - 2.0))
             worst_poly = max(worst_poly, err)
     checks.append(("row_sums", worst_row < 1e-8, f"max {worst_row:.1e}"))
     checks.append(("polynomial_exactness", worst_poly < 1e-8, f"max {worst_poly:.1e}"))
@@ -233,18 +233,20 @@ def test_criterion_6_operator_suite(rng, capsys):
     def slope(build, f, exact, sizes, lo_of):
         errs = []
         for n in sizes:
-            grid = Grid1D.on_interval(0.0, 1.0, n)
+            grid = Grid1D(n, 1.0 / (n - 1), 0.0)
             x = grid.x()
             lo = lo_of(n)
-            errs.append(np.max(np.abs(build(grid).apply(f(x)) - exact(x))[lo:-lo]))
+            op = build(grid)
+            errs.append(np.max(np.abs(op.scale * (op @ f(x)) - exact(x))[lo:-lo]))
         return 0.5 * np.log2(errs[0] / errs[2])
 
     s_cd2 = slope(build_cd2_first, np.sin, np.cos, (101, 201, 401), lambda n: 2)
     s_oucs3_eta0 = slope(lambda g: build_oucs3(g, replace(DEFAULT_OUCS3, eta=0.0)),
                          np.sin, np.cos, (201, 401, 801), lambda n: 10)
-    g801 = Grid1D.on_interval(0.0, 1.0, 801)
+    g801 = Grid1D(801, 1.0 / 800, 0.0)
     x801 = g801.x()
-    err = build_oucs3(g801).apply(np.sin(x801)) - np.cos(x801)
+    op801 = build_oucs3(g801)
+    err = op801.scale * (op801 @ np.sin(x801)) - np.cos(x801)
     lead = (DEFAULT_OUCS3.eta * g801.h * -np.sin(x801)
             / (75.0 * (1.0 + 2.0 * DEFAULT_OUCS3.d)))
     lead_dev = np.max(np.abs(err - lead)[10:-10]) / np.max(np.abs(lead)[10:-10])
@@ -253,10 +255,11 @@ def test_criterion_6_operator_suite(rng, capsys):
                    lambda x: -k * k * np.sin(k * x), (81, 161, 321),
                    lambda n: max(10, n // 8))
     grid = Grid1D(N, 1.0)
-    d1, d2 = build_nccd(grid, boundary_fix=False)
+    d1, d2 = nccd_raw(grid)
     a1, b1, c1, a2, b2, c2 = nccd_blocks(grid)
-    res = max(np.max(np.abs(a1 @ d1.matrix + b1 @ d2.matrix - c1)),
-              np.max(np.abs(a2 @ d1.matrix + b2 @ d2.matrix - c2)))
+    d1, d2 = dense(d1), dense(d2)
+    res = max(np.max(np.abs(a1 @ d1 + b1 @ d2 - c1)),
+              np.max(np.abs(a2 @ d1 + b2 @ d2 - c2)))
     checks.append(("cd2_slope>=2", s_cd2 >= 1.9, f"{s_cd2:.2f}"))
     # the upwind eta part leaves a first-order interior error
     # eta h u''/(75(1+2D)) (slopes 0.90-0.98 up to N = 1601); without it
@@ -311,7 +314,7 @@ def test_criterion_8_pks_desk_scale_run(capsys):
     checks = []
 
     state = pks2d.init_gaussian(mesh)  # chi = 30, theta = 1
-    stepper = pks2d.ExplicitPksStepper(1e-8)
+    stepper = pks2d.PksStepper(pks2d.PksVariant.EXPLICIT_OUCS3_CD2, mesh, 1e-8)
     mass0 = pks2d.total_mass(state)
     min_rho, peak_prev, peaks_increase = np.inf, 0.0, True
     for _ in range(1000):
@@ -331,7 +334,7 @@ def test_criterion_8_pks_desk_scale_run(capsys):
     # beyond the positivity bound: the stepper must refuse it at once
     refused_at = None
     try:
-        pks2d.ImexNccdStepper(mesh, 1e-6).step(pks2d.init_gaussian(mesh))
+        pks2d.PksStepper(pks2d.PksVariant.IMEX_NCCD, mesh, 1e-6).step(pks2d.init_gaussian(mesh))
     except pks2d.PositivityError as exc:
         refused_at = exc.t
     checks.append(("imex_refuses_dt=1e-6", refused_at == 0.0,
@@ -339,7 +342,7 @@ def test_criterion_8_pks_desk_scale_run(capsys):
 
     # the IMEX half at the explicit half's dt = 1e-8 (CFL ~0.18), to t = 1e-5
     imex_state = pks2d.init_gaussian(mesh)
-    imex_stepper = pks2d.ImexNccdStepper(mesh, 1e-8)
+    imex_stepper = pks2d.PksStepper(pks2d.PksVariant.IMEX_NCCD, mesh, 1e-8)
     imex_min, imex_error = np.inf, None
     try:
         for _ in range(1000):

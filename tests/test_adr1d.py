@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,15 +17,16 @@ from adrlab.adr1d import (
     whole_steps,
     z_parts,
 )
-from adrlab.operators import DerivativeOperator, Grid1D, build_lele_second, build_nccd
+from adrlab.operators import (DEFAULT_OUCS3, DerivativeOperator, Grid1D, build_lele_second,
+                               build_nccd, build_oucs3)
 from adrlab import spectral
-from reference import nccd_line_operators
+from reference import dense, nccd_line_operators
 
 N_SMALL = 101
 
 
 def small_cfg(c=0.1, nu=1e-4, lam=-1.0, dt=0.01, n=N_SMALL, length=5.0):
-    grid = Grid1D.on_interval(-length, length, n)
+    grid = Grid1D(n, 2 * length / (n - 1), -length)
     return AdrConfig(c, nu, lam, dt, grid)
 
 
@@ -185,7 +187,7 @@ def dense_step(scheme, cfg, ops, u):
     stage matrices combined from D1, D2 and I, stage 1 solved by a dense LU
     with identity end rows, complex input as two real solves."""
     ci, ce = z_parts(scheme, cfg.n_c, cfg.pe, cfg.da)
-    d1, d2 = ops[0].matrix, ops[1].matrix
+    d1, d2 = dense(ops[0]), dense(ops[1])
 
     def combine(c):
         return c[0] * d1 + c[1] * d2 + c[2] * np.eye(len(u))
@@ -232,16 +234,20 @@ def stage_and_matrix(case):
         n, cd2 = 41, (1.0, -2.0, 1.0)
         op = DerivativeOperator(2, 1.0, build_lele_second(Grid1D(n, 1.0)).system,
                                 patch=((1, 0, cd2), (2, 1, cd2), (n - 2, n - 3, cd2)))
-        stage, m = ImplicitStage(n, 1.0, [(op, 0.3)]), np.eye(n) - 0.3 * op.matrix
+        stage, m = ImplicitStage(n, 1.0, [(op, 0.3)]), np.eye(n) - 0.3 * dense(op)
     else:
         cfg, scheme = small_cfg(c=1.0, nu=0.05, lam=-0.5, dt=0.02), SchemeId(case)
-        ops = scheme_operators(scheme, cfg.grid)
-        ci = z_parts(scheme, cfg.n_c, cfg.pe, cfg.da)[0]
-        stage = make_stepper(scheme, cfg, ops).stage
-        m = ((1 - ci[2] / 2) * np.eye(N_SMALL)
-             - ci[0] / 2 * ops[0].matrix - ci[1] / 2 * ops[1].matrix)
+        stage, m = stepper_stage(scheme, cfg, scheme_operators(scheme, cfg.grid))
     m[[0, -1]] = np.eye(len(m))[[0, -1]]
     return stage, m
+
+
+def stepper_stage(scheme, cfg, ops):
+    """A stepper's `ImplicitStage` and its matrix I - z_I/2, dense."""
+    ci = z_parts(scheme, cfg.n_c, cfg.pe, cfg.da)[0]
+    m = ((1 - ci[2] / 2) * np.eye(cfg.grid.n_points)
+         - ci[0] / 2 * dense(ops[0]) - ci[1] / 2 * dense(ops[1]))
+    return make_stepper(scheme, cfg, ops).stage, m
 
 
 @pytest.mark.parametrize("case", ["lele-adjacent-patches", "implicit-oucs3-lele",
@@ -256,27 +262,40 @@ def test_implicit_stage_solves_its_matrix(case, rng):
     assert np.linalg.norm(m @ w - y) <= 1e-12 * np.linalg.norm(y)
 
 
+@pytest.mark.parametrize("zero", [("beta2",), ("beta2", "beta_n")], ids="=".join)
+def test_implicit_stage_with_a_zero_closure_weight(zero):
+    # at beta2 = 0 OUCS3's B band at offset +3 is all zero (it holds only
+    # row 1's weight 2 beta2/3), and at beta_n = 0 its band at -3 too: the
+    # stage leaves them out and still solves its matrix
+    cfg = small_cfg(c=1.0, nu=0.05, lam=-0.5, dt=0.02, n=41)
+    d1 = build_oucs3(cfg.grid, replace(DEFAULT_OUCS3, **dict.fromkeys(zero, 0.0)))
+    stage, m = stepper_stage(SchemeId.IMPLICIT_OUCS3_LELE, cfg, (d1, build_lele_second(cfg.grid)))
+    m[[0, -1]] = np.eye(41)[[0, -1]]
+    y = np.cos(np.arange(41.0))
+    assert np.linalg.norm(m @ stage.solve(y) - y) <= 1e-12 * np.linalg.norm(y)
+
+
 @pytest.mark.parametrize("scheme", list(SchemeId))
 def test_operators_used_before_the_stepper_give_the_same_step(scheme, rng):
-    # products and dense matrices leave an operator as it was: a stepper
-    # built from operators already used steps bit for bit the same
+    # products and rows leave an operator as it was: a stepper built from
+    # operators already used steps bit for bit the same
     cfg = small_cfg()
     u = rng.normal(size=N_SMALL)
     fresh, used = scheme_operators(scheme, cfg.grid), scheme_operators(scheme, cfg.grid)
     for op in used:
         op @ u
-        op.matrix
+        dense(op)
     want = make_stepper(scheme, cfg, fresh).step(SolutionState(u.copy(), 0.0)).values
     got = make_stepper(scheme, cfg, used).step(SolutionState(u.copy(), 0.0)).values
     assert np.array_equal(got, want)
     for a, b in zip(fresh, used):
-        assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(dense(a), dense(b))
 
 
 @pytest.mark.parametrize("scheme", list(SchemeId))
 def test_stepper_memory_is_linear_in_n(scheme):
     # a single dense N x N array at N = 1e5 would take 80 GB
-    grid = Grid1D.on_interval(-5.0, 5.0, 100_000)
+    grid = Grid1D(100_000, 10.0 / 99_999, -5.0)
     cfg = AdrConfig(0.1, 1e-4, -1.0, 0.01, grid)
     state = SolutionState(np.exp(-grid.x() ** 2), 0.0)
     tracemalloc.start()

@@ -249,6 +249,52 @@ def test_dispersion_map_writes_only_finite_values(scheme, pe, da, kh, nc, points
             assert rows.shape == (points[0] * points[1], 5) and np.all(np.isfinite(rows))
 
 
+def _exits_cleanly(argv):
+    """Run argv with a fresh --out: exit 0 (every CSV value finite), 2 or
+    3, and never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = run_cli([*argv, "--out", tmp])
+        assert code in (0, 2, 3) and "Traceback" not in err.getvalue()
+        for name in os.listdir(tmp) if code == 0 else ():
+            if name.endswith(".csv"):
+                rows = np.loadtxt(os.path.join(tmp, name), delimiter=",", skiprows=1, ndmin=2)
+                assert np.all(np.isfinite(rows)), name
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # unstable draws overflow, then exit 3
+@settings(max_examples=60, deadline=None)
+@example(scheme="imex-nccd", n=41, half=1e-200, dt=0.01, steps=10, gamma=50.0, k0h=0.5,
+         c=0.1, nu=1e-4, lam=-1.0)  # h**2 underflows to 0
+@example(scheme="imex-nccd", n=41, half=1e156, dt=0.01, steps=1, gamma=50.0, k0h=0.5, c=0.1,
+         nu=1e-4, lam=-1.0)  # h**2 overflows
+@example(scheme="imex-nccd", n=1, half=5.0, dt=0.01, steps=1, gamma=50.0, k0h=0.5, c=0.1,
+         nu=1e-4, lam=-1.0)  # h = 2 L/(n - 1) divides by 0
+@given(scheme=st.sampled_from(SCHEMES), n=st.integers(0, 41), half=_map_values(0.5, 5.0),
+       dt=_map_values(1e-4, 0.05), steps=st.integers(0, 3), gamma=_map_values(1.0, 400.0),
+       k0h=_map_values(0.0, np.pi), c=_map_values(0.0, 2.0), nu=_map_values(0.0, 0.1),
+       lam=_map_values(-3.0, 3.0))
+def test_wavepacket_writes_only_finite_values(scheme, n, half, dt, steps, gamma, k0h, c, nu,
+                                              lam):
+    _exits_cleanly(["wavepacket", "--scheme", scheme, "--n", str(n), f"--half-length={half!r}",
+                    f"--dt={dt!r}", f"--t-end={steps * dt!r}", f"--gamma={gamma!r}",
+                    f"--k0h={k0h!r}", f"--c={c!r}", f"--nu={nu!r}", f"--lam={lam!r}",
+                    f"--snapshots={dt!r}"])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # unstable draws overflow, then exit 3
+@settings(max_examples=60, deadline=None)
+@example(variant="imex-nccd", n=0, dt=1e-8, steps=1, chi=30.0, theta=1.0, log_every=1)  # h = 1/n
+@given(variant=st.sampled_from(["explicit-oucs3-cd2", "imex-nccd"]), n=st.integers(0, 12),
+       dt=_map_values(1e-9, 1e-5), steps=st.integers(0, 3), chi=_map_values(0.0, 60.0),
+       theta=_map_values(1.0, 2.0), log_every=st.integers(0, 3))
+def test_pks_writes_only_finite_values(variant, n, dt, steps, chi, theta, log_every):
+    _exits_cleanly(["pks", "--variant", variant, "--n", str(n), f"--dt={dt!r}",
+                    f"--t-end={steps * dt!r}", f"--chi={chi!r}", f"--theta={theta!r}",
+                    "--log-every", str(log_every)])
+
+
 def test_pks_negative_edge_reconstruction_exits_three(tmp_path, capsys, monkeypatch):
     from adrlab import pks2d
 

@@ -9,7 +9,7 @@ from adrlab.linalg import (
     solve_dense,
     tridiagonal,
 )
-from reference import from_dense, residual_bound, residual_inf, solve_banded
+from reference import dense, from_dense, residual_bound, residual_inf, solve_banded, sparse
 
 
 def test_banded_identity():
@@ -21,7 +21,7 @@ def test_banded_identity():
 def test_banded_constructed_exact_solution():
     # tridiag(1, 10, 1), rhs = row sums -> all-ones solution
     a = tridiagonal(1.0, 10.0 * np.ones(5), 1.0)
-    b = a.toarray() @ np.ones(5)
+    b = dense(a) @ np.ones(5)
     x = solve_banded(a, b)
     assert np.allclose(x, 1.0, rtol=0, atol=1e-13)
 
@@ -32,21 +32,21 @@ def test_banded_matches_dense_lu(rng):
     up = rng.normal(size=n)
     diag = 4.0 + rng.random(n)  # diagonally dominant
     a = tridiagonal(lo, diag, up)
-    dense = a.toarray()
+    full = dense(a)
     b = rng.normal(size=(n, 3))
     xb = solve_banded(a, b)
-    xd = solve_dense(dense, b)
+    xd = solve_dense(full, b)
     assert np.max(np.abs(xb - xd)) < 1e-10
-    assert residual_inf(dense, xb, b) <= residual_bound(dense, xb, b)
+    assert residual_inf(full, xb, b) <= residual_bound(full, xb, b)
 
 
 def test_band_roundtrip(rng):
-    dense = np.triu(np.tril(rng.normal(size=(7, 7)), 1), -2)
-    a = from_dense(dense, 2, 1)
+    full = np.triu(np.tril(rng.normal(size=(7, 7)), 1), -2)
+    a = from_dense(full, 2, 1)
     assert (a.lower, a.upper) == (2, 1)
-    assert np.array_equal(a.toarray(), dense)
-    assert np.array_equal(a.transpose().toarray(), dense.T)
-    assert np.array_equal(a.transpose().weights, from_dense(dense.T, 1, 2).weights)
+    assert np.array_equal(dense(a), full)
+    assert np.array_equal(dense(a.transpose()), full.T)
+    assert np.array_equal(a.transpose().weights, from_dense(full.T, 1, 2).weights)
 
 
 def bits(x: np.ndarray) -> np.ndarray:
@@ -69,13 +69,13 @@ def test_stencil_weights_outside_the_matrix_are_dropped(rng):
             else:
                 weights[k, i] = np.nan
     a, clean = StencilMatrix(weights, lower), from_dense(want, lower, upper)
-    assert np.array_equal(a.toarray(), want)
-    assert np.array_equal(a.transpose().toarray(), want.T)
+    assert np.array_equal(dense(a), want)
+    assert np.array_equal(dense(a.transpose()), want.T)
     assert np.array_equal(bits(a.transpose().weights), bits(clean.transpose().weights))
     v, y = rng.normal(size=n), rng.normal(size=(n, 3))
     b = StencilMatrix(rng.normal(size=(3, n)), 1)
     assert PartitionedLU(a, b).blocks == 2
-    for got, ref in [(a @ v, clean @ v), (a.tdot(y), clean.tdot(y)),
+    for got, ref in [(a.tdot(y), clean.tdot(y)),
                      (PartitionedLU(a, b).solve(v), PartitionedLU(clean, b).solve(v)),
                      (PartitionedLU(a.transpose()).solve(v),
                       PartitionedLU(clean.transpose()).solve(v))]:
@@ -97,7 +97,7 @@ def test_stencil_matrix_rejects_a_malformed_shape(weights, lower, per_node):
 def test_tridiagonal_per_row_arrays():
     lo, diag, up = np.array([9.0, 1.0, 2.0]), np.array([3.0, 4.0, 5.0]), np.array([6.0, 7.0, 9.0])
     want = np.array([[3.0, 6.0, 0.0], [1.0, 4.0, 7.0], [0.0, 2.0, 5.0]])
-    assert np.array_equal(tridiagonal(lo, diag, up).toarray(), want)
+    assert np.array_equal(dense(tridiagonal(lo, diag, up)), want)
 
 
 def test_banded_singular_raises():
@@ -115,7 +115,7 @@ def test_banded_factor_keeps_the_matrix_and_solves_complex_input(rng):
     lu = PartitionedLU(a)
     assert np.array_equal(a.weights, weights)
     b = rng.normal(size=12) + 1j * rng.normal(size=12)
-    assert np.max(np.abs(a.toarray() @ lu.solve(b) - b)) < 1e-12
+    assert np.max(np.abs(dense(a) @ lu.solve(b) - b)) < 1e-12
 
 
 def test_dense_scaled_identity():
@@ -162,7 +162,7 @@ def test_transposed_lu_pivots_past_a_zero_diagonal():
     lu = PartitionedLU(a.transpose())
     assert lu.blocks == 1
     x = np.column_stack([lu.solve(e) for e in np.eye(3)])
-    assert np.allclose(x, np.linalg.inv(a.toarray().T), rtol=0, atol=1e-15)
+    assert np.allclose(x, np.linalg.inv(dense(a).T), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("a", [
@@ -217,9 +217,9 @@ def test_stencil_matrix_forms_agree(rng, per_node, lower):
             c = i // per_node + k - lower
             if 0 <= c < n:
                 want[i, c] = weights[k, i]
-    assert np.array_equal(b.toarray(), want)
+    assert np.array_equal(dense(b), want)
     v = rng.normal(size=n)
-    assert np.allclose(b @ v, want @ v, rtol=0, atol=1e-13)
+    assert np.allclose(sparse(b) @ v, want @ v, rtol=0, atol=1e-13)
     y = rng.normal(size=(per_node * n, 4))
     assert np.allclose(b.tdot(y), want.T @ y, rtol=0, atol=1e-13)
     for c in range(4):
@@ -232,7 +232,7 @@ def test_inverse_rows_are_rows_of_the_dense_solve(rng):
     n = 11
     a = random_band(rng, 2 * n, 3, 3, dominant=False)
     b = StencilMatrix(rng.normal(size=(5, 2 * n)), 2, per_node=2)
-    want = solve_dense(a.toarray(), b.toarray())
+    want = solve_dense(dense(a), dense(b))
     rows = range(3, 2 * n)
     got = BandedSystem(a, b).solve_rows(rows)
     assert got.shape == (len(rows), n)
@@ -289,13 +289,13 @@ def test_partitioned_solve_matches_lapack(rng, name, where):
     lu, a, b = factored(name, n)
     if where != "n1001":
         assert lu.blocks == (2 if where == "one-node-over" else 1)
-    m, bd = b.shape[1], b.toarray()
+    m, bd = b.shape[1], dense(b)
     for u in (rng.normal(size=m), rng.normal(size=m) + 1j * rng.normal(size=m)):
         rhs = bd @ u
         want = solve_banded(a, rhs.real) + 1j * solve_banded(a, rhs.imag)
         x = lu.solve(u)
         assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want)), name
-        assert residual_inf(a.toarray(), x, rhs) <= residual_bound(a.toarray(), x, rhs)
+        assert residual_inf(dense(a), x, rhs) <= residual_bound(dense(a), x, rhs)
 
 
 @pytest.mark.parametrize("name", FACTORED)
@@ -304,8 +304,8 @@ def test_partitioned_solve_residual_at_n_1e5(rng, name):
     lu, a, b = factored(name, n)
     assert lu._child is not None or name == "cd2"  # A = I has no interface system
     u = rng.normal(size=b.shape[1])
-    x, rhs = lu.solve(u), b @ u
-    residual = np.max(np.abs(a @ x - rhs))
+    x, rhs = lu.solve(u), sparse(b) @ u
+    residual = np.max(np.abs(sparse(a) @ x - rhs))
     bound = 1e-10 * (np.max(np.sum(np.abs(a.weights), axis=0)) * np.max(np.abs(x))
                      + np.max(np.abs(rhs)))
     assert residual <= bound, name
@@ -337,10 +337,11 @@ def test_partitioned_solve_backward_error(rng, case, monkeypatch):
         draws = [(PartitionedLU(a), a, None, rng.normal(size=(case[0], 4)))
                  for a in (random_band(rng, *case, dominant=dominant) for _ in range(100))]
     for lu, a, b, u in draws:
-        norm = np.max(StencilMatrix(np.abs(a.weights), a.lower) @ np.ones(a.shape[0]))
+        a = sparse(a)
+        norm = np.max(abs(a) @ np.ones(a.shape[0]))
         many = lu.solve(u)
         for c in range(u.shape[1]):
-            one, rhs = lu.solve(u[:, c]), u[:, c] if b is None else b @ u[:, c]
+            one, rhs = lu.solve(u[:, c]), u[:, c] if b is None else sparse(b) @ u[:, c]
             for x in (one, many[:, c]):
                 error = np.max(np.abs(a @ x - rhs)) / (norm * np.max(np.abs(x))
                                                        + np.max(np.abs(rhs)))
@@ -354,7 +355,7 @@ def test_partitioned_singular_diagonal_block_raises_naming_its_rows():
     n = 64
     rows = np.tile([0.5, 4.0, 0.5], (n, 1))
     rows[31] = (0.0, 0.0, 1.0)
-    assert abs(np.linalg.det(StencilMatrix(rows.T, 1).toarray())) > 0
+    assert abs(np.linalg.det(dense(StencilMatrix(rows.T, 1)))) > 0
     with pytest.raises(LinearSolveError, match=r"diagonal block of rows 0\.\.31"):
         PartitionedLU(StencilMatrix(rows.T, 1))
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from adrlab.operators import (
     oucs3_system,
 )
 from adrlab.linalg import solve_dense
-from reference import residual_bound, residual_inf, solve_banded
+from reference import dense, nccd_raw, residual_bound, residual_inf, solve_banded
 
 ALL_BUILDERS = [
     ("cd2_first", lambda g: build_cd2_first(g)),
@@ -31,13 +32,12 @@ ALL_BUILDERS = [
 
 
 def unit_grid(n):
-    return Grid1D.on_interval(0.0, 1.0, n)
+    return Grid1D(n, 1.0 / (n - 1), 0.0)
 
 
 def interior_error(op, f, exact, lo=10):
-    grid = Grid1D.on_interval(0.0, 1.0, op.n_points)
-    x = grid.x()
-    num = op.apply(f(x))
+    x = unit_grid(op.n_points).x()
+    num = op.scale * (op @ f(x))
     return np.max(np.abs(num - exact(x))[lo:-lo])
 
 
@@ -59,19 +59,19 @@ def test_oucs3_coefficient_identities():
 @pytest.mark.parametrize("name,build", ALL_BUILDERS)
 def test_row_sums_vanish(name, build):
     op = build(unit_grid(201))
-    assert np.max(np.abs(op.matrix.sum(axis=1))) < 1e-8
+    assert np.max(np.abs(dense(op).sum(axis=1))) < 1e-8
 
 
 @pytest.mark.parametrize("name,build", ALL_BUILDERS)
 def test_constant_annihilated(name, build):
     op = build(unit_grid(64))
-    assert np.max(np.abs(op.apply(np.ones(64)))) < 1e-8
+    assert np.max(np.abs(op.scale * (op @ np.ones(64)))) < 1e-8
 
 
 def test_cd2_first_linear_exact():
     op = build_cd2_first(unit_grid(11))
     x = unit_grid(11).x()
-    assert np.max(np.abs(op.apply(x)[1:-1] - 1.0)) < 1e-13
+    assert np.max(np.abs(op.scale * (op @ x)[1:-1] - 1.0)) < 1e-13
 
 
 def test_cd2_first_convergence_ratio():
@@ -83,7 +83,7 @@ def test_cd2_first_convergence_ratio():
 def test_cd2_second_quadratic_exact():
     op = build_cd2_second(unit_grid(33))
     x = unit_grid(33).x()
-    assert np.max(np.abs(op.apply(x**2)[1:-1] - 2.0)) < 1e-10
+    assert np.max(np.abs(op.scale * (op @ (x**2))[1:-1] - 2.0)) < 1e-10
 
 
 def test_cd2_second_convergence_slope():
@@ -94,12 +94,12 @@ def test_cd2_second_convergence_slope():
 def test_oucs3_linear_exact_interior():
     op = build_oucs3(unit_grid(101))
     x = unit_grid(101).x()
-    assert np.max(np.abs(op.apply(x)[3:-3] - 1.0)) < 1e-8
+    assert np.max(np.abs(op.scale * (op @ x)[3:-3] - 1.0)) < 1e-8
 
 
 def test_oucs3_boundary_rows_are_replaced_cd2():
     op = build_oucs3(unit_grid(41))
-    m = op.matrix
+    m = dense(op)
     row = np.zeros(41)
     row[0], row[2] = -0.5, 0.5
     assert np.array_equal(m[1], row)
@@ -107,15 +107,29 @@ def test_oucs3_boundary_rows_are_replaced_cd2():
 
 
 def test_oucs3_one_sided_end_rows():
-    op = build_oucs3(unit_grid(41))
-    assert np.allclose(op.matrix[0, :3], [-1.5, 2.0, -0.5], atol=1e-12)
-    assert np.allclose(op.matrix[-1, -3:], [0.5, -2.0, 1.5], atol=1e-12)
+    m = dense(build_oucs3(unit_grid(41)))
+    assert np.allclose(m[0, :3], [-1.5, 2.0, -0.5], atol=1e-12)
+    assert np.allclose(m[-1, -3:], [0.5, -2.0, 1.5], atol=1e-12)
 
 
 def test_oucs3_modified_wavenumber_small_kh():
     op = build_oucs3(unit_grid(1001))
     keq = op.row_symbol(500, 0.01) / 1j
     assert abs(keq.real - 0.01) < 1e-5
+
+
+def test_oucs3_stored_e_and_f_are_the_published_pair_exchanged():
+    # Im S1 at node 500 of N = 1001 stays within 1 % of kh up to 0.159 with
+    # the stored constants and up to 2.153 with E and F in their published
+    # places, so swapping the stored pair fails here
+    grid, kh = Grid1D(1001, 1.0), np.linspace(0.01, 2.0, 200)
+
+    def resolved(coeffs):
+        return np.abs(build_oucs3(grid, coeffs).row_symbol(500, kh).imag - kh) <= 0.01 * kh
+
+    c = DEFAULT_OUCS3
+    assert not resolved(c)[kh <= 0.25].all()
+    assert resolved(replace(c, e=c.f, f=c.e)).all()
 
 
 def test_oucs3_interior_error_is_first_order_dissipative():
@@ -125,7 +139,7 @@ def test_oucs3_interior_error_is_first_order_dissipative():
     assert 0.7 < s < 1.4
     op = build_oucs3(unit_grid(401))
     x = unit_grid(401).x()
-    err_mid = abs(op.apply(np.sin(x))[200] - np.cos(x[200]))
+    err_mid = abs(op.scale * (op @ np.sin(x))[200] - np.cos(x[200]))
     expect = abs(DEFAULT_OUCS3.eta) * unit_grid(401).h * abs(np.sin(x[200])) / 75.0
     assert 0.3 * expect < err_mid < 3.0 * expect
 
@@ -133,7 +147,7 @@ def test_oucs3_interior_error_is_first_order_dissipative():
 def test_lele_quadratic_exact():
     op = build_lele_second(unit_grid(64))
     x = unit_grid(64).x()
-    assert np.max(np.abs(op.apply(x**2)[3:-3] - 2.0)) < 1e-8
+    assert np.max(np.abs(op.scale * (op @ (x**2))[3:-3] - 2.0)) < 1e-8
 
 
 def test_lele_interior_convergence_slope():
@@ -146,7 +160,7 @@ def test_lele_interior_convergence_slope():
         grid = unit_grid(n)
         x = grid.x()
         op = build_lele_second(grid)
-        err = np.abs(op.apply(np.sin(k * x)) + k**2 * np.sin(k * x))
+        err = np.abs(op.scale * (op @ np.sin(k * x)) + k**2 * np.sin(k * x))
         lo = max(10, n // 8)
         errs.append(np.max(err[lo:-lo]))
     s = 0.5 * np.log2(errs[0] / errs[2])
@@ -157,17 +171,17 @@ def test_lele_boundary_rows_frozen():
     op = build_lele_second(unit_grid(41))
     # row 1 is eliminated through A^{-1}, but row 1 of A is identity with
     # rhs (1,-2,1): the assembled row must reproduce the CD2 values
-    assert np.allclose(op.matrix[0, :3], [1.0, -2.0, 1.0], atol=1e-10)
+    assert np.allclose(dense(op)[0, :3], [1.0, -2.0, 1.0], atol=1e-10)
 
 
 def test_nccd_polynomial_exactness():
     n = 101
     d1, d2 = build_nccd(unit_grid(n))
     x = unit_grid(n).x()
-    assert np.max(np.abs(d1.apply(x)[3:-3] - 1.0)) < 1e-8
-    assert np.max(np.abs(d2.apply(x)[3:-3])) < 1e-8
-    assert np.max(np.abs(d2.apply(x**2)[3:-3] - 2.0)) < 1e-8
-    assert np.max(np.abs(d1.apply(x**2)[3:-3] - 2 * x[3:-3])) < 1e-8
+    assert np.max(np.abs(d1.scale * (d1 @ x)[3:-3] - 1.0)) < 1e-8
+    assert np.max(np.abs(d2.scale * (d2 @ x)[3:-3])) < 1e-8
+    assert np.max(np.abs(d2.scale * (d2 @ (x**2))[3:-3] - 2.0)) < 1e-8
+    assert np.max(np.abs(d1.scale * (d1 @ (x**2))[3:-3] - 2 * x[3:-3])) < 1e-8
 
 
 @pytest.mark.parametrize("n", [51, 201])
@@ -175,11 +189,11 @@ def test_nccd_defining_relations_pre_fix(n):
     # the unpatched D1, D2 interleaved as (v_1, w_1, v_2, ...) solve the
     # banded system within the solver's residual contract
     grid = unit_grid(n)
-    d1, d2 = build_nccd(grid, boundary_fix=False)
+    d1, d2 = nccd_raw(grid)
     lhs, rhs = nccd_system(grid)
     x = np.empty((2 * n, n))
-    x[0::2], x[1::2] = d1.matrix, d2.matrix
-    a = lhs.toarray()
+    x[0::2], x[1::2] = dense(d1), dense(d2)
+    a = dense(lhs)
     assert (lhs.lower, lhs.upper) == (3, 3)
     assert residual_inf(a, x, rhs) <= residual_bound(a, x, rhs)
 
@@ -193,20 +207,20 @@ def test_banded_assembly_matches_dense_solve(system, build, patched, n):
     grid = unit_grid(n)
     a, b = system(grid)
     assert (a.lower, a.upper) == (1, 1)
-    want = np.delete(solve_dense(a.toarray(), b.toarray()), patched(n), axis=0)
-    got = np.delete(build(grid).matrix, patched(n), axis=0)
+    want = np.delete(solve_dense(dense(a), dense(b)), patched(n), axis=0)
+    got = np.delete(dense(build(grid)), patched(n), axis=0)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_nccd_boundary_fix_rows():
     n = 41
-    d1, d2 = build_nccd(unit_grid(n))
+    d1, d2 = (dense(op) for op in build_nccd(unit_grid(n)))
     b2 = DEFAULT_OUCS3.beta2
     want = [2 * b2 / 3 - 1 / 3, -(8 * b2 / 3 + 0.5), 4 * b2 + 1, -(8 * b2 / 3 + 1 / 6), 2 * b2 / 3]
-    assert np.allclose(d1.matrix[1, :5], want, atol=1e-14)
-    assert np.count_nonzero(d1.matrix[1, 5:]) == 0
-    assert np.allclose(d2.matrix[1, :3], [1.0, -2.0, 1.0], atol=1e-14)
-    assert np.allclose(d2.matrix[-2, -3:], [1.0, -2.0, 1.0], atol=1e-14)
+    assert np.allclose(d1[1, :5], want, atol=1e-14)
+    assert np.count_nonzero(d1[1, 5:]) == 0
+    assert np.allclose(d2[1, :3], [1.0, -2.0, 1.0], atol=1e-14)
+    assert np.allclose(d2[-2, -3:], [1.0, -2.0, 1.0], atol=1e-14)
 
 
 def test_small_grid_rejected():
@@ -229,7 +243,7 @@ def near_boundary_patch(n):
 
 @pytest.mark.parametrize("n", [41, 201])
 def test_matrix_is_the_dense_solve_of_the_system_with_its_patch(n):
-    # .matrix is the LAPACK solve_banded(A, B), with the columns of B as
+    # the dense operator is the LAPACK solve_banded(A, B), with the columns of B as
     # right-hand sides, to 1e-13 of each row's largest entry (its rows come
     # from transposed solves, another algorithm), and the patched rows are
     # the patch stencils exactly
@@ -247,10 +261,11 @@ def test_matrix_is_the_dense_solve_of_the_system_with_its_patch(n):
             for row, first, w in patch:
                 want[row] = 0.0
                 want[row, first:first + len(w)] = w
-            err = np.max(np.abs(op.matrix - want), axis=1)
+            m = dense(op)
+            err = np.max(np.abs(m - want), axis=1)
             assert np.all(err <= 1e-13 * np.max(np.abs(want), axis=1)), system.__name__
             for row, _, _ in patch:
-                assert np.array_equal(op.matrix[row], want[row])
+                assert np.array_equal(m[row], want[row])
 
 
 def count_row_solves(monkeypatch):
@@ -264,20 +279,12 @@ def count_row_solves(monkeypatch):
     return factors, passes
 
 
-def test_nccd_pair_reads_its_matrices_from_one_solve(monkeypatch):
-    factors, passes = count_row_solves(monkeypatch)
-    d1, d2 = build_nccd(unit_grid(41))
-    assert factors == passes == []  # building forms no dense matrix
-    d1.matrix, d2.matrix, d1.matrix
-    assert (len(factors), len(passes)) == (1, 1)
-
-
 def test_apply_matches_matrix_for_real_and_complex_input(rng):
     for name, build in ALL_BUILDERS:
         op = build(unit_grid(57))
         for u in (rng.normal(size=57), rng.normal(size=57) + 1j * rng.normal(size=57)):
-            want = op.scale * (op.matrix @ u)
-            assert np.max(np.abs(op.apply(u) - want)) <= 1e-12 * np.max(np.abs(want)), name
+            want = dense(op) @ u
+            assert np.max(np.abs(op @ u - want)) <= 1e-12 * np.max(np.abs(want)), name
 
 
 def test_nccd_build_allocates_no_dense_matrix():
@@ -285,7 +292,7 @@ def test_nccd_build_allocates_no_dense_matrix():
     tracemalloc.start()
     try:
         d1, d2 = build_nccd(Grid1D(n, 1.0))
-        d1.apply(np.ones(n))
+        d1 @ np.ones(n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -293,17 +300,23 @@ def test_nccd_build_allocates_no_dense_matrix():
 
 
 ROW_BUILDERS = ALL_BUILDERS + [
-    ("nccd_d1_raw", lambda g: build_nccd(g, boundary_fix=False)[0]),
-    ("nccd_d2_raw", lambda g: build_nccd(g, boundary_fix=False)[1]),
+    ("nccd_d1_raw", lambda g: nccd_raw(g)[0]),
+    ("nccd_d2_raw", lambda g: nccd_raw(g)[1]),
 ]
 
 
 @pytest.mark.parametrize("n", [7, 64, 65, 1001])  # one block, exactly one, one column over
 def test_row_is_the_matrix_row_bit_for_bit(n):
+    # a row solved alone equals its row of the whole A^-1 B solved at once,
+    # with the patch stencils written in
     for name, build in ROW_BUILDERS:
         op = build(Grid1D(n, 1.0))
+        r = op.system.per_node
+        m = op.system.solve_rows(range(r * n))[op.part::r]
+        for row, first, w in op.patch:
+            m[row] = np.pad(w, (first, n - first - len(w)))
         for j in (0, 1, n // 2, n - 2, n - 1):  # rows 1 and n-2 are the patched ones
-            assert np.array_equal(op.row(j), op.matrix[j]), (name, j)
+            assert np.array_equal(op.row(j), m[j]), (name, j)
 
 
 def test_nccd_pair_reads_its_rows_from_one_blocked_pass(monkeypatch):
@@ -312,7 +325,6 @@ def test_nccd_pair_reads_its_rows_from_one_blocked_pass(monkeypatch):
     d1, d2 = build_nccd(Grid1D(1001, 1.0))
     d1.row(500), d2.row(500), d1.row_symbol(500, 0.3), d2.row_symbol(500, 0.3)
     assert (len(factors), len(passes)) == (1, 1)
-    assert "dense" not in d1.system.__dict__
 
 
 def test_rows_at_n_1e5_match_the_operator(rng):

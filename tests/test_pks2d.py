@@ -5,19 +5,18 @@ import numpy as np
 import pytest
 from reference import nccd_line_operators
 
+from adrlab import pks2d
 from adrlab.pks2d import (
     EdgeReconstructionError,
-    ExplicitPksStepper,
     Field2D,
-    ImexNccdStepper,
     Mesh2D,
     NonFiniteError,
     PksState,
+    PksStepper,
     PksVariant,
     PositivityError,
     adaptive_slopes,
     c_rhs,
-    chemotactic_velocity,
     diagnostics,
     edge_fluxes,
     init_gaussian,
@@ -26,7 +25,6 @@ from adrlab.pks2d import (
     minmod,
     oscillation_metric,
     radial_profile,
-    reconstruct_edges,
     rho_rhs,
     total_mass,
     write_metadata,
@@ -35,6 +33,7 @@ from adrlab.pks2d import (
 )
 
 VARIANTS = [PksVariant.EXPLICIT_OUCS3_CD2, PksVariant.IMEX_NCCD]
+EXPLICIT, IMEX = VARIANTS
 
 
 def state_from(mesh, rho, c, chi=30.0, theta=1.0):
@@ -43,6 +42,19 @@ def state_from(mesh, rho, c, chi=30.0, theta=1.0):
 
 def gaussian_state(n=32, chi=30.0):
     return init_gaussian(Mesh2D.unit_square(n), chi=chi)
+
+
+def velocity(c, variant):
+    """Cell-centre velocities (u, v) = grad c, from the variant's kernel."""
+    d1 = pks2d._velocity_kernel(variant)
+    return d1(c.values, c.mesh.h), d1(pks2d._transposed(c.values), c.mesh.k).T
+
+
+def upwind_edges(rho, slopes, u_edge, v_edge):
+    """x- and y-edge values of the upwind kernel behind `edge_fluxes`."""
+    r, m = rho.values, rho.mesh
+    return (pks2d._upwind(r, slopes[0], m.h, u_edge),
+            pks2d._upwind(r.T, slopes[1].T, m.k, v_edge.T).T)
 
 
 def test_init_center_density_and_mass():
@@ -55,12 +67,13 @@ def test_init_center_density_and_mass():
 
 
 def test_velocity_constant_field_is_zero():
-    mesh = Mesh2D.unit_square(32)
-    c = Field2D(mesh, np.full((32, 32), 7.0))
+    # rho = chi = 1: the edge fluxes are the edge means of the velocities
+    state = state_from(Mesh2D.unit_square(32), np.ones((32, 32)), np.full((32, 32), 7.0), chi=1.0)
     for variant in VARIANTS:
-        u, v, ue, ve = chemotactic_velocity(c, variant)
+        u, v = velocity(state.c, variant)
         assert np.max(np.abs(u)) < 1e-10 and np.max(np.abs(v)) < 1e-10
-        assert np.max(np.abs(ue)) < 1e-10 and np.max(np.abs(ve)) < 1e-10
+        fl = edge_fluxes(state, variant)
+        assert np.max(np.abs(fl.p)) < 1e-10 and np.max(np.abs(fl.q)) < 1e-10
 
 
 def test_velocity_linear_field_interior():
@@ -71,10 +84,10 @@ def test_velocity_linear_field_interior():
     mesh = Mesh2D.unit_square(n)
     x, y = mesh.centers()
     c = Field2D(mesh, np.broadcast_to(x[:, None], (n, n)).copy())
-    u, v, _, _ = chemotactic_velocity(c, PksVariant.EXPLICIT_OUCS3_CD2)
+    u, v = velocity(c, PksVariant.EXPLICIT_OUCS3_CD2)
     assert np.max(np.abs(u[1:-1, :] - 1.0)) < 1e-12
     assert np.max(np.abs(v)) < 1e-12
-    u2, v2, _, _ = chemotactic_velocity(c, PksVariant.IMEX_NCCD)
+    u2, v2 = velocity(c, PksVariant.IMEX_NCCD)
     assert np.max(np.abs(u2[25:-25, :] - 1.0)) < 1e-8
     assert np.max(np.abs(v2)) < 1e-8
 
@@ -83,13 +96,13 @@ def test_velocity_radial_antisymmetry():
     mesh = Mesh2D.unit_square(32)
     x, y = mesh.centers()
     c = Field2D(mesh, np.exp(-3.0 * (x[:, None] ** 2 + y[None, :] ** 2)))
-    u, v, _, _ = chemotactic_velocity(c, PksVariant.EXPLICIT_OUCS3_CD2)
+    u, v = velocity(c, PksVariant.EXPLICIT_OUCS3_CD2)
     assert np.max(np.abs(u + u[::-1, :])) < 1e-12
     assert np.max(np.abs(v + v[:, ::-1])) < 1e-12
     # the compact variant's one-sided closures are only mirror-symmetric up
     # to the beta2/betaN asymmetry in the first/last cells; interior rows
     # are exactly equivariant
-    u2, v2, _, _ = chemotactic_velocity(c, PksVariant.IMEX_NCCD)
+    u2, v2 = velocity(c, PksVariant.IMEX_NCCD)
     assert np.max(np.abs((u2 + u2[::-1, :])[2:-2, :])) < 1e-11
 
 
@@ -135,7 +148,7 @@ def test_reconstruction_uniform_field_wind_independent():
     for sign in (1.0, -1.0):
         ue = sign * np.ones((15, 16))
         ve = sign * np.ones((16, 15))
-        xe, ye = reconstruct_edges(rho, slopes, ue, ve)
+        xe, ye = upwind_edges(rho, slopes, ue, ve)
         assert np.max(np.abs(xe - 2.5)) < 1e-14
         assert np.max(np.abs(ye - 2.5)) < 1e-14
 
@@ -147,20 +160,23 @@ def test_reconstruction_linear_field_exact_upwind():
     slopes = adaptive_slopes(rho, 1.0)
     ue = np.ones((15, 16))
     ve = np.ones((16, 15))
-    xe, _ = reconstruct_edges(rho, slopes, ue, ve)
+    xe, _ = upwind_edges(rho, slopes, ue, ve)
     edges = 5.0 + (x[:-1] + mesh.h / 2)
     assert np.max(np.abs(xe - edges[:, None])) < 1e-12
 
 
-def test_reconstruction_reports_negative_edge():
+def test_reconstruction_reports_negative_edge(monkeypatch):
     # a slope of 10/h in cell (3, 5) puts rho - (h/2) s = 1 - 5 on its left
-    # face, which the upwind rule takes for x-edge (2, 5) under a leftward wind
+    # face, which the upwind rule takes for x-edge (2, 5) under the leftward
+    # wind of c = -x
     mesh = Mesh2D.unit_square(16)
-    rho = Field2D(mesh, np.ones((16, 16)))
+    x, _ = mesh.centers()
     sx = np.zeros((16, 16))
     sx[3, 5] = 10.0 / mesh.h
+    monkeypatch.setattr(pks2d, "adaptive_slopes", lambda *_: (sx, np.zeros((16, 16))))
+    state = state_from(mesh, np.ones((16, 16)), np.broadcast_to(-x[:, None], (16, 16)).copy())
     with pytest.raises(EdgeReconstructionError, match=r"reconstruction -4 at x-edge \(2, 5\)"):
-        reconstruct_edges(rho, (sx, np.zeros((16, 16))), -np.ones((15, 16)), np.ones((16, 15)))
+        edge_fluxes(state, EXPLICIT)
 
 
 def test_reconstruction_nonnegative_randomized(rng):
@@ -172,7 +188,7 @@ def test_reconstruction_nonnegative_randomized(rng):
         slopes = adaptive_slopes(rho, theta=float(1.0 + rng.random()))
         ue = rng.normal(size=(11, 12))
         ve = rng.normal(size=(12, 11))
-        xe, ye = reconstruct_edges(rho, slopes, ue, ve)
+        xe, ye = upwind_edges(rho, slopes, ue, ve)
         assert xe.min() >= 0.0 and ye.min() >= 0.0
         checks += xe.size + ye.size
     assert checks > 10_000
@@ -254,7 +270,7 @@ def test_step_zero_fields(variant):
 
 def test_explicit_step_conserves_mass_per_step():
     state = gaussian_state(n=64)
-    stepper = ExplicitPksStepper(1e-8)
+    stepper = PksStepper(EXPLICIT, None, 1e-8)
     m0 = total_mass(state)
     out = stepper.step(state)
     assert abs(total_mass(out) - m0) / m0 < 1e-10
@@ -262,7 +278,7 @@ def test_explicit_step_conserves_mass_per_step():
 
 def test_explicit_step_conserves_mass_without_chemotaxis():
     state = gaussian_state(n=32, chi=1e-30)
-    out = ExplicitPksStepper(1e-7).step(state)
+    out = PksStepper(EXPLICIT, None, 1e-7).step(state)
     assert abs(total_mass(out) - total_mass(state)) / total_mass(state) < 1e-10
 
 
@@ -286,7 +302,7 @@ def test_explicit_step_is_heun_bit_for_bit():
                    Field2D(mesh, state.c.values + dt * fc), dt, state.chi, state.theta)
     rho = state.rho.values + 0.5 * dt * (fr + rho_rhs(mid).values)
     c = state.c.values + 0.5 * dt * (fc + c_rhs(mid).values)
-    out = ExplicitPksStepper(dt).step(state)
+    out = PksStepper(EXPLICIT, None, dt).step(state)
     assert (out.rho.values == rho).all() and (out.c.values == c).all()
     assert out.t == dt
 
@@ -314,7 +330,7 @@ def test_imex_positivity_violation_raises():
     # chi = 30 drives the advective CFL far above one at this dt; the step
     # must fail loudly rather than return a negative or non-finite field
     state = gaussian_state(n=32)
-    stepper = ImexNccdStepper(state.rho.mesh, 1e-5)
+    stepper = PksStepper(IMEX, state.rho.mesh, 1e-5)
     with pytest.raises((PositivityError, NonFiniteError)):
         cur = state
         for _ in range(10):
@@ -467,7 +483,7 @@ def test_explicit_step_is_heun_bit_for_bit_where_the_limiter_acts():
     # has stepped once before, so its work arrays hold stale values
     state = skewed_state()
     mesh, dt = state.rho.mesh, 1e-8
-    stepper = ExplicitPksStepper(dt)
+    stepper = PksStepper(EXPLICIT, None, dt)
     stepper.step(state)
     rho = np.full((mesh.nx, mesh.ny), 1e-8)
     rho[12:, 5:-1] = 1.0         # and beside the last y wall, so a wall cell is limited
@@ -496,7 +512,7 @@ def test_inverse_line_factors(dt):
     # each stage-1 solve applies the inverse of its line factor: solved for
     # the identity, as 200 columns, it leaves a residual of roundoff
     mesh = Mesh2D.unit_square(200)
-    stepper = ImexNccdStepper(mesh, dt)
+    stepper = PksStepper(IMEX, mesh, dt)
     for rate, stages in zip((0.0, 1.0), stepper.stages):
         for stage, s in zip(stages, (mesh.h, mesh.k)):
             inv = stage.solve(np.eye(200))[1:-1]
@@ -510,7 +526,7 @@ def test_line_operators_match_dense(nx, ny, rng):
     # lengths, both axes, h != k, against the folded dense operators
     from adrlab.pks2d import _nccd
     mesh, dt = Mesh2D(nx, ny, 1.0 / nx, 0.8 / ny), 1e-5
-    stepper = ImexNccdStepper(mesh, dt)
+    stepper = PksStepper(IMEX, mesh, dt)
 
     def close(got, want):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -526,7 +542,7 @@ def test_line_operators_match_dense(nx, ny, rng):
     # add into z_I
     (d1x, d2x), (d1y, d2y) = nccd_line_operators(nx), nccd_line_operators(ny)
     f = rng.standard_normal((nx, ny))
-    u, v, _, _ = chemotactic_velocity(Field2D(mesh, f), PksVariant.IMEX_NCCD)
+    u, v = velocity(Field2D(mesh, f), IMEX)
     close(u, d1x @ f / mesh.h)
     close(v, f @ d1y.T / mesh.k)
     want = d2x @ f / mesh.h**2 + f @ d2y.T / mesh.k**2
