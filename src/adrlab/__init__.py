@@ -5,7 +5,7 @@ Patlak-Keller-Segel chemotaxis system.
 
 Submodules (import explicitly; nothing heavy is loaded from the package root):
 
-    adrlab.linalg      stencil matrices, their partitioned solver (solves and rows), dense solve
+    adrlab.linalg      stencil matrices, their partitioned solver, dense solve
     adrlab.operators   CD2 / upwind-compact / Lele / combined-compact matrices
     adrlab.adr1d       the two-stage 1D stepper for the four schemes
     adrlab.spectral    amplification factors, group velocity, phase error

@@ -333,7 +333,8 @@ def run(scheme: SchemeId, cfg: AdrConfig, u0: SolutionState, t_end: float,
     """March from u0 to t_end, snapshotting at the nearest completed steps.
 
     t_end must be a whole number of steps after u0.t (`whole_steps`);
-    snapshot times must be finite and are rounded to the nearest step.
+    snapshot times must be finite and are rounded to the nearest step, which
+    must lie in 0..n_steps (ValueError otherwise).
 
     Dirichlet data is frozen from the end values of u0. `ops` is the
     scheme's (D1, D2) pair, built here when not given. Returns the list of
@@ -344,8 +345,14 @@ def run(scheme: SchemeId, cfg: AdrConfig, u0: SolutionState, t_end: float,
     bad = [ts for ts in snapshot_times if not math.isfinite(ts)]
     if bad:
         raise ValueError(f"snapshot time must be finite (got {bad[0]:g})")
-    want = sorted({min(max(int(round((ts - u0.t) / cfg.dt)), 0), n_steps)
-                   for ts in snapshot_times})
+    # clamped to one step either side first, so a huge time rounds too
+    steps = [round(min(max((ts - u0.t) / cfg.dt, -1.0), n_steps + 1.0))
+             for ts in snapshot_times]
+    outside = [ts for ts, k in zip(snapshot_times, steps) if not 0 <= k <= n_steps]
+    if outside:
+        raise ValueError(f"snapshot time {outside[0]:g} is outside the run from "
+                         f"t = {u0.t:g} to {t_end:g}")
+    want = sorted(set(steps))
     stepper = make_stepper(scheme, cfg, ops)
     bc = (u0.values[0], u0.values[-1])
     out = []

@@ -10,11 +10,9 @@ inverses and couples them through a small interface system (a "SPIKE"
 solver), so a solve is a few matrix products over runs of equal blocks,
 O(n). Factored with B folded in, it applies ``A^{-1} B`` to one vector, or
 to the columns of an array in the same number of products (the lines of a
-2D field); an input map lets B read some of its columns from other input
-rows, or read zeros (the mirror ghosts of a padded line), so no padded copy
-is made. Factored for the transpose (`StencilMatrix.transpose`), it gives
-rows of ``A^{-1} B``: row i is ``B^T y`` with ``A^T y = e_i``
-(`StencilMatrix.tdot`), one O(n) solve. Nothing here imports SciPy.
+2D field, the mode table of a row symbol); an input map lets B read some of
+its columns from other input rows, or read zeros (the mirror ghosts of a
+padded line), so no padded copy is made. Nothing here imports SciPy.
 
 Dense matrices are plain float64/complex128 ndarrays of shape (n, m). The
 operator assemblies combine boundary rows that break diagonal dominance
@@ -75,34 +73,6 @@ class StencilMatrix:
     @property
     def upper(self) -> int:
         return self.weights.shape[0] - 1 - self.lower
-
-    def transpose(self) -> "StencilMatrix":
-        """The transpose of a square matrix (``per_node`` 1): weight k of
-        row i moves to weight width - 1 - k of row i + k - lower, so lower
-        and upper swap. Weights outside the matrix are dropped."""
-        if self.per_node != 1:
-            raise ValueError("only a square stencil matrix has a stencil transpose")
-        w, n = self.weights, self.weights.shape[1]
-        out = np.zeros(w.shape)
-        for k in range(len(w)):
-            d = k - self.lower  # a[i, i + d] is a^T[i + d, i]
-            i0, i1 = max(0, -d), min(n, n - d)
-            out[-1 - k, i0 + d:i1 + d] = w[k, i0:i1]
-        return StencilMatrix(out, self.upper)
-
-    def tdot(self, y: np.ndarray) -> np.ndarray:
-        """B^T y for y of shape (r n, k), one stencil entry at a time, so
-        every column of y is summed in the same order whatever k is."""
-        width, m = self.weights.shape
-        r, n = self.per_node, self.shape[1]
-        out = np.zeros((n,) + y.shape[1:])
-        for k in range(width):
-            d = k - self.lower  # node q's rows reach column q + d
-            q0, q1 = max(0, -d), min(n, n - d)
-            for p in range(r):
-                w = self.weights[k, p::r][q0:q1]
-                out[q0 + d:q1 + d] += w[:, None] * y[p::r][q0:q1]
-        return out
 
 
 def block_rows(lower: int, upper: int) -> int:

@@ -11,22 +11,20 @@ to seven entries per row), and the builder wraps the pair in a
 `BandedSystem` plus the boundary rows it patches. The explicit CD2
 operators are the same with A = I. Nothing of size N x N is formed:
 ``D @ u`` is one partitioned solve of A x = B u with B folded into its block
-products (`linalg.PartitionedLU`) plus the patched rows, O(N) per call. Row
-i of A^{-1} B is B^T y with A^T y = e_i, one O(N) solve with the same kind
-of factors, made for A^T, so neither B nor D is expanded to get a row. Row
-symbols read one row (`DerivativeOperator.row`), cached per node, and a
-symbol and its kh-slope are summed from one table of exponentials
-(`row_symbol_and_slope`). A row is solved alone, so it does not depend on
-which other rows are read. Building, reading and applying operators needs
-NumPy alone.
+products (`linalg.PartitionedLU`) plus the patched rows, O(N) per call. The
+row symbols of node j, sum_r D[j, r] e^{i kh (r - j)}, and their kh-slopes
+are entry j of D applied to a table of modes of (r - j) kh (`row_symbols`):
+the same forward solve the steppers make, with one column per mode, so no
+row of D is formed and A is factored once. Building, reading and applying
+operators needs NumPy alone.
 
 Node numbering follows the 1-based convention j = 1..N+1 common in the
 compact-scheme literature; storage is 0-based, so "row j" below means matrix
 row j-1.
 
 Builders are pure functions and the returned operators never change what
-they represent. Their LU factors and rows are computed on first
-use and cached without a lock; two threads that both compute one get equal
+they represent. Their LU factors are computed on first use and cached
+without a lock; two threads that both compute one get equal
 results, and neither sees the other's work in progress.
 """
 
@@ -37,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import LinearSolveError, PartitionedLU, StencilMatrix, tridiagonal
+from .linalg import PartitionedLU, StencilMatrix, tridiagonal
 
 #: Interior coefficients of the tridiagonal second-derivative scheme:
 #: alpha u''_{j-1} + u''_j + alpha u''_{j+1}
@@ -71,10 +69,8 @@ class BandedSystem:
     A (``lhs``) is a square `StencilMatrix` of size r N and B (``rhs``) a
     `StencilMatrix` of shape (r N, N); node j owns rows r j .. r j + r - 1
     of y, and an operator reads one of them (NCCD: r = 2, u' and u'' of one
-    solve). Two partitioned factorizations are made on first use and cached:
-    the one of A with B folded in (``lu``) applies the operators, and the one
-    of A^T (``row_lu``) gives rows of A^{-1} B (`solve_rows`), read per node
-    by the row symbols (`node_rows`).
+    solve). The partitioned factorization of A with B folded in (``lu``) is
+    made on first use and cached.
     """
 
     lhs: StencilMatrix
@@ -84,10 +80,6 @@ class BandedSystem:
     def lu(self) -> PartitionedLU:
         return PartitionedLU(self.lhs, self.rhs)
 
-    @cached_property
-    def row_lu(self) -> PartitionedLU:
-        return PartitionedLU(self.lhs.transpose())
-
     @property
     def per_node(self) -> int:
         return self.rhs.per_node
@@ -95,39 +87,6 @@ class BandedSystem:
     def solve(self, u: np.ndarray) -> np.ndarray:
         """y = A^{-1} B u, O(N)."""
         return self.lu.solve(u)
-
-    def solve_rows(self, rows) -> np.ndarray:
-        """Rows ``rows`` of A^{-1} B, shape (len(rows), N): row i is B^T y
-        with A^T y = e_i, one O(N) solve per row. Each y is solved alone and
-        `StencilMatrix.tdot` sums every column in the same order, so a row
-        does not depend on the rows read with it. Raises LinearSolveError on
-        a non-finite row."""
-        n = self.lhs.shape[0]
-        e, y = np.zeros(n), np.empty((n, len(rows)))
-        for c, i in enumerate(rows):
-            e[i] = 1.0
-            y[:, c] = self.row_lu.solve(e)
-            e[i] = 0.0
-        out = np.ascontiguousarray(self.rhs.tdot(y).T)
-        if not np.all(np.isfinite(out)):
-            raise LinearSolveError("non-finite row of A^-1 B (singular banded system)")
-        return out
-
-    @cached_property
-    def _rows(self) -> dict:
-        return {}
-
-    def node_rows(self, node: int) -> np.ndarray:
-        """Rows r node .. r node + r - 1 of A^{-1} B, shape (r, N), read-only,
-        from `solve_rows`, O(N). Cached per node, so the operators that share
-        the system (NCCD: D1 and D2) share one pass."""
-        rows = self._rows.get(node)
-        if rows is None:
-            r = self.per_node
-            rows = self.solve_rows(range(r * node, r * node + r))
-            self._rows[node] = rows
-            rows.flags.writeable = False
-        return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,47 +113,46 @@ class DerivativeOperator:
         return self.system.rhs.shape[1]
 
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
-        """D u (dimensionless) for a real or complex vector u, O(N)."""
+        """D u (dimensionless) for a real or complex vector u, or for the k
+        columns of an (N, k) array at once, O(N k)."""
         d = self.system.solve(u)[self.part::self.system.per_node]
         for row, first, w in self.patch:
             d[row] = np.dot(w, u[first:first + len(w)])
         return d
 
-    def row(self, node: int) -> np.ndarray:
-        """Row `node` (0-based) of D without forming D: the patch stencil,
-        padded, at a patched row, else this operator's part of
-        `BandedSystem.node_rows`. Raises ValueError unless 0 <= node < N."""
-        n = self.n_points
-        if not 0 <= node < n:
-            raise ValueError(f"node {node} is outside the rows 0..{n - 1}")
-        for row, first, w in self.patch:
-            if row == node:
-                return np.pad(w, (first, n - first - len(w)))
-        return self.system.node_rows(node)[self.part]
-
     def row_symbol(self, node: int, kh):
-        """Fourier symbol of row `node` (0-based): sum_r M[j,r] e^{i kh (r-j)}.
+        """Fourier symbol sum_r D[j, r] e^{i kh (r - j)} of row j = `node`
+        (0-based), shaped like kh (`row_symbols`)."""
+        return np.reshape(row_symbols([self], node, kh)[0][0], np.shape(kh))
 
-        This is the dimensionless modified-wavenumber transform used by the
-        amplification-factor formulas: the first of `row_symbol_and_slope`.
-        """
-        return self.row_symbol_and_slope(node, kh)[0]
 
-    def row_symbol_and_slope(self, node: int, kh):
-        """Row symbol S of row `node` (0-based) and its slope
+def row_symbols(ops, node: int, kh) -> list:
+    """[(S, dS/d(kh)) for each operator D of ``ops``] at row j = ``node``
+    (0-based), each of shape (K,) for the K values of kh:
 
-            dS/d(kh) = sum_r i (r-j) M[j,r] e^{i kh (r-j)},
+        S = sum_r D[j, r] e^{i kh (r - j)},
+        dS/d(kh) = sum_r i (r - j) D[j, r] e^{i kh (r - j)}.
 
-        both summed from one table of the exponentials. It reads one row
-        (`row`), so D is never formed, and raises ValueError for a node
-        outside 0..N-1. kh may be an array; each entry is summed exactly as
-        a scalar kh is.
-        """
-        kh = np.asarray(kh, dtype=float)
-        r = np.arange(self.n_points) - node
-        terms = self.row(node) * np.exp(1j * np.multiply.outer(kh, r))
-        s, ds = np.sum(terms, axis=-1), 1j * np.sum(terms * r, axis=-1)
-        return (complex(s), complex(ds)) if kh.ndim == 0 else (s, ds)
+    Both are entry j of D applied to the real modes cos and sin of (r - j) kh
+    and the same two times (r - j): many-column forward solves of each
+    operator (`DerivativeOperator.__matmul__`), with one mode table for all
+    of ``ops``, which must share their number of nodes. The table is made
+    and solved 16 kh (64 columns) at a time, so the work set stays near
+    1 MB at N = 1001. Raises ValueError for a node outside 0..N-1.
+    """
+    n = ops[0].n_points
+    if not 0 <= node < n:
+        raise ValueError(f"node {node} is outside the rows 0..{n - 1}")
+    kh = np.atleast_1d(np.asarray(kh, dtype=float))
+    r = np.arange(n) - node
+    out = [np.empty((4, len(kh))) for _ in ops]  # entry j of D (cos, sin, r cos, r sin)
+    for i in range(0, len(kh), 16):
+        phase = np.multiply.outer(r, kh[i:i + 16])
+        cos, sin = np.cos(phase), np.sin(phase)
+        modes = np.hstack([cos, sin, r[:, None] * cos, r[:, None] * sin])
+        for op, y in zip(ops, out):
+            y[:, i:i + 16] = (op @ modes)[node].reshape(4, -1)
+    return [(c + 1j * s, 1j * rc - rs) for c, s, rc, rs in out]
 
 
 @dataclass(frozen=True)

@@ -25,22 +25,24 @@ Derived diagnostics:
 all of which are exactly 1/0 when G_num = G_exact (within the principal
 branch of beta). G' = dG/d(kh) is exact: the chain rule through the two
 stages above, with the symbols' slopes dS_n/d(kh) = sum_r i (r - j)
-D_n[j, r] e^{i kh (r - j)} summed from the same exponentials as S_n
-(`DerivativeOperator.row_symbol_and_slope`), so V_g has no difference
-step and no branch of beta to unwrap. The kh = 0 column of a map holds
-the scheme's own values there, which are its kh -> 0 limits: the phase
-error is finite at kh = 0 when Da != 0 (it equals `phase_speed_error`),
-and is stored as its limit 0 when Da = 0, where the exact phase speed is
-singular.
+D_n[j, r] e^{i kh (r - j)} read from the same forward solve as S_n
+(`operators.row_symbols`), so V_g has no difference step and no branch of
+beta to unwrap. The kh = 0 column of a map holds the scheme's own values
+there, which are its kh -> 0 limits: the phase error is finite at kh = 0
+when Da != 0 (it equals `phase_speed_error`), and is stored as its limit 0
+when Da = 0, where the exact phase speed is singular.
 
 Evaluation works on arrays. The symbols depend on kh only, so a (kh, N_c)
 map evaluates S1, S2 and their slopes once per kh and broadcasts G over
-the N_c axis. The point functions (g_num, dispersion_point,
-group_velocity_ratio, max_ratio_over_kh, ...) are the same evaluation at
-the given samples, so a map entry equals the point function at that
-sample bit for bit. All evaluations are pure, and maps are emitted in a
-deterministic row-major order. A sample whose G ratio, V_g or phase
-error is not finite raises `NonFiniteSampleError`.
+the N_c axis; a map holds each diagnostic as one (N_c, kh) array. The
+point functions (g_num, dispersion_point, group_velocity_ratio,
+max_ratio_over_kh, ...) are the same evaluation at the given samples, so a
+map entry equals the point function at that sample bit for bit wherever
+the BLAS matrix product sums a column of the symbols' mode table alike
+whatever the number of columns (OpenBLAS does; the tests check it). All
+evaluations are pure, and maps are emitted in a deterministic row-major
+order. A sample whose G ratio, V_g or phase error is not finite raises
+`NonFiniteSampleError`.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ import numpy as np
 
 from . import NumericalError
 from .adr1d import SchemeId, z_parts
+from .operators import row_symbols
 
 #: slack on |G_num/G_exact| <= 1 in stability scans; absorbs the O(Da^3)
 #: excess of the explicit reaction factor over exp(Da) at kh -> 0
@@ -91,11 +94,18 @@ class DispersionPoint:
     phase_err: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DispersionMap:
+    """The diagnostics of `DispersionPoint` over the grid nc x kh: each of
+    g_num .. phase_err has shape (len(nc_axis), len(kh_axis))."""
+
     kh_axis: np.ndarray
     nc_axis: np.ndarray
-    points: list          # points[i_nc][i_kh]
+    g_num: np.ndarray
+    g_ratio: np.ndarray
+    beta: np.ndarray
+    vg_ratio: np.ndarray
+    phase_err: np.ndarray
     scheme: SchemeId
     pe: float
     da: float
@@ -122,7 +132,7 @@ def _symbols(ops, node: int, n_points: int, kh) -> tuple:
     `node` and their slopes, one per kh, each of shape (K,)."""
     if ops[0].n_points != n_points:
         raise ValueError("operators were built for a different n_points")
-    return tuple(op.row_symbol_and_slope(node - 1, np.atleast_1d(kh)) for op in ops)
+    return row_symbols(ops, node - 1, kh)
 
 
 def _g(scheme: SchemeId, symbols, nc, pe: float, da: float) -> tuple:
@@ -216,9 +226,9 @@ def error_forcing_spectrum(scheme: SchemeId, p: SpectralParams, a0, t: float,
     return error_forcing_value(p, a0, t, g_num(scheme, p, ops))
 
 
-def _points(scheme: SchemeId, kh_axis, nc_axis, pe: float, da: float,
-            node: int, n_points: int, ops) -> list:
-    """DispersionPoint rows over the grid nc x kh (nc outer, kh inner).
+def _map(scheme: SchemeId, kh_axis, nc_axis, pe: float, da: float,
+         node: int, n_points: int, ops) -> DispersionMap:
+    """The DispersionMap over the grid nc x kh (nc outer, kh inner).
 
     Every sample, kh = 0 included, takes the same formulas; only the phase
     error at kh = 0 with Da = 0, where the exact phase speed is singular,
@@ -243,26 +253,26 @@ def _points(scheme: SchemeId, kh_axis, nc_axis, pe: float, da: float,
         first = np.argmax(bad)
         raise NonFiniteSampleError(f"non-finite G ratio, V_g or phase error at "
                                    f"kh = {kh.flat[first]:.12g}, N_c = {nc.flat[first]:.12g}")
-    cols = (kh, nc, g, ratio, beta, vg, perr)
-    return [[DispersionPoint(*vals) for vals in zip(*(c[i].tolist() for c in cols))]
-            for i in range(shape[0])]
+    return DispersionMap(kh_axis, nc_axis, g, ratio, beta, vg, perr, scheme, pe, da,
+                         node, n_points)
 
 
 def dispersion_point(scheme: SchemeId, p: SpectralParams, ops) -> DispersionPoint:
-    """All diagnostics at one (kh, N_c) sample: `sweep` on a 1 x 1 grid."""
-    return _points(scheme, [p.kh], [p.nc], p.pe, p.da, p.node, p.n_points, ops)[0][0]
+    """All diagnostics at one (kh, N_c) sample: the map of a 1 x 1 grid."""
+    m = _map(scheme, [p.kh], [p.nc], p.pe, p.da, p.node, p.n_points, ops)
+    return DispersionPoint(*(a.item(0) for a in (m.kh_axis, m.nc_axis, m.g_num, m.g_ratio,
+                                                  m.beta, m.vg_ratio, m.phase_err)))
 
 
 def sweep(scheme: SchemeId, kh_axis, nc_axis, pe: float, da: float,
           node: int, n_points: int, ops) -> DispersionMap:
-    """Rectangular (kh, N_c) map of DispersionPoint samples; raises
-    NonFiniteSampleError when a sample is not finite (`_points`)."""
+    """Rectangular (kh, N_c) DispersionMap; raises NonFiniteSampleError
+    when a sample is not finite (`_map`)."""
     kh_axis = np.asarray(kh_axis, dtype=float)
     nc_axis = np.asarray(nc_axis, dtype=float)
     if np.any(np.diff(kh_axis) <= 0) or np.any(np.diff(nc_axis) < 0):
         raise ValueError("axes must be monotone")
-    points = _points(scheme, kh_axis, nc_axis, pe, da, node, n_points, ops)
-    return DispersionMap(kh_axis, nc_axis, points, scheme, pe, da, node, n_points)
+    return _map(scheme, kh_axis, nc_axis, pe, da, node, n_points, ops)
 
 
 def _max_ratio(scheme: SchemeId, symbols, kh, nc: float, pe: float, da: float) -> float:
@@ -288,9 +298,8 @@ def sampled_stability_boundary(dmap: DispersionMap):
     bisection's resolution, and so assumes that the stable N_c above
     nc_start form one interval.
     """
-    stable = [nc for nc, row in zip(dmap.nc_axis, dmap.points)
-              if all(pt.g_ratio <= 1 + STABILITY_TOL for pt in row)]
-    return float(max(stable)) if stable else None
+    stable = dmap.nc_axis[np.all(dmap.g_ratio <= 1 + STABILITY_TOL, axis=1)]
+    return float(stable.max()) if len(stable) else None
 
 
 def stability_boundary(scheme: SchemeId, ops, pe: float, da: float,
@@ -333,7 +342,8 @@ def write_map_csv(dmap: DispersionMap, path) -> None:
                  f"node={dmap.node},n_points={dmap.n_points}\n")
         fh.write("kh,nc,g_ratio,vg_ratio,phase_err\n")
         kh = [f"{k:.12g}," for k in dmap.kh_axis.tolist()]  # each axis value formatted once
-        for nc, row in zip(dmap.nc_axis.tolist(), dmap.points):
+        for nc, *row in zip(dmap.nc_axis.tolist(), dmap.g_ratio.tolist(),
+                            dmap.vg_ratio.tolist(), dmap.phase_err.tolist()):
             nc = f"{nc:.12g},"
-            fh.write("".join(f"{k}{nc}{pt.g_ratio:.12g},{pt.vg_ratio:.12g},{pt.phase_err:.12g}\n"
-                             for k, pt in zip(kh, row)))
+            fh.write("".join(f"{k}{nc}{ratio:.12g},{vg:.12g},{perr:.12g}\n"
+                             for k, ratio, vg, perr in zip(kh, *row)))

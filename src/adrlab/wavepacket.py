@@ -164,7 +164,8 @@ def q_wave_energy(state: SolutionState, adr: AdrConfig, t: float,
     bound = cfg.x0 + adr.c * t - efolds / np.sqrt(spread_gamma(cfg.gamma, adr.nu, t))
     window = x < bound
     if not np.any(window):
-        raise ValueError("q-wave window empty (t too small)")
+        raise ValueError(f"q-wave window empty: its bound x = {bound:g} is not right of "
+                         f"the domain's left end x = {x[0]:g}")
     u = np.asarray(state.values)
     total = float(np.sum(np.abs(u) ** 2))
     if total == 0.0:
@@ -195,11 +196,7 @@ def run_experiment(scheme: SchemeId, cfg: WavePacketConfig, adr: AdrConfig,
     if (adr.grid.n_points != grid.n_points or abs(adr.grid.h - grid.h) > 1e-12 * grid.h
             or abs(adr.grid.x_start - grid.x_start) > 1e-12):
         raise ValueError("wave-packet grid and ADR grid disagree")
-    u0 = init_wavepacket(cfg)
-    if t_end == 0.0:
-        snaps = [u0]
-    else:
-        snaps = run(scheme, adr, u0, t_end, snapshot_times, ops)
+    snaps = run(scheme, adr, init_wavepacket(cfg), t_end, snapshot_times, ops)
     final = snaps[-1]
     kh, amp = fourier_spectrum(final)
     q = q_wave_energy(final, adr, t_end, cfg, efolds) if t_end > 0 else 0.0

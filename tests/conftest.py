@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -15,14 +17,16 @@ def ops1001(grid1001):
     """Operator pairs for all four schemes on the 1001-point analysis grid.
 
     Built once per session and shared by the tests. Operators are stored
-    banded. Row symbols read one row per node, one O(N) solve with the
-    partitioned factors of A^T (`operators.BandedSystem.solve_rows`), cached
-    per node. A test that reads the dense operator (`reference.dense`)
-    stacks those rows.
+    banded, and each caches its factorization on first use. Row symbols are
+    one forward solve of a mode table per operator (`operators.row_symbols`).
+    A test that reads the dense operator (`reference.dense`) gets the LAPACK
+    solve of the operator's system.
     """
     return {scheme: scheme_operators(scheme, grid1001) for scheme in SchemeId}
 
 
-@pytest.fixture(scope="session")
-def rng():
-    return np.random.default_rng(20240817)
+@pytest.fixture
+def rng(request):
+    """A generator of the test's own, seeded from its id, so its data do not
+    depend on the draws of the tests collected before it."""
+    return np.random.default_rng(zlib.crc32(request.node.nodeid.encode()))

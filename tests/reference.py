@@ -1,5 +1,5 @@
-"""Test-only references: stencil expansion, dense operators, LAPACK banded
-solves, the raw NCCD system and the residual contract.
+"""Test-only references: stencil expansion and transposes, dense operators,
+LAPACK banded solves, the raw NCCD system and the residual contract.
 
 The program solves in NumPy alone (`adrlab.linalg`); these helpers are
 what its solvers and operators are checked against. They use SciPy, which
@@ -26,25 +26,35 @@ def sparse(m: StencilMatrix) -> scipy.sparse.csr_array:
 
 def dense(m) -> np.ndarray:
     """m as an ndarray: a stencil matrix expanded (`sparse`), a derivative
-    operator stacked from its rows (`DerivativeOperator.row`)."""
+    operator as the LAPACK solve of its system (`solve_banded`, B expanded)
+    with its patched rows written in."""
     if isinstance(m, StencilMatrix):
         return sparse(m).toarray()
     if isinstance(m, DerivativeOperator):
-        return np.array([m.row(j) for j in range(m.n_points)])
+        d = solve_banded(m.system.lhs, m.system.rhs)[m.part::m.system.per_node]
+        for row, first, w in m.patch:
+            d[row] = 0.0
+            d[row, first:first + len(w)] = w
+        return d
     return np.asarray(m)
 
 
-def from_dense(a: np.ndarray, lower: int, upper: int) -> StencilMatrix:
-    """The band of a dense square matrix as a square `StencilMatrix`,
-    0 at the weights outside the matrix."""
+def from_dense(a, lower: int, upper: int) -> StencilMatrix:
+    """The band of a square ndarray or SciPy sparse matrix as a square
+    `StencilMatrix`, 0 at the weights outside the matrix."""
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
     weights = np.zeros((lower + upper + 1, n), dtype=a.dtype)
     for d in range(-lower, upper + 1):
-        diag = np.diagonal(a, d)  # a[i, i + d], from row max(-d, 0)
+        diag = a.diagonal(d)  # a[i, i + d], from row max(-d, 0)
         weights[lower + d, max(-d, 0):max(-d, 0) + len(diag)] = diag
     return StencilMatrix(weights, lower)
+
+
+def transpose(a: StencilMatrix) -> StencilMatrix:
+    """The transpose of a square stencil matrix: lower and upper swap."""
+    return from_dense(sparse(a).T, a.upper, a.lower)
 
 
 def lapack_bands(a: StencilMatrix) -> np.ndarray:

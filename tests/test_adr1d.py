@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -141,6 +142,16 @@ def test_run_snapshots_at_nearest_steps():
     u0 = SolutionState(np.zeros(N_SMALL), 0.0)
     out = run(SchemeId.EXPLICIT_OUCS3_CD2, cfg, u0, 2.0, snapshot_times=[0.0, 0.9, 1.6])
     assert [s.t for s in out] == [0.0, 1.0, 1.5, 2.0]
+
+
+@pytest.mark.parametrize("t_end,snapshot", [(1.0, -0.25), (1.0, 1.25), (0.0, 0.25),
+                                             (1.0, 1e308), (1.0, -1e308)])
+def test_run_rejects_a_snapshot_outside_the_run(t_end, snapshot):
+    # a time that rounds to no step of the run would never be written
+    cfg = small_cfg(dt=0.25)
+    u0 = SolutionState(np.zeros(N_SMALL), 0.0)
+    with pytest.raises(ValueError, match=re.escape(f"snapshot time {snapshot:g} is outside")):
+        run(SchemeId.EXPLICIT_OUCS3_CD2, cfg, u0, t_end, snapshot_times=[0.0, snapshot])
 
 
 @pytest.mark.parametrize("t_end", [0.015, 0.3 + 1e-6, -0.01, float("nan")])

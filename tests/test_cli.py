@@ -160,6 +160,10 @@ def test_dispersion_map_rejects_bad_input(flag, value, tmp_path, capsys):
     ("wavepacket", "--nu", "inf", "nu must be finite"),
     ("wavepacket", "--snapshots", "nan", "snapshot time must be finite"),
     ("wavepacket", "--snapshots", "abc", "--snapshots must be comma-separated times"),
+    ("wavepacket", "--snapshots", "-1", "snapshot time -1 is outside the run from t = 0 to 0.02"),
+    ("wavepacket", "--snapshots", "5", "snapshot time 5 is outside the run from t = 0 to 0.02"),
+    ("wavepacket", "--gamma", "1e-300", "q-wave window empty: its bound x = -"),
+    ("wavepacket", "--qwindow-efolds", "1e300", "not right of the domain's left end x = -5"),
     ("wavepacket", "--gamma", "inf", "gamma must be positive and finite"),
     ("wavepacket", "--half-length", "inf", "L finite"),
     ("pks", "--chi", "inf", "chi must be positive and finite"),
@@ -170,7 +174,7 @@ def test_non_finite_physical_input_exits_two(cmd, flag, value, why, tmp_path, ca
     size = {"wavepacket": ["--n", "101", "--dt", "0.01", "--t-end", "0.02"],
             "pks": ["--n", "16", "--t-end", "2e-8"]}[cmd]
     assert run_cli([cmd, *size, flag, value, "--out", str(out)]) == 2
-    assert not out.exists()  # refused before any step or file
+    assert not out.exists()  # refused before any file is written
     assert why in capsys.readouterr().err
 
 

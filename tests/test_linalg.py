@@ -9,7 +9,15 @@ from adrlab.linalg import (
     solve_dense,
     tridiagonal,
 )
-from reference import dense, from_dense, residual_bound, residual_inf, solve_banded, sparse
+from reference import (
+    dense,
+    from_dense,
+    residual_bound,
+    residual_inf,
+    solve_banded,
+    sparse,
+    transpose,
+)
 
 
 def test_banded_identity():
@@ -45,8 +53,6 @@ def test_band_roundtrip(rng):
     a = from_dense(full, 2, 1)
     assert (a.lower, a.upper) == (2, 1)
     assert np.array_equal(dense(a), full)
-    assert np.array_equal(dense(a.transpose()), full.T)
-    assert np.array_equal(a.transpose().weights, from_dense(full.T, 1, 2).weights)
 
 
 def bits(x: np.ndarray) -> np.ndarray:
@@ -70,16 +76,11 @@ def test_stencil_weights_outside_the_matrix_are_dropped(rng):
                 weights[k, i] = np.nan
     a, clean = StencilMatrix(weights, lower), from_dense(want, lower, upper)
     assert np.array_equal(dense(a), want)
-    assert np.array_equal(dense(a.transpose()), want.T)
-    assert np.array_equal(bits(a.transpose().weights), bits(clean.transpose().weights))
-    v, y = rng.normal(size=n), rng.normal(size=(n, 3))
+    v = rng.normal(size=n)
     b = StencilMatrix(rng.normal(size=(3, n)), 1)
     assert PartitionedLU(a, b).blocks == 2
-    for got, ref in [(a.tdot(y), clean.tdot(y)),
-                     (PartitionedLU(a, b).solve(v), PartitionedLU(clean, b).solve(v)),
-                     (PartitionedLU(a.transpose()).solve(v),
-                      PartitionedLU(clean.transpose()).solve(v))]:
-        assert np.array_equal(bits(got), bits(ref))
+    got, ref = (PartitionedLU(m, b).solve(v) for m in (a, clean))
+    assert np.array_equal(bits(got), bits(ref))
     assert np.allclose(PartitionedLU(a).solve(want @ v), v, rtol=0, atol=1e-12)
 
 
@@ -159,7 +160,7 @@ def test_transposed_lu_pivots_past_a_zero_diagonal():
     # a^T = [[0, 1, 0], [1, 0, 1], [0, 1, 0.5]]: one diagonal block, no LU
     # of it without row interchanges
     a = tridiagonal(1.0, np.array([0.0, 0.0, 0.5]), 1.0)
-    lu = PartitionedLU(a.transpose())
+    lu = PartitionedLU(transpose(a))
     assert lu.blocks == 1
     x = np.column_stack([lu.solve(e) for e in np.eye(3)])
     assert np.allclose(x, np.linalg.inv(dense(a).T), rtol=0, atol=1e-15)
@@ -172,32 +173,11 @@ def test_transposed_lu_pivots_past_a_zero_diagonal():
 ], ids=["zero-diagonal", "singular", "nan"])
 def test_transposed_lu_zero_pivot_raises(a):
     with pytest.raises(LinearSolveError, match="singular"):
-        PartitionedLU(a.transpose())
-
-
-def test_transposed_solve_of_a_non_finite_rhs_raises():
-    from adrlab.operators import BandedSystem
-
-    weights = np.ones((3, 5))
-    weights[1, 3] = np.inf
-    system = BandedSystem(tridiagonal(1.0, 4.0 * np.ones(5), 1.0), StencilMatrix(weights, 1))
-    with pytest.raises(LinearSolveError, match="non-finite"), np.errstate(invalid="ignore"):
-        system.solve_rows(range(5))
-
-
-def test_one_column_alone_equals_its_column_of_a_many_column_solve(rng):
-    from adrlab.operators import BandedSystem
-
-    system = BandedSystem(random_band(rng, 60, 3, 2, dominant=False),
-                          StencilMatrix(rng.normal(size=(5, 60)), 2))
-    many = system.solve_rows(range(9))
-    for c in range(9):
-        alone = system.solve_rows(range(c, c + 1))[0]
-        assert np.array_equal(alone.view(np.int64), many[c].view(np.int64)), c
+        PartitionedLU(transpose(a))
 
 
 def test_solve_leaves_its_right_hand_side_as_it_is(rng):
-    lu = PartitionedLU(random_band(rng, 20, 1, 1, dominant=True).transpose())
+    lu = PartitionedLU(random_band(rng, 20, 1, 1, dominant=True))
     b = rng.normal(size=20)
     keep = b.copy()
     lu.solve(b)
@@ -220,24 +200,6 @@ def test_stencil_matrix_forms_agree(rng, per_node, lower):
     assert np.array_equal(dense(b), want)
     v = rng.normal(size=n)
     assert np.allclose(sparse(b) @ v, want @ v, rtol=0, atol=1e-13)
-    y = rng.normal(size=(per_node * n, 4))
-    assert np.allclose(b.tdot(y), want.T @ y, rtol=0, atol=1e-13)
-    for c in range(4):
-        assert np.array_equal(b.tdot(y[:, c:c + 1])[:, 0], b.tdot(y)[:, c])
-
-
-def test_inverse_rows_are_rows_of_the_dense_solve(rng):
-    from adrlab.operators import BandedSystem
-
-    n = 11
-    a = random_band(rng, 2 * n, 3, 3, dominant=False)
-    b = StencilMatrix(rng.normal(size=(5, 2 * n)), 2, per_node=2)
-    want = solve_dense(dense(a), dense(b))
-    rows = range(3, 2 * n)
-    got = BandedSystem(a, b).solve_rows(rows)
-    assert got.shape == (len(rows), n)
-    assert np.max(np.abs(got - want[3:])) <= 1e-12 * np.max(np.abs(want))
-    assert np.array_equal(BandedSystem(a, b).solve_rows(range(7, 8))[0], got[4])
 
 
 # The partitioned factorization of every matrix a stepper factors, against
@@ -252,8 +214,8 @@ def stage_config(n):
 
 
 def factored(name, n):
-    """(factorization, A, B) of one matrix a stepper or a row pass factors,
-    on n nodes."""
+    """(factorization, A, B) of one matrix a stepper factors, on n nodes;
+    with "-transposed", the factorization of that operator's A^T alone."""
     from adrlab.adr1d import SchemeId, make_stepper
     from adrlab import operators
 
@@ -264,9 +226,9 @@ def factored(name, n):
                  "lele": operators.build_lele_second,
                  "nccd": lambda g: operators.build_nccd(g)[0]}[base]
         system = build(grid).system
-        if base != name:  # the factors of A^T that give the operator's rows
-            a = system.lhs.transpose()
-            return system.row_lu, a, StencilMatrix(np.ones((1, a.shape[0])), 0)
+        if base != name:  # the solver on the band with lower and upper swapped
+            a = transpose(system.lhs)
+            return PartitionedLU(a), a, StencilMatrix(np.ones((1, a.shape[0])), 0)
         return system.lu, system.lhs, system.rhs
     stage = make_stepper(SchemeId(name), stage_config(n)).stage
     return (stage.lu,) + stage.system()

@@ -4,9 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adrlab import linalg, operators
+from adrlab.adr1d import SchemeId
 from adrlab.operators import (
-    BandedSystem,
     DEFAULT_OUCS3,
     Grid1D,
     build_cd2_first,
@@ -17,6 +16,7 @@ from adrlab.operators import (
     lele_system,
     nccd_system,
     oucs3_system,
+    row_symbols,
 )
 from adrlab.linalg import solve_dense
 from reference import dense, nccd_raw, residual_bound, residual_inf, solve_banded
@@ -243,10 +243,9 @@ def near_boundary_patch(n):
 
 @pytest.mark.parametrize("n", [41, 201])
 def test_matrix_is_the_dense_solve_of_the_system_with_its_patch(n):
-    # the dense operator is the LAPACK solve_banded(A, B), with the columns of B as
-    # right-hand sides, to 1e-13 of each row's largest entry (its rows come
-    # from transposed solves, another algorithm), and the patched rows are
-    # the patch stencils exactly
+    # the operator applied to the identity is the LAPACK solve_banded(A, B),
+    # with the columns of B as right-hand sides, to 1e-13 of each row's
+    # largest entry, and the patched rows are the patch stencils exactly
     grid = unit_grid(n)
     cases = [
         (oucs3_system, [build_oucs3(grid)], [cd2_patch(n, (-0.5, 0.0, 0.5))]),
@@ -261,22 +260,11 @@ def test_matrix_is_the_dense_solve_of_the_system_with_its_patch(n):
             for row, first, w in patch:
                 want[row] = 0.0
                 want[row, first:first + len(w)] = w
-            m = dense(op)
+            m = op @ np.eye(n)
             err = np.max(np.abs(m - want), axis=1)
             assert np.all(err <= 1e-13 * np.max(np.abs(want), axis=1)), system.__name__
             for row, _, _ in patch:
                 assert np.array_equal(m[row], want[row])
-
-
-def count_row_solves(monkeypatch):
-    """Calls of the banded factorization and of the row pass, as two lists."""
-    factors, passes = [], []
-    factor, rows = linalg.PartitionedLU, BandedSystem.solve_rows
-    monkeypatch.setattr(operators, "PartitionedLU",
-                        lambda *a: factors.append(1) or factor(*a))
-    monkeypatch.setattr(BandedSystem, "solve_rows",
-                        lambda self, *a: passes.append(1) or rows(self, *a))
-    return factors, passes
 
 
 def test_apply_matches_matrix_for_real_and_complex_input(rng):
@@ -299,46 +287,21 @@ def test_nccd_build_allocates_no_dense_matrix():
     assert peak < n * n  # one eighth of one dense N x N array
 
 
-ROW_BUILDERS = ALL_BUILDERS + [
-    ("nccd_d1_raw", lambda g: nccd_raw(g)[0]),
-    ("nccd_d2_raw", lambda g: nccd_raw(g)[1]),
-]
-
-
-@pytest.mark.parametrize("n", [7, 64, 65, 1001])  # one block, exactly one, one column over
-def test_row_is_the_matrix_row_bit_for_bit(n):
-    # a row solved alone equals its row of the whole A^-1 B solved at once,
-    # with the patch stencils written in
-    for name, build in ROW_BUILDERS:
-        op = build(Grid1D(n, 1.0))
-        r = op.system.per_node
-        m = op.system.solve_rows(range(r * n))[op.part::r]
-        for row, first, w in op.patch:
-            m[row] = np.pad(w, (first, n - first - len(w)))
-        for j in (0, 1, n // 2, n - 2, n - 1):  # rows 1 and n-2 are the patched ones
-            assert np.array_equal(op.row(j), m[j]), (name, j)
-
-
-def test_nccd_pair_reads_its_rows_from_one_blocked_pass(monkeypatch):
-    # one factorization and one pass of transposed solves serve both rows
-    factors, passes = count_row_solves(monkeypatch)
-    d1, d2 = build_nccd(Grid1D(1001, 1.0))
-    d1.row(500), d2.row(500), d1.row_symbol(500, 0.3), d2.row_symbol(500, 0.3)
-    assert (len(factors), len(passes)) == (1, 1)
-
-
-def test_rows_at_n_1e5_match_the_operator(rng):
-    # at N = 10^5 the interface systems of both factorizations are
-    # partitioned again; row N-1 of Lele's D2 is its (11, 1) row
-    n = 100_000
-    grid = Grid1D(n, 1.0)
-    u = rng.normal(size=n)
-    for op in (*build_nccd(grid), build_lele_second(grid)):
-        assert op.system.row_lu._child is not None
-        du = op @ u
-        for j in (2, n // 2, n - 3, n - 1):
-            row = op.row(j)
-            assert abs(row @ u - du[j]) <= 1e-12 * (np.abs(row) @ np.abs(u)), j
+@pytest.mark.parametrize("scheme", list(SchemeId))
+def test_row_symbols_match_the_dense_rows(scheme, ops1001):
+    # S and dS/d(kh) of each operator against its LAPACK row (`dense`)
+    # summed with the exponentials, at the ends, beside the patched rows
+    # and in the interior
+    n, kh = 1001, np.linspace(0.0, np.pi, 33)
+    ops = ops1001[scheme]
+    rows = [dense(op) for op in ops]
+    for j in (0, 1, 2, 499, n - 3, n - 2, n - 1):
+        r = np.arange(n) - j
+        modes = np.exp(1j * np.multiply.outer(r, kh))
+        for (s, ds), m in zip(row_symbols(ops, j, kh), rows):
+            want, dwant = m[j] @ modes, m[j] @ (1j * r[:, None] * modes)
+            assert np.max(np.abs(s - want)) <= 1e-12 * np.max(np.abs(want)), j
+            assert np.max(np.abs(ds - dwant)) <= 1e-12 * np.max(np.abs(dwant)), j
 
 
 @pytest.mark.parametrize("node", [-1, 21])
@@ -346,5 +309,3 @@ def test_row_symbol_rejects_a_node_outside_the_grid(node):
     op = build_oucs3(Grid1D(21, 1.0))
     with pytest.raises(ValueError, match=rf"node {node} .*0\.\.20"):
         op.row_symbol(node, 0.5)
-    with pytest.raises(ValueError, match=rf"node {node}"):
-        op.row(node)

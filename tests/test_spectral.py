@@ -75,10 +75,6 @@ def test_phase_speed_error_vanishes_for_exact_g():
 MAP_KH, MAP_NC = np.linspace(0.0, np.pi, 64), np.linspace(0.025, 1.6, 64)
 
 
-def _column(dmap, name):
-    return np.array([[getattr(pt, name) for pt in row] for row in dmap.points])
-
-
 def test_group_velocity_reference_value(ops1001):
     # a steep sample of the default map, where a +-1e-4 phase difference
     # reads 19.93610; differences with smaller steps converge to 19.934923
@@ -92,8 +88,8 @@ def test_group_velocity_matches_unwrapped_phase_difference(ops1001):
     # of the phase, unwrapped where N_c kh crosses the branch cut of beta
     delta, kh = 1e-6, MAP_KH[1:-1]
     for scheme, ops in ops1001.items():
-        vg = _column(sweep(scheme, kh, MAP_NC, PE, DA, 500, 1001, ops), "vg_ratio")
-        plus, minus = (_column(sweep(scheme, kh + s, MAP_NC, PE, DA, 500, 1001, ops), "beta")
+        vg = sweep(scheme, kh, MAP_NC, PE, DA, 500, 1001, ops).vg_ratio
+        plus, minus = (sweep(scheme, kh + s, MAP_NC, PE, DA, 500, 1001, ops).beta
                        for s in (delta, -delta))
         diff = np.angle(np.exp(1j * (plus - minus))) / (2 * delta) / MAP_NC[:, None]
         assert np.all(np.abs(vg - diff) <= 1e-6 * np.maximum(1.0, np.abs(vg))), scheme
@@ -106,13 +102,13 @@ def test_map_edges_are_the_schemes_limits(scheme, ops1001):
     ops = ops1001[scheme]
     dmap = sweep(scheme, [0.0, 1e-7, np.pi - 1e-7, np.pi], MAP_NC, PE, DA, 500, 1001, ops)
     for name in ("vg_ratio", "phase_err"):
-        col = _column(dmap, name)
+        col = getattr(dmap, name)
         for edge, inside in ((0, 1), (3, 2)):
             assert np.all(np.abs(col[:, edge] - col[:, inside])
                           <= 1e-6 * np.maximum(1.0, np.abs(col[:, edge]))), (name, edge)
-    for nc, row in zip(MAP_NC, dmap.points):
+    for nc, perr in zip(MAP_NC, dmap.phase_err[:, 0]):
         p = params(0.0, nc)
-        assert abs(row[0].phase_err - phase_speed_error(p, g_num(scheme, p, ops))) <= 1e-9
+        assert abs(perr - phase_speed_error(p, g_num(scheme, p, ops))) <= 1e-9
 
 
 @pytest.mark.parametrize("scheme", list(SchemeId))
@@ -161,7 +157,10 @@ def test_sweep_single_point_matches_pointwise(scheme, ops1001):
     dmap = sweep(scheme, kh_axis, nc_axis, PE, DA, 500, 1001, ops)
     for i_nc, nc in enumerate(nc_axis):
         for i_kh, kh in enumerate(kh_axis):
-            assert dmap.points[i_nc][i_kh] == dispersion_point(scheme, params(kh, nc), ops)
+            pt = dispersion_point(scheme, params(kh, nc), ops)
+            assert (pt.kh, pt.nc) == (kh, nc)
+            for name in ("g_num", "g_ratio", "beta", "vg_ratio", "phase_err"):
+                assert getattr(pt, name) == getattr(dmap, name)[i_nc, i_kh], name
 
 
 def _reference_g(scheme, kh, nc, pe, da, ops):
@@ -198,16 +197,17 @@ def test_sweep_kh0_column_stores_analytic_limits(ops1001):
     # keeps its limit 0
     scheme = SchemeId.EXPLICIT_OUCS3_CD2
     ops = ops1001[scheme]
-    pt0, pt1 = sweep(scheme, [0.0, 1e-7], [0.1], PE, DA, 500, 1001, ops).points[0]
+    dmap = sweep(scheme, [0.0, 1e-7], [0.1], PE, DA, 500, 1001, ops)
     want_ratio = abs((1 + DA + DA**2 / 2) / np.exp(DA))
-    assert abs(pt0.g_ratio - want_ratio) < 1e-10
+    assert abs(dmap.g_ratio[0, 0] - want_ratio) < 1e-10
     p0 = params(0.0, 0.1)
-    assert pt0.phase_err == pytest.approx(phase_speed_error(p0, g_num(scheme, p0, ops)),
-                                          abs=1e-12)
-    assert pt0.phase_err > 0
-    assert abs(pt0.vg_ratio - pt1.vg_ratio) < 1e-9 and pt0.vg_ratio != 1.0
-    pt0 = sweep(scheme, [0.0], [0.1], PE, 0.0, 500, 1001, ops).points[0][0]
-    assert pt0.phase_err == 0.0 and np.isfinite(pt0.vg_ratio)
+    assert dmap.phase_err[0, 0] == pytest.approx(phase_speed_error(p0, g_num(scheme, p0, ops)),
+                                                 abs=1e-12)
+    assert dmap.phase_err[0, 0] > 0
+    vg0, vg1 = dmap.vg_ratio[0]
+    assert abs(vg0 - vg1) < 1e-9 and vg0 != 1.0
+    dmap = sweep(scheme, [0.0], [0.1], PE, 0.0, 500, 1001, ops)
+    assert dmap.phase_err[0, 0] == 0.0 and np.isfinite(dmap.vg_ratio[0, 0])
 
 
 def test_map_csv_format(tmp_path, ops1001):
@@ -252,8 +252,9 @@ def test_sampled_stability_boundary_on_a_small_map():
 
 @pytest.mark.parametrize("scheme", list(SchemeId))
 def test_analysis_paths_form_no_dense_operator(scheme):
-    # the map and packet diagnostics read single rows: neither the system's
-    # dense A^{-1} B nor anything near one dense D (N^2 doubles) is allocated
+    # the map and packet diagnostics apply each operator to a table of kh
+    # modes: neither the system's dense A^{-1} B nor anything near one dense
+    # D (N^2 doubles) is allocated
     n = 2001
     cfg = WavePacketConfig(0.1, 0.0, 0.5, 5.0, n)
     tracemalloc.start()
