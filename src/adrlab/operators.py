@@ -115,15 +115,27 @@ class DerivativeOperator:
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
         """D u (dimensionless) for a real or complex vector u, or for the k
         columns of an (N, k) array at once, O(N k)."""
-        d = self.system.solve(u)[self.part::self.system.per_node]
-        for row, first, w in self.patch:
-            d[row] = np.dot(w, u[first:first + len(w)])
-        return d
+        return _apply([self], u)[0]
 
     def row_symbol(self, node: int, kh):
         """Fourier symbol sum_r D[j, r] e^{i kh (r - j)} of row j = `node`
         (0-based), shaped like kh (`row_symbols`)."""
         return np.reshape(row_symbols([self], node, kh)[0][0], np.shape(kh))
+
+
+def _apply(ops, u: np.ndarray) -> list:
+    """[D u for each D of ``ops``] (dimensionless) from one solve of each
+    distinct `BandedSystem` among them: each D reads its rows of its
+    system's solve (operators of one system read different rows, as the
+    NCCD pair does) and then writes its patched rows."""
+    solves = {system: system.solve(u) for system in dict.fromkeys(op.system for op in ops)}
+    out = []
+    for op in ops:
+        d = solves[op.system][op.part::op.system.per_node]
+        for row, first, w in op.patch:
+            d[row] = np.dot(w, u[first:first + len(w)])
+        out.append(d)
+    return out
 
 
 def row_symbols(ops, node: int, kh) -> list:
@@ -134,11 +146,12 @@ def row_symbols(ops, node: int, kh) -> list:
         dS/d(kh) = sum_r i (r - j) D[j, r] e^{i kh (r - j)}.
 
     Both are entry j of D applied to the real modes cos and sin of (r - j) kh
-    and the same two times (r - j): many-column forward solves of each
-    operator (`DerivativeOperator.__matmul__`), with one mode table for all
-    of ``ops``, which must share their number of nodes. The table is made
-    and solved 16 kh (64 columns) at a time, so the work set stays near
-    1 MB at N = 1001. Raises ValueError for a node outside 0..N-1.
+    and the same two times (r - j): many-column forward solves, one per
+    distinct system of ``ops`` (so the NCCD pair shares one), with one mode
+    table for all of ``ops``, which must share their number of nodes. The
+    table is made and solved 16 kh (64 columns) at a time, so the work set
+    stays near 1 MB at N = 1001. Raises ValueError for a node outside
+    0..N-1.
     """
     n = ops[0].n_points
     if not 0 <= node < n:
@@ -150,8 +163,8 @@ def row_symbols(ops, node: int, kh) -> list:
         phase = np.multiply.outer(r, kh[i:i + 16])
         cos, sin = np.cos(phase), np.sin(phase)
         modes = np.hstack([cos, sin, r[:, None] * cos, r[:, None] * sin])
-        for op, y in zip(ops, out):
-            y[:, i:i + 16] = (op @ modes)[node].reshape(4, -1)
+        for d, y in zip(_apply(ops, modes), out):
+            y[:, i:i + 16] = d[node].reshape(4, -1)
     return [(c + 1j * s, 1j * rc - rs) for c, s, rc, rs in out]
 
 

@@ -13,25 +13,28 @@ enough. The exact bound for this reconstruction is not derived here
 central-upwind scheme); a stage or step that produces a negative density
 raises PositivityError.
 
-Both variants are the two-stage update of `adr1d` (`PksStepper`). Each
-right-hand side splits into an implicit and an explicit part, z = z_I + z_E:
+Both variants are the two-stage update of `adr1d` (`PksStepper`) on the
+right-hand sides z = (z_rho, z_c) and their explicit parts z_E (`rhs`):
 
-    stage 1:  (I - dt/2 z_I) u* = u + dt/2 z_I(u) + dt z_E(u)
+    stage 1:  S u* = u + dt/2 (z(u) + z_E(u))
     stage 2:  u+ = u + dt/2 (z(u) + z(u*))
 
-The variants differ only in the split:
+with S = I - dt/2 z_I for the implicit part z_I = z - z_E (as x and y line
+factors). Each variant is one entry of `_VARIANTS`: the kernel that gives
+c's velocities and c's Laplacian in one derivative pass per direction, the
+Laplacian of rho, and whether z has an implicit part.
 
-* ``explicit-oucs3-cd2`` - z_I = 0 (Heun); z_E is the whole right-hand side,
-  with the five-point CD2 Laplacian and CD2 chemotactic velocities
-  (mirror-ghost closure). Fluxes telescope, so cell mass is conserved to
-  roundoff. The CD2 Laplacian has no negative weight and Heun is a convex
-  combination of forward-Euler stages, so under the CFL bound every
-  accepted density field is nonnegative.
-* ``imex-nccd`` - z_I = lap(rho) for rho and lap(c) - c for c; z_E =
-  -div(flux) for rho and rho for c; combined compact (NCCD) operators on
-  the mirror-padded lines (`_NccdLines`), all lines of a direction solved
-  as the columns of one partitioned solve; stage 1 solves the x and then
-  the y line factor, each an `adr1d.ImplicitStage` closed by mirror rows.
+* ``explicit-oucs3-cd2`` - z_E = z, so S = I (Heun), with the five-point
+  CD2 Laplacian and CD2 chemotactic velocities (mirror-ghost closure).
+  Fluxes telescope, so cell mass is conserved to roundoff. The CD2
+  Laplacian has no negative weight and Heun is a convex combination of
+  forward-Euler stages, so under the CFL bound every accepted density
+  field is nonnegative.
+* ``imex-nccd`` - z_E = -div(flux) for rho and rho for c, so z_I =
+  lap(rho) for rho and lap(c) - c for c; combined compact (NCCD) operators
+  on the mirror-padded lines (`_NccdLines`), all lines of a direction
+  solved as the columns of one partitioned solve; S is the x and then the
+  y line factor, each an `adr1d.ImplicitStage` closed by mirror rows.
   Positivity is not kept near blow-up: the compact second-derivative row
   has alternating-sign weights (-0.558 two cells away), so once the spike
   is cell-size rho + (dt/2) lap(rho) turns negative beside it, whatever
@@ -146,13 +149,16 @@ class PksState:
 
 @dataclass(frozen=True)
 class EdgeFluxes:
-    """x-edge fluxes P ((nx+1, ny)) and y-edge fluxes Q ((nx, ny+1)).
+    """x-edge fluxes P ((nx+1, ny)) and y-edge fluxes Q ((nx, ny+1)), and
+    the Laplacian of c ((nx, ny)) from the derivative passes that gave the
+    velocities.
 
     Boundary edges are zero: no chemotactic mass leaves the walls.
     """
 
     p: np.ndarray
     q: np.ndarray
+    lap_c: np.ndarray
 
 
 def init_gaussian(mesh: Mesh2D, amplitude_rho: float = 1000.0, width_rho: float = 100.0,
@@ -183,8 +189,10 @@ def minmod(*args):
 
 # Every 2D kernel below works along axis 0 (x) of a C-contiguous array; the
 # y pass is the same kernel applied to a C-contiguous copy of the field's
-# transpose (`_transposed`), so both passes run along contiguous lines, and
-# the y results come back as transposed views. Each kernel takes an optional
+# transpose (`_transposed`, or the kernel's own copy of c.T in
+# `_cd2_derivs`; the NCCD solves gather, so they read c.T as it is), so both
+# passes run along contiguous lines, and the y results come back as
+# transposed views. Each kernel takes an optional
 # `work` set (`_Work`): with one, its results and scratch live in work
 # arrays; without, it returns fresh arrays.
 
@@ -198,8 +206,8 @@ class _Work:
     frees a buffer, found by id, and ignores arrays that are not work
     arrays; `reset` frees them all at the start of a step, so a step that
     raised leaves none taken. `transposed` copies a field's transpose once
-    and hands out that copy until `give_transposed`, which each split of
-    the right-hand sides calls when done with the copies.
+    and hands out that copy until `give_transposed`, which `rhs` calls when
+    done with the copies.
 
     The set also holds the stepper's NCCD lines per line length (``lines``,
     `_NccdLines`) and the scratch arrays their solves reuse (``scratch``,
@@ -306,6 +314,21 @@ def _cd2_velocity(c: np.ndarray, h: float, work=None) -> np.ndarray:
     return np.divide(g, 2 * h, out=g)
 
 
+def _cd2_derivs(c: np.ndarray, h: float, d2: np.ndarray, work=None) -> np.ndarray:
+    """D1 c / h, returned, and D2 c / h^2, into `d2`, along axis 0 with the
+    CD2 stencils; a c that is not C-contiguous (the y pass's c.T) is read
+    from a C-contiguous copy, freed on return."""
+    lines = c
+    if not c.flags.c_contiguous:
+        lines = _take(work, c, len(c))
+        np.copyto(lines, c)
+    _cd2_second(lines, h, d2)
+    g = _cd2_velocity(lines, h, work)
+    if lines is not c:
+        _give(work, lines)
+    return g
+
+
 class _NccdLines:
     """The combined compact (NCCD) D1 and D2 along the lines of a field,
     the columns of an (n, k) array, with zero-Neumann walls: built on
@@ -338,23 +361,18 @@ def _nccd(f: np.ndarray, parts, work=None) -> list:
     return [x[i::len(parts)][1:-1] for i in range(len(parts))]
 
 
-def _nccd_velocity(c: np.ndarray, h: float, work=None, lap=None) -> np.ndarray:
-    """D1 c / h along axis 0 (NCCD); with `lap` (the IMEX split), D2 c / h^2
-    of the same solve is added into it."""
-    d1, d2 = _nccd(c, (0, 1), work)
-    if lap is not None:
-        d2 /= h**2
-        np.add(lap.T, d2.T, out=lap.T)  # in lap's own layout: NumPy buffers one operand, not two
+def _nccd_derivs(c: np.ndarray, h: float, d2: np.ndarray, work=None) -> np.ndarray:
+    """D1 c / h, returned, and D2 c / h^2, into `d2`, along axis 0 from one
+    NCCD solve. The solve gathers its input, so c may be any view: the y
+    pass reads c.T as it is."""
+    d1, dd = _nccd(c, (0, 1), work)
+    np.divide(dd, h**2, out=d2)
     return np.divide(d1, h, out=_take(work, c, len(c)))
 
 
 def _edge_mean(w: np.ndarray, work=None) -> np.ndarray:
     out = np.add(w[:-1], w[1:], out=_take(work, w, len(w) - 1))
     return np.multiply(out, 0.5, out=out)
-
-
-def _velocity_kernel(variant: PksVariant):
-    return _cd2_velocity if variant is PksVariant.EXPLICIT_OUCS3_CD2 else _nccd_velocity
 
 
 def _upwind(rho: np.ndarray, s: np.ndarray, h: float, w_edge: np.ndarray,
@@ -402,20 +420,22 @@ def _axis_flux(rho: np.ndarray, s: np.ndarray, w: np.ndarray, h: float, chi: flo
     return flux
 
 
-def _fluxes(state: PksState, wx, wy, work) -> EdgeFluxes:
-    """The fluxes of the velocities that `wx` and `wy` return when called,
-    along the x lines and along the y lines (transposed); each is called
-    when its pass needs it, so no two velocity arrays are held at once."""
-    rho, m, chi = state.rho.values, state.rho.mesh, state.chi
-    (sx, sy), floor = adaptive_slopes(state.rho, state.theta, work), _edge_floor(rho)
-    p = _axis_flux(rho, sx, wx(), m.h, chi, floor, 0, work)
-    return EdgeFluxes(p, _axis_flux(_transposed(rho, work), sy.T, wy(), m.k, chi, floor, 1, work).T)
-
-
 def edge_fluxes(state: PksState, variant: PksVariant, work=None) -> EdgeFluxes:
-    c, m, velocity = state.c.values, state.rho.mesh, _velocity_kernel(variant)
-    return _fluxes(state, lambda: velocity(c, m.h, work),
-                   lambda: velocity(_transposed(c, work), m.k, work), work)
+    """The fluxes along the x lines and along the y lines (transposed), and
+    the Laplacian of c: one pass per direction of the variant's derivative
+    kernel gives c's velocity along the lines and D2 c / h^2, and the two
+    directions' D2 c / h^2 sum to the Laplacian."""
+    rho, c, m, chi = state.rho.values, state.c.values, state.rho.mesh, state.chi
+    derivs = globals()[_VARIANTS[variant][0]]
+    (sx, sy), floor = adaptive_slopes(state.rho, state.theta, work), _edge_floor(rho)
+    lap = _take(work, c, len(c))
+    p = _axis_flux(rho, sx, derivs(c, m.h, lap, work), m.h, chi, floor, 0, work)
+    d2 = _take(work, c.T, len(c.T))
+    v = derivs(c.T, m.k, d2, work)
+    lap += d2.T
+    _give(work, d2)
+    q = _axis_flux(_transposed(rho, work), sy.T, v, m.k, chi, floor, 1, work)
+    return EdgeFluxes(p, q.T, lap)
 
 
 def _cd2_second(f: np.ndarray, h: float, out: np.ndarray, work=None) -> np.ndarray:
@@ -451,10 +471,19 @@ def _lap_nccd(f: np.ndarray, h: float, k: float, work=None) -> np.ndarray:
     return _lap(_nccd_second, f, h, k, work)
 
 
+#: variant -> (c's derivative kernel for `edge_fluxes`, the Laplacian kernel,
+#: and the reaction rates r of the implicit parts lap - r of (rho, c), or
+#: None when z_E = z). The kernels are named here and looked up in the
+#: module when called, so a wrapper set on the module sees their calls.
+_VARIANTS = {
+    PksVariant.EXPLICIT_OUCS3_CD2: ("_cd2_derivs", "_lap_cd2", None),
+    PksVariant.IMEX_NCCD: ("_nccd_derivs", "_lap_nccd", (0.0, 1.0)),
+}
+
+
 def laplacian(f_field: Field2D, variant: PksVariant, work=None) -> np.ndarray:
     m = f_field.mesh
-    lap = _lap_cd2 if variant is PksVariant.EXPLICIT_OUCS3_CD2 else _lap_nccd
-    return lap(f_field.values, m.h, m.k, work)
+    return globals()[_VARIANTS[variant][1]](f_field.values, m.h, m.k, work)
 
 
 def _divergence(fl: EdgeFluxes, m: Mesh2D, work=None) -> np.ndarray:
@@ -467,73 +496,27 @@ def _divergence(fl: EdgeFluxes, m: Mesh2D, work=None) -> np.ndarray:
     return div
 
 
-def rho_rhs(state: PksState, variant: PksVariant = PksVariant.EXPLICIT_OUCS3_CD2,
-            work=None) -> Field2D:
-    """-(P_x + Q_y) + lap(rho) with zero-flux boundary edges."""
-    div = _divergence(edge_fluxes(state, variant, work), state.rho.mesh, work)
-    vals = laplacian(state.rho, variant, work)
-    vals -= div
-    _give(work, div)
-    return Field2D(state.rho.mesh, vals)
+def rhs(state: PksState, variant: PksVariant, work=None):
+    """The right-hand sides z = (z_rho, z_c) and their explicit parts z_E,
+    each a pair of arrays, with zero-flux boundary edges:
 
+        z_rho = lap(rho) - div(flux),    z_c = (lap(c) - c) + rho,
 
-def c_rhs(state: PksState, variant: PksVariant = PksVariant.EXPLICIT_OUCS3_CD2,
-          work=None) -> Field2D:
-    """lap(c) - c + rho."""
-    vals = laplacian(state.c, variant, work)
-    vals -= state.c.values
-    vals += state.rho.values
-    return Field2D(state.c.mesh, vals)
-
-
-def _explicit_split(state: PksState, work):
-    """z_I = 0 (None); z_E is the whole right-hand side, with CD2 operators."""
-    z = rho_rhs(state, work=work).values, c_rhs(state, work=work).values
-    work.give_transposed()
-    return None, z
-
-
-def _imex_split(state: PksState, work):
-    """z_I = (lap rho, lap c - c) and z_E = (-div(flux), rho), NCCD
-    operators. z_I's c part starts at -c, and the solves that give c's
-    velocities add lap c into it. Those solves gather their input, so the y
-    pass reads c's y lines from c itself."""
-    c, m = state.c.values, state.rho.mesh
-    lap_c = np.negative(c, out=_take(work, c, len(c)))
-    adv = _divergence(_fluxes(state, lambda: _nccd_velocity(c, m.h, work, lap_c),
-                              lambda: _nccd_velocity(c.T, m.k, work, lap_c.T), work), m, work)
-    np.negative(adv, out=adv)
-    lap_rho = laplacian(state.rho, PksVariant.IMEX_NCCD, work)
-    work.give_transposed()
-    return (lap_rho, lap_c), (adv, state.rho.values)
-
-
-#: variant -> (split of the (rho, c) right-hand sides into (z_I, z_E), and the
-#: reaction rate r of z_I = lap - r per equation, or None when z_I = 0). The
-#: split functions look their kernels up when called.
-_SPLITS = {
-    PksVariant.EXPLICIT_OUCS3_CD2: (_explicit_split, None),
-    PksVariant.IMEX_NCCD: (_imex_split, (0.0, 1.0)),
-}
-
-
-def _axpy(f: np.ndarray, a: float, e: np.ndarray, work) -> np.ndarray:
-    """f + a e, in a new array."""
-    out = np.multiply(e, a, out=_take(work, f, len(f)))
-    return np.add(f, out, out=out)
-
-
-def _z(zi, ze, work):
-    """z = z_I + z_E per equation, into z_I's arrays; z_E alone when z_I = 0
-    (None). z_E's arrays are not read again and go back to `work`: its rho
-    is the caller's field, which `work` does not own, or u*, which the step
-    no longer needs."""
-    if zi is None:
-        return ze
-    for i, e in zip(zi, ze):
-        i += e
-    _give(work, *ze)
-    return zi
+    z_E is z itself (the same pair) when the variant has no implicit part,
+    else (-div(flux), rho)."""
+    fl = edge_fluxes(state, variant, work)
+    div = _divergence(fl, state.rho.mesh, work)
+    z_rho, z_c = laplacian(state.rho, variant, work), fl.lap_c
+    z_rho -= div
+    z_c -= state.c.values
+    z_c += state.rho.values
+    if work is not None:
+        work.give_transposed()
+    z = z_rho, z_c
+    if _VARIANTS[variant][2] is None:
+        _give(work, div)
+        return z, z
+    return z, (np.negative(div, out=div), state.rho.values)
 
 
 def _check_fields(rho: np.ndarray, c: np.ndarray, t: float) -> None:
@@ -566,8 +549,8 @@ class PksStepper:
     def __init__(self, variant: PksVariant, mesh: Mesh2D | None, dt: float):
         if not dt > 0:
             raise ValueError("dt must be positive")
-        self.dt = dt
-        self.split, rates = _SPLITS[variant]
+        self.dt, self.variant = dt, variant
+        rates = _VARIANTS[variant][2]
         self.lines, self.stages, self.work = {}, None, None
         if rates is not None:
             from .adr1d import ImplicitStage
@@ -585,31 +568,27 @@ class PksStepper:
         rho, c = (Field2D(state.rho.mesh, f) for f in fields)
         return PksState(rho, c, state.t + self.dt, state.chi, state.theta)
 
-    def _stage1(self, u, zi, ze, work):
-        """u* and z(u), from the split of z(u)."""
-        dt = self.dt
-        if zi is None:
-            return [_axpy(f, dt, e, work) for f, e in zip(u, ze)], ze
-        us = []
-        for (sx, sy), f, i, e in zip(self.stages, u, zi, ze):
-            b = _axpy(f, dt / 2, i, work)
-            t = np.multiply(e, dt, out=_take(work, f, len(f)))
-            b += t
-            _give(work, t)
-            np.copyto(b, sx.solve(b, work.scratch)[1:-1])        # the x lines
-            np.copyto(b, sy.solve(b.T, work.scratch)[1:-1].T)    # the y lines: u*
-            us.append(b)
-        return us, _z(zi, ze, work)
-
     def step(self, state: PksState) -> PksState:
         u = (state.rho.values, state.c.values)
         if self.work is None or self.work.shape != u[0].shape:
             self.work = _Work(u[0].shape, self.lines)
         work = self.work
         work.reset()
-        us, z = self._stage1(u, *self.split(state, work), work)
+        z, ze = rhs(state, self.variant, work)
+        us = []  # S^-1 (u + dt/2 (z + z_E)): for z_E = z, bit for bit u + dt z
+        for i, (f, a, e) in enumerate(zip(u, z, ze)):
+            b = np.add(a, e, out=_take(work, f, len(f)))
+            b *= self.dt / 2
+            b += f
+            if self.stages is not None:
+                sx, sy = self.stages[i]
+                np.copyto(b, sx.solve(b, work.scratch)[1:-1])        # the x lines
+                np.copyto(b, sy.solve(b.T, work.scratch)[1:-1].T)    # the y lines
+            us.append(b)
+        if ze is not z:
+            _give(work, *ze)  # its c part is the caller's rho, which `give` ignores
         mid = self._state(state, us, state.t)
-        zs = _z(*self.split(mid, work), work)
+        zs, _ = rhs(mid, self.variant, work)
         new = []
         for f, a, b in zip(u, z, zs):
             g = np.add(a, b)                         # the returned fields' own memory

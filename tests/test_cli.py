@@ -372,6 +372,15 @@ def test_cli_import_leaves_numpy_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_choice_lists_match_the_enums():
+    # `cli` copies the ids so that it imports no NumPy before --threads takes effect
+    from adrlab import cli
+    from adrlab.adr1d import SchemeId
+    from adrlab.pks2d import PksVariant
+    assert cli._SCHEMES == [s.value for s in SchemeId]
+    assert cli._VARIANTS == [v.value for v in PksVariant]
+
+
 def _fresh_run(code: str, tmp_path):
     """Exit code and sorted module names of a fresh interpreter that runs
     `code` and then prints sys.modules as its last stdout line."""

@@ -304,6 +304,28 @@ def test_row_symbols_match_the_dense_rows(scheme, ops1001):
             assert np.max(np.abs(ds - dwant)) <= 1e-12 * np.max(np.abs(dwant)), j
 
 
+def test_nccd_pair_reads_its_symbols_from_one_solve_per_batch(monkeypatch):
+    # D1 and D2 share one system: 64 kh are 4 batches of 16, so 4 solves,
+    # and each operator's symbols are those it gives alone, bit for bit
+    from adrlab.linalg import PartitionedLU
+    ops, kh = build_nccd(Grid1D(1001, 1.0)), np.linspace(0.0, np.pi, 64)
+    alone = {j: [row_symbols([op], j, kh)[0] for op in ops] for j in (1, 499)}
+    solve, calls = PartitionedLU.solve, []
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(PartitionedLU, "solve", counting)
+    for j in (1, 499):
+        calls.clear()
+        both = row_symbols(ops, j, kh)
+        assert len(calls) == 4
+        for (s, ds), (s1, ds1), op in zip(both, alone[j], ops):
+            assert (s == s1).all() and (ds == ds1).all()
+            assert (s == op.row_symbol(j, kh)).all()
+
+
 @pytest.mark.parametrize("node", [-1, 21])
 def test_row_symbol_rejects_a_node_outside_the_grid(node):
     op = build_oucs3(Grid1D(21, 1.0))

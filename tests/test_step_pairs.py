@@ -17,8 +17,10 @@ def test_two_copies_of_one_tree(tmp_path):
     assert step_pairs.main([*map(str, trees), "--meshes", "8,12", "--pairs", "2",
                             "--steps", "2", "--out", str(out)]) == 0
     results = json.loads(out.read_text())["results"]
-    assert sorted(results) == sorted(f"{v}@{n}" for v in ("explicit-oucs3-cd2", "imex-nccd")
-                                     for n in (8, 12))
+    schemes = ("explicit-oucs3-cd2", "implicit-oucs3-lele", "imex-oucs3-lele", "imex-nccd")
+    assert sorted(results) == sorted([f"{v}@{n}" for v in ("explicit-oucs3-cd2", "imex-nccd")
+                                      for n in (8, 12)]
+                                     + [f"adr1d:{s}@1001" for s in schemes])
     for metrics in results.values():
         assert sorted(metrics) == ["setup_ms", "step_ms"]
         for m in metrics.values():

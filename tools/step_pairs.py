@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time PKS steps of two source trees in interleaved pairs.
+"""Time PKS and 1D steps of two source trees in interleaved pairs.
 
     python tools/step_pairs.py PARENT CHANGE [--meshes 200,400] \
         [--variants explicit-oucs3-cd2,imex-nccd] [--pairs 12] [--steps 5] \
@@ -11,10 +11,14 @@ fresh Python process with that tree's ``src`` on PYTHONPATH and BLAS
 capped at one thread. A side's process times, for every mesh and variant,
 ``pks2d.make_stepper`` (set-up) and then ``--steps`` in-process steps after
 one warm step, on the Gaussian data of ``pks2d.init_gaussian`` at
-dt = 1e-8, and reports the median step. The output JSON holds, per variant
-and mesh, both sides' set-up times and step medians per pair, the per-pair
-ratios CHANGE / PARENT, the number of pairs CHANGE wins, and the median
-ratio. Needs NumPy alone.
+dt = 1e-8, and reports the median step. It then does the same for each of
+the four 1D schemes (``adr1d.make_stepper`` and 20 x ``--steps`` steps,
+as one step takes well under a millisecond) at N = 1001 on the standing
+wave-packet block (c = 0.1, nu = 1e-4, lambda = -1, dt = 0.01 on
+[-5, 5]), keyed ``adr1d:<scheme>@1001``. The output JSON holds, per key,
+both sides' set-up times and step medians per pair, the per-pair ratios
+CHANGE / PARENT, the number of pairs CHANGE wins, and the median ratio.
+Needs NumPy alone.
 """
 
 from __future__ import annotations
@@ -50,6 +54,22 @@ for n in meshes:
             times.append(time.perf_counter() - t0)
         out[f"{v}@{n}"] = {"setup_ms": 1e3 * setup, "step_ms": 1e3 * float(np.median(times))}
         del stepper, state  # freed here, not inside the next set-up's clock
+grid = operators.Grid1D(1001, 0.01, -5.0)
+cfg = adr1d.AdrConfig(0.1, 1e-4, -1.0, 0.01, grid)
+x = grid.x()
+for scheme in adr1d.SchemeId:
+    state = adr1d.SolutionState(np.exp(-50.0 * x**2) * np.cos(50.0 * x), 0.0)
+    t0 = time.perf_counter()
+    stepper = adr1d.make_stepper(scheme, cfg)
+    setup = time.perf_counter() - t0
+    state = stepper.step(state)
+    times = []
+    for _ in range(20 * steps):
+        t0 = time.perf_counter()
+        state = stepper.step(state)
+        times.append(time.perf_counter() - t0)
+    out[f"adr1d:{scheme.value}@1001"] = {"setup_ms": 1e3 * setup,
+                                         "step_ms": 1e3 * float(np.median(times))}
 print(json.dumps(out))
 """
 
@@ -97,7 +117,9 @@ def main(argv=None) -> int:
     record = {
         "method": (f"{args.pairs} interleaved pairs, the side run first alternating; each side a "
                    f"fresh process timing make_stepper and the median of {args.steps} in-process "
-                   "steps after one warm step, Gaussian data, dt = 1e-8, 1 BLAS thread"),
+                   "PKS steps after one warm step, Gaussian data, dt = 1e-8, then of "
+                   f"{20 * args.steps} steps of each 1D scheme at N = 1001 on the wave-packet "
+                   "block; 1 BLAS thread"),
         "host": f"{os.cpu_count()} CPUs, Python {platform.python_version()}, {platform.machine()}",
         "parent": str(args.parent), "change": str(args.change),
         "results": results,
