@@ -24,9 +24,10 @@ The schemes differ only in the split (the SCHEMES table):
     imex-oucs3-lele,      IMEX (Ascher, Ruuth    z_I = Pe D2 + Da I,
     imex-nccd             & Spiteri 1997)        z_E = -N_c D1
 
-Dirichlet handling: the stage-1 system gets identity rows at both ends
-carrying the boundary data, and stage 2 re-imposes the end values. Either
-way the interior stencil rows stay exactly as analyzed spectrally.
+Dirichlet handling: the Dirichlet data are the state's own end values.
+The stage-1 system gets identity rows at both ends carrying them, and
+stage 2 re-imposes them. Either way the interior stencil rows stay exactly
+as analyzed spectrally.
 
 Nothing of size N x N is formed. Explicit parts are operator products
 (`DerivativeOperator.__matmul__`, one banded solve each), and the stage
@@ -163,12 +164,9 @@ def _check_ops(cfg: AdrConfig, *ops: DerivativeOperator) -> None:
             raise ValueError("operator size does not match grid")
 
 
-def _bc_of(values: np.ndarray, bc):
-    return (values[0], values[-1]) if bc is None else bc
-
-
-def _pin(values: np.ndarray, bc) -> np.ndarray:
-    values[0], values[-1] = bc
+def _pin(values: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """values with the end values of u."""
+    values[0], values[-1] = u[0], u[-1]
     return values
 
 
@@ -272,13 +270,13 @@ class Stepper:
     """The two-stage template, for any split z = z_I + z_E of the scheme table.
 
     Stage 1:  (I - z_I/2) u* = (I + z_I/2 + z_E) u, end rows carrying the
-              Dirichlet data
-    Stage 2:  u+ = u + z (u + u*)/2, ends re-pinned
+              Dirichlet data, u's end values
+    Stage 2:  u+ = u + z (u + u*)/2, ends re-pinned to u's
 
     z_I is only ever solved with, never applied. At interior rows the
     stage-1 right-hand side is (2I + z_E) u - (I - z_I/2) u, so
 
-        u* = (I - z_I/2)^{-1} y - u,   y = 2u + z_E u  (y = bc + u at the ends),
+        u* = (I - z_I/2)^{-1} y - u,   y = 2u + z_E u  (y = 2u at the ends),
 
     and stage 2 reduces to u+ = u* + z_E (u* - u)/2, which equals
     u + z (u + u*)/2 at every interior row. Holds the `ImplicitStage` of
@@ -307,18 +305,17 @@ class Stepper:
             out += c * (op @ u)
         return out
 
-    def step(self, state: SolutionState, bc=None) -> SolutionState:
+    def step(self, state: SolutionState) -> SolutionState:
         u = state.values
-        bc = _bc_of(u, bc)
         zu = self._apply_z_e(u) if self.explicit else 0.0
         if self.stage is None:
-            us = _pin(u + zu, bc)
+            us = _pin(u + zu, u)
         else:
             y = 2 * u + zu
-            y[0], y[-1] = bc[0] + u[0], bc[1] + u[-1]
-            us = _pin(self.stage.solve(y) - u, bc)
+            y[0], y[-1] = 2 * u[0], 2 * u[-1]
+            us = _pin(self.stage.solve(y) - u, u)
         if self.explicit:
-            us = _pin(us + 0.5 * self._apply_z_e(us - u), bc)
+            us = _pin(us + 0.5 * self._apply_z_e(us - u), u)
         return SolutionState(us, state.t + self.cfg.dt)
 
 
@@ -354,14 +351,13 @@ def run(scheme: SchemeId, cfg: AdrConfig, u0: SolutionState, t_end: float,
                          f"t = {u0.t:g} to {t_end:g}")
     want = sorted(set(steps))
     stepper = make_stepper(scheme, cfg, ops)
-    bc = (u0.values[0], u0.values[-1])
     out = []
     state = u0
     if want and want[0] == 0:
         out.append(state)
         want = want[1:]
     for k in range(1, n_steps + 1):
-        values = stepper.step(state, bc).values
+        values = stepper.step(state).values
         if not np.all(np.isfinite(values)):
             bad = int(np.argmin(np.isfinite(values)))
             raise AdrInstabilityError(k, bad, u0.t + k * cfg.dt)

@@ -162,18 +162,10 @@ def _reparse_with_config(ap, subparsers, argv) -> argparse.Namespace:
         unknown = set(overrides) - valid
         if unknown:
             ap.error(f"unknown config keys: {sorted(unknown)}")
-        sub.set_defaults(**{k: _coerce(sub, k, v) for k, v in overrides.items()})
+        # string defaults pass through each flag's type, so a bad value names its flag
+        sub.set_defaults(**overrides)
         args = ap.parse_args(argv)
     return args
-
-
-def _coerce(sub: argparse.ArgumentParser, dest: str, raw: str):
-    for action in sub._actions:
-        if action.dest == dest:
-            if action.type is not None:
-                return action.type(raw)
-            return raw
-    return raw
 
 
 def cmd_dispersion_map(args) -> int:
@@ -189,8 +181,7 @@ def cmd_dispersion_map(args) -> int:
     ops = scheme_operators(scheme, grid)
     kh_axis = np.linspace(args.kh_min, args.kh_max, args.kh_points)
     nc_axis = np.linspace(args.nc_min, args.nc_max, args.nc_points)
-    dmap = spectral.sweep(scheme, kh_axis, nc_axis, args.pe, args.da,
-                          args.node, args.n, ops)
+    dmap = spectral.sweep(scheme, kh_axis, nc_axis, args.pe, args.da, args.node, ops)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"dispersion_{scheme.value}.csv")
     spectral.write_map_csv(dmap, path)
@@ -239,6 +230,8 @@ def cmd_wavepacket(args) -> int:
 def cmd_pks(args) -> int:
     if args.log_every < 1:
         raise ValueError(f"--log-every must be >= 1 (got {args.log_every})")
+    from dataclasses import replace
+
     from . import pks2d
 
     variant = pks2d.PksVariant(args.variant)
@@ -248,7 +241,7 @@ def cmd_pks(args) -> int:
     stepper = pks2d.make_stepper(variant, mesh, args.dt)
     history = [pks2d.diagnostics(state)]
     for k in range(1, n_steps + 1):
-        state = stepper.step(state)
+        state = replace(stepper.step(state), t=k * args.dt)  # not a sum of k dt's
         if k % args.log_every == 0 or k == n_steps:
             history.append(pks2d.diagnostics(state))
     os.makedirs(args.out, exist_ok=True)

@@ -123,24 +123,17 @@ class Mesh2D:
 
 
 @dataclass(frozen=True)
-class Field2D:
-    mesh: Mesh2D
-    values: np.ndarray     # shape (nx, ny), index [i, j] ~ (x_i, y_j)
-
-    def __post_init__(self):
-        if self.values.shape != (self.mesh.nx, self.mesh.ny):
-            raise ValueError("field shape does not match mesh")
-
-
-@dataclass(frozen=True)
 class PksState:
-    rho: Field2D
-    c: Field2D
+    mesh: Mesh2D
+    rho: np.ndarray        # shape (nx, ny), index [i, j] ~ (x_i, y_j)
+    c: np.ndarray          # shape (nx, ny)
     t: float
     chi: float
     theta: float
 
     def __post_init__(self):
+        if not self.rho.shape == self.c.shape == (self.mesh.nx, self.mesh.ny):
+            raise ValueError("field shapes do not match mesh")
         if not (self.chi > 0 and np.isfinite(self.chi)):
             raise ValueError(f"chi must be positive and finite (got {self.chi:g})")
         if not 1.0 <= self.theta <= 2.0:
@@ -169,12 +162,12 @@ def init_gaussian(mesh: Mesh2D, amplitude_rho: float = 1000.0, width_rho: float 
     r2 = x[:, None] ** 2 + y[None, :] ** 2
     rho = amplitude_rho * np.exp(-width_rho * r2)
     c = amplitude_c * np.exp(-width_c * r2)
-    return PksState(Field2D(mesh, rho), Field2D(mesh, c), 0.0, chi, theta)
+    return PksState(mesh, rho, c, 0.0, chi, theta)
 
 
 def total_mass(state: PksState) -> float:
-    m = state.rho.mesh
-    return float(np.sum(state.rho.values) * m.h * m.k)
+    m = state.mesh
+    return float(np.sum(state.rho) * m.h * m.k)
 
 
 def minmod(*args):
@@ -215,7 +208,6 @@ class _Work:
     """
 
     def __init__(self, shape, lines=None):
-        self.shape = shape
         self.lines = lines or {}
         self.scratch: dict = {}
         self._size = (shape[0] + 1) * (shape[1] + 1)
@@ -298,11 +290,10 @@ def _limited_slopes(rho: np.ndarray, h: float, theta: float, work=None) -> np.nd
     return s
 
 
-def adaptive_slopes(rho_field: Field2D, theta: float, work=None):
+def adaptive_slopes(rho: np.ndarray, mesh: Mesh2D, theta: float, work=None):
     """Cell slopes (x, y) from `_limited_slopes`."""
-    rho, m = rho_field.values, rho_field.mesh
-    return (_limited_slopes(rho, m.h, theta, work),
-            _limited_slopes(_transposed(rho, work), m.k, theta, work).T)
+    return (_limited_slopes(rho, mesh.h, theta, work),
+            _limited_slopes(_transposed(rho, work), mesh.k, theta, work).T)
 
 
 def _cd2_velocity(c: np.ndarray, h: float, work=None) -> np.ndarray:
@@ -425,9 +416,9 @@ def edge_fluxes(state: PksState, variant: PksVariant, work=None) -> EdgeFluxes:
     the Laplacian of c: one pass per direction of the variant's derivative
     kernel gives c's velocity along the lines and D2 c / h^2, and the two
     directions' D2 c / h^2 sum to the Laplacian."""
-    rho, c, m, chi = state.rho.values, state.c.values, state.rho.mesh, state.chi
+    rho, c, m, chi = state.rho, state.c, state.mesh, state.chi
     derivs = globals()[_VARIANTS[variant][0]]
-    (sx, sy), floor = adaptive_slopes(state.rho, state.theta, work), _edge_floor(rho)
+    (sx, sy), floor = adaptive_slopes(rho, m, state.theta, work), _edge_floor(rho)
     lap = _take(work, c, len(c))
     p = _axis_flux(rho, sx, derivs(c, m.h, lap, work), m.h, chi, floor, 0, work)
     d2 = _take(work, c.T, len(c.T))
@@ -481,9 +472,8 @@ _VARIANTS = {
 }
 
 
-def laplacian(f_field: Field2D, variant: PksVariant, work=None) -> np.ndarray:
-    m = f_field.mesh
-    return globals()[_VARIANTS[variant][1]](f_field.values, m.h, m.k, work)
+def laplacian(f: np.ndarray, mesh: Mesh2D, variant: PksVariant, work=None) -> np.ndarray:
+    return globals()[_VARIANTS[variant][1]](f, mesh.h, mesh.k, work)
 
 
 def _divergence(fl: EdgeFluxes, m: Mesh2D, work=None) -> np.ndarray:
@@ -505,18 +495,18 @@ def rhs(state: PksState, variant: PksVariant, work=None):
     z_E is z itself (the same pair) when the variant has no implicit part,
     else (-div(flux), rho)."""
     fl = edge_fluxes(state, variant, work)
-    div = _divergence(fl, state.rho.mesh, work)
-    z_rho, z_c = laplacian(state.rho, variant, work), fl.lap_c
+    div = _divergence(fl, state.mesh, work)
+    z_rho, z_c = laplacian(state.rho, state.mesh, variant, work), fl.lap_c
     z_rho -= div
-    z_c -= state.c.values
-    z_c += state.rho.values
+    z_c -= state.c
+    z_c += state.rho
     if work is not None:
         work.give_transposed()
     z = z_rho, z_c
     if _VARIANTS[variant][2] is None:
         _give(work, div)
         return z, z
-    return z, (np.negative(div, out=div), state.rho.values)
+    return z, (np.negative(div, out=div), state.rho)
 
 
 def _check_fields(rho: np.ndarray, c: np.ndarray, t: float) -> None:
@@ -539,39 +529,41 @@ class PksStepper:
     an `adr1d.ImplicitStage` on the n + 2 nodes of the mirror-padded line,
     closed by the mirror rows w_0 - w_1 = 0 and w_{n+1} - w_n = 0 with zero
     data at the ghosts, factored once for the run, and it solves all the
-    lines of the field as its columns; `mesh` is read only then. Each
-    stage checks that rho and c are finite and rho is nonnegative.
-    Intermediate arrays live in the stepper's work set, made during its
-    first step; only the returned fields and the scratch of the solves
-    (`_Work.scratch`, kept for the next step) are new memory.
+    lines of the field as its columns. A stepper steps states on its own
+    mesh only (ValueError otherwise): its line factors and its work set are
+    made for that mesh when it is built. Each stage checks that rho and c
+    are finite and rho is nonnegative. Intermediate arrays live in the
+    work set, which grows during the first step; only the returned fields
+    and the scratch of the solves (`_Work.scratch`, kept for the next
+    step) are new memory.
     """
 
-    def __init__(self, variant: PksVariant, mesh: Mesh2D | None, dt: float):
+    def __init__(self, variant: PksVariant, mesh: Mesh2D, dt: float):
         if not dt > 0:
             raise ValueError("dt must be positive")
-        self.dt, self.variant = dt, variant
+        self.dt, self.variant, self.mesh = dt, variant, mesh
         rates = _VARIANTS[variant][2]
-        self.lines, self.stages, self.work = {}, None, None
+        lines, self.stages = {}, None
         if rates is not None:
             from .adr1d import ImplicitStage
 
             axes = ((mesh.nx, mesh.h), (mesh.ny, mesh.k))
-            self.lines = {n: _NccdLines(n) for n, _ in axes}
+            lines = {n: _NccdLines(n) for n, _ in axes}
             made = {(n, s, r): ImplicitStage(n + 2, 1 + r * dt / 4,
-                                             [(self.lines[n].ops[1], dt / (2 * s**2))],
+                                             [(lines[n].ops[1], dt / (2 * s**2))],
                                              ((0, 0, (1.0, -1.0)), (n + 1, n, (-1.0, 1.0))))
                     for n, s in set(axes) for r in rates}
             self.stages = [[made[n, s, r] for n, s in axes] for r in rates]
+        self.work = _Work((mesh.nx, mesh.ny), lines)
 
     def _state(self, state: PksState, fields, t_check: float) -> PksState:
         _check_fields(*fields, t_check)
-        rho, c = (Field2D(state.rho.mesh, f) for f in fields)
-        return PksState(rho, c, state.t + self.dt, state.chi, state.theta)
+        return PksState(self.mesh, *fields, state.t + self.dt, state.chi, state.theta)
 
     def step(self, state: PksState) -> PksState:
-        u = (state.rho.values, state.c.values)
-        if self.work is None or self.work.shape != u[0].shape:
-            self.work = _Work(u[0].shape, self.lines)
+        if state.mesh != self.mesh:
+            raise ValueError(f"state mesh {state.mesh} is not the stepper's mesh {self.mesh}")
+        u = (state.rho, state.c)
         work = self.work
         work.reset()
         z, ze = rhs(state, self.variant, work)
@@ -603,11 +595,11 @@ def make_stepper(variant: PksVariant, mesh: Mesh2D, dt: float) -> PksStepper:
 
 def radial_profile(state: PksState):
     """Density along the +x half of the row nearest the domain center."""
-    m = state.rho.mesh
+    m = state.mesh
     x, y = m.centers()
     j0 = int(np.argmin(np.abs(y)))
     i0 = int(np.argmin(np.abs(x)))
-    prof = state.rho.values[i0:, j0]
+    prof = state.rho[i0:, j0]
     r = x[i0:] - x[i0]
     return r, prof
 
@@ -632,8 +624,8 @@ def diagnostics(state: PksState) -> dict:
     return {
         "t": state.t,
         "mass": total_mass(state),
-        "min_rho": float(state.rho.values.min()),
-        "max_rho": float(state.rho.values.max()),
+        "min_rho": float(state.rho.min()),
+        "max_rho": float(state.rho.max()),
         "oscillation": oscillation_metric(state),
     }
 
@@ -641,7 +633,7 @@ def diagnostics(state: PksState) -> dict:
 def write_snapshot_csv(state: PksState, path) -> None:
     """Rows x, y, rho, c with 12 significant digits, written one mesh row at a
     time; each x and y is formatted once."""
-    m = state.rho.mesh
+    m = state.mesh
     x, y = m.centers()
     # x_i joins these pieces into row i's format: x_i y_0 %g %g, x_i y_1 ...
     pieces = [""] + [f"{yj:.12g},%.12g,%.12g\n" for yj in y.tolist()]
@@ -649,7 +641,7 @@ def write_snapshot_csv(state: PksState, path) -> None:
     with open(path, "w") as fh:
         fh.write("x,y,rho,c\n")
         for i, xi in enumerate(x.tolist()):
-            cols[:, 0], cols[:, 1] = state.rho.values[i], state.c.values[i]
+            cols[:, 0], cols[:, 1] = state.rho[i], state.c[i]
             fh.write(f"{xi:.12g},".join(pieces) % tuple(cols.ravel().tolist()))
 
 

@@ -71,16 +71,11 @@ class SpectralParams:
     nc: float
     pe: float
     da: float
-    node: int = 500          # 1-based interior node index
-    n_points: int = 1001
+    node: int = 500          # 1-based interior node index of the operators
 
     def __post_init__(self):
         if not 0.0 <= self.kh <= np.pi + 1e-12:
             raise ValueError("kh must lie in [0, pi]")
-        if self.n_points < 7:
-            raise ValueError("n_points must be >= 7")
-        if not 1 < self.node < self.n_points:
-            raise ValueError("node must be interior (1-based)")
 
 
 @dataclass(frozen=True)
@@ -97,7 +92,8 @@ class DispersionPoint:
 @dataclass(frozen=True, eq=False)
 class DispersionMap:
     """The diagnostics of `DispersionPoint` over the grid nc x kh: each of
-    g_num .. phase_err has shape (len(nc_axis), len(kh_axis))."""
+    g_num .. phase_err has shape (len(nc_axis), len(kh_axis)); n_points is
+    the size of the operators the map was evaluated with."""
 
     kh_axis: np.ndarray
     nc_axis: np.ndarray
@@ -127,11 +123,11 @@ def _grid(values, shape) -> np.ndarray:
     return np.broadcast_to(values, shape).copy()
 
 
-def _symbols(ops, node: int, n_points: int, kh) -> tuple:
+def _symbols(ops, node: int, kh) -> tuple:
     """((S1, dS1/dkh), (S2, dS2/dkh)): row symbols at 1-based interior
     `node` and their slopes, one per kh, each of shape (K,)."""
-    if ops[0].n_points != n_points:
-        raise ValueError("operators were built for a different n_points")
+    if not 1 < node < ops[0].n_points:
+        raise ValueError(f"node must be interior (1-based): 1 < {node} < {ops[0].n_points}")
     return row_symbols(ops, node - 1, kh)
 
 
@@ -159,7 +155,7 @@ def _g(scheme: SchemeId, symbols, nc, pe: float, da: float) -> tuple:
 
 def g_num(scheme: SchemeId, p: SpectralParams, ops) -> complex:
     """One-step amplification factor of the scheme at row `node`."""
-    g, _ = _g(scheme, _symbols(ops, p.node, p.n_points, p.kh), p.nc, p.pe, p.da)
+    g, _ = _g(scheme, _symbols(ops, p.node, p.kh), p.nc, p.pe, p.da)
     return complex(g[0, 0])
 
 
@@ -227,7 +223,7 @@ def error_forcing_spectrum(scheme: SchemeId, p: SpectralParams, a0, t: float,
 
 
 def _map(scheme: SchemeId, kh_axis, nc_axis, pe: float, da: float,
-         node: int, n_points: int, ops) -> DispersionMap:
+         node: int, ops) -> DispersionMap:
     """The DispersionMap over the grid nc x kh (nc outer, kh inner).
 
     Every sample, kh = 0 included, takes the same formulas; only the phase
@@ -241,7 +237,7 @@ def _map(scheme: SchemeId, kh_axis, nc_axis, pe: float, da: float,
     shape = (len(nc_axis), len(kh_axis))
     kh, nc = _grid(kh_axis, shape), _grid(nc_axis[:, None], shape)
     with np.errstate(all="ignore"):  # non-finite samples raise below
-        g, dg = _g(scheme, _symbols(ops, node, n_points, kh_axis), nc_axis, pe, da)
+        g, dg = _g(scheme, _symbols(ops, node, kh_axis), nc_axis, pe, da)
         ratio = np.abs(g / _g_exact(kh, nc, pe, da))
         vg = -(dg / g).imag / nc
         phased = np.where(g == 0, np.nan, g)  # G = 0 has no phase
@@ -254,25 +250,25 @@ def _map(scheme: SchemeId, kh_axis, nc_axis, pe: float, da: float,
         raise NonFiniteSampleError(f"non-finite G ratio, V_g or phase error at "
                                    f"kh = {kh.flat[first]:.12g}, N_c = {nc.flat[first]:.12g}")
     return DispersionMap(kh_axis, nc_axis, g, ratio, beta, vg, perr, scheme, pe, da,
-                         node, n_points)
+                         node, ops[0].n_points)
 
 
 def dispersion_point(scheme: SchemeId, p: SpectralParams, ops) -> DispersionPoint:
     """All diagnostics at one (kh, N_c) sample: the map of a 1 x 1 grid."""
-    m = _map(scheme, [p.kh], [p.nc], p.pe, p.da, p.node, p.n_points, ops)
+    m = _map(scheme, [p.kh], [p.nc], p.pe, p.da, p.node, ops)
     return DispersionPoint(*(a.item(0) for a in (m.kh_axis, m.nc_axis, m.g_num, m.g_ratio,
                                                   m.beta, m.vg_ratio, m.phase_err)))
 
 
 def sweep(scheme: SchemeId, kh_axis, nc_axis, pe: float, da: float,
-          node: int, n_points: int, ops) -> DispersionMap:
+          node: int, ops) -> DispersionMap:
     """Rectangular (kh, N_c) DispersionMap; raises NonFiniteSampleError
     when a sample is not finite (`_map`)."""
     kh_axis = np.asarray(kh_axis, dtype=float)
     nc_axis = np.asarray(nc_axis, dtype=float)
     if np.any(np.diff(kh_axis) <= 0) or np.any(np.diff(nc_axis) < 0):
         raise ValueError("axes must be monotone")
-    return _map(scheme, kh_axis, nc_axis, pe, da, node, n_points, ops)
+    return _map(scheme, kh_axis, nc_axis, pe, da, node, ops)
 
 
 def _max_ratio(scheme: SchemeId, symbols, kh, nc: float, pe: float, da: float) -> float:
@@ -281,9 +277,9 @@ def _max_ratio(scheme: SchemeId, symbols, kh, nc: float, pe: float, da: float) -
 
 
 def max_ratio_over_kh(scheme: SchemeId, kh_axis, nc: float, pe: float, da: float,
-                      node: int, n_points: int, ops) -> float:
+                      node: int, ops) -> float:
     kh = np.asarray(kh_axis, dtype=float)
-    return _max_ratio(scheme, _symbols(ops, node, n_points, kh), kh, nc, pe, da)
+    return _max_ratio(scheme, _symbols(ops, node, kh), kh, nc, pe, da)
 
 
 def sampled_stability_boundary(dmap: DispersionMap):
@@ -303,8 +299,7 @@ def sampled_stability_boundary(dmap: DispersionMap):
 
 
 def stability_boundary(scheme: SchemeId, ops, pe: float, da: float,
-                       node: int = 500, n_points: int = 1001,
-                       kh_axis=None, nc_start: float = 0.5, nc_max: float = 3.2,
+                       node: int = 500, kh_axis=None, nc_start: float = 0.5, nc_max: float = 3.2,
                        tol: float = STABILITY_TOL, iters: int = 40) -> float:
     """Largest N_c with |G_num/G_exact| <= 1 + tol across the kh axis,
     bisected (see `sampled_stability_boundary` for how the two differ).
@@ -316,7 +311,7 @@ def stability_boundary(scheme: SchemeId, ops, pe: float, da: float,
     are evaluated once, before the bisection.
     """
     kh = np.linspace(0.0, np.pi, 64)[1:] if kh_axis is None else np.asarray(kh_axis, float)
-    symbols = _symbols(ops, node, n_points, kh)
+    symbols = _symbols(ops, node, kh)
 
     def stable(nc: float) -> bool:
         return _max_ratio(scheme, symbols, kh, nc, pe, da) <= 1 + tol

@@ -217,7 +217,7 @@ def point_diagnostics(scheme: SchemeId, cfg: WavePacketConfig, adr: AdrConfig, o
     if ops is None:
         ops = scheme_operators(scheme, cfg.grid())
     node = (cfg.n_points + 1) // 2
-    p = spectral.SpectralParams(cfg.k0h, adr.n_c, adr.pe, adr.da, node, cfg.n_points)
+    p = spectral.SpectralParams(cfg.k0h, adr.n_c, adr.pe, adr.da, node)
     pt = spectral.dispersion_point(scheme, p, ops)
     return pt.g_ratio, pt.vg_ratio, pt.phase_err
 

@@ -72,7 +72,7 @@ def _finish(num, checks, elapsed, budget, capsys):
 
 
 def _point(scheme, ops, kh=0.5, nc=0.1):
-    p = spectral.SpectralParams(kh, nc, PE, DA, NODE, N)
+    p = spectral.SpectralParams(kh, nc, PE, DA, NODE)
     g = spectral.g_num(scheme, p, ops)
     return (abs(g / spectral.g_exact(p)),
             spectral.group_velocity_ratio(scheme, p, ops),
@@ -84,7 +84,7 @@ def test_criterion_1_explicit_scheme_point_values(ops1001, capsys):
     scheme = SchemeId.EXPLICIT_OUCS3_CD2
     ratio, vg, perr = _point(scheme, ops1001[scheme])
     REF_VG, REF_PHASE, REF_G = 0.7078, 0.0956, 0.9896
-    p = spectral.SpectralParams(0.5, 0.1, PE, DA, NODE, N)
+    p = spectral.SpectralParams(0.5, 0.1, PE, DA, NODE)
     # REF_G matches the amplitude against the advection-diffusion factor
     # alone; that reading is a hypothesis (criterion 2 uses the full ratio)
     amp = abs(spectral.g_num(scheme, p, ops1001[scheme])) / np.exp(-PE * p.kh**2)
@@ -121,18 +121,18 @@ def test_criterion_3_stability_boundaries(ops1001, capsys):
                                      kh_axis=kh_axis)
     s2, nc_cap = SchemeId.IMPLICIT_OUCS3_LELE, 3.2
     b2 = spectral.stability_boundary(s2, ops1001[s2], PE, DA, kh_axis=kh_axis, nc_max=nc_cap)
-    gmax2 = [max(abs(spectral.g_num(s2, spectral.SpectralParams(kh, nc, PE, DA, NODE, N),
+    gmax2 = [max(abs(spectral.g_num(s2, spectral.SpectralParams(kh, nc, PE, DA, NODE),
                                     ops1001[s2])) for kh in kh_axis)
              for nc in (1.43, nc_cap)]
     corner = spectral.max_ratio_over_kh(SchemeId.IMEX_OUCS3_LELE,
                                         kh_axis[kh_axis <= 0.87], 1.01, PE, DA,
-                                        NODE, N, ops1001[SchemeId.IMEX_OUCS3_LELE])
+                                        NODE, ops1001[SchemeId.IMEX_OUCS3_LELE])
     worst4 = max(
         np.abs(1 - np.array([abs(spectral.g_num(SchemeId.IMEX_NCCD,
-                                                spectral.SpectralParams(kh, nc, PE, DA, NODE, N),
+                                                spectral.SpectralParams(kh, nc, PE, DA, NODE),
                                                 ops1001[SchemeId.IMEX_NCCD])
                                  / spectral.g_exact(
-                                     spectral.SpectralParams(kh, nc, PE, DA, NODE, N)))
+                                     spectral.SpectralParams(kh, nc, PE, DA, NODE)))
                              for kh in kh_axis])).max()
         for nc in np.linspace(0.025, 0.21, 8))
     checks = [
@@ -155,7 +155,7 @@ def vg_bands(ops1001):
     for scheme in (SchemeId.EXPLICIT_OUCS3_CD2, SchemeId.IMEX_NCCD):
         neg = []
         for kh in kh_axis:
-            p = spectral.SpectralParams(kh, 0.1, PE, DA, NODE, N)
+            p = spectral.SpectralParams(kh, 0.1, PE, DA, NODE)
             if spectral.group_velocity_ratio(scheme, p, ops1001[scheme]) < 0:
                 neg.append(kh)
         bands[scheme] = (min(neg), max(neg))
@@ -169,7 +169,7 @@ def test_criterion_4_negative_group_velocity_bands(ops1001, vg_bands, capsys):
     inner = all(
         spectral.group_velocity_ratio(
             SchemeId.EXPLICIT_OUCS3_CD2,
-            spectral.SpectralParams(kh, 0.1, PE, DA, NODE, N),
+            spectral.SpectralParams(kh, 0.1, PE, DA, NODE),
             ops1001[SchemeId.EXPLICIT_OUCS3_CD2]) < 0
         for kh in np.linspace(1.1, 2.6, 40))
     checks = [
@@ -197,7 +197,7 @@ def test_criterion_5_stepper_spectral_consistency(ops1001, capsys):
         stepper = make_stepper(scheme, cfg, ops1001[scheme])
         u0 = np.exp(1j * kh * np.arange(N))
         ratio = stepper.step(SolutionState(u0, 0.0)).values[NODE - 1] / u0[NODE - 1]
-        p = spectral.SpectralParams(kh, nc, PE, DA, NODE, N)
+        p = spectral.SpectralParams(kh, nc, PE, DA, NODE)
         worst = max(worst, abs(ratio - spectral.g_num(scheme, p, ops1001[scheme])))
     checks = [("max_deviation", worst < 1e-6, f"{worst:.2e} over 100 random tuples")]
     _finish(5, checks, time.time() - t0, "30 s", capsys)
@@ -319,8 +319,8 @@ def test_criterion_8_pks_desk_scale_run(capsys):
     min_rho, peak_prev, peaks_increase = np.inf, 0.0, True
     for _ in range(1000):
         state = stepper.step(state)
-        min_rho = min(min_rho, float(state.rho.values.min()))
-        peak = float(state.rho.values.max())
+        min_rho = min(min_rho, float(state.rho.min()))
+        peak = float(state.rho.max())
         if peak <= peak_prev:
             peaks_increase = False
         peak_prev = peak
@@ -347,7 +347,7 @@ def test_criterion_8_pks_desk_scale_run(capsys):
     try:
         for _ in range(1000):
             imex_state = imex_stepper.step(imex_state)
-            imex_min = min(imex_min, float(imex_state.rho.values.min()))
+            imex_min = min(imex_min, float(imex_state.rho.min()))
     except (pks2d.PositivityError, pks2d.NonFiniteError) as exc:
         imex_error = exc
     imex_drift = abs(pks2d.total_mass(imex_state) - mass0) / mass0
@@ -377,12 +377,12 @@ def test_criterion_9_error_forcing(ops1001, vg_bands, capsys):
     kh_axis = np.linspace(0.02, np.pi - 0.02, 400)
     # von Neumann limit: substituting the exact factor kills the forcing
     worst = max(abs(spectral.error_forcing_value(
-        spectral.SpectralParams(kh, 0.1, PE, DA, NODE, N), a0, 10.0,
-        spectral.g_exact(spectral.SpectralParams(kh, 0.1, PE, DA, NODE, N))))
+        spectral.SpectralParams(kh, 0.1, PE, DA, NODE), a0, 10.0,
+        spectral.g_exact(spectral.SpectralParams(kh, 0.1, PE, DA, NODE))))
         for kh in kh_axis)
     vals = np.array([abs(spectral.error_forcing_spectrum(
         SchemeId.EXPLICIT_OUCS3_CD2,
-        spectral.SpectralParams(kh, 0.1, PE, DA, NODE, N), a0, 10.0,
+        spectral.SpectralParams(kh, 0.1, PE, DA, NODE), a0, 10.0,
         ops1001[SchemeId.EXPLICIT_OUCS3_CD2])) for kh in kh_axis])
     lo, hi = vg_bands[SchemeId.EXPLICIT_OUCS3_CD2]
     peak_kh = kh_axis[int(np.argmax(vals))]

@@ -111,6 +111,15 @@ def test_pks_short_explicit_run(tmp_path, capsys):
     assert "min_rho=" in out and "mass=" in out
 
 
+def test_pks_records_each_time_as_whole_steps(tmp_path, capsys):
+    # t = k dt, not a sum of k dt's (which ends at 1.999999999999991e-06)
+    assert run_cli(["pks", "--n", "16", "--dt", "1e-8", "--t-end", "2e-6", "--log-every", "50",
+                    "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "pks_explicit-oucs3-cd2_16_meta.json").read_text())
+    assert [d["t"] for d in meta["diagnostics"]] == [k * 1e-8 for k in (0, 50, 100, 150, 200)]
+    assert meta["diagnostics"][-1]["t"] == 2e-6
+
+
 def test_pks_positivity_failure_exits_three(tmp_path, capsys):
     code = run_cli(["pks", "--variant", "imex-nccd", "--n", "32",
                     "--dt", "1e-5", "--t-end", "1e-4", "--out", str(tmp_path)])
@@ -135,6 +144,15 @@ def test_config_unknown_key_exits_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["dispersion-map", "--config", str(cfgfile)])
     assert exc.value.code == 2
+
+
+def test_config_value_of_the_wrong_type_names_its_flag(tmp_path, capsys):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("n = x\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["dispersion-map", "--config", str(cfgfile), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -302,8 +320,8 @@ def test_pks_writes_only_finite_values(variant, n, dt, steps, chi, theta, log_ev
 def test_pks_negative_edge_reconstruction_exits_three(tmp_path, capsys, monkeypatch):
     from adrlab import pks2d
 
-    def broken_slopes(rho, theta, work=None):  # a limiter that lets every edge value go negative
-        return 1e3 * np.ones_like(rho.values), np.zeros_like(rho.values)
+    def broken_slopes(rho, mesh, theta, work=None):  # a limiter that lets every edge value go negative
+        return 1e3 * np.ones_like(rho), np.zeros_like(rho)
 
     monkeypatch.setattr(pks2d, "adaptive_slopes", broken_slopes)
     assert run_cli(["pks", "--n", "16", "--t-end", "1e-8", "--out", str(tmp_path)]) == 3

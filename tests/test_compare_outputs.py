@@ -62,3 +62,14 @@ def test_reports_metadata_numeric_leaves(tmp_path, capsys):
     write(b, "run_meta.json", meta % ("x", sample % (0, 2.0)))
     assert compare_outputs.main([str(a), str(b)]) == 1
     assert "run_meta.json: keys or list lengths differ" in capsys.readouterr().out
+
+
+def test_reports_the_stdout_lines_that_differ(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    write(a / "run", "stdout.txt", "t=1 mass=2\nwrote ./x.csv\n")
+    write(b / "run", "stdout.txt", "t=1 mass=2\nwrote ./x.csv\n")
+    assert compare_outputs.main([str(a), str(b)]) == 0
+    assert "stdout.txt: byte-identical" in capsys.readouterr().out
+    write(b / "run", "stdout.txt", "t=1 mass=3\nwrote ./x.csv\nextra\n")
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    assert "stdout.txt: lines differ: 1, 3" in capsys.readouterr().out

@@ -8,7 +8,6 @@ from reference import nccd_line_operators
 from adrlab import pks2d
 from adrlab.pks2d import (
     EdgeReconstructionError,
-    Field2D,
     Mesh2D,
     NonFiniteError,
     PksState,
@@ -36,18 +35,18 @@ EXPLICIT, IMEX = VARIANTS
 
 
 def state_from(mesh, rho, c, chi=30.0, theta=1.0):
-    return PksState(Field2D(mesh, rho), Field2D(mesh, c), 0.0, chi, theta)
+    return PksState(mesh, rho, c, 0.0, chi, theta)
 
 
 def gaussian_state(n=32, chi=30.0):
     return init_gaussian(Mesh2D.unit_square(n), chi=chi)
 
 
-def velocity(c, variant):
+def velocity(c, mesh, variant):
     """Cell-centre velocities (u, v) = grad c, from the variant's kernel."""
-    derivs, f = getattr(pks2d, pks2d._VARIANTS[variant][0]), c.values
-    return (derivs(f, c.mesh.h, np.empty(f.shape)),
-            derivs(f.T, c.mesh.k, np.empty(f.T.shape)).T)
+    derivs = getattr(pks2d, pks2d._VARIANTS[variant][0])
+    return (derivs(c, mesh.h, np.empty(c.shape)),
+            derivs(c.T, mesh.k, np.empty(c.T.shape)).T)
 
 
 def z_of(state, variant=EXPLICIT):
@@ -55,16 +54,15 @@ def z_of(state, variant=EXPLICIT):
     return rhs(state, variant)[0]
 
 
-def upwind_edges(rho, slopes, u_edge, v_edge):
+def upwind_edges(rho, mesh, slopes, u_edge, v_edge):
     """x- and y-edge values of the upwind kernel behind `edge_fluxes`."""
-    r, m = rho.values, rho.mesh
-    return (pks2d._upwind(r, slopes[0], m.h, u_edge),
-            pks2d._upwind(r.T, slopes[1].T, m.k, v_edge.T).T)
+    return (pks2d._upwind(rho, slopes[0], mesh.h, u_edge),
+            pks2d._upwind(rho.T, slopes[1].T, mesh.k, v_edge.T).T)
 
 
 def test_init_center_density_and_mass():
     state = init_gaussian(Mesh2D.unit_square(200))
-    assert state.rho.values.max() > 990.0          # one-cell Taylor error off 1000
+    assert state.rho.max() > 990.0          # one-cell Taylor error off 1000
     mass = total_mass(state)
     assert abs(mass - 10 * np.pi) / (10 * np.pi) < 1e-3
     # supercritical by a wide margin: threshold is 8 pi / chi
@@ -75,7 +73,7 @@ def test_velocity_constant_field_is_zero():
     # rho = chi = 1: the edge fluxes are the edge means of the velocities
     state = state_from(Mesh2D.unit_square(32), np.ones((32, 32)), np.full((32, 32), 7.0), chi=1.0)
     for variant in VARIANTS:
-        u, v = velocity(state.c, variant)
+        u, v = velocity(state.c, state.mesh, variant)
         assert np.max(np.abs(u)) < 1e-10 and np.max(np.abs(v)) < 1e-10
         fl = edge_fluxes(state, variant)
         assert np.max(np.abs(fl.p)) < 1e-10 and np.max(np.abs(fl.q)) < 1e-10
@@ -88,11 +86,11 @@ def test_velocity_linear_field_interior():
     n = 64
     mesh = Mesh2D.unit_square(n)
     x, y = mesh.centers()
-    c = Field2D(mesh, np.broadcast_to(x[:, None], (n, n)).copy())
-    u, v = velocity(c, PksVariant.EXPLICIT_OUCS3_CD2)
+    c = np.broadcast_to(x[:, None], (n, n)).copy()
+    u, v = velocity(c, mesh, PksVariant.EXPLICIT_OUCS3_CD2)
     assert np.max(np.abs(u[1:-1, :] - 1.0)) < 1e-12
     assert np.max(np.abs(v)) < 1e-12
-    u2, v2 = velocity(c, PksVariant.IMEX_NCCD)
+    u2, v2 = velocity(c, mesh, PksVariant.IMEX_NCCD)
     assert np.max(np.abs(u2[25:-25, :] - 1.0)) < 1e-8
     assert np.max(np.abs(v2)) < 1e-8
 
@@ -100,14 +98,14 @@ def test_velocity_linear_field_interior():
 def test_velocity_radial_antisymmetry():
     mesh = Mesh2D.unit_square(32)
     x, y = mesh.centers()
-    c = Field2D(mesh, np.exp(-3.0 * (x[:, None] ** 2 + y[None, :] ** 2)))
-    u, v = velocity(c, PksVariant.EXPLICIT_OUCS3_CD2)
+    c = np.exp(-3.0 * (x[:, None] ** 2 + y[None, :] ** 2))
+    u, v = velocity(c, mesh, PksVariant.EXPLICIT_OUCS3_CD2)
     assert np.max(np.abs(u + u[::-1, :])) < 1e-12
     assert np.max(np.abs(v + v[:, ::-1])) < 1e-12
     # the compact variant's one-sided closures are only mirror-symmetric up
     # to the beta2/betaN asymmetry in the first/last cells; interior rows
     # are exactly equivariant
-    u2, v2 = velocity(c, PksVariant.IMEX_NCCD)
+    u2, v2 = velocity(c, mesh, PksVariant.IMEX_NCCD)
     assert np.max(np.abs((u2 + u2[::-1, :])[2:-2, :])) < 1e-11
 
 
@@ -131,7 +129,7 @@ def test_minmod_cases():
 
 def test_slopes_constant_field_zero():
     mesh = Mesh2D.unit_square(16)
-    sx, sy = adaptive_slopes(Field2D(mesh, np.full((16, 16), 3.0)), 1.0)
+    sx, sy = adaptive_slopes(np.full((16, 16), 3.0), mesh, 1.0)
     assert np.max(np.abs(sx)) == 0.0 and np.max(np.abs(sy)) == 0.0
 
 
@@ -139,8 +137,7 @@ def test_slopes_restore_positivity_on_steep_front():
     mesh = Mesh2D.unit_square(16)
     rho = np.full((16, 16), 1e-8)
     rho[8:, :] = 1.0  # centered slope at the foot would overshoot below zero
-    f = Field2D(mesh, rho)
-    sx, _ = adaptive_slopes(f, 1.0)
+    sx, _ = adaptive_slopes(rho, mesh, 1.0)
     h = mesh.h
     assert np.all(rho - 0.5 * h * sx >= 0)
     assert np.all(rho + 0.5 * h * sx >= 0)
@@ -148,12 +145,12 @@ def test_slopes_restore_positivity_on_steep_front():
 
 def test_reconstruction_uniform_field_wind_independent():
     mesh = Mesh2D.unit_square(16)
-    rho = Field2D(mesh, np.full((16, 16), 2.5))
-    slopes = adaptive_slopes(rho, 1.0)
+    rho = np.full((16, 16), 2.5)
+    slopes = adaptive_slopes(rho, mesh, 1.0)
     for sign in (1.0, -1.0):
         ue = sign * np.ones((15, 16))
         ve = sign * np.ones((16, 15))
-        xe, ye = upwind_edges(rho, slopes, ue, ve)
+        xe, ye = upwind_edges(rho, mesh, slopes, ue, ve)
         assert np.max(np.abs(xe - 2.5)) < 1e-14
         assert np.max(np.abs(ye - 2.5)) < 1e-14
 
@@ -161,11 +158,11 @@ def test_reconstruction_uniform_field_wind_independent():
 def test_reconstruction_linear_field_exact_upwind():
     mesh = Mesh2D.unit_square(16)
     x, _ = mesh.centers()
-    rho = Field2D(mesh, 5.0 + np.broadcast_to(x[:, None], (16, 16)).copy())
-    slopes = adaptive_slopes(rho, 1.0)
+    rho = 5.0 + np.broadcast_to(x[:, None], (16, 16)).copy()
+    slopes = adaptive_slopes(rho, mesh, 1.0)
     ue = np.ones((15, 16))
     ve = np.ones((16, 15))
-    xe, _ = upwind_edges(rho, slopes, ue, ve)
+    xe, _ = upwind_edges(rho, mesh, slopes, ue, ve)
     edges = 5.0 + (x[:-1] + mesh.h / 2)
     assert np.max(np.abs(xe - edges[:, None])) < 1e-12
 
@@ -189,11 +186,11 @@ def test_reconstruction_nonnegative_randomized(rng):
     mesh = Mesh2D.unit_square(12)
     checks = 0
     for _ in range(120):
-        rho = Field2D(mesh, rng.random((12, 12)) ** 3)
-        slopes = adaptive_slopes(rho, theta=float(1.0 + rng.random()))
+        rho = rng.random((12, 12)) ** 3
+        slopes = adaptive_slopes(rho, mesh, theta=float(1.0 + rng.random()))
         ue = rng.normal(size=(11, 12))
         ve = rng.normal(size=(12, 11))
-        xe, ye = upwind_edges(rho, slopes, ue, ve)
+        xe, ye = upwind_edges(rho, mesh, slopes, ue, ve)
         assert xe.min() >= 0.0 and ye.min() >= 0.0
         checks += xe.size + ye.size
     assert checks > 10_000
@@ -237,7 +234,7 @@ def test_c_rhs_forms():
     f = np.exp(-(x[:, None] ** 2 + y[None, :] ** 2))
     state = state_from(mesh, f.copy(), f.copy())
     got = z_of(state, PksVariant.EXPLICIT_OUCS3_CD2)[1]
-    assert np.max(np.abs(got - laplacian(state.c, PksVariant.EXPLICIT_OUCS3_CD2))) < 1e-12
+    assert np.max(np.abs(got - laplacian(state.c, mesh, PksVariant.EXPLICIT_OUCS3_CD2))) < 1e-12
     state0 = state_from(mesh, f.copy(), np.zeros((16, 16)))
     assert np.max(np.abs(z_of(state0, PksVariant.EXPLICIT_OUCS3_CD2)[1] - f)) < 1e-14
 
@@ -267,14 +264,14 @@ def test_step_zero_fields(variant):
     mesh = Mesh2D.unit_square(16)
     state = state_from(mesh, np.zeros((16, 16)), np.zeros((16, 16)))
     out = make_stepper(variant, mesh, 1e-8).step(state)
-    assert np.max(np.abs(out.rho.values)) == 0.0
-    assert np.max(np.abs(out.c.values)) == 0.0
+    assert np.max(np.abs(out.rho)) == 0.0
+    assert np.max(np.abs(out.c)) == 0.0
     assert out.t == 1e-8
 
 
 def test_explicit_step_conserves_mass_per_step():
     state = gaussian_state(n=64)
-    stepper = PksStepper(EXPLICIT, None, 1e-8)
+    stepper = PksStepper(EXPLICIT, state.mesh, 1e-8)
     m0 = total_mass(state)
     out = stepper.step(state)
     assert abs(total_mass(out) - m0) / m0 < 1e-10
@@ -282,7 +279,7 @@ def test_explicit_step_conserves_mass_per_step():
 
 def test_explicit_step_conserves_mass_without_chemotaxis():
     state = gaussian_state(n=32, chi=1e-30)
-    out = PksStepper(EXPLICIT, None, 1e-7).step(state)
+    out = PksStepper(EXPLICIT, state.mesh, 1e-7).step(state)
     assert abs(total_mass(out) - total_mass(state)) / total_mass(state) < 1e-10
 
 
@@ -309,21 +306,20 @@ def test_wrappers_set_on_the_module_see_the_kernel_calls(variant, monkeypatch):
             return _inner(*args, **kwargs)
         monkeypatch.setattr(pks2d, name, counting)
     state = gaussian_state(n=16)
-    make_stepper(variant, state.rho.mesh, 1e-8).step(state)
+    make_stepper(variant, state.mesh, 1e-8).step(state)
     assert calls == {"edge_fluxes": 2, "_lap_nccd": 2 if variant is IMEX else 0}
 
 
 def test_explicit_step_is_heun_bit_for_bit():
     state = gaussian_state(n=32)
-    mesh, dt = state.rho.mesh, 1e-8
+    mesh, dt = state.mesh, 1e-8
     fr, fc = z_of(state)
-    mid = PksState(Field2D(mesh, state.rho.values + dt * fr),
-                   Field2D(mesh, state.c.values + dt * fc), dt, state.chi, state.theta)
+    mid = PksState(mesh, state.rho + dt * fr, state.c + dt * fc, dt, state.chi, state.theta)
     gr, gc = z_of(mid)
-    rho = state.rho.values + 0.5 * dt * (fr + gr)
-    c = state.c.values + 0.5 * dt * (fc + gc)
-    out = PksStepper(EXPLICIT, None, dt).step(state)
-    assert (out.rho.values == rho).all() and (out.c.values == c).all()
+    rho = state.rho + 0.5 * dt * (fr + gr)
+    c = state.c + 0.5 * dt * (fc + gc)
+    out = PksStepper(EXPLICIT, mesh, dt).step(state)
+    assert (out.rho == rho).all() and (out.c == c).all()
     assert out.t == dt
 
 
@@ -343,14 +339,26 @@ def test_transposed_problem_gives_transposed_result(variant, rel):
     for _ in range(3):
         state, state_t = stepper.step(state), stepper_t.step(state_t)
     for f, f_t in ((state.rho, state_t.rho), (state.c, state_t.c)):
-        assert np.max(np.abs(f_t.values.T - f.values)) <= rel * np.max(np.abs(f.values))
+        assert np.max(np.abs(f_t.T - f)) <= rel * np.max(np.abs(f))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_step_refuses_a_state_on_another_mesh(variant):
+    # the same 32 x 32 cells at half the spacing: the line factors would use
+    # the stepper's h and the right-hand side the state's
+    mesh = Mesh2D.unit_square(32)
+    stepper = make_stepper(variant, mesh, 1e-8)
+    for other in (Mesh2D(32, 32, 0.5 / 32, 0.5 / 32, (-0.25, -0.25)), Mesh2D.unit_square(16)):
+        with pytest.raises(ValueError, match="is not the stepper's mesh"):
+            stepper.step(init_gaussian(other))
+    assert stepper.step(init_gaussian(Mesh2D.unit_square(32))).t == 1e-8
 
 
 def test_imex_positivity_violation_raises():
     # chi = 30 drives the advective CFL far above one at this dt; the step
     # must fail loudly rather than return a negative or non-finite field
     state = gaussian_state(n=32)
-    stepper = PksStepper(IMEX, state.rho.mesh, 1e-5)
+    stepper = PksStepper(IMEX, state.mesh, 1e-5)
     with pytest.raises((PositivityError, NonFiniteError)):
         cur = state
         for _ in range(10):
@@ -360,10 +368,10 @@ def test_imex_positivity_violation_raises():
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_symmetry_preserved_on_short_run(variant):
     state = gaussian_state(n=64)
-    stepper = make_stepper(variant, state.rho.mesh, 1e-8)
+    stepper = make_stepper(variant, state.mesh, 1e-8)
     for _ in range(20):
         state = stepper.step(state)
-    rho = state.rho.values
+    rho = state.rho
     scale = rho.max()
     assert np.max(np.abs(rho - rho[::-1, :])) / scale < 1e-9
     assert np.max(np.abs(rho - rho[:, ::-1])) / scale < 1e-9
@@ -391,7 +399,7 @@ def test_radial_profile_geometry():
     assert r[0] == 0.0
     assert len(r) == 17  # from the cell nearest x = 0 out to the +x wall
     assert r[-1] == pytest.approx(0.5)
-    assert prof[0] == state.rho.values.max()
+    assert prof[0] == state.rho.max()
 
 
 def test_writers(tmp_path):
@@ -402,7 +410,7 @@ def test_writers(tmp_path):
     write_radial_csv(state, tmp_path / "rad.csv")
     assert (tmp_path / "rad.csv").read_text().startswith("r,rho\n0,")
     write_metadata(tmp_path / "meta.json", PksVariant.IMEX_NCCD, 1e-6, 1e-5,
-                   state.rho.mesh, 30.0, 1.0, [diagnostics(state)])
+                   state.mesh, 30.0, 1.0, [diagnostics(state)])
     meta = json.loads((tmp_path / "meta.json").read_text())
     assert meta["variant"] == "imex-nccd"
     assert meta["mesh"]["nx"] == 16
@@ -418,7 +426,7 @@ def test_writers_match_per_value_formatting(tmp_path):
     state = state_from(mesh, rho, np.cos(x)[:, None] * np.sin(y)[None, :] - 1e-300)
     write_snapshot_csv(state, tmp_path / "snap.csv")
     expected = "x,y,rho,c\n" + "".join(
-        f"{x[i]:.12g},{y[j]:.12g},{state.rho.values[i, j]:.12g},{state.c.values[i, j]:.12g}\n"
+        f"{x[i]:.12g},{y[j]:.12g},{state.rho[i, j]:.12g},{state.c[i, j]:.12g}\n"
         for i in range(16) for j in range(12))
     assert (tmp_path / "snap.csv").read_bytes() == expected.encode()
     write_radial_csv(state, tmp_path / "rad.csv")
@@ -436,13 +444,13 @@ def skewed_state(nx=24, ny=20):
 
 
 def fields(state):
-    return state.rho.values, state.c.values
+    return state.rho, state.c
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_work_arrays_never_escape(variant):
     state = skewed_state()
-    mesh = state.rho.mesh
+    mesh = state.mesh
     stepper = make_stepper(variant, mesh, 1e-7)
     first = stepper.step(state)
     kept = [f.copy() for f in fields(first)]
@@ -455,7 +463,7 @@ def test_work_arrays_never_escape(variant):
         cur = stepper.step(cur)
     assert all((a == b).all() for a, b in zip(fields(first), kept))
     # two steppers stepped in alternation match each one stepped alone
-    other = state_from(mesh, 0.5 * state.rho.values[::-1].copy(), state.c.values[:, ::-1].copy())
+    other = state_from(mesh, 0.5 * state.rho[::-1].copy(), state.c[:, ::-1].copy())
     s1, s2 = make_stepper(variant, mesh, 1e-7), make_stepper(variant, mesh, 1e-7)
     a, b = state, other
     for _ in range(3):
@@ -478,7 +486,7 @@ def test_step_allocates_at_most_six_mesh_arrays(variant):
     # a step allocates its two returned fields and small masks; everything
     # else lives in the stepper's work arrays, made during the first step
     state = skewed_state(96, 80)
-    mesh = state.rho.mesh
+    mesh = state.mesh
     stepper = make_stepper(variant, mesh, 1e-8)
     state = stepper.step(state)
     retained = sum(b.nbytes for b in stepper.work.buffers)
@@ -502,25 +510,24 @@ def test_explicit_step_is_heun_bit_for_bit_where_the_limiter_acts():
     # extrapolate below zero, so the masked minmod branch runs; the stepper
     # has stepped once before, so its work arrays hold stale values
     state = skewed_state()
-    mesh, dt = state.rho.mesh, 1e-8
-    stepper = PksStepper(EXPLICIT, None, dt)
+    mesh, dt = state.mesh, 1e-8
+    stepper = PksStepper(EXPLICIT, mesh, dt)
     stepper.step(state)
     rho = np.full((mesh.nx, mesh.ny), 1e-8)
     rho[12:, 5:-1] = 1.0         # and beside the last y wall, so a wall cell is limited
-    state = state_from(mesh, rho, state.c.values, chi=1.0)
+    state = state_from(mesh, rho, state.c, chi=1.0)
     from adrlab.pks2d import _limited_slopes
     centered = (rho[2:] - rho[:-2]) / (2 * mesh.h)
     assert (_limited_slopes(rho, mesh.h, 1.0)[1:-1] != centered).any()
     one_sided = (rho[:, -1] - rho[:, -2]) / mesh.k
     assert (_limited_slopes(rho.T, mesh.k, 1.0)[-1] != one_sided).any()
     fr, fc = z_of(state)
-    mid = PksState(Field2D(mesh, state.rho.values + dt * fr),
-                   Field2D(mesh, state.c.values + dt * fc), dt, state.chi, state.theta)
+    mid = PksState(mesh, state.rho + dt * fr, state.c + dt * fc, dt, state.chi, state.theta)
     gr, gc = z_of(mid)
-    want_rho = state.rho.values + 0.5 * dt * (fr + gr)
-    want_c = state.c.values + 0.5 * dt * (fc + gc)
+    want_rho = state.rho + 0.5 * dt * (fr + gr)
+    want_c = state.c + 0.5 * dt * (fc + gc)
     out = stepper.step(state)
-    assert (out.rho.values == want_rho).all() and (out.c.values == want_c).all()
+    assert (out.rho == want_rho).all() and (out.c == want_c).all()
 
 
 def line_factor(n, s, dt, rate):
@@ -563,13 +570,12 @@ def test_line_operators_match_dense(nx, ny, rng):
     # give (z_c = lap c - c + rho, here with rho = 0)
     (d1x, d2x), (d1y, d2y) = nccd_line_operators(nx), nccd_line_operators(ny)
     f = rng.standard_normal((nx, ny))
-    u, v = velocity(Field2D(mesh, f), IMEX)
+    u, v = velocity(f, mesh, IMEX)
     close(u, d1x @ f / mesh.h)
     close(v, f @ d1y.T / mesh.k)
     want = d2x @ f / mesh.h**2 + f @ d2y.T / mesh.k**2
-    close(laplacian(Field2D(mesh, f), PksVariant.IMEX_NCCD), want)
-    from adrlab.pks2d import _Work
-    (_, z_c), _ = rhs(state_from(mesh, np.zeros((nx, ny)), f), IMEX, _Work((nx, ny), stepper.lines))
+    close(laplacian(f, mesh, PksVariant.IMEX_NCCD), want)
+    (_, z_c), _ = rhs(state_from(mesh, np.zeros((nx, ny)), f), IMEX, stepper.work)
     close(z_c + f, want)
 
 
@@ -589,12 +595,12 @@ def test_work_set_survives_steps_that_raise(variant):
     assert all((a == b).all() for a, b in zip(fields(stepper.step(good)), fields(fresh.step(good))))
     # a negative cell makes the split raise after it copied the transpose of
     # rho; the step after it must not read that copy once rho is mended
-    rho = good.rho.values.copy()
+    rho = good.rho.copy()
     rho[5, 9] = -1.0
-    bad = state_from(mesh, rho, good.c.values, chi=good.chi)
+    bad = state_from(mesh, rho, good.c, chi=good.chi)
     with pytest.raises(EdgeReconstructionError):
         stepper.step(bad)
-    rho[5, 9] = good.rho.values[5, 9]
+    rho[5, 9] = good.rho[5, 9]
     assert all((a == b).all() for a, b in zip(fields(stepper.step(bad)), fields(fresh.step(good))))
     assert stepper.work.buffers == buffers
 
@@ -627,7 +633,9 @@ def test_edge_fluxes_zero_on_boundary():
 def test_state_validation():
     mesh = Mesh2D.unit_square(16)
     with pytest.raises(ValueError):
-        PksState(Field2D(mesh, np.zeros((16, 16))),
-                 Field2D(mesh, np.zeros((16, 16))), 0.0, chi=30.0, theta=2.5)
+        PksState(mesh, np.zeros((16, 16)), np.zeros((16, 16)), 0.0, chi=30.0, theta=2.5)
+    for rho, c in (((16, 16), (16, 15)), ((16, 15), (16, 16)), ((15, 16), (15, 16))):
+        with pytest.raises(ValueError, match="do not match mesh"):
+            PksState(mesh, np.zeros(rho), np.zeros(c), 0.0, chi=30.0, theta=1.0)
     with pytest.raises(ValueError):
         Mesh2D.unit_square(4)

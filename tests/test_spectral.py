@@ -26,8 +26,8 @@ from adrlab.wavepacket import WavePacketConfig, point_diagnostics
 PE, DA = 0.01, -0.01
 
 
-def params(kh, nc, node=500, n=1001, pe=PE, da=DA):
-    return SpectralParams(kh, nc, pe, da, node, n)
+def params(kh, nc, node=500, pe=PE, da=DA):
+    return SpectralParams(kh, nc, pe, da, node)
 
 
 def test_g_exact_values():
@@ -39,7 +39,7 @@ def test_g_exact_values():
 
 @pytest.mark.parametrize("scheme", list(SchemeId))
 def test_g_num_unity_in_trivial_limit(scheme, ops1001):
-    p = SpectralParams(0.0, 0.0, 0.0, 0.0, 500, 1001)
+    p = SpectralParams(0.0, 0.0, 0.0, 0.0, 500)
     assert abs(g_num(scheme, p, ops1001[scheme]) - 1.0) < 1e-12
 
 
@@ -88,8 +88,8 @@ def test_group_velocity_matches_unwrapped_phase_difference(ops1001):
     # of the phase, unwrapped where N_c kh crosses the branch cut of beta
     delta, kh = 1e-6, MAP_KH[1:-1]
     for scheme, ops in ops1001.items():
-        vg = sweep(scheme, kh, MAP_NC, PE, DA, 500, 1001, ops).vg_ratio
-        plus, minus = (sweep(scheme, kh + s, MAP_NC, PE, DA, 500, 1001, ops).beta
+        vg = sweep(scheme, kh, MAP_NC, PE, DA, 500, ops).vg_ratio
+        plus, minus = (sweep(scheme, kh + s, MAP_NC, PE, DA, 500, ops).beta
                        for s in (delta, -delta))
         diff = np.angle(np.exp(1j * (plus - minus))) / (2 * delta) / MAP_NC[:, None]
         assert np.all(np.abs(vg - diff) <= 1e-6 * np.maximum(1.0, np.abs(vg))), scheme
@@ -100,7 +100,7 @@ def test_map_edges_are_the_schemes_limits(scheme, ops1001):
     # no override at kh = 0 or pi: V_g and the phase error there are the
     # scheme's own values, which continue those just inside the interval
     ops = ops1001[scheme]
-    dmap = sweep(scheme, [0.0, 1e-7, np.pi - 1e-7, np.pi], MAP_NC, PE, DA, 500, 1001, ops)
+    dmap = sweep(scheme, [0.0, 1e-7, np.pi - 1e-7, np.pi], MAP_NC, PE, DA, 500, ops)
     for name in ("vg_ratio", "phase_err"):
         col = getattr(dmap, name)
         for edge, inside in ((0, 1), (3, 2)):
@@ -125,7 +125,7 @@ def test_interior_node_independence(scheme, ops1001):
     ops_small = scheme_operators(scheme, Grid1D(501, 1.0))
     for kh in (0.5, 2.0):
         p_big = params(kh, 0.2)
-        p_small = params(kh, 0.2, node=250, n=501)
+        p_small = params(kh, 0.2, node=250)
         pt_big = dispersion_point(scheme, p_big, ops1001[scheme])
         pt_small = dispersion_point(scheme, p_small, ops_small)
         assert abs(pt_big.g_ratio - pt_small.g_ratio) < 1e-6
@@ -151,10 +151,11 @@ def test_error_forcing_zero_amplitude(ops1001):
 @pytest.mark.parametrize("scheme", list(SchemeId))
 def test_sweep_single_point_matches_pointwise(scheme, ops1001):
     # one evaluation path: every map entry, the one-sided kh = 0 and pi
-    # edges included, is bit for bit the pointwise result
+    # edges included, is bit for bit the pointwise result; 19 kh fill one
+    # whole batch of 16 forward-solve modes (64 columns) and part of another
     ops = ops1001[scheme]
-    kh_axis, nc_axis = [0.0, 0.5, np.pi], [0.1, 0.6, 1.3]
-    dmap = sweep(scheme, kh_axis, nc_axis, PE, DA, 500, 1001, ops)
+    kh_axis, nc_axis = np.linspace(0.0, np.pi, 19).tolist(), [0.1, 0.6, 1.3]
+    dmap = sweep(scheme, kh_axis, nc_axis, PE, DA, 500, ops)
     for i_nc, nc in enumerate(nc_axis):
         for i_kh, kh in enumerate(kh_axis):
             pt = dispersion_point(scheme, params(kh, nc), ops)
@@ -185,7 +186,7 @@ def _reference_g(scheme, kh, nc, pe, da, ops):
        pe=st.floats(0.0, 0.5),
        da=st.floats(-0.5, 0.0))
 def test_template_g_matches_closed_forms(ops1001, scheme, kh, nc, pe, da):
-    g = g_num(scheme, SpectralParams(kh, nc, pe, da, 500, 1001), ops1001[scheme])
+    g = g_num(scheme, SpectralParams(kh, nc, pe, da, 500), ops1001[scheme])
     ref = _reference_g(scheme, kh, nc, pe, da, ops1001[scheme])
     assert abs(g - ref) <= 1e-12 * max(1.0, abs(g))
 
@@ -197,7 +198,7 @@ def test_sweep_kh0_column_stores_analytic_limits(ops1001):
     # keeps its limit 0
     scheme = SchemeId.EXPLICIT_OUCS3_CD2
     ops = ops1001[scheme]
-    dmap = sweep(scheme, [0.0, 1e-7], [0.1], PE, DA, 500, 1001, ops)
+    dmap = sweep(scheme, [0.0, 1e-7], [0.1], PE, DA, 500, ops)
     want_ratio = abs((1 + DA + DA**2 / 2) / np.exp(DA))
     assert abs(dmap.g_ratio[0, 0] - want_ratio) < 1e-10
     p0 = params(0.0, 0.1)
@@ -206,13 +207,13 @@ def test_sweep_kh0_column_stores_analytic_limits(ops1001):
     assert dmap.phase_err[0, 0] > 0
     vg0, vg1 = dmap.vg_ratio[0]
     assert abs(vg0 - vg1) < 1e-9 and vg0 != 1.0
-    dmap = sweep(scheme, [0.0], [0.1], PE, 0.0, 500, 1001, ops)
+    dmap = sweep(scheme, [0.0], [0.1], PE, 0.0, 500, ops)
     assert dmap.phase_err[0, 0] == 0.0 and np.isfinite(dmap.vg_ratio[0, 0])
 
 
 def test_map_csv_format(tmp_path, ops1001):
     scheme = SchemeId.IMPLICIT_OUCS3_LELE
-    dmap = sweep(scheme, [0.5, 1.0], [0.1, 0.2], PE, DA, 500, 1001, ops1001[scheme])
+    dmap = sweep(scheme, [0.5, 1.0], [0.1, 0.2], PE, DA, 500, ops1001[scheme])
     path = tmp_path / "map.csv"
     write_map_csv(dmap, path)
     lines = path.read_text().strip().split("\n")
@@ -221,6 +222,21 @@ def test_map_csv_format(tmp_path, ops1001):
     assert len(lines) == 2 + 4
     # row-major over nc then kh: first two rows share nc=0.1
     assert lines[2].split(",")[1] == "0.1" and lines[3].split(",")[1] == "0.1"
+
+
+def test_node_is_interior_to_the_operators():
+    # the operators fix the size: a map records it, and a node off their
+    # interior is refused by every evaluation
+    scheme = SchemeId.EXPLICIT_OUCS3_CD2
+    ops = scheme_operators(scheme, Grid1D(51, 1.0))
+    assert sweep(scheme, [0.5], [0.1], PE, DA, 25, ops).n_points == 51
+    for node in (1, 51):
+        with pytest.raises(ValueError, match="node must be interior"):
+            sweep(scheme, [0.5], [0.1], PE, DA, node, ops)
+        with pytest.raises(ValueError, match="node must be interior"):
+            g_num(scheme, params(0.5, 0.1, node=node), ops)
+        with pytest.raises(ValueError, match="node must be interior"):
+            stability_boundary(scheme, ops, PE, DA, node)
 
 
 def test_stability_boundary_explicit_scheme(ops1001):
@@ -242,11 +258,11 @@ def test_sampled_stability_boundary_on_a_small_map():
     got = {}
     for scheme in (SchemeId.EXPLICIT_OUCS3_CD2, SchemeId.IMEX_NCCD):
         ops = scheme_operators(scheme, Grid1D(51, 1.0))
-        got[scheme] = sampled_stability_boundary(sweep(scheme, kh, nc, PE, DA, 25, 51, ops))
+        got[scheme] = sampled_stability_boundary(sweep(scheme, kh, nc, PE, DA, 25, ops))
     explicit = SchemeId.EXPLICIT_OUCS3_CD2
     assert got[explicit] == nc[9] == 1.0
     ops = scheme_operators(explicit, Grid1D(51, 1.0))
-    assert nc[9] < stability_boundary(explicit, ops, PE, DA, 25, 51, kh[1:]) < nc[10]
+    assert nc[9] < stability_boundary(explicit, ops, PE, DA, 25, kh[1:]) < nc[10]
     assert got[SchemeId.IMEX_NCCD] is None
 
 
@@ -261,7 +277,7 @@ def test_analysis_paths_form_no_dense_operator(scheme):
     try:
         ops = scheme_operators(scheme, cfg.grid())
         sweep(scheme, np.linspace(0.1, 2.5, 8), np.linspace(0.01, 0.3, 8), PE, DA,
-              n // 2, n, ops)
+              n // 2, ops)
         point_diagnostics(scheme, cfg, AdrConfig(0.1, 1e-4, -1.0, 0.01, cfg.grid()), ops)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Compare the CSV and metadata outputs of two runs, file by file.
+"""Compare the CSV, metadata and stdout outputs of two runs, file by file.
 
     python tools/compare_outputs.py DIR_A DIR_B
 
-CSV and ``*_meta.json`` files are matched by their path relative to each
+CSV, ``*_meta.json`` and ``stdout.txt`` files (the captured stdout of
+`tools/standard_outputs.py`) are matched by their path relative to each
 directory. For each one a line is printed: ``byte-identical``, or per
 column the largest difference relative to the column's size in A,
 max|B - A| / max|A| (the absolute max|B - A| where column A is all zero).
@@ -11,7 +12,7 @@ In a CSV, comment lines (``#``) and the header row must match exactly. In
 a metadata file, each numeric leaf is a column named by its key path, and
 the items of a list share their list's column (``diagnostics.mass`` holds
 the mass of every history sample); every other leaf must match exactly.
-The exit code is 0 when every file is in both directories and
+A stdout file names the lines that differ. The exit code is 0 when every file is in both directories and
 byte-identical, else 1.
 """
 
@@ -90,13 +91,24 @@ def compare_json(a: Path, b: Path) -> str:
     return _report(names, [ca[k] for k in names], [cb[k] for k in names])
 
 
+def compare_text(a: Path, b: Path) -> str:
+    """The report line for one pair of stdout files."""
+    if a.read_bytes() == b.read_bytes():
+        return "byte-identical"
+    la, lb = a.read_text().splitlines(), b.read_text().splitlines()
+    lines = [str(i + 1) for i in range(max(len(la), len(lb)))
+             if la[i:i + 1] != lb[i:i + 1]]
+    return "lines differ: " + ", ".join(lines)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("dir_a", type=Path)
     ap.add_argument("dir_b", type=Path)
     args = ap.parse_args(argv)
     names = sorted({p.relative_to(d) for d in (args.dir_a, args.dir_b)
-                    for pattern in ("*.csv", "*_meta.json") for p in d.rglob(pattern)})
+                    for pattern in ("*.csv", "*_meta.json", "stdout.txt")
+                    for p in d.rglob(pattern)})
     ok = bool(names)
     for name in names:
         a, b = args.dir_a / name, args.dir_b / name
@@ -104,7 +116,8 @@ def main(argv=None) -> int:
             print(f"{name}: only in {args.dir_a if a.exists() else args.dir_b}")
             ok = False
             continue
-        report = (compare_json if name.suffix == ".json" else compare_csv)(a, b)
+        compare = {".json": compare_json, ".txt": compare_text}.get(name.suffix, compare_csv)
+        report = compare(a, b)
         print(f"{name}: {report}")
         ok = ok and report == "byte-identical"
     return 0 if ok else 1

@@ -1,0 +1,73 @@
+#!/usr/bin/env python3
+"""Run the standard CLI output set of one source tree.
+
+    python tools/standard_outputs.py TREE OUT
+
+TREE is a checkout of the repository. Each run of the set is a fresh
+Python process of ``adrlab.cli`` with ``TREE/src`` on PYTHONPATH and
+``--threads 1``, working in a directory of its own, ``OUT/<run>``, where it
+writes its files with ``--out .`` and its stdout as ``stdout.txt``. The set:
+
+* ``dispersion-map`` for each of the four schemes at the CLI defaults;
+* ``wavepacket`` for each scheme with ``--snapshots 0,5,10``;
+* ``pks`` for both variants with ``--t-end 2e-6``;
+* one ``dispersion-map`` whose flags come from a ``--config`` file
+  (`CONFIG`, written into its directory).
+
+Two trees' sets compare with ``python tools/compare_outputs.py OUT_A
+OUT_B``. OUT must not exist yet. A run that exits non-zero stops the set
+with its stderr. Needs NumPy alone.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SCHEMES = ("explicit-oucs3-cd2", "implicit-oucs3-lele", "imex-oucs3-lele", "imex-nccd")
+VARIANTS = ("explicit-oucs3-cd2", "imex-nccd")
+
+#: the config file of the ``--config`` map: a string, an int and a float flag
+CONFIG = "scheme = imex-nccd\nn = 401\nnode = 200\nkh-points = 33\npe = 0.05\n"
+
+#: (run name, CLI arguments, config file text or None)
+STANDARD = (
+    [(f"map_{s}", ["dispersion-map", "--scheme", s], None) for s in SCHEMES]
+    + [(f"wavepacket_{s}", ["wavepacket", "--scheme", s, "--snapshots", "0,5,10"], None)
+       for s in SCHEMES]
+    + [(f"pks_{v}", ["pks", "--variant", v, "--t-end", "2e-6"], None) for v in VARIANTS]
+    + [("map_config", ["dispersion-map"], CONFIG)]
+)
+
+
+def run(tree: Path, out: Path, commands=STANDARD) -> None:
+    """Run each of ``commands`` on ``tree`` into its directory under ``out``."""
+    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
+    out.mkdir(parents=True)
+    for name, argv, config in commands:
+        cwd = out / name
+        cwd.mkdir()
+        if config is not None:
+            (cwd / "run.cfg").write_text(config)
+            argv = argv + ["--config", "run.cfg"]
+        done = subprocess.run([sys.executable, "-m", "adrlab.cli", *argv, "--out", ".",
+                               "--threads", "1"], cwd=cwd, env=env, capture_output=True, text=True)
+        (cwd / "stdout.txt").write_text(done.stdout)
+        if done.returncode != 0:
+            raise RuntimeError(f"{name} exited {done.returncode}: {done.stderr.strip()}")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("tree", type=Path)
+    ap.add_argument("out", type=Path)
+    args = ap.parse_args(argv)
+    run(args.tree, args.out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
