@@ -14,20 +14,24 @@ All four schemes are one two-stage update. With the semi-discrete operator
 
 split into an implicitly treated part z_I and an explicit part z_E,
 
-    stage 1:  (I - z_I/2) u* = (I + z_I/2 + z_E) u
-    stage 2:  u+ = u + z (u + u*)/2
+    stage 1:  u* = (I - z_I/2)^{-1} (2u + z_E u) - u
+    stage 2:  u+ = u* + z_E (u* - u)/2
 
-The schemes differ only in the split (the SCHEMES table):
+which is (I - z_I/2) u* = (I + z_I/2 + z_E) u and u+ = u + z (u + u*)/2
+(the mid-point/RK2 IMEX pair of Ascher, Ruuth & Spiteri 1997). The
+function `two_stage` writes it once; `Stepper.step` calls it on nodal
+vectors and `spectral._g` on the operators' row symbols. The schemes
+differ only in the split (the SCHEMES table):
 
-    explicit-oucs3-cd2    Heun (two-stage RK2)   z_I = 0
-    implicit-oucs3-lele   implicit mid-point     z_E = 0 (stage 2 returns u*)
-    imex-oucs3-lele,      IMEX (Ascher, Ruuth    z_I = Pe D2 + Da I,
-    imex-nccd             & Spiteri 1997)        z_E = -N_c D1
+    explicit-oucs3-cd2    Heun (two-stage RK2)   z_I = 0 (u* = u + z_E u)
+    implicit-oucs3-lele   implicit mid-point     z_E = 0 (stage 2 skipped)
+    imex-oucs3-lele,      IMEX                   z_I = Pe D2 + Da I,
+    imex-nccd                                    z_E = -N_c D1
 
 Dirichlet handling: the Dirichlet data are the state's own end values.
-The stage-1 system gets identity rows at both ends carrying them, and
-stage 2 re-imposes them. Either way the interior stencil rows stay exactly
-as analyzed spectrally.
+The stepper's z_E u is 0 at both end nodes and the stage-1 system has
+identity rows there, so both stages return u's end values bit for bit,
+while the interior stencil rows stay exactly as analyzed spectrally.
 
 Nothing of size N x N is formed. Explicit parts are operator products
 (`DerivativeOperator.__matmul__`, one banded solve each), and the stage
@@ -158,16 +162,23 @@ def z_parts(scheme: SchemeId, nc, pe, da) -> tuple:
             [0.0 if t in implicit else c for t, c in coef])
 
 
-def _check_ops(cfg: AdrConfig, *ops: DerivativeOperator) -> None:
-    for op in ops:
-        if op.n_points != cfg.grid.n_points:
-            raise ValueError("operator size does not match grid")
+def two_stage(u, z_e, solve):
+    """One step of the two-stage template from u, the product with z_E
+    (``z_e``, None when z_E = 0) and the solve with I - z_I/2 (``solve``,
+    None when z_I = 0):
 
+        stage 1:  u* = solve(2u + z_E u) - u,   or u* = u + z_E u without z_I
+        stage 2:  u+ = u* + z_E (u* - u)/2,     skipped without z_E
 
-def _pin(values: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """values with the end values of u."""
-    values[0], values[-1] = u[0], u[-1]
-    return values
+    Only sums and scalings of u and of what the callables return are
+    formed, so u is whatever they act on: a nodal vector (`Stepper.step`)
+    or stacked (value, kh-slope) pairs of symbols (`spectral._g`).
+    """
+    if solve is None:
+        us = u + z_e(u)
+    else:
+        us = solve(2 * u if z_e is None else 2 * u + z_e(u)) - u
+    return us if z_e is None else us + 0.5 * z_e(us - u)
 
 
 class ImplicitStage:
@@ -204,6 +215,7 @@ class ImplicitStage:
             raise LinearSolveError("the implicit stage needs 1 - Da/2 != 0 (1 - Da/2 is the "
                                    "denominator of the amplification factor at kh = 0)")
         self.n, self.alpha, self.terms = n, alpha, terms
+        self.dirichlet = closure is None
         self.closure = ((0, 0, (1.0,)), (n - 1, n - 1, (1.0,))) if closure is None else closure
         self.systems = list({id(op.system): op.system for op, _ in terms}.values())
         self.offsets = np.cumsum([0] + [s.per_node for s in self.systems]).tolist()
@@ -262,61 +274,46 @@ class ImplicitStage:
     def solve(self, y: np.ndarray, scratch=None) -> np.ndarray:
         """w with (I - z_I/2) w = y, for y one vector or the columns of an
         array (`linalg.PartitionedLU.solve`, which ``scratch`` is passed
-        to); complex y as two real solves."""
-        return self.lu.solve(y, self.width, scratch)
+        to); complex y as two real solves. Without a closure the end rows
+        of w are y's, bit for bit (the solve's rounding is not kept there)."""
+        w = self.lu.solve(y, self.width, scratch)
+        if self.dirichlet:
+            w[0], w[-1] = y[0], y[-1]
+        return w
 
 
 class Stepper:
-    """The two-stage template, for any split z = z_I + z_E of the scheme table.
-
-    Stage 1:  (I - z_I/2) u* = (I + z_I/2 + z_E) u, end rows carrying the
-              Dirichlet data, u's end values
-    Stage 2:  u+ = u + z (u + u*)/2, ends re-pinned to u's
-
-    z_I is only ever solved with, never applied. At interior rows the
-    stage-1 right-hand side is (2I + z_E) u - (I - z_I/2) u, so
-
-        u* = (I - z_I/2)^{-1} y - u,   y = 2u + z_E u  (y = 2u at the ends),
-
-    and stage 2 reduces to u+ = u* + z_E (u* - u)/2, which equals
-    u + z (u + u*)/2 at every interior row. Holds the `ImplicitStage` of
-    I - z_I/2 (none when z_I = 0: u* = u + z_E u) and the explicit terms of
-    z_E (none when z_E = 0: stage 2 then returns u* in exact arithmetic and
-    is skipped).
+    """`two_stage` for one scheme and config: the explicit operator products
+    of z_E (none when z_E = 0) and the `ImplicitStage` of I - z_I/2 (none
+    when z_I = 0; kept as ``stage``). z_I is only ever solved with, never
+    applied.
     """
 
     def __init__(self, scheme: SchemeId, cfg: AdrConfig, d1: DerivativeOperator,
                  d2: DerivativeOperator):
-        _check_ops(cfg, d1, d2)
-        self.scheme = scheme
-        self.cfg = cfg
+        if d1.n_points != cfg.grid.n_points or d2.n_points != cfg.grid.n_points:
+            raise ValueError("operator size does not match grid")
+        self.scheme, self.cfg = scheme, cfg
         ci, ce = z_parts(scheme, cfg.n_c, cfg.pe, cfg.da)
-        self.z_e = [(c, op) for c, op in zip(ce, (d1, d2)) if c], ce[2]
+        self.terms, self.reaction = [(c, op) for c, op in zip(ce, (d1, d2)) if c], ce[2]
         self.explicit = any(ce)
-        self.stage = None
+        self.stage = self.solve = None
         if any(ci):
             self.stage = ImplicitStage(cfg.grid.n_points, 1 - ci[2] / 2,
                                        [(op, c / 2) for c, op in zip(ci, (d1, d2)) if c])
+            self.solve = self.stage.solve
 
     def _apply_z_e(self, u: np.ndarray) -> np.ndarray:
-        terms, reaction = self.z_e
-        out = reaction * u
-        for c, op in terms:
+        """z_E u, 0 at the two end nodes."""
+        out = self.reaction * u
+        for c, op in self.terms:
             out += c * (op @ u)
+        out[0] = out[-1] = 0.0
         return out
 
     def step(self, state: SolutionState) -> SolutionState:
-        u = state.values
-        zu = self._apply_z_e(u) if self.explicit else 0.0
-        if self.stage is None:
-            us = _pin(u + zu, u)
-        else:
-            y = 2 * u + zu
-            y[0], y[-1] = 2 * u[0], 2 * u[-1]
-            us = _pin(self.stage.solve(y) - u, u)
-        if self.explicit:
-            us = _pin(us + 0.5 * self._apply_z_e(us - u), u)
-        return SolutionState(us, state.t + self.cfg.dt)
+        values = two_stage(state.values, self._apply_z_e if self.explicit else None, self.solve)
+        return SolutionState(values, state.t + self.cfg.dt)
 
 
 def make_stepper(scheme: SchemeId, cfg: AdrConfig, ops=None) -> Stepper:

@@ -162,6 +162,10 @@ def _reparse_with_config(ap, subparsers, argv) -> argparse.Namespace:
         unknown = set(overrides) - valid
         if unknown:
             ap.error(f"unknown config keys: {sorted(unknown)}")
+        for a in sub._actions:  # argparse checks choices on the command line only
+            if a.choices is not None and a.dest in overrides and overrides[a.dest] not in a.choices:
+                sub.error(f"argument {a.option_strings[0]}: invalid choice: "
+                          f"{overrides[a.dest]!r} (choose from {', '.join(a.choices)})")
         # string defaults pass through each flag's type, so a bad value names its flag
         sub.set_defaults(**overrides)
         args = ap.parse_args(argv)

@@ -7,13 +7,16 @@ amplification of the PDE over one step is
 
     G_exact = exp(-(Pe (kh)^2 + i N_c kh - Da)),
 
-and every scheme's G_num is the symbol of the two-stage update of adr1d.
-With the operator row symbols S_n(kh) = sum_r D_n[j, r] e^{i kh (r - j)}
-at an interior node j, z = -N_c S1 + Pe S2 + Da splits into the scheme's
-implicit and explicit parts z_I + z_E (adr1d.SCHEMES), and
+and every scheme's G_num is the symbol of the two-stage update of adr1d,
+computed by the same function, `adr1d.two_stage`. With the operator row
+symbols S_n(kh) = sum_r D_n[j, r] e^{i kh (r - j)} at an interior node j,
+z = -N_c S1 + Pe S2 + Da splits into the scheme's implicit and explicit
+parts z_I + z_E (adr1d.SCHEMES), and from u = 1
 
-    g* = (1 + z_I/2 + z_E) / (1 - z_I/2)        (stage 1)
-    G  = 1 + z (1 + g*)/2                        (stage 2)
+    g* = (2 + z_E) / (1 - z_I/2) - 1             (stage 1)
+    G  = g* + z_E (g* - 1)/2                     (stage 2)
+
+which equals 1 + z (1 + g*)/2 with g* = (1 + z_I/2 + z_E) / (1 - z_I/2).
 
 Derived diagnostics:
 
@@ -23,14 +26,16 @@ Derived diagnostics:
     V_g ratio   = (1/N_c) d beta / d(kh) = -Im(G'/G) / N_c
 
 all of which are exactly 1/0 when G_num = G_exact (within the principal
-branch of beta). G' = dG/d(kh) is exact: the chain rule through the two
-stages above, with the symbols' slopes dS_n/d(kh) = sum_r i (r - j)
-D_n[j, r] e^{i kh (r - j)} read from the same forward solve as S_n
-(`operators.row_symbols`), so V_g has no difference step and no branch of
-beta to unwrap. The kh = 0 column of a map holds the scheme's own values
-there, which are its kh -> 0 limits: the phase error is finite at kh = 0
-when Da != 0 (it equals `phase_speed_error`), and is stored as its limit 0
-when Da = 0, where the exact phase speed is singular.
+branch of beta). G' = dG/d(kh) is exact: `two_stage` runs on pairs
+(value, kh-slope), starting from (1, 0), whose products with z_E and with
+1/(1 - z_I/2) follow the product rule, with the symbols' slopes
+dS_n/d(kh) = sum_r i (r - j) D_n[j, r] e^{i kh (r - j)} read from the
+same forward solve as S_n (`operators.row_symbols`), so V_g has no
+difference step and no branch of beta to unwrap. The kh = 0 column of a
+map holds the scheme's own values there, which are its kh -> 0 limits:
+the phase error is finite at kh = 0 when Da != 0 (the same formula as at
+kh > 0, as in `phase_speed_error`), and is stored as its limit 0 when
+Da = 0, where the exact phase speed is singular.
 
 Evaluation works on arrays. The symbols depend on kh only, so a (kh, N_c)
 map evaluates S1, S2 and their slopes once per kh and broadcasts G over
@@ -52,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import NumericalError
-from .adr1d import SchemeId, z_parts
+from .adr1d import SchemeId, two_stage, z_parts
 from .operators import row_symbols
 
 #: slack on |G_num/G_exact| <= 1 in stability scans; absorbs the O(Da^3)
@@ -125,21 +130,31 @@ def _grid(values, shape) -> np.ndarray:
 
 def _symbols(ops, node: int, kh) -> tuple:
     """((S1, dS1/dkh), (S2, dS2/dkh)): row symbols at 1-based interior
-    `node` and their slopes, one per kh, each of shape (K,)."""
+    `node` and their slopes, one per kh, each of shape (K,). S is 0 at
+    kh = 0, where a derivative's row sums vanish; the forward solve leaves
+    a rounding residue there (up to 3e-16) that would move G's exact zero
+    at Da = -2 off 0."""
     if not 1 < node < ops[0].n_points:
         raise ValueError(f"node must be interior (1-based): 1 < {node} < {ops[0].n_points}")
-    return row_symbols(ops, node - 1, kh)
+    zero = np.atleast_1d(kh) == 0
+    return [(np.where(zero, 0, s), ds) for s, ds in row_symbols(ops, node - 1, kh)]
+
+
+def _times(a, da):
+    """Product with the pair (a, da) of stacked (value, kh-slope) pairs u:
+    (a u_0, a u_1 + da u_0), the product rule."""
+    return lambda u: np.stack([a * u[0], a * u[1] + da * u[0]])
 
 
 def _g(scheme: SchemeId, symbols, nc, pe: float, da: float) -> tuple:
     """Template G and G' = dG/d(kh) over the grid nc x kh from `_symbols`
-    over kh, each of shape (len(nc), K).
+    over kh, each of shape (len(nc), K): `adr1d.two_stage` on the pair
+    (1, 0), with z_E u the product with (z_E, dz_E) and the solve with
+    s = 1 - z_I/2 the product with (1/s, dz_I/(2 s^2)), where
 
         z_I + z_E = z = -N_c S1 + Pe S2 + Da     (split as in adr1d.SCHEMES)
-        g* = (1 + z_I/2 + z_E) / (1 - z_I/2)
-        G  = 1 + z (1 + g*)/2
 
-    and G' by the chain rule through both stages.
+    so each stage carries G's kh-slope along with its value.
     """
     nc = np.atleast_1d(np.asarray(nc, dtype=float))
     shape = (len(nc), len(symbols[0][0]))
@@ -147,10 +162,9 @@ def _g(scheme: SchemeId, symbols, nc, pe: float, da: float) -> tuple:
     (z_i, dz_i), (z_e, dz_e) = (
         (a1 * s1 + a2 * s2 + a0, a1 * ds1 + a2 * ds2)
         for a1, a2, a0 in z_parts(scheme, _grid(nc[:, None], shape), pe, da))
-    g_star = (1 + 0.5 * z_i + z_e) / (1 - 0.5 * z_i)
-    dg_star = (0.5 * dz_i * (1 + g_star) + dz_e) / (1 - 0.5 * z_i)
-    z = z_i + z_e
-    return 1 + 0.5 * z * (1 + g_star), 0.5 * ((dz_i + dz_e) * (1 + g_star) + z * dg_star)
+    s = 1 - 0.5 * z_i
+    return tuple(two_stage(np.stack([np.ones(shape), np.zeros(shape)]), _times(z_e, dz_e),
+                           _times(1 / s, 0.5 * dz_i / s**2)))
 
 
 def g_num(scheme: SchemeId, p: SpectralParams, ops) -> complex:
@@ -171,23 +185,24 @@ def phase_shift(g):
 
 def _c_ratio(kh, nc, pe, da, g):
     """c_num/c_exact from the modulus and phase of G; at kh = 0 it is
-    ln|G|/Da when G > 0 (`phase_speed_error`), singular when Da = 0 too."""
+    (ln|G| - i beta)/Da, singular when Da = 0 too."""
     num = np.log(abs(g)) - 1j * phase_shift(g)
     den = (pe * kh**2 - da) / nc + 1j * kh
     return -(1.0 / nc) * num / den
 
 
 def phase_speed_error(p: SpectralParams, g: complex) -> float:
-    """|1 - c_num/c_exact| from the modulus and phase of G.
+    """|1 - c_num/c_exact| from the modulus and phase of G, bit for bit a
+    map entry's: `_c_ratio` on arrays, kh = 0 included (NumPy's scalar
+    complex arithmetic rounds differently in the last bit).
 
-    At kh = 0 the expression reduces to |1 - ln|G|/Da|, finite whenever
-    Da != 0; with Da = 0 as well the exact phase speed is singular there.
+    At kh = 0 the expression reduces to |1 - (ln|G| - i beta)/Da|, finite
+    whenever Da != 0; with Da = 0 as well the exact phase speed is singular
+    there.
     """
-    if p.kh == 0.0:
-        if p.da == 0.0:
-            raise ValueError("phase speed error singular at kh = 0 with Da = 0")
-        return float(abs(1 - np.log(abs(g)) / p.da))
-    return float(abs(1 - _c_ratio(p.kh, p.nc, p.pe, p.da, g)))
+    if p.kh == 0.0 and p.da == 0.0:
+        raise ValueError("phase speed error singular at kh = 0 with Da = 0")
+    return np.abs(1 - _c_ratio(*np.atleast_1d(p.kh, p.nc), p.pe, p.da, np.atleast_1d(g))).item()
 
 
 def group_velocity_ratio(scheme: SchemeId, p: SpectralParams, ops) -> float:

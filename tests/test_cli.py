@@ -155,6 +155,20 @@ def test_config_value_of_the_wrong_type_names_its_flag(tmp_path, capsys):
     assert "--n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd,key,flag", [("dispersion-map", "scheme", "--scheme"),
+                                          ("wavepacket", "scheme", "--scheme"),
+                                          ("pks", "variant", "--variant")])
+def test_config_value_outside_the_choices_names_its_flag(cmd, key, flag, tmp_path, capsys):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"{key} = bogus\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli([cmd, "--config", str(cfgfile), "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid choice: 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--pe", "nan"), ("--pe", "-0.01"), ("--da", "inf"),
     ("--nc-min", "0"), ("--nc-min", "-0.1"), ("--nc-max", "nan"), ("--nc-max", "0.01"),

@@ -23,9 +23,20 @@ def test_reports_identical_and_per_column_differences(tmp_path, capsys):
     assert compare_outputs.main([str(a), str(b)]) == 1
     out = capsys.readouterr().out
     assert "same.csv: byte-identical" in out
-    assert "moved.csv: max|d|/max|col|: x 0, u 1e-12" in out
+    assert "moved.csv: max|d|/max|col|: x 0, u 1e-12; max|d|/|a|: x 0, u 1e-12" in out
     write(b, "moved.csv", "x,u\n0,2\n1,-4\n")
     assert compare_outputs.main([str(a), str(b)]) == 0
+
+
+def test_per_value_measure_shows_a_small_value_that_moved(tmp_path, capsys):
+    # beside its column's maximum the move of 1e-6 is 1e-9; of its own size, 1e-3;
+    # where A is 0 the per-value measure is the absolute difference
+    a, b = tmp_path / "a", tmp_path / "b"
+    write(a, "f.csv", "u,v\n1,0\n1e-6,2\n")
+    write(b, "f.csv", "u,v\n1,3e-20\n1.001e-6,2\n")
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    assert ("f.csv: max|d|/max|col|: u 1e-09, v 1.5e-20; max|d|/|a|: u 0.001, v 3e-20"
+            in capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("text_b,why", [
@@ -55,7 +66,8 @@ def test_reports_metadata_numeric_leaves(tmp_path, capsys):
     assert compare_outputs.main([str(a), str(b)]) == 1
     out = capsys.readouterr().out
     assert "same_meta.json: byte-identical" in out
-    assert "run_meta.json: max|d|/max|col|: mesh.nx 0, diagnostics.t 0, diagnostics.mass 1e-12" in out
+    assert ("run_meta.json: max|d|/max|col|: mesh.nx 0, diagnostics.t 0, diagnostics.mass 1e-12; "
+            "max|d|/|a|: mesh.nx 0, diagnostics.t 0, diagnostics.mass 1e-12") in out
     write(b, "run_meta.json", meta % ("y", ", ".join([sample % (0, 2.0), sample % (1, -4.0)])))
     assert compare_outputs.main([str(a), str(b)]) == 1
     assert "run_meta.json: non-numeric values differ: variant" in capsys.readouterr().out

@@ -162,6 +162,8 @@ def test_sweep_single_point_matches_pointwise(scheme, ops1001):
             assert (pt.kh, pt.nc) == (kh, nc)
             for name in ("g_num", "g_ratio", "beta", "vg_ratio", "phase_err"):
                 assert getattr(pt, name) == getattr(dmap, name)[i_nc, i_kh], name
+            assert g_num(scheme, params(kh, nc), ops) == pt.g_num
+            assert phase_speed_error(params(kh, nc), pt.g_num) == pt.phase_err
 
 
 def _reference_g(scheme, kh, nc, pe, da, ops):
@@ -201,10 +203,11 @@ def test_sweep_kh0_column_stores_analytic_limits(ops1001):
     dmap = sweep(scheme, [0.0, 1e-7], [0.1], PE, DA, 500, ops)
     want_ratio = abs((1 + DA + DA**2 / 2) / np.exp(DA))
     assert abs(dmap.g_ratio[0, 0] - want_ratio) < 1e-10
-    p0 = params(0.0, 0.1)
-    assert dmap.phase_err[0, 0] == pytest.approx(phase_speed_error(p0, g_num(scheme, p0, ops)),
-                                                 abs=1e-12)
     assert dmap.phase_err[0, 0] > 0
+    p0 = params(0.0, 0.1)
+    for each in SchemeId:  # the point function's value is the map entry's, bit for bit
+        m = sweep(each, [0.0, 1e-7], [0.1], PE, DA, 500, ops1001[each])
+        assert m.phase_err[0, 0] == phase_speed_error(p0, g_num(each, p0, ops1001[each]))
     vg0, vg1 = dmap.vg_ratio[0]
     assert abs(vg0 - vg1) < 1e-9 and vg0 != 1.0
     dmap = sweep(scheme, [0.0], [0.1], PE, 0.0, 500, ops)

@@ -6,8 +6,11 @@
 CSV, ``*_meta.json`` and ``stdout.txt`` files (the captured stdout of
 `tools/standard_outputs.py`) are matched by their path relative to each
 directory. For each one a line is printed: ``byte-identical``, or per
-column the largest difference relative to the column's size in A,
-max|B - A| / max|A| (the absolute max|B - A| where column A is all zero).
+column two measures of the largest difference: relative to the column's
+size in A, max|B - A| / max|A| (the absolute max|B - A| where column A is
+all zero), and relative to each value, max |B - A| / |A| (the absolute
+|B - A| where A is 0). The second shows what the first hides: a value that
+is small beside its column's maximum and moved in its own leading digits.
 In a CSV, comment lines (``#``) and the header row must match exactly. In
 a metadata file, each numeric leaf is a column named by its key path, and
 the items of a list share their list's column (``diagnostics.mass`` holds
@@ -35,13 +38,15 @@ def _table(path: Path):
 
 
 def _report(names, cols_a, cols_b) -> str:
-    parts = []
+    by_col, by_value = [], []
     for name, col_a, col_b in zip(names, cols_a, cols_b):
         col_a, col_b = np.asarray(col_a, dtype=float), np.asarray(col_b, dtype=float)
-        diff = float(np.max(np.abs(col_b - col_a), initial=0.0))
-        scale = float(np.max(np.abs(col_a), initial=0.0))
-        parts.append(f"{name} {diff / scale if scale > 0 else diff:.2g}")
-    return "max|d|/max|col|: " + ", ".join(parts)
+        d, a = np.abs(col_b - col_a), np.abs(col_a)
+        diff, scale = float(np.max(d, initial=0.0)), float(np.max(a, initial=0.0))
+        by_col.append(f"{name} {diff / scale if scale > 0 else diff:.2g}")
+        rel = np.divide(d, a, out=d.copy(), where=a > 0)
+        by_value.append(f"{name} {float(np.max(rel, initial=0.0)):.2g}")
+    return "max|d|/max|col|: " + ", ".join(by_col) + "; max|d|/|a|: " + ", ".join(by_value)
 
 
 def compare_csv(a: Path, b: Path) -> str:
