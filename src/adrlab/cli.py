@@ -6,9 +6,13 @@ outputs for a fixed BLAS build and BLAS thread cap: the thread count can
 move the last digits of products that BLAS splits across threads, so
 ``--threads 1`` is the setting that reproduces across hosts.
 
-Exit codes: 0 success, 2 argument error, 3 numerical failure (any
-`adrlab.NumericalError`: instability, positivity violation, negative edge
-reconstruction, singular system, or a non-finite dispersion-map sample).
+Exit codes: 0 success, 2 argument error (a bad flag or config value, or a
+file that cannot be read or written, such as an ``--out`` directory that
+cannot be created), 3 numerical failure (any `adrlab.NumericalError`:
+instability, positivity violation, negative edge reconstruction, singular
+system, or a non-finite dispersion-map sample). Parsing and the commands
+share one handler, so a file error in a command exits 2 with a message
+as one in parsing does.
 """
 
 from __future__ import annotations
@@ -266,18 +270,13 @@ def main(argv=None) -> int:
     try:
         args = _reparse_with_config(ap, subparsers, argv)
         _cap_threads(args.threads)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    handler = {"dispersion-map": cmd_dispersion_map,
-               "wavepacket": cmd_wavepacket,
-               "pks": cmd_pks}[args.command]
-    try:
-        return handler(args)
+        return {"dispersion-map": cmd_dispersion_map,
+                "wavepacket": cmd_wavepacket,
+                "pks": cmd_pks}[args.command](args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -46,15 +46,22 @@ LELE_INTERIOR = (2.0 / 11.0, 12.0 / 11.0, 3.0 / 11.0)
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform 1D grid of n_points nodes with spacing h starting at x_start."""
+    """Uniform 1D grid of n_points nodes with spacing h starting at x_start.
+
+    At least 7 nodes, the one minimum of every builder: each scheme closes
+    an end with two boundary rows (1 and 2, N and N+1), and 7 is the least
+    size with an interior row (j = 4) whose five-point stencil reaches
+    neither end node. A smaller grid is refused here, so no builder checks
+    its size again.
+    """
 
     n_points: int
     h: float
     x_start: float = 0.0
 
     def __post_init__(self):
-        if self.n_points < 5:
-            raise ValueError("n_points must be >= 5 for stencil consistency")
+        if self.n_points < 7:
+            raise ValueError("n_points must be >= 7")
         if not (self.h > 0 and np.finfo(float).tiny <= self.h * self.h < np.inf):
             raise ValueError(f"h must be positive and h**2 a finite normal float (got {self.h:g})")
 
@@ -83,10 +90,6 @@ class BandedSystem:
     @property
     def per_node(self) -> int:
         return self.rhs.per_node
-
-    def solve(self, u: np.ndarray) -> np.ndarray:
-        """y = A^{-1} B u, O(N)."""
-        return self.lu.solve(u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +131,7 @@ def _apply(ops, u: np.ndarray) -> list:
     distinct `BandedSystem` among them: each D reads its rows of its
     system's solve (operators of one system read different rows, as the
     NCCD pair does) and then writes its patched rows."""
-    solves = {system: system.solve(u) for system in dict.fromkeys(op.system for op in ops)}
+    solves = {system: system.lu.solve(u) for system in dict.fromkeys(op.system for op in ops)}
     out = []
     for op in ops:
         d = solves[op.system][op.part::op.system.per_node]
@@ -280,8 +283,6 @@ def oucs3_system(grid: Grid1D, coeffs: Oucs3Coefficients = DEFAULT_OUCS3):
     in those four rows.
     """
     n = grid.n_points
-    if n < 7:
-        raise ValueError("n_points must be >= 7")
     a = np.tile((coeffs.p_minus, 1.0, coeffs.p_plus), (n, 1))  # (lo, diag, up) per row
     a[[0, 1, n - 2, n - 1]] = (0.0, 1.0, 0.0)
     b = np.zeros((7, n))  # column offsets -3..3
@@ -307,7 +308,7 @@ def build_oucs3(grid: Grid1D, coeffs: Oucs3Coefficients = DEFAULT_OUCS3) -> Deri
                               patch=((1, 0, cd2), (n - 2, n - 3, cd2)))
 
 
-def lele_system(grid: Grid1D, interior=LELE_INTERIOR):
+def lele_system(grid: Grid1D):
     """Banded left-hand side A and stencil right-hand side B of `build_lele_second`.
 
     Boundary closures:
@@ -317,9 +318,7 @@ def lele_system(grid: Grid1D, interior=LELE_INTERIOR):
         j = N+1: u''_{N+1} + 11 u''_N = (13 u_{N+1} - 27 u_N + 15 u_{N-1} - u_{N-2})/h^2
     """
     n = grid.n_points
-    if n < 7:
-        raise ValueError("n_points must be >= 7")
-    alpha, ca, cb = interior
+    alpha, ca, cb = LELE_INTERIOR
     a = np.tile((alpha, 1.0, alpha), (n, 1))  # (lo, diag, up) per row
     a[0] = (0.0, 1.0, 0.0)
     a[[1, n - 2]] = (1.0, 10.0, 1.0)
@@ -332,9 +331,9 @@ def lele_system(grid: Grid1D, interior=LELE_INTERIOR):
     return tridiagonal(*a.T), StencilMatrix(b, 3)
 
 
-def build_lele_second(grid: Grid1D, interior=LELE_INTERIOR) -> DerivativeOperator:
+def build_lele_second(grid: Grid1D) -> DerivativeOperator:
     """Compact second-derivative operator A^{-1} B (`lele_system`), spectral-like."""
-    return DerivativeOperator(2, 1.0 / grid.h**2, BandedSystem(*lele_system(grid, interior)))
+    return DerivativeOperator(2, 1.0 / grid.h**2, BandedSystem(*lele_system(grid)))
 
 
 def nccd_system(grid: Grid1D):
@@ -358,8 +357,6 @@ def nccd_system(grid: Grid1D):
     ``lhs^{-1} rhs`` holds D1 in its even and D2 in its odd rows.
     """
     n = grid.n_points
-    if n < 7:
-        raise ValueError("n_points must be >= 7")
     # Row-wise stencils at column offsets -3..3. From the v_j row (first
     # equation) they reach (w_{j-2}, v_{j-1}, w_{j-1}, v_j, w_j, v_{j+1}, w_{j+1}),
     # from the w_j row (second) (v_{j-1}, w_{j-1}, v_j, w_j, v_{j+1}, w_{j+1}, v_{j+2}).

@@ -604,15 +604,15 @@ def radial_profile(state: PksState):
     return r, prof
 
 
-def oscillation_metric(state: PksState, core_fraction: float = 0.1) -> float:
+def oscillation_metric(state: PksState) -> float:
     """Total overshoot along the radial profile, outside the central peak.
 
     Sums max(0, rho_i - max(rho_{i-1}, rho_{i+1})) over interior profile
-    samples with r >= core_fraction * r_max; a monotone profile scores 0 and
-    a single ripple of height eps scores ~eps.
+    samples with r >= 0.1 r_max; a monotone profile scores 0 and a single
+    ripple of height eps scores ~eps.
     """
     r, prof = radial_profile(state)
-    keep = r >= core_fraction * r[-1]
+    keep = r >= 0.1 * r[-1]
     p = prof[keep]
     if len(p) < 3:
         return 0.0

@@ -315,9 +315,11 @@ def sampled_stability_boundary(dmap: DispersionMap):
 
 def stability_boundary(scheme: SchemeId, ops, pe: float, da: float,
                        node: int = 500, kh_axis=None, nc_start: float = 0.5, nc_max: float = 3.2,
-                       tol: float = STABILITY_TOL, iters: int = 40) -> float:
-    """Largest N_c with |G_num/G_exact| <= 1 + tol across the kh axis,
-    bisected (see `sampled_stability_boundary` for how the two differ).
+                       iters: int = 40) -> float:
+    """Largest N_c with |G_num/G_exact| <= 1 + STABILITY_TOL across the kh
+    axis, bisected (see `sampled_stability_boundary` for how the two
+    differ); the slack is the module's one constant, so this boundary and
+    the sampled one judge a ratio alike.
 
     Bisected upward from nc_start (which must itself be stable). Returns
     nc_max when the whole search range is stable; very small N_c can be
@@ -329,7 +331,7 @@ def stability_boundary(scheme: SchemeId, ops, pe: float, da: float,
     symbols = _symbols(ops, node, kh)
 
     def stable(nc: float) -> bool:
-        return _max_ratio(scheme, symbols, kh, nc, pe, da) <= 1 + tol
+        return _max_ratio(scheme, symbols, kh, nc, pe, da) <= 1 + STABILITY_TOL
 
     if not stable(nc_start):
         raise ValueError(f"N_c = {nc_start} is not ratio-stable; no bracket")

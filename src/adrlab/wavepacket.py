@@ -25,6 +25,9 @@ from .operators import Grid1D
 #: diffusion-spread envelope (see q_wave_energy)
 Q_WINDOW_EFOLDS = 6.0
 
+#: edge threshold of the free-space assumption (see exact_solution)
+FREE_SPACE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class WavePacketConfig:
@@ -75,15 +78,16 @@ def init_wavepacket(cfg: WavePacketConfig) -> SolutionState:
 def fourier_spectrum(state: SolutionState):
     """DFT amplitudes |U_m| / n over kh = 2 pi m / n in [0, pi].
 
+    The n//2 + 1 bins of the real transform are m = 0..n//2, so every kh is
+    at most pi, and the last one is pi exactly for even n.
+
     The forward transform carries the 1/n factor, so a pure unit-amplitude
     cosine at a resolved wavenumber shows up with amplitude ~0.5 in its bin.
     """
     u = np.asarray(state.values, dtype=float)
     n = len(u)
     amp = np.abs(np.fft.rfft(u)) / n
-    kh = 2.0 * np.pi * np.arange(len(amp)) / n
-    keep = kh <= np.pi + 1e-12
-    return kh[keep], amp[keep]
+    return 2.0 * np.pi * np.arange(len(amp)) / n, amp
 
 
 def packet_amplitude(cfg: WavePacketConfig):
@@ -112,29 +116,28 @@ def amplitude_of_kh(cfg: WavePacketConfig):
     return lambda kh: a0(kh / h)
 
 
-def exact_solution(cfg: WavePacketConfig, adr: AdrConfig, t: float,
-                   tol: float = 1e-8) -> SolutionState:
+def exact_solution(cfg: WavePacketConfig, adr: AdrConfig, t: float) -> SolutionState:
     """Free-space solution in closed form.
 
     u(x, t) = e^{lambda t} sigma^{-1/2} exp(-(gamma xi^2 + nu k0^2 t) / sigma)
               * cos(k0 xi / sigma),   sigma = 1 + 4 gamma nu t,  xi = x - x0 - c t.
 
-    Valid only while the packet is negligible at the domain ends: `tol` is
-    the edge threshold. ValueError is raised when the initial envelope at
-    the nearer end exceeds `tol`, or when an end value at t exceeds `tol`
-    times max(peak, 1).
+    Valid only while the packet is negligible at the domain ends, to
+    `FREE_SPACE_TOL`: ValueError is raised when the initial envelope at the
+    nearer end exceeds it, or when an end value at t exceeds it times
+    max(peak, 1).
     """
     g, nu = cfg.gamma, adr.nu
     # end values of the initial packet (envelope bound)
     edge0 = np.exp(-g * (cfg.length - abs(cfg.x0)) ** 2)
-    if edge0 > tol:
+    if edge0 > FREE_SPACE_TOL:
         raise ValueError("packet too wide for the free-space assumption at t = 0")
     xi = cfg.grid().x() - cfg.x0 - adr.c * t
     sigma = 1.0 + 4.0 * g * nu * t
     u = (np.exp(adr.lam * t) / np.sqrt(sigma)
          * np.exp(-(g * xi**2 + nu * cfg.k0**2 * t) / sigma) * np.cos(cfg.k0 * xi / sigma))
     peak = np.max(np.abs(u))
-    if peak > 0 and max(abs(u[0]), abs(u[-1])) > tol * max(peak, 1.0):
+    if peak > 0 and max(abs(u[0]), abs(u[-1])) > FREE_SPACE_TOL * max(peak, 1.0):
         raise ValueError("packet too wide for the free-space assumption at t")
     return SolutionState(u, t)
 
@@ -148,16 +151,20 @@ def spread_gamma(gamma: float, nu: float, t: float) -> float:
     return gamma / (1.0 + 4.0 * gamma * nu * t)
 
 
-def q_wave_energy(state: SolutionState, adr: AdrConfig, t: float,
-                  cfg: WavePacketConfig, efolds: float = Q_WINDOW_EFOLDS) -> float:
-    """Fraction of discrete L2 energy upstream of the advected packet.
+def q_wave_energy(state: SolutionState, adr: AdrConfig, cfg: WavePacketConfig,
+                  efolds: float = Q_WINDOW_EFOLDS) -> float:
+    """Fraction of discrete L2 energy upstream of the advected packet, at
+    the state's own time t = ``state.t``.
 
     The window is x < x0 + c t - efolds / sqrt(gamma_eff(t)), where
     gamma_eff accounts for diffusive spreading of the envelope; `efolds`
     envelope e-folding lengths separate the packet body from upstream
     parasites. The exact solution scores below 1e-6 here for any packet
-    narrow enough to satisfy the free-space assumption.
+    narrow enough to satisfy the free-space assumption. Raises ValueError
+    at t <= 0, where there is no upstream yet, and when the window holds
+    no node.
     """
+    t = state.t
     if not t > 0:
         raise ValueError("q-wave window needs t > 0")
     x = cfg.grid().x()
@@ -173,11 +180,13 @@ def q_wave_energy(state: SolutionState, adr: AdrConfig, t: float,
     return float(np.sum(np.abs(u[window]) ** 2) / total)
 
 
-def asymmetry_about_center(state: SolutionState, adr: AdrConfig, t: float,
+def asymmetry_about_center(state: SolutionState, adr: AdrConfig,
                            cfg: WavePacketConfig) -> float:
-    """|leading - trailing| energy imbalance about the advected center."""
+    """|leading - trailing| energy imbalance, as a fraction of the total,
+    about the center x0 + c t advected to the state's own time t =
+    ``state.t``."""
     x = cfg.grid().x()
-    center = cfg.x0 + adr.c * t
+    center = cfg.x0 + adr.c * state.t
     u = np.asarray(state.values)
     total = float(np.sum(np.abs(u) ** 2))
     if total == 0.0:
@@ -199,14 +208,14 @@ def run_experiment(scheme: SchemeId, cfg: WavePacketConfig, adr: AdrConfig,
     snaps = run(scheme, adr, init_wavepacket(cfg), t_end, snapshot_times, ops)
     final = snaps[-1]
     kh, amp = fourier_spectrum(final)
-    q = q_wave_energy(final, adr, t_end, cfg, efolds) if t_end > 0 else 0.0
+    q = q_wave_energy(final, adr, cfg, efolds) if final.t > 0 else 0.0
     return ExperimentResult(
         snapshots=snaps,
         spectrum_kh=kh,
         spectrum_amplitude=amp,
         q_wave_energy=q,
         amplitude_peak=float(np.max(np.abs(final.values))),
-        asymmetry=asymmetry_about_center(final, adr, t_end, cfg),
+        asymmetry=asymmetry_about_center(final, adr, cfg),
     )
 
 

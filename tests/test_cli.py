@@ -221,6 +221,32 @@ def test_wavepacket_rejects_bad_qwindow_efolds(value, tmp_path, capsys):
     assert "--qwindow-efolds must be finite and > 0" in capsys.readouterr().err
 
 
+def test_wavepacket_too_few_nodes_exits_two(tmp_path, capsys):
+    # the 7-node minimum is the grid's own check, reached through the CLI
+    out = tmp_path / "out"
+    assert run_cli(["wavepacket", "--n", "6", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: n_points must be >= 7\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["dispersion-map", "--n", "51", "--node", "25", "--kh-points", "3", "--nc-points", "2"],
+    ["wavepacket", "--n", "101", "--dt", "0.01", "--t-end", "0.02"],
+    ["pks", "--n", "16", "--t-end", "2e-8"],
+])
+def test_an_out_that_cannot_be_created_exits_two(argv, tmp_path):
+    # a directory below a regular file: os.makedirs raises NotADirectoryError
+    (tmp_path / "file").write_text("")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(src, "src"))
+    proc = subprocess.run([sys.executable, "-m", "adrlab.cli", *argv,
+                           "--out", str(tmp_path / "file" / "sub")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("scheme", ["implicit-oucs3-lele", "imex-oucs3-lele", "imex-nccd"])
 def test_wavepacket_da_two_exits_three(scheme, tmp_path, capsys):
     # Da = lam dt = 2 makes 1 - Da/2 vanish: the implicit stage eliminates

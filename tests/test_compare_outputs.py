@@ -85,3 +85,15 @@ def test_reports_the_stdout_lines_that_differ(tmp_path, capsys):
     write(b / "run", "stdout.txt", "t=1 mass=3\nwrote ./x.csv\nextra\n")
     assert compare_outputs.main([str(a), str(b)]) == 1
     assert "stdout.txt: lines differ: 1, 3" in capsys.readouterr().out
+
+
+def test_reports_the_stderr_lines_that_differ(tmp_path, capsys):
+    # a refused run's exit code and message, compared as its stdout is
+    a, b = tmp_path / "a", tmp_path / "b"
+    write(a / "refused", "stderr.txt", "exit 2\nerror: n_points must be >= 7\n")
+    write(b / "refused", "stderr.txt", "exit 2\nerror: n_points must be >= 7\n")
+    assert compare_outputs.main([str(a), str(b)]) == 0
+    assert "refused/stderr.txt: byte-identical" in capsys.readouterr().out
+    write(b / "refused", "stderr.txt", "exit 1\nTraceback (most recent call last):\n")
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    assert "refused/stderr.txt: lines differ: 1, 2" in capsys.readouterr().out

@@ -228,6 +228,9 @@ def test_small_grid_rejected():
         build_oucs3(Grid1D(6, 1.0))
     with pytest.raises(ValueError):
         Grid1D(4, 1.0)
+    for n in (5, 6):
+        with pytest.raises(ValueError, match="n_points must be >= 7"):
+            Grid1D(n, 1.0)
 
 
 def cd2_patch(n, w):

@@ -141,6 +141,23 @@ def test_error_forcing_vanishes_for_exact_g(ops1001):
         assert abs(val) < 1e-10
 
 
+@pytest.mark.parametrize("scheme", list(SchemeId))
+def test_error_forcing_is_the_exponent_gap(ops1001, scheme):
+    # F = A0 (w_ex - w) G^t with w = -ln G and w_ex = Pe kh^2 + i N_c kh - Da,
+    # the forcing with the bracket multiplied out; bounded by the size of one
+    # of its terms, A0 w_ex G^t, since F itself cancels where G ~ G_exact
+    a0 = lambda kh: np.exp(-((kh - 0.5) ** 2))
+    for kh in np.linspace(0.0, np.pi, 17):
+        for nc in (0.1, 0.5, 1.0):
+            p = params(kh, nc)
+            g = g_num(scheme, p, ops1001[scheme])
+            w_ex = PE * kh**2 + 1j * nc * kh - DA
+            for t in (1.0, 10.0, 100.0):
+                want = a0(kh) * (w_ex + np.log(g)) * g**t
+                got = error_forcing_value(p, a0, t, g)
+                assert abs(got - want) <= 1e-13 * abs(a0(kh) * w_ex * g**t)
+
+
 def test_error_forcing_zero_amplitude(ops1001):
     p = params(1.0, 0.1)
     ops = ops1001[SchemeId.EXPLICIT_OUCS3_CD2]

@@ -23,12 +23,17 @@ TINY = [
     ("pks", ["pks", "--n", "8", "--t-end", "2e-8"], None),
 ]
 
+TINY_REFUSED = [
+    ("refused_map", ["dispersion-map", "--n", "6"], None),
+    ("refused_pks", ["pks", "--n", "8", "--out", "run.cfg/sub"], "t-end = 1e-8\n"),
+]
+
 
 def test_two_exports_of_one_tree_give_identical_outputs(tmp_path, capsys):
     trees = [tmp_path / side for side in ("a", "b")]
     for tree in trees:
         shutil.copytree(_ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
-        standard_outputs.run(tree, tmp_path / f"out_{tree.name}", TINY)
+        standard_outputs.run(tree, tmp_path / f"out_{tree.name}", TINY, TINY_REFUSED)
     out = tmp_path / "out_a"
     assert (out / "map" / "stdout.txt").read_text().endswith(
         "wrote ./dispersion_explicit-oucs3-cd2.csv\n")
@@ -36,8 +41,13 @@ def test_two_exports_of_one_tree_give_identical_outputs(tmp_path, capsys):
     assert len(rows) == 2 + 3 * 2   # the config's kh and nc points
     assert (out / "pks" / "pks_explicit-oucs3-cd2_8_meta.json").exists()
     assert compare_outputs.main([str(out), str(tmp_path / "out_b")]) == 0
+    # the refused runs went on past their failures and kept exit code and message
+    assert (out / "refused_map" / "stderr.txt").read_text() == "exit 2\nerror: --n must be >= 7\n"
+    assert (out / "refused_pks" / "stderr.txt").read_text() == (
+        "exit 2\nerror: [Errno 20] Not a directory: 'run.cfg/sub'\n")
     report = capsys.readouterr().out.splitlines()
-    assert len(report) == 2 + 2 + 4 and all(ln.endswith("byte-identical") for ln in report)
+    assert len(report) == 2 + 2 + 4 + 2 * 2
+    assert all(ln.endswith("byte-identical") for ln in report)
 
 
 def test_a_failing_run_stops_the_set(tmp_path):

@@ -73,6 +73,17 @@ def test_spectrum_single_cosine_bin():
     assert np.max(others) < 1e-12
 
 
+@pytest.mark.parametrize("n", [127, 128])
+def test_spectrum_has_every_bin_of_the_real_transform(n):
+    # bins m = 0..n//2 all lie in [0, pi]; for even n the last is pi exactly
+    u = np.random.default_rng(n).standard_normal(n)
+    kh, amp = fourier_spectrum(SolutionState(u, 0.0))
+    assert len(kh) == len(amp) == n // 2 + 1
+    assert kh[-1] <= np.pi
+    if n % 2 == 0:
+        assert kh[-1] == np.pi
+
+
 def test_spectrum_band_energy_contrast():
     # the outstretched packet excites the 1.0 < kh <= 2.67 band, the compact
     # one does not
@@ -162,7 +173,7 @@ def test_q_window_scores_exact_solution_as_clean(gamma):
     cfg = cfg_of(gamma)
     adr = adr_of(cfg)
     state = exact_solution(cfg, adr, 10.0)
-    assert q_wave_energy(state, adr, 10.0, cfg) < 1e-6
+    assert q_wave_energy(state, adr, cfg) < 1e-6
 
 
 def test_q_window_empty_raises():
@@ -170,13 +181,13 @@ def test_q_window_empty_raises():
     adr = adr_of(cfg)
     state = init_wavepacket(cfg)
     with pytest.raises(ValueError):
-        q_wave_energy(state, adr, 0.0, cfg)
+        q_wave_energy(state, adr, cfg)
 
 
 def test_asymmetry_of_symmetric_packet_is_zero():
     cfg = cfg_of(50.0)
     adr = adr_of(cfg)
-    assert asymmetry_about_center(init_wavepacket(cfg), adr, 0.0, cfg) < 1e-12
+    assert asymmetry_about_center(init_wavepacket(cfg), adr, cfg) < 1e-12
 
 
 def test_run_experiment_t0_returns_initial_diagnostics():

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Compare the CSV, metadata and stdout outputs of two runs, file by file.
+"""Compare the CSV, metadata, stdout and stderr outputs of two runs, file by file.
 
     python tools/compare_outputs.py DIR_A DIR_B
 
-CSV, ``*_meta.json`` and ``stdout.txt`` files (the captured stdout of
-`tools/standard_outputs.py`) are matched by their path relative to each
+CSV, ``*_meta.json``, ``stdout.txt`` and ``stderr.txt`` files (the
+captured stdout of `tools/standard_outputs.py`, and the exit code and
+stderr of its refused runs) are matched by their path relative to each
 directory. For each one a line is printed: ``byte-identical``, or per
 column two measures of the largest difference: relative to the column's
 size in A, max|B - A| / max|A| (the absolute max|B - A| where column A is
@@ -15,8 +16,8 @@ In a CSV, comment lines (``#``) and the header row must match exactly. In
 a metadata file, each numeric leaf is a column named by its key path, and
 the items of a list share their list's column (``diagnostics.mass`` holds
 the mass of every history sample); every other leaf must match exactly.
-A stdout file names the lines that differ. The exit code is 0 when every file is in both directories and
-byte-identical, else 1.
+A stdout or stderr file names the lines that differ. The exit code is 0
+when every file is in both directories and byte-identical, else 1.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def compare_json(a: Path, b: Path) -> str:
 
 
 def compare_text(a: Path, b: Path) -> str:
-    """The report line for one pair of stdout files."""
+    """The report line for one pair of stdout or stderr files."""
     if a.read_bytes() == b.read_bytes():
         return "byte-identical"
     la, lb = a.read_text().splitlines(), b.read_text().splitlines()
@@ -112,7 +113,7 @@ def main(argv=None) -> int:
     ap.add_argument("dir_b", type=Path)
     args = ap.parse_args(argv)
     names = sorted({p.relative_to(d) for d in (args.dir_a, args.dir_b)
-                    for pattern in ("*.csv", "*_meta.json", "stdout.txt")
+                    for pattern in ("*.csv", "*_meta.json", "stdout.txt", "stderr.txt")
                     for p in d.rglob(pattern)})
     ok = bool(names)
     for name in names:

@@ -12,11 +12,15 @@ writes its files with ``--out .`` and its stdout as ``stdout.txt``. The set:
 * ``wavepacket`` for each scheme with ``--snapshots 0,5,10``;
 * ``pks`` for both variants with ``--t-end 2e-6``;
 * one ``dispersion-map`` whose flags come from a ``--config`` file
-  (`CONFIG`, written into its directory).
+  (`CONFIG`, written into its directory);
+* three runs the CLI refuses (`REFUSED`): ``dispersion-map --n 6``,
+  ``wavepacket --n 6`` and a short ``pks`` whose ``--out`` lies below a
+  regular file (its own config file).
 
-Two trees' sets compare with ``python tools/compare_outputs.py OUT_A
-OUT_B``. OUT must not exist yet. A run that exits non-zero stops the set
-with its stderr. Needs NumPy alone.
+A refused run also writes ``stderr.txt``: ``exit <code>`` on its first
+line, then its stderr. Two trees' sets compare with ``python
+tools/compare_outputs.py OUT_A OUT_B``. OUT must not exist yet. Any other
+run that exits non-zero stops the set with its stderr. Needs NumPy alone.
 """
 
 from __future__ import annotations
@@ -42,21 +46,34 @@ STANDARD = (
     + [("map_config", ["dispersion-map"], CONFIG)]
 )
 
+#: runs the CLI must refuse, in the same form; a run's own ``--out`` comes after
+#: the set's ``--out .`` and wins, so the pks run's lies below its config file
+REFUSED = (
+    ("refused_map_n6", ["dispersion-map", "--n", "6"], None),
+    ("refused_wavepacket_n6", ["wavepacket", "--n", "6"], None),
+    ("refused_pks_out", ["pks", "--n", "16", "--out", "run.cfg/sub"], "t-end = 1e-8\n"),
+)
 
-def run(tree: Path, out: Path, commands=STANDARD) -> None:
-    """Run each of ``commands`` on ``tree`` into its directory under ``out``."""
+
+def run(tree: Path, out: Path, commands=STANDARD, refused=REFUSED) -> None:
+    """Run each of ``commands``, then each of ``refused``, on ``tree`` into
+    its directory under ``out``."""
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
     out.mkdir(parents=True)
-    for name, argv, config in commands:
+    runs = [(c, False) for c in commands] + [(c, True) for c in refused]
+    for (name, argv, config), must_fail in runs:
         cwd = out / name
         cwd.mkdir()
         if config is not None:
             (cwd / "run.cfg").write_text(config)
             argv = argv + ["--config", "run.cfg"]
-        done = subprocess.run([sys.executable, "-m", "adrlab.cli", *argv, "--out", ".",
-                               "--threads", "1"], cwd=cwd, env=env, capture_output=True, text=True)
+        done = subprocess.run([sys.executable, "-m", "adrlab.cli", argv[0], "--out", ".",
+                               "--threads", "1", *argv[1:]],
+                              cwd=cwd, env=env, capture_output=True, text=True)
         (cwd / "stdout.txt").write_text(done.stdout)
-        if done.returncode != 0:
+        if must_fail:
+            (cwd / "stderr.txt").write_text(f"exit {done.returncode}\n{done.stderr}")
+        elif done.returncode != 0:
             raise RuntimeError(f"{name} exited {done.returncode}: {done.stderr.strip()}")
 
 
