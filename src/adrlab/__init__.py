@@ -12,11 +12,36 @@ Submodules (import explicitly; nothing heavy is loaded from the package root):
     adrlab.wavepacket  wave-packet error-dynamics experiments
     adrlab.pks2d       2D chemotaxis finite-volume solver
     adrlab.cli         command-line front end
+
+The root itself holds what the modules share, and imports NumPy only
+inside `write_csv`: the scheme and variant ids, `NumericalError`,
+`whole_steps`, and the output layer, one CSV writer (`write_csv`) and one
+number format (`FLOAT`).
 """
 
+import enum
 import math
 
 __version__ = "0.1.0"
+
+#: the number format of every float the lab writes, to a CSV file or stdout
+FLOAT = "%.12g"
+
+#: rows `write_csv` formats and writes at a time: its memory stays bounded
+#: whatever the size of the table
+CHUNK_ROWS = 1024
+
+
+class SchemeId(enum.Enum):
+    EXPLICIT_OUCS3_CD2 = "explicit-oucs3-cd2"
+    IMPLICIT_OUCS3_LELE = "implicit-oucs3-lele"
+    IMEX_OUCS3_LELE = "imex-oucs3-lele"
+    IMEX_NCCD = "imex-nccd"
+
+
+class PksVariant(enum.Enum):
+    EXPLICIT_OUCS3_CD2 = "explicit-oucs3-cd2"
+    IMEX_NCCD = "imex-nccd"
 
 
 class NumericalError(Exception):
@@ -41,3 +66,22 @@ def whole_steps(span: float, dt: float) -> int:
         raise ValueError(f"t_end is not a whole number of steps: span {span:g} is "
                          f"{steps:.12g} steps of dt = {dt:g}")
     return n
+
+
+def write_csv(path, header: str, *columns) -> None:
+    """Write the line(s) `header`, then one row per element of the columns,
+    each value formatted as `FLOAT`.
+
+    The columns are broadcast against each other and read in C order, so
+    x[:, None] beside a field of shape (nx, ny) repeats x_i along row i
+    without a copy. Rows are formatted and written `CHUNK_ROWS` at a time.
+    """
+    import numpy as np
+
+    cols = np.broadcast_arrays(*columns)
+    row = ",".join([FLOAT] * len(cols)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, cols[0].size, CHUNK_ROWS):
+            chunk = np.column_stack([c.flat[start:start + CHUNK_ROWS] for c in cols])
+            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))

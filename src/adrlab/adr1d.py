@@ -47,13 +47,12 @@ execute in parallel.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import NumericalError, whole_steps
+from . import NumericalError, SchemeId, whole_steps
 from .linalg import LinearSolveError, PartitionedLU, StencilMatrix
 from .operators import (
     DerivativeOperator,
@@ -73,13 +72,6 @@ class AdrInstabilityError(NumericalError):
         self.node = node
         self.t = t
         super().__init__(f"non-finite value at node {node} after step {step} (t={t:g})")
-
-
-class SchemeId(enum.Enum):
-    EXPLICIT_OUCS3_CD2 = "explicit-oucs3-cd2"
-    IMPLICIT_OUCS3_LELE = "implicit-oucs3-lele"
-    IMEX_OUCS3_LELE = "imex-oucs3-lele"
-    IMEX_NCCD = "imex-nccd"
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Command-line front end: dispersion maps, wave-packet runs, chemotaxis runs.
 
-Every command is deterministic (no seeds) and emits CSV files with
-12-significant-digit floats. Identical flags reproduce byte-identical
+Every command is deterministic (no seeds) and writes its CSV files through
+`adrlab.write_csv`, each float as `adrlab.FLOAT` (12 significant digits),
+the format its stdout lines use too. Identical flags reproduce byte-identical
 outputs for a fixed BLAS build and BLAS thread cap: the thread count can
 move the last digits of products that BLAS splits across threads, so
 ``--threads 1`` is the setting that reproduces across hosts.
@@ -22,14 +23,13 @@ import math
 import os
 import sys
 
-from . import NumericalError, whole_steps
+from . import FLOAT, NumericalError, PksVariant, SchemeId, whole_steps
 
-_SCHEMES = ["explicit-oucs3-cd2", "implicit-oucs3-lele", "imex-oucs3-lele", "imex-nccd"]
-_VARIANTS = ["explicit-oucs3-cd2", "imex-nccd"]
+_SCHEMES = [s.value for s in SchemeId]
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+    return FLOAT % x
 
 
 def _cap_threads(threads) -> None:
@@ -145,7 +145,7 @@ def _build_parser():
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
         help="2D chemotaxis blowup run on [-1/2, 1/2]^2",
     )
-    k.add_argument("--variant", choices=_VARIANTS, default="explicit-oucs3-cd2")
+    k.add_argument("--variant", choices=[v.value for v in PksVariant], default="explicit-oucs3-cd2")
     k.add_argument("--n", type=int, default=200, help="cells per side (mesh spacing 1/n)")
     k.add_argument("--dt", type=float, default=1e-8, help="time step (time units)")
     k.add_argument("--t-end", type=float, default=1e-5, help="final time (time units)")
@@ -180,7 +180,7 @@ def cmd_dispersion_map(args) -> int:
     _check_map_args(args)
     import numpy as np
 
-    from .adr1d import SchemeId, scheme_operators
+    from .adr1d import scheme_operators
     from .operators import Grid1D
     from . import spectral
 
@@ -205,7 +205,7 @@ def cmd_dispersion_map(args) -> int:
 def cmd_wavepacket(args) -> int:
     if not 0 < args.qwindow_efolds < math.inf:
         raise ValueError(f"--qwindow-efolds must be finite and > 0 (got {args.qwindow_efolds:g})")
-    from .adr1d import AdrConfig, SchemeId, scheme_operators
+    from .adr1d import AdrConfig, scheme_operators
     from . import wavepacket as wp
 
     scheme = SchemeId(args.scheme)
@@ -242,7 +242,7 @@ def cmd_pks(args) -> int:
 
     from . import pks2d
 
-    variant = pks2d.PksVariant(args.variant)
+    variant = PksVariant(args.variant)
     n_steps = whole_steps(args.t_end, args.dt)
     mesh = pks2d.Mesh2D.unit_square(args.n)
     state = pks2d.init_gaussian(mesh, chi=args.chi, theta=args.theta)
@@ -257,7 +257,7 @@ def cmd_pks(args) -> int:
     pks2d.write_snapshot_csv(state, os.path.join(args.out, f"pks_{tag}.csv"))
     pks2d.write_radial_csv(state, os.path.join(args.out, f"pks_{tag}_radial.csv"))
     pks2d.write_metadata(os.path.join(args.out, f"pks_{tag}_meta.json"),
-                         variant, args.dt, args.t_end, mesh, args.chi, args.theta, history)
+                         state, variant, args.dt, args.t_end, history)
     last = history[-1]
     print(f"t={_fmt(last['t'])} mass={_fmt(last['mass'])} min_rho={_fmt(last['min_rho'])} "
           f"max_rho={_fmt(last['max_rho'])} oscillation={_fmt(last['oscillation'])}")

@@ -57,19 +57,14 @@ they return own their arrays; diagnostics are read-only.
 
 from __future__ import annotations
 
-import enum
+import dataclasses
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import NumericalError
+from . import NumericalError, PksVariant, write_csv
 from .linalg import PartitionedLU
-
-
-class PksVariant(enum.Enum):
-    EXPLICIT_OUCS3_CD2 = "explicit-oucs3-cd2"
-    IMEX_NCCD = "imex-nccd"
 
 
 class PositivityError(NumericalError):
@@ -631,37 +626,27 @@ def diagnostics(state: PksState) -> dict:
 
 
 def write_snapshot_csv(state: PksState, path) -> None:
-    """Rows x, y, rho, c with 12 significant digits, written one mesh row at a
-    time; each x and y is formatted once."""
-    m = state.mesh
-    x, y = m.centers()
-    # x_i joins these pieces into row i's format: x_i y_0 %g %g, x_i y_1 ...
-    pieces = [""] + [f"{yj:.12g},%.12g,%.12g\n" for yj in y.tolist()]
-    cols = np.empty((m.ny, 2))
-    with open(path, "w") as fh:
-        fh.write("x,y,rho,c\n")
-        for i, xi in enumerate(x.tolist()):
-            cols[:, 0], cols[:, 1] = state.rho[i], state.c[i]
-            fh.write(f"{xi:.12g},".join(pieces) % tuple(cols.ravel().tolist()))
+    """Rows x, y, rho, c (x outer, y inner) through `adrlab.write_csv`."""
+    x, y = state.mesh.centers()
+    write_csv(path, "x,y,rho,c", x[:, None], y[None, :], state.rho, state.c)
 
 
 def write_radial_csv(state: PksState, path) -> None:
-    r, prof = radial_profile(state)
-    with open(path, "w") as fh:
-        fh.write("r,rho\n")
-        fh.write(("%.12g,%.12g\n" * len(r)) % tuple(np.column_stack((r, prof)).ravel().tolist()))
+    """Rows r, rho of `radial_profile` through `adrlab.write_csv`."""
+    write_csv(path, "r,rho", *radial_profile(state))
 
 
-def write_metadata(path, variant: PksVariant, dt: float, t_end: float,
-                   mesh: Mesh2D, chi: float, theta: float, history: list) -> None:
+def write_metadata(path, state: PksState, variant: PksVariant, dt: float, t_end: float,
+                   history: list) -> None:
+    """The run's JSON record: mesh, chi and theta read from `state`, the run's
+    final state, beside the diagnostics `history`."""
     meta = {
         "variant": variant.value,
         "dt": dt,
         "t_end": t_end,
-        "mesh": {"nx": mesh.nx, "ny": mesh.ny, "h": mesh.h, "k": mesh.k,
-                 "origin": list(mesh.origin)},
-        "chi": chi,
-        "theta": theta,
+        "mesh": dataclasses.asdict(state.mesh),
+        "chi": state.chi,
+        "theta": state.theta,
         "diagnostics": history,
     }
     with open(path, "w") as fh:

@@ -56,8 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import NumericalError
-from .adr1d import SchemeId, two_stage, z_parts
+from . import FLOAT, NumericalError, SchemeId, write_csv
+from .adr1d import two_stage, z_parts
 from .operators import row_symbols
 
 #: slack on |G_num/G_exact| <= 1 in stability scans; absorbs the O(Da^3)
@@ -348,14 +348,10 @@ def stability_boundary(scheme: SchemeId, ops, pe: float, da: float,
 
 
 def write_map_csv(dmap: DispersionMap, path) -> None:
-    """Map CSV: one comment header, then kh,nc rows (nc outer, kh inner)."""
-    with open(path, "w") as fh:
-        fh.write(f"# scheme={dmap.scheme.value},pe={dmap.pe:.12g},da={dmap.da:.12g},"
-                 f"node={dmap.node},n_points={dmap.n_points}\n")
-        fh.write("kh,nc,g_ratio,vg_ratio,phase_err\n")
-        kh = [f"{k:.12g}," for k in dmap.kh_axis.tolist()]  # each axis value formatted once
-        for nc, *row in zip(dmap.nc_axis.tolist(), dmap.g_ratio.tolist(),
-                            dmap.vg_ratio.tolist(), dmap.phase_err.tolist()):
-            nc = f"{nc:.12g},"
-            fh.write("".join(f"{k}{nc}{ratio:.12g},{vg:.12g},{perr:.12g}\n"
-                             for k, ratio, vg, perr in zip(kh, *row)))
+    """Map CSV through `adrlab.write_csv`: one comment header, then
+    kh,nc,g_ratio,vg_ratio,phase_err rows (nc outer, kh inner)."""
+    write_csv(path, f"# scheme={dmap.scheme.value},pe={FLOAT % dmap.pe},da={FLOAT % dmap.da},"
+                    f"node={dmap.node},n_points={dmap.n_points}\n"
+                    "kh,nc,g_ratio,vg_ratio,phase_err",
+              dmap.kh_axis[None, :], dmap.nc_axis[:, None],
+              dmap.g_ratio, dmap.vg_ratio, dmap.phase_err)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adr1d import AdrConfig, SchemeId, SolutionState, run, scheme_operators
-from . import spectral
+from . import SchemeId, spectral, write_csv
+from .adr1d import AdrConfig, SolutionState, run, scheme_operators
 from .operators import Grid1D
 
 #: width of the upstream-energy window, in e-folding lengths of the
@@ -38,8 +38,7 @@ class WavePacketConfig:
     n_points: int
 
     def __post_init__(self):
-        if self.n_points < 5:
-            raise ValueError("n_points must be >= 5")
+        Grid1D(self.n_points, 1.0)  # the grid's own size check, before h divides by n - 1
         if not 0 < self.gamma < np.inf:
             raise ValueError("gamma must be positive and finite")
         if not abs(self.x0) < self.length < np.inf:
@@ -236,15 +235,10 @@ def snapshot_filename(scheme: SchemeId, cfg: WavePacketConfig, t: float) -> str:
 
 
 def write_snapshot_csv(state: SolutionState, cfg: WavePacketConfig, path) -> None:
-    x = cfg.grid().x()
-    with open(path, "w") as fh:
-        fh.write("x,u\n")
-        for xi, ui in zip(x, state.values):
-            fh.write(f"{xi:.12g},{ui:.12g}\n")
+    """Rows x, u of the state on the packet grid through `adrlab.write_csv`."""
+    write_csv(path, "x,u", cfg.grid().x(), state.values)
 
 
 def write_spectrum_csv(kh: np.ndarray, amp: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("kh,amplitude\n")
-        for k, a in zip(kh, amp):
-            fh.write(f"{k:.12g},{a:.12g}\n")
+    """Rows kh, amplitude through `adrlab.write_csv`."""
+    write_csv(path, "kh,amplitude", kh, amp)

@@ -1,5 +1,6 @@
 """Test-only references: stencil expansion and transposes, dense operators,
-LAPACK banded solves, the raw NCCD system and the residual contract.
+LAPACK banded solves, the raw NCCD system, the residual contract, and CSV
+text formatted one value at a time.
 
 The program solves in NumPy alone (`adrlab.linalg`); these helpers are
 what its solvers and operators are checked against. They use SciPy, which
@@ -133,3 +134,22 @@ def nccd_blocks(grid):
     as A1 v + B1 w = C1 u and A2 v + B2 w = C2 u."""
     a, c = (dense(m) for m in nccd_system(grid))
     return a[0::2, 0::2], a[0::2, 1::2], c[0::2], a[1::2, 0::2], a[1::2, 1::2], c[1::2]
+
+
+#: floats whose text is easy to get wrong: nan, the infinities, the signed
+#: zeros, the least subnormal and the extremes of the normal range
+AWKWARD = (np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-300, 1e300, -1e300)
+
+
+def awkward_floats(rng, n: int) -> np.ndarray:
+    """n floats of mixed sign and magnitude with each of `AWKWARD` among them."""
+    u = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+    u[rng.choice(n, len(AWKWARD), replace=False)] = AWKWARD
+    return u
+
+
+def csv_by_value(header: str, rows) -> bytes:
+    """The CSV text of `rows`, each value formatted alone with 12 significant
+    digits, below the line(s) `header`."""
+    return (header + "\n" + "".join(",".join(f"{v:.12g}" for v in row) + "\n"
+                                    for row in rows)).encode()

@@ -221,10 +221,12 @@ def test_wavepacket_rejects_bad_qwindow_efolds(value, tmp_path, capsys):
     assert "--qwindow-efolds must be finite and > 0" in capsys.readouterr().err
 
 
-def test_wavepacket_too_few_nodes_exits_two(tmp_path, capsys):
-    # the 7-node minimum is the grid's own check, reached through the CLI
+@pytest.mark.parametrize("n", ["-1", "0", "1", "4", "5", "6"])
+def test_wavepacket_too_few_nodes_exits_two(n, tmp_path, capsys):
+    # the 7-node minimum is the grid's own check, the one the packet
+    # config runs too, and runs before h divides by n - 1
     out = tmp_path / "out"
-    assert run_cli(["wavepacket", "--n", "6", "--out", str(out)]) == 2
+    assert run_cli(["wavepacket", "--n", n, "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err == "error: n_points must be >= 7\n"
 
@@ -428,15 +430,6 @@ def test_cli_import_leaves_numpy_unloaded():
     code = "import sys, adrlab.cli; sys.exit('numpy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.path.join(src, "src"))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
-
-
-def test_choice_lists_match_the_enums():
-    # `cli` copies the ids so that it imports no NumPy before --threads takes effect
-    from adrlab import cli
-    from adrlab.adr1d import SchemeId
-    from adrlab.pks2d import PksVariant
-    assert cli._SCHEMES == [s.value for s in SchemeId]
-    assert cli._VARIANTS == [v.value for v in PksVariant]
 
 
 def _fresh_run(code: str, tmp_path):

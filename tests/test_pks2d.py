@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference import nccd_line_operators
+from reference import csv_by_value, nccd_line_operators
 
 from adrlab import pks2d
 from adrlab.pks2d import (
@@ -409,30 +409,41 @@ def test_writers(tmp_path):
     assert lines[0] == "x,y,rho,c" and len(lines) == 1 + 16 * 16
     write_radial_csv(state, tmp_path / "rad.csv")
     assert (tmp_path / "rad.csv").read_text().startswith("r,rho\n0,")
-    write_metadata(tmp_path / "meta.json", PksVariant.IMEX_NCCD, 1e-6, 1e-5,
-                   state.mesh, 30.0, 1.0, [diagnostics(state)])
+    write_metadata(tmp_path / "meta.json", state, PksVariant.IMEX_NCCD, 1e-6, 1e-5,
+                   [diagnostics(state)])
     meta = json.loads((tmp_path / "meta.json").read_text())
     assert meta["variant"] == "imex-nccd"
-    assert meta["mesh"]["nx"] == 16
+    assert meta["mesh"] == {"nx": 16, "ny": 16, "h": 1 / 16, "k": 1 / 16, "origin": [-0.5, -0.5]}
+    assert (meta["chi"], meta["theta"]) == (state.chi, state.theta)
     assert meta["diagnostics"][0]["mass"] == pytest.approx(total_mass(state))
 
 
 def test_writers_match_per_value_formatting(tmp_path):
-    # the row-at-a-time writers give the bytes of formatting each value alone
+    # the chunked writers give the bytes of formatting each value alone
     mesh = Mesh2D(16, 12, 1.0 / 16, 0.75 / 12, (-0.5, -0.375))
     x, y = mesh.centers()
     rho = 1e3 * np.exp(-40.0 * (x[:, None] ** 2 + 2.0 * y[None, :] ** 2))
     rho[3, 4], rho[5, 6] = 0.0, -0.0
     state = state_from(mesh, rho, np.cos(x)[:, None] * np.sin(y)[None, :] - 1e-300)
     write_snapshot_csv(state, tmp_path / "snap.csv")
-    expected = "x,y,rho,c\n" + "".join(
-        f"{x[i]:.12g},{y[j]:.12g},{state.rho[i, j]:.12g},{state.c[i, j]:.12g}\n"
-        for i in range(16) for j in range(12))
-    assert (tmp_path / "snap.csv").read_bytes() == expected.encode()
+    expected = csv_by_value("x,y,rho,c", ((x[i], y[j], state.rho[i, j], state.c[i, j])
+                                          for i in range(16) for j in range(12)))
+    assert (tmp_path / "snap.csv").read_bytes() == expected
     write_radial_csv(state, tmp_path / "rad.csv")
-    r, prof = radial_profile(state)
-    expected = "r,rho\n" + "".join(f"{ri:.12g},{pi:.12g}\n" for ri, pi in zip(r, prof))
-    assert (tmp_path / "rad.csv").read_bytes() == expected.encode()
+    assert (tmp_path / "rad.csv").read_bytes() == csv_by_value("r,rho", zip(*radial_profile(state)))
+
+
+def test_snapshot_writer_memory_does_not_grow_with_the_mesh(tmp_path):
+    # rows are formatted a chunk at a time: formatting the 160 000 rows of a
+    # 400^2 mesh at once holds about 40 MB of Python floats and text
+    state = gaussian_state(n=400)
+    tracemalloc.start()
+    try:
+        write_snapshot_csv(state, tmp_path / "snap.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, f"writer peak {peak / 1e6:.2f} MB"
 
 
 def skewed_state(nx=24, ny=20):

@@ -3,10 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import awkward_floats, csv_by_value
 
+from adrlab import CHUNK_ROWS
 from adrlab.adr1d import AdrConfig, SchemeId, scheme_operators
 from adrlab.operators import Grid1D
 from adrlab.spectral import (
+    DispersionMap,
     SpectralParams,
     dispersion_point,
     error_forcing_spectrum,
@@ -242,6 +245,21 @@ def test_map_csv_format(tmp_path, ops1001):
     assert len(lines) == 2 + 4
     # row-major over nc then kh: first two rows share nc=0.1
     assert lines[2].split(",")[1] == "0.1" and lines[3].split(",")[1] == "0.1"
+
+
+def test_map_csv_matches_per_value_formatting(tmp_path, rng):
+    # 3 nc x (CHUNK_ROWS / 2 + 1) kh rows: past one chunk, ending mid-chunk
+    kh, nc = awkward_floats(rng, CHUNK_ROWS // 2 + 1), np.array([0.1, 1 / 3, 1e-300])
+    ratio, vg, perr = (awkward_floats(rng, len(kh) * 3).reshape(3, -1) for _ in range(3))
+    dmap = DispersionMap(kh, nc, None, ratio, None, vg, perr, SchemeId.IMEX_NCCD,
+                         1 / 3, -0.0, 500, 1001)
+    write_map_csv(dmap, tmp_path / "map.csv")
+    expected = csv_by_value(
+        f"# scheme=imex-nccd,pe={1 / 3:.12g},da=-0,node=500,n_points=1001\n"
+        "kh,nc,g_ratio,vg_ratio,phase_err",
+        ((kh[j], nc[i], ratio[i, j], vg[i, j], perr[i, j])
+         for i in range(3) for j in range(len(kh))))
+    assert (tmp_path / "map.csv").read_bytes() == expected
 
 
 def test_node_is_interior_to_the_operators():

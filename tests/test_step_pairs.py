@@ -18,11 +18,13 @@ def test_two_copies_of_one_tree(tmp_path):
                             "--steps", "2", "--out", str(out)]) == 0
     results = json.loads(out.read_text())["results"]
     schemes = ("explicit-oucs3-cd2", "implicit-oucs3-lele", "imex-oucs3-lele", "imex-nccd")
+    writes = ["write:pks-snapshot@8", "write:pks-snapshot@12", "write:map-imex-nccd",
+              "write:wavepacket-snapshot@1001"]
     assert sorted(results) == sorted([f"{v}@{n}" for v in ("explicit-oucs3-cd2", "imex-nccd")
                                       for n in (8, 12)]
-                                     + [f"adr1d:{s}@1001" for s in schemes])
-    for metrics in results.values():
-        assert sorted(metrics) == ["setup_ms", "step_ms"]
+                                     + [f"adr1d:{s}@1001" for s in schemes] + writes)
+    for key, metrics in results.items():
+        assert sorted(metrics) == (["write_ms"] if key in writes else ["setup_ms", "step_ms"])
         for m in metrics.values():
             assert m["pairs"] == len(m["parent"]) == len(m["change"]) == len(m["ratio"]) == 2
             assert all(p > 0 and c > 0 for p, c in zip(m["parent"], m["change"]))

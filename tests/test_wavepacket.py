@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from reference import awkward_floats, csv_by_value
 
+from adrlab import CHUNK_ROWS
 from adrlab.adr1d import AdrConfig, SchemeId, SolutionState
 from adrlab.wavepacket import (
     WavePacketConfig,
@@ -240,3 +242,14 @@ def test_csv_writers(tmp_path):
     spath = tmp_path / "spec.csv"
     write_spectrum_csv(kh, amp, spath)
     assert spath.read_text().startswith("kh,amplitude\n0,")
+
+
+def test_writers_match_per_value_formatting(tmp_path, rng):
+    # rows are written a chunk at a time; these run past whole chunks and end mid-chunk
+    cfg = cfg_of(50.0, n=2 * CHUNK_ROWS + 5)
+    u = awkward_floats(rng, cfg.n_points)
+    write_snapshot_csv(SolutionState(u, 0.0), cfg, tmp_path / "snap.csv")
+    assert (tmp_path / "snap.csv").read_bytes() == csv_by_value("x,u", zip(cfg.grid().x(), u))
+    kh, amp = awkward_floats(rng, CHUNK_ROWS + 1), awkward_floats(rng, CHUNK_ROWS + 1)
+    write_spectrum_csv(kh, amp, tmp_path / "spec.csv")
+    assert (tmp_path / "spec.csv").read_bytes() == csv_by_value("kh,amplitude", zip(kh, amp))

@@ -15,10 +15,16 @@ dt = 1e-8, and reports the median step. It then does the same for each of
 the four 1D schemes (``adr1d.make_stepper`` and 20 x ``--steps`` steps,
 as one step takes well under a millisecond) at N = 1001 on the standing
 wave-packet block (c = 0.1, nu = 1e-4, lambda = -1, dt = 0.01 on
-[-5, 5]), keyed ``adr1d:<scheme>@1001``. The output JSON holds, per key,
-both sides' set-up times and step medians per pair, the per-pair ratios
-CHANGE / PARENT, the number of pairs CHANGE wins, and the median ratio.
-Needs NumPy alone.
+[-5, 5]), keyed ``adr1d:<scheme>@1001``. Last it times the CSV-output
+layer, the median of ``--steps`` writes to a temporary directory, keyed
+``write:*`` with metric ``write_ms``: ``pks2d.write_snapshot_csv`` of the
+Gaussian data per mesh (``write:pks-snapshot@<n>``), ``spectral.write_map_csv``
+of the imex-nccd map at the ``dispersion-map`` defaults
+(``write:map-imex-nccd``) and ``wavepacket.write_snapshot_csv`` of the
+1001-node packet (``write:wavepacket-snapshot@1001``). The output JSON
+holds, per key, both sides' times per pair (set-up and step median, or
+write median), the per-pair ratios CHANGE / PARENT, the number of pairs
+CHANGE wins, and the median ratio. Needs NumPy alone.
 """
 
 from __future__ import annotations
@@ -33,9 +39,9 @@ import sys
 from pathlib import Path
 
 WORKER = r"""
-import json, sys, time
+import json, os, sys, tempfile, time
 import numpy as np
-from adrlab import adr1d, operators, pks2d  # imported before any clock starts
+from adrlab import adr1d, operators, pks2d, spectral, wavepacket  # before any clock starts
 
 meshes, variants, steps = json.loads(sys.argv[1])
 out = {}
@@ -70,6 +76,26 @@ for scheme in adr1d.SchemeId:
         times.append(time.perf_counter() - t0)
     out[f"adr1d:{scheme.value}@1001"] = {"setup_ms": 1e3 * setup,
                                          "step_ms": 1e3 * float(np.median(times))}
+nccd = adr1d.SchemeId.IMEX_NCCD
+dmap = spectral.sweep(nccd, np.linspace(0.0, np.pi, 64), np.linspace(0.025, 1.6, 64),
+                      0.01, -0.01, 500, adr1d.scheme_operators(nccd, operators.Grid1D(1001, 1.0)))
+packet = wavepacket.WavePacketConfig(50.0, 0.0, 0.5, 5.0, 1001)
+writes = {f"write:pks-snapshot@{n}": (pks2d.write_snapshot_csv,
+                                      pks2d.init_gaussian(pks2d.Mesh2D.unit_square(n)))
+          for n in meshes}
+writes["write:map-imex-nccd"] = (spectral.write_map_csv, dmap)
+writes["write:wavepacket-snapshot@1001"] = (
+    lambda state, path: wavepacket.write_snapshot_csv(state, packet, path),
+    wavepacket.init_wavepacket(packet))
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "out.csv")
+    for key, (write, data) in writes.items():
+        times = []
+        for _ in range(steps):
+            t0 = time.perf_counter()
+            write(data, path)
+            times.append(time.perf_counter() - t0)
+        out[key] = {"write_ms": 1e3 * float(np.median(times))}
 print(json.dumps(out))
 """
 
@@ -113,13 +139,14 @@ def main(argv=None) -> int:
     for key in sides["parent"][0]:
         results[key] = {metric: summarize([r[key][metric] for r in sides["parent"]],
                                           [r[key][metric] for r in sides["change"]])
-                        for metric in ("step_ms", "setup_ms")}
+                        for metric in sides["parent"][0][key]}
     record = {
         "method": (f"{args.pairs} interleaved pairs, the side run first alternating; each side a "
                    f"fresh process timing make_stepper and the median of {args.steps} in-process "
                    "PKS steps after one warm step, Gaussian data, dt = 1e-8, then of "
                    f"{20 * args.steps} steps of each 1D scheme at N = 1001 on the wave-packet "
-                   "block; 1 BLAS thread"),
+                   f"block, then the median of {args.steps} writes of each CSV writer; "
+                   "1 BLAS thread"),
         "host": f"{os.cpu_count()} CPUs, Python {platform.python_version()}, {platform.machine()}",
         "parent": str(args.parent), "change": str(args.change),
         "results": results,
