@@ -13,7 +13,10 @@ cannot be created), 3 numerical failure (any `adrlab.NumericalError`:
 instability, positivity violation, negative edge reconstruction, singular
 system, or a non-finite dispersion-map sample). Parsing and the commands
 share one handler, so a file error in a command exits 2 with a message
-as one in parsing does.
+as one in parsing does. `pks` creates ``--out`` once its inputs are checked
+and before it steps, so a run that then fails numerically (exit 3) may
+leave an empty ``--out``; `dispersion-map` and `wavepacket` check their
+inputs inside the computation and create ``--out`` after it.
 """
 
 from __future__ import annotations
@@ -145,7 +148,9 @@ def _build_parser():
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
         help="2D chemotaxis blowup run on [-1/2, 1/2]^2",
     )
-    k.add_argument("--variant", choices=[v.value for v in PksVariant], default="explicit-oucs3-cd2")
+    k.add_argument("--variant", choices=[v.value for v in PksVariant], default="explicit-oucs3-cd2",
+                   help="explicit-oucs3-cd2: Heun, c's velocity by CD2, not OUCS3, whose upwinding "
+                        "(eta = -2) breaks its reflection symmetry; imex-nccd: IMEX, c's velocity by NCCD")
     k.add_argument("--n", type=int, default=200, help="cells per side (mesh spacing 1/n)")
     k.add_argument("--dt", type=float, default=1e-8, help="time step (time units)")
     k.add_argument("--t-end", type=float, default=1e-5, help="final time (time units)")
@@ -247,12 +252,12 @@ def cmd_pks(args) -> int:
     mesh = pks2d.Mesh2D.unit_square(args.n)
     state = pks2d.init_gaussian(mesh, chi=args.chi, theta=args.theta)
     stepper = pks2d.make_stepper(variant, mesh, args.dt)
+    os.makedirs(args.out, exist_ok=True)  # every input is checked; no step is wasted on a bad --out
     history = [pks2d.diagnostics(state)]
     for k in range(1, n_steps + 1):
         state = replace(stepper.step(state), t=k * args.dt)  # not a sum of k dt's
         if k % args.log_every == 0 or k == n_steps:
             history.append(pks2d.diagnostics(state))
-    os.makedirs(args.out, exist_ok=True)
     tag = f"{variant.value}_{args.n}"
     pks2d.write_snapshot_csv(state, os.path.join(args.out, f"pks_{tag}.csv"))
     pks2d.write_radial_csv(state, os.path.join(args.out, f"pks_{tag}_radial.csv"))

@@ -26,10 +26,14 @@ Laplacian of rho, and whether z has an implicit part.
 
 * ``explicit-oucs3-cd2`` - z_E = z, so S = I (Heun), with the five-point
   CD2 Laplacian and CD2 chemotactic velocities (mirror-ghost closure).
-  Fluxes telescope, so cell mass is conserved to roundoff. The CD2
-  Laplacian has no negative weight and Heun is a convex combination of
-  forward-Euler stages, so under the CFL bound every accepted density
-  field is nonnegative.
+  Despite the id, c's velocity is CD2, not OUCS3: OUCS3's eta = -2
+  upwinds it, and a chemotactic velocity has no upwind direction. On
+  c = 500 exp(-50 x^2) at 200 cells, the OUCS3 velocity's reflection
+  defect |v(x) + v(-x)| is 2.5e-3 of max|v| against 1e-14 for CD2, and
+  its error is 2.9e-3 of max|v| against 9.5e-4. Fluxes telescope, so
+  cell mass is conserved to roundoff. The CD2 Laplacian has no negative
+  weight and Heun is a convex combination of forward-Euler stages, so
+  under the CFL bound every accepted density field is nonnegative.
 * ``imex-nccd`` - z_E = -div(flux) for rho and rho for c, so z_I =
   lap(rho) for rho and lap(c) - c for c; combined compact (NCCD) operators
   on the mirror-padded lines (`_NccdLines`), all lines of a direction
@@ -50,8 +54,9 @@ Solutions above the critical mass concentrate into a cell-size spike in
 finite time; runs stop at the requested horizon or abort with a
 positivity/finiteness diagnostic, with no regularization added.
 
-A stepper owns mutable work arrays that each of its steps reuses, so use
-one stepper per thread. Steps never write into a state, and the states
+A stepper owns a work set (`_Work`): the mutable work arrays that each of
+its steps reuses and the NCCD lines it solves on, so use one stepper per
+thread. Steps never write into a state, and the states
 they return own their arrays; diagnostics are read-only.
 """
 
@@ -177,15 +182,16 @@ def minmod(*args):
 
 # Every 2D kernel below works along axis 0 (x) of a C-contiguous array; the
 # y pass is the same kernel applied to a C-contiguous copy of the field's
-# transpose (`_transposed`, or the kernel's own copy of c.T in
+# transpose (`_Work.transposed`, or the kernel's own copy of c.T in
 # `_cd2_derivs`; the NCCD solves gather, so they read c.T as it is), so both
 # passes run along contiguous lines, and the y results come back as
-# transposed views. Each kernel takes an optional
-# `work` set (`_Work`): with one, its results and scratch live in work
-# arrays; without, it returns fresh arrays.
+# transposed views. Every kernel runs on a work set (`_Work`): its results
+# and intermediates live in work arrays, and the NCCD lines it solves on,
+# with their scratch, are the set's own.
 
 class _Work:
-    """The reusable work arrays of one stepper, for one mesh shape.
+    """The reusable work arrays of one mesh shape: a stepper's, or a set
+    made for a kernel call outside one.
 
     Each is a flat buffer large enough for an array of the mesh, or of its
     transpose, with one more row and column. `take` hands out a free buffer
@@ -197,19 +203,25 @@ class _Work:
     and hands out that copy until `give_transposed`, which `rhs` calls when
     done with the copies.
 
-    The set also holds the stepper's NCCD lines per line length (``lines``,
-    `_NccdLines`) and the scratch arrays their solves reuse (``scratch``,
+    The set also holds the NCCD lines per line length (``lines``,
+    `_NccdLines`), each built the first time `line` asks for it, and the
+    scratch arrays their solves reuse (``scratch``,
     `linalg.PartitionedLU.solve`); neither is a work array.
     """
 
-    def __init__(self, shape, lines=None):
-        self.lines = lines or {}
+    def __init__(self, shape):
+        self.lines: dict = {}
         self.scratch: dict = {}
         self._size = (shape[0] + 1) * (shape[1] + 1)
         self.buffers: list = []
         self._ids: set = set()
         self._free: dict = {}
         self._transposes: dict = {}
+
+    def line(self, n: int) -> "_NccdLines":
+        if n not in self.lines:
+            self.lines[n] = _NccdLines(n)
+        return self.lines[n]
 
     def reset(self) -> None:
         self._free = {id(b): b for b in self.buffers}
@@ -229,6 +241,7 @@ class _Work:
                 self._free[id(a.base)] = a.base
 
     def transposed(self, f: np.ndarray) -> np.ndarray:
+        """f.T as a C-contiguous work array: the y lines of f as rows."""
         # keyed by id; the entry holds f, so no other array takes its id
         if id(f) not in self._transposes:
             t = self.take(f.shape[::-1])
@@ -242,27 +255,16 @@ class _Work:
 
 
 def _take(work, like: np.ndarray, rows: int) -> np.ndarray:
-    """An uninitialised C-contiguous array of `rows` rows shaped like `like`."""
-    shape = (rows,) + like.shape[1:]
-    return np.empty(shape) if work is None else work.take(shape)
+    """An uninitialised C-contiguous work array of `rows` rows shaped like `like`."""
+    return work.take((rows,) + like.shape[1:])
 
 
-def _give(work, *arrays) -> None:
-    if work is not None:
-        work.give(*arrays)
-
-
-def _transposed(f: np.ndarray, work=None) -> np.ndarray:
-    """f.T as a C-contiguous array: the y lines of f as rows, for the x kernels."""
-    return np.ascontiguousarray(f.T) if work is None else work.transposed(f)
-
-
-def _axis_diff(f: np.ndarray, h: float, out=None) -> np.ndarray:
+def _axis_diff(f: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
     out = np.subtract(f[1:], f[:-1], out=out)
     return np.divide(out, h, out=out)
 
 
-def _limited_slopes(rho: np.ndarray, h: float, theta: float, work=None) -> np.ndarray:
+def _limited_slopes(rho: np.ndarray, h: float, theta: float, work) -> np.ndarray:
     """Centered slopes (one-sided at the walls), minmod-limited where the
     centered reconstruction would produce a negative point value."""
     n = len(rho)
@@ -273,7 +275,7 @@ def _limited_slopes(rho: np.ndarray, h: float, theta: float, work=None) -> np.nd
     # rho - (h/2) s < 0 or rho + (h/2) s < 0 holds exactly when rho < |(h/2) s|
     hs = np.multiply(s, 0.5 * h, out=_take(work, rho, n))
     bad = rho < np.abs(hs, out=hs)
-    _give(work, hs)
+    work.give(hs)
     if bad.any():
         # d[i] = (rho[i] - rho[i-1]) / h, zero beyond the walls: the forward
         # differences are d[1:], the backward ones d[:-1]
@@ -281,17 +283,17 @@ def _limited_slopes(rho: np.ndarray, h: float, theta: float, work=None) -> np.nd
         d[0] = d[-1] = 0.0
         _axis_diff(rho, h, out=d[1:-1])
         s[bad] = minmod(theta * d[1:][bad], s[bad], theta * d[:-1][bad])
-        _give(work, d)
+        work.give(d)
     return s
 
 
-def adaptive_slopes(rho: np.ndarray, mesh: Mesh2D, theta: float, work=None):
+def adaptive_slopes(rho: np.ndarray, mesh: Mesh2D, theta: float, work):
     """Cell slopes (x, y) from `_limited_slopes`."""
     return (_limited_slopes(rho, mesh.h, theta, work),
-            _limited_slopes(_transposed(rho, work), mesh.k, theta, work).T)
+            _limited_slopes(work.transposed(rho), mesh.k, theta, work).T)
 
 
-def _cd2_velocity(c: np.ndarray, h: float, work=None) -> np.ndarray:
+def _cd2_velocity(c: np.ndarray, h: float, work) -> np.ndarray:
     """(c[i+1] - c[i-1]) / 2h with mirror ghosts (zero-Neumann walls)."""
     g = _take(work, c, len(c))
     np.subtract(c[2:], c[:-2], out=g[1:-1])
@@ -300,7 +302,7 @@ def _cd2_velocity(c: np.ndarray, h: float, work=None) -> np.ndarray:
     return np.divide(g, 2 * h, out=g)
 
 
-def _cd2_derivs(c: np.ndarray, h: float, d2: np.ndarray, work=None) -> np.ndarray:
+def _cd2_derivs(c: np.ndarray, h: float, d2: np.ndarray, work) -> np.ndarray:
     """D1 c / h, returned, and D2 c / h^2, into `d2`, along axis 0 with the
     CD2 stencils; a c that is not C-contiguous (the y pass's c.T) is read
     from a C-contiguous copy, freed on return."""
@@ -308,10 +310,10 @@ def _cd2_derivs(c: np.ndarray, h: float, d2: np.ndarray, work=None) -> np.ndarra
     if not c.flags.c_contiguous:
         lines = _take(work, c, len(c))
         np.copyto(lines, c)
-    _cd2_second(lines, h, d2)
+    _cd2_second(lines, h, d2, work)
     g = _cd2_velocity(lines, h, work)
     if lines is not c:
-        _give(work, lines)
+        work.give(lines)
     return g
 
 
@@ -332,22 +334,22 @@ class _NccdLines:
         self.lu = PartitionedLU(self.ops[0].system.lhs, self.ops[0].system.rhs, inputs=self.nodes)
 
 
-def _nccd(f: np.ndarray, parts, work=None) -> list:
+def _nccd(f: np.ndarray, parts, work) -> list:
     """Dimensionless NCCD D f along axis 0, for each operator of ``parts``
     (0: D1, 1: D2; (1,) or (0, 1)): views of one solve, in the scratch of
     `work`, with the patched rows applied from their stencils as
     `DerivativeOperator.__matmul__` does, ghost rows dropped. Use them
     before the next solve with `work`, which overwrites them. The lines are
-    the stepper's (`work`), or new ones without a work set."""
-    lines = _NccdLines(len(f)) if work is None else work.lines[len(f)]
-    x = lines.lu.solve(f, 2 // len(parts), None if work is None else work.scratch)
+    the work set's (`_Work.line`)."""
+    lines = work.line(len(f))
+    x = lines.lu.solve(f, 2 // len(parts), work.scratch)
     for i, part in enumerate(parts):
         for row, first, w in lines.ops[part].patch:
             x[i::len(parts)][row] = np.dot(w, f[lines.nodes[first:first + len(w)]])
     return [x[i::len(parts)][1:-1] for i in range(len(parts))]
 
 
-def _nccd_derivs(c: np.ndarray, h: float, d2: np.ndarray, work=None) -> np.ndarray:
+def _nccd_derivs(c: np.ndarray, h: float, d2: np.ndarray, work) -> np.ndarray:
     """D1 c / h, returned, and D2 c / h^2, into `d2`, along axis 0 from one
     NCCD solve. The solve gathers its input, so c may be any view: the y
     pass reads c.T as it is."""
@@ -356,20 +358,20 @@ def _nccd_derivs(c: np.ndarray, h: float, d2: np.ndarray, work=None) -> np.ndarr
     return np.divide(d1, h, out=_take(work, c, len(c)))
 
 
-def _edge_mean(w: np.ndarray, work=None) -> np.ndarray:
+def _edge_mean(w: np.ndarray, work) -> np.ndarray:
     out = np.add(w[:-1], w[1:], out=_take(work, w, len(w) - 1))
     return np.multiply(out, 0.5, out=out)
 
 
 def _upwind(rho: np.ndarray, s: np.ndarray, h: float, w_edge: np.ndarray,
-            work=None, out=None) -> np.ndarray:
+            work, out: np.ndarray) -> np.ndarray:
     """rho[:-1] + (h/2) s[:-1] where w_edge > 0, else rho[1:] - (h/2) s[1:]."""
     out = np.multiply(s[1:], 0.5 * h, out=out)
     np.subtract(rho[1:], out, out=out)
     left = np.multiply(s[:-1], 0.5 * h, out=_take(work, rho, len(rho) - 1))
     np.add(rho[:-1], left, out=left)
     np.copyto(out, left, where=w_edge > 0)
-    _give(work, left)
+    work.give(left)
     return out
 
 
@@ -394,19 +396,19 @@ def _axis_flux(rho: np.ndarray, s: np.ndarray, w: np.ndarray, h: float, chi: flo
     pass (0 for x, 1 for y), which names an edge that `_check_edges`
     rejects."""
     w_edge = _edge_mean(w, work)
-    _give(work, w)
+    work.give(w)
     flux = _take(work, rho, len(rho) + 1)
     flux[0] = flux[-1] = 0.0
     edges = _upwind(rho, s, h, w_edge, work, out=flux[1:-1])
-    _give(work, s)
+    work.give(s)
     _check_edges(edges.T if axis else edges, floor, ("x-edge", "y-edge")[axis])
     np.multiply(edges, chi, out=edges)
     np.multiply(edges, w_edge, out=edges)
-    _give(work, w_edge)
+    work.give(w_edge)
     return flux
 
 
-def edge_fluxes(state: PksState, variant: PksVariant, work=None) -> EdgeFluxes:
+def edge_fluxes(state: PksState, variant: PksVariant, work) -> EdgeFluxes:
     """The fluxes along the x lines and along the y lines (transposed), and
     the Laplacian of c: one pass per direction of the variant's derivative
     kernel gives c's velocity along the lines and D2 c / h^2, and the two
@@ -419,12 +421,12 @@ def edge_fluxes(state: PksState, variant: PksVariant, work=None) -> EdgeFluxes:
     d2 = _take(work, c.T, len(c.T))
     v = derivs(c.T, m.k, d2, work)
     lap += d2.T
-    _give(work, d2)
-    q = _axis_flux(_transposed(rho, work), sy.T, v, m.k, chi, floor, 1, work)
+    work.give(d2)
+    q = _axis_flux(work.transposed(rho), sy.T, v, m.k, chi, floor, 1, work)
     return EdgeFluxes(p, q.T, lap)
 
 
-def _cd2_second(f: np.ndarray, h: float, out: np.ndarray, work=None) -> np.ndarray:
+def _cd2_second(f: np.ndarray, h: float, out: np.ndarray, work) -> np.ndarray:
     """(f[i+1] - 2 f[i] + f[i-1]) / h^2 with mirror ghosts (zero-Neumann
     walls); `work` is unused (both second-derivative kernels take it)."""
     out = np.multiply(f, 2, out=out)
@@ -435,25 +437,25 @@ def _cd2_second(f: np.ndarray, h: float, out: np.ndarray, work=None) -> np.ndarr
     return np.divide(out, h**2, out=out)
 
 
-def _nccd_second(f: np.ndarray, h: float, out: np.ndarray, work=None) -> np.ndarray:
+def _nccd_second(f: np.ndarray, h: float, out: np.ndarray, work) -> np.ndarray:
     d2, = _nccd(f, (1,), work)
     return np.divide(d2, h**2, out=out)
 
 
 def _lap(second, f: np.ndarray, h: float, k: float, work) -> np.ndarray:
     out = second(f, h, _take(work, f, len(f)), work)
-    ft = _transposed(f, work)
+    ft = work.transposed(f)
     fy = second(ft, k, _take(work, ft, len(ft)), work)
     out += fy.T
-    _give(work, fy)
+    work.give(fy)
     return out
 
 
-def _lap_cd2(f: np.ndarray, h: float, k: float, work=None) -> np.ndarray:
+def _lap_cd2(f: np.ndarray, h: float, k: float, work) -> np.ndarray:
     return _lap(_cd2_second, f, h, k, work)
 
 
-def _lap_nccd(f: np.ndarray, h: float, k: float, work=None) -> np.ndarray:
+def _lap_nccd(f: np.ndarray, h: float, k: float, work) -> np.ndarray:
     return _lap(_nccd_second, f, h, k, work)
 
 
@@ -467,21 +469,21 @@ _VARIANTS = {
 }
 
 
-def laplacian(f: np.ndarray, mesh: Mesh2D, variant: PksVariant, work=None) -> np.ndarray:
+def laplacian(f: np.ndarray, mesh: Mesh2D, variant: PksVariant, work) -> np.ndarray:
     return globals()[_VARIANTS[variant][1]](f, mesh.h, mesh.k, work)
 
 
-def _divergence(fl: EdgeFluxes, m: Mesh2D, work=None) -> np.ndarray:
+def _divergence(fl: EdgeFluxes, m: Mesh2D, work) -> np.ndarray:
     """P_x + Q_y; the flux arrays go back to `work`."""
     div = _axis_diff(fl.p, m.h, _take(work, fl.p, m.nx))
     div_y = _axis_diff(fl.q.T, m.k, _take(work, fl.q.T, m.ny))
-    _give(work, fl.p, fl.q)
+    work.give(fl.p, fl.q)
     div += div_y.T
-    _give(work, div_y)
+    work.give(div_y)
     return div
 
 
-def rhs(state: PksState, variant: PksVariant, work=None):
+def rhs(state: PksState, variant: PksVariant, work):
     """The right-hand sides z = (z_rho, z_c) and their explicit parts z_E,
     each a pair of arrays, with zero-flux boundary edges:
 
@@ -495,11 +497,10 @@ def rhs(state: PksState, variant: PksVariant, work=None):
     z_rho -= div
     z_c -= state.c
     z_c += state.rho
-    if work is not None:
-        work.give_transposed()
+    work.give_transposed()
     z = z_rho, z_c
     if _VARIANTS[variant][2] is None:
-        _give(work, div)
+        work.give(div)
         return z, z
     return z, (np.negative(div, out=div), state.rho)
 
@@ -538,18 +539,16 @@ class PksStepper:
             raise ValueError("dt must be positive")
         self.dt, self.variant, self.mesh = dt, variant, mesh
         rates = _VARIANTS[variant][2]
-        lines, self.stages = {}, None
+        self.work, self.stages = _Work((mesh.nx, mesh.ny)), None
         if rates is not None:
             from .adr1d import ImplicitStage
 
             axes = ((mesh.nx, mesh.h), (mesh.ny, mesh.k))
-            lines = {n: _NccdLines(n) for n, _ in axes}
             made = {(n, s, r): ImplicitStage(n + 2, 1 + r * dt / 4,
-                                             [(lines[n].ops[1], dt / (2 * s**2))],
+                                             [(self.work.line(n).ops[1], dt / (2 * s**2))],
                                              ((0, 0, (1.0, -1.0)), (n + 1, n, (-1.0, 1.0))))
                     for n, s in set(axes) for r in rates}
             self.stages = [[made[n, s, r] for n, s in axes] for r in rates]
-        self.work = _Work((mesh.nx, mesh.ny), lines)
 
     def _state(self, state: PksState, fields, t_check: float) -> PksState:
         _check_fields(*fields, t_check)
@@ -573,7 +572,7 @@ class PksStepper:
                 np.copyto(b, sy.solve(b.T, work.scratch)[1:-1].T)    # the y lines
             us.append(b)
         if ze is not z:
-            _give(work, *ze)  # its c part is the caller's rho, which `give` ignores
+            work.give(*ze)  # its c part is the caller's rho, which `give` ignores
         mid = self._state(state, us, state.t)
         zs, _ = rhs(mid, self.variant, work)
         new = []
@@ -590,13 +589,10 @@ def make_stepper(variant: PksVariant, mesh: Mesh2D, dt: float) -> PksStepper:
 
 def radial_profile(state: PksState):
     """Density along the +x half of the row nearest the domain center."""
-    m = state.mesh
-    x, y = m.centers()
-    j0 = int(np.argmin(np.abs(y)))
+    x, y = state.mesh.centers()
     i0 = int(np.argmin(np.abs(x)))
-    prof = state.rho[i0:, j0]
-    r = x[i0:] - x[i0]
-    return r, prof
+    j0 = int(np.argmin(np.abs(y)))
+    return x[i0:] - x[i0], state.rho[i0:, j0]
 
 
 def oscillation_metric(state: PksState) -> float:

@@ -249,6 +249,29 @@ def test_an_out_that_cannot_be_created_exits_two(argv, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_pks_refuses_an_out_that_cannot_be_created_before_it_steps(tmp_path, capsys,
+                                                                   monkeypatch):
+    from adrlab import pks2d
+
+    def no_step(self, state):
+        raise AssertionError("stepped before --out was created")
+
+    monkeypatch.setattr(pks2d.PksStepper, "step", no_step)
+    (tmp_path / "file").write_text("")
+    assert run_cli(["pks", "--n", "16", "--t-end", "1e-6",
+                    "--out", str(tmp_path / "file" / "sub")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_pks_help_names_each_variants_velocity_stencil(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # one line per option: no wrap inside a variant id
+    with pytest.raises(SystemExit):
+        run_cli(["pks", "--help"])
+    out = capsys.readouterr().out
+    assert "explicit-oucs3-cd2: Heun, c's velocity by CD2, not OUCS3" in out
+    assert "imex-nccd: IMEX, c's velocity by NCCD" in out
+
+
 @pytest.mark.parametrize("scheme", ["implicit-oucs3-lele", "imex-oucs3-lele", "imex-nccd"])
 def test_wavepacket_da_two_exits_three(scheme, tmp_path, capsys):
     # Da = lam dt = 2 makes 1 - Da/2 vanish: the implicit stage eliminates
@@ -362,7 +385,7 @@ def test_pks_writes_only_finite_values(variant, n, dt, steps, chi, theta, log_ev
 def test_pks_negative_edge_reconstruction_exits_three(tmp_path, capsys, monkeypatch):
     from adrlab import pks2d
 
-    def broken_slopes(rho, mesh, theta, work=None):  # a limiter that lets every edge value go negative
+    def broken_slopes(rho, mesh, theta, work):  # a limiter that lets every edge value go negative
         return 1e3 * np.ones_like(rho), np.zeros_like(rho)
 
     monkeypatch.setattr(pks2d, "adaptive_slopes", broken_slopes)

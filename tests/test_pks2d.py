@@ -1,3 +1,4 @@
+import inspect
 import json
 import tracemalloc
 
@@ -14,6 +15,7 @@ from adrlab.pks2d import (
     PksStepper,
     PksVariant,
     PositivityError,
+    _Work,
     adaptive_slopes,
     diagnostics,
     edge_fluxes,
@@ -45,19 +47,22 @@ def gaussian_state(n=32, chi=30.0):
 def velocity(c, mesh, variant):
     """Cell-centre velocities (u, v) = grad c, from the variant's kernel."""
     derivs = getattr(pks2d, pks2d._VARIANTS[variant][0])
-    return (derivs(c, mesh.h, np.empty(c.shape)),
-            derivs(c.T, mesh.k, np.empty(c.T.shape)).T)
+    work = _Work(c.shape)
+    return (derivs(c, mesh.h, np.empty(c.shape), work),
+            derivs(c.T, mesh.k, np.empty(c.T.shape), work).T)
 
 
 def z_of(state, variant=EXPLICIT):
     """The right-hand sides (z_rho, z_c) of `rhs`."""
-    return rhs(state, variant)[0]
+    return rhs(state, variant, _Work(state.rho.shape))[0]
 
 
 def upwind_edges(rho, mesh, slopes, u_edge, v_edge):
     """x- and y-edge values of the upwind kernel behind `edge_fluxes`."""
-    return (pks2d._upwind(rho, slopes[0], mesh.h, u_edge),
-            pks2d._upwind(rho.T, slopes[1].T, mesh.k, v_edge.T).T)
+    work = _Work(rho.shape)
+    return (pks2d._upwind(rho, slopes[0], mesh.h, u_edge, work, np.empty(u_edge.shape)),
+            pks2d._upwind(rho.T, slopes[1].T, mesh.k, v_edge.T, work,
+                          np.empty(v_edge.T.shape)).T)
 
 
 def test_init_center_density_and_mass():
@@ -75,7 +80,7 @@ def test_velocity_constant_field_is_zero():
     for variant in VARIANTS:
         u, v = velocity(state.c, state.mesh, variant)
         assert np.max(np.abs(u)) < 1e-10 and np.max(np.abs(v)) < 1e-10
-        fl = edge_fluxes(state, variant)
+        fl = edge_fluxes(state, variant, _Work((32, 32)))
         assert np.max(np.abs(fl.p)) < 1e-10 and np.max(np.abs(fl.q)) < 1e-10
 
 
@@ -129,7 +134,7 @@ def test_minmod_cases():
 
 def test_slopes_constant_field_zero():
     mesh = Mesh2D.unit_square(16)
-    sx, sy = adaptive_slopes(np.full((16, 16), 3.0), mesh, 1.0)
+    sx, sy = adaptive_slopes(np.full((16, 16), 3.0), mesh, 1.0, _Work((16, 16)))
     assert np.max(np.abs(sx)) == 0.0 and np.max(np.abs(sy)) == 0.0
 
 
@@ -137,7 +142,7 @@ def test_slopes_restore_positivity_on_steep_front():
     mesh = Mesh2D.unit_square(16)
     rho = np.full((16, 16), 1e-8)
     rho[8:, :] = 1.0  # centered slope at the foot would overshoot below zero
-    sx, _ = adaptive_slopes(rho, mesh, 1.0)
+    sx, _ = adaptive_slopes(rho, mesh, 1.0, _Work(rho.shape))
     h = mesh.h
     assert np.all(rho - 0.5 * h * sx >= 0)
     assert np.all(rho + 0.5 * h * sx >= 0)
@@ -146,7 +151,7 @@ def test_slopes_restore_positivity_on_steep_front():
 def test_reconstruction_uniform_field_wind_independent():
     mesh = Mesh2D.unit_square(16)
     rho = np.full((16, 16), 2.5)
-    slopes = adaptive_slopes(rho, mesh, 1.0)
+    slopes = adaptive_slopes(rho, mesh, 1.0, _Work(rho.shape))
     for sign in (1.0, -1.0):
         ue = sign * np.ones((15, 16))
         ve = sign * np.ones((16, 15))
@@ -159,7 +164,7 @@ def test_reconstruction_linear_field_exact_upwind():
     mesh = Mesh2D.unit_square(16)
     x, _ = mesh.centers()
     rho = 5.0 + np.broadcast_to(x[:, None], (16, 16)).copy()
-    slopes = adaptive_slopes(rho, mesh, 1.0)
+    slopes = adaptive_slopes(rho, mesh, 1.0, _Work(rho.shape))
     ue = np.ones((15, 16))
     ve = np.ones((16, 15))
     xe, _ = upwind_edges(rho, mesh, slopes, ue, ve)
@@ -178,7 +183,7 @@ def test_reconstruction_reports_negative_edge(monkeypatch):
     monkeypatch.setattr(pks2d, "adaptive_slopes", lambda *_: (sx, np.zeros((16, 16))))
     state = state_from(mesh, np.ones((16, 16)), np.broadcast_to(-x[:, None], (16, 16)).copy())
     with pytest.raises(EdgeReconstructionError, match=r"reconstruction -4 at x-edge \(2, 5\)"):
-        edge_fluxes(state, EXPLICIT)
+        edge_fluxes(state, EXPLICIT, _Work((16, 16)))
 
 
 def test_reconstruction_nonnegative_randomized(rng):
@@ -187,7 +192,7 @@ def test_reconstruction_nonnegative_randomized(rng):
     checks = 0
     for _ in range(120):
         rho = rng.random((12, 12)) ** 3
-        slopes = adaptive_slopes(rho, mesh, theta=float(1.0 + rng.random()))
+        slopes = adaptive_slopes(rho, mesh, float(1.0 + rng.random()), _Work(rho.shape))
         ue = rng.normal(size=(11, 12))
         ve = rng.normal(size=(12, 11))
         xe, ye = upwind_edges(rho, mesh, slopes, ue, ve)
@@ -234,7 +239,8 @@ def test_c_rhs_forms():
     f = np.exp(-(x[:, None] ** 2 + y[None, :] ** 2))
     state = state_from(mesh, f.copy(), f.copy())
     got = z_of(state, PksVariant.EXPLICIT_OUCS3_CD2)[1]
-    assert np.max(np.abs(got - laplacian(state.c, mesh, PksVariant.EXPLICIT_OUCS3_CD2))) < 1e-12
+    lap = laplacian(state.c, mesh, PksVariant.EXPLICIT_OUCS3_CD2, _Work((16, 16)))
+    assert np.max(np.abs(got - lap)) < 1e-12
     state0 = state_from(mesh, f.copy(), np.zeros((16, 16)))
     assert np.max(np.abs(z_of(state0, PksVariant.EXPLICIT_OUCS3_CD2)[1] - f)) < 1e-14
 
@@ -501,6 +507,7 @@ def test_step_allocates_at_most_six_mesh_arrays(variant):
     stepper = make_stepper(variant, mesh, 1e-8)
     state = stepper.step(state)
     retained = sum(b.nbytes for b in stepper.work.buffers)
+    scratch = sum(a.nbytes for a in stepper.work.scratch.values())
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -514,6 +521,9 @@ def test_step_allocates_at_most_six_mesh_arrays(variant):
     assert sum(b.nbytes for b in stepper.work.buffers) == retained
     assert peak <= 6 * array, f"step peak {peak / array:.2f} arrays"
     assert retained + peak <= 14 * array, f"{retained / array:.2f} + {peak / array:.2f} arrays"
+    # the solves' scratch sits beside the work arrays, sized during the first step
+    assert sum(a.nbytes for a in stepper.work.scratch.values()) == scratch
+    assert scratch <= 4.5 * array, f"solver scratch {scratch / array:.2f} arrays"
 
 
 def test_explicit_step_is_heun_bit_for_bit_where_the_limiter_acts():
@@ -529,9 +539,9 @@ def test_explicit_step_is_heun_bit_for_bit_where_the_limiter_acts():
     state = state_from(mesh, rho, state.c, chi=1.0)
     from adrlab.pks2d import _limited_slopes
     centered = (rho[2:] - rho[:-2]) / (2 * mesh.h)
-    assert (_limited_slopes(rho, mesh.h, 1.0)[1:-1] != centered).any()
+    assert (_limited_slopes(rho, mesh.h, 1.0, _Work(rho.shape))[1:-1] != centered).any()
     one_sided = (rho[:, -1] - rho[:, -2]) / mesh.k
-    assert (_limited_slopes(rho.T, mesh.k, 1.0)[-1] != one_sided).any()
+    assert (_limited_slopes(rho.T, mesh.k, 1.0, _Work(rho.shape))[-1] != one_sided).any()
     fr, fc = z_of(state)
     mid = PksState(mesh, state.rho + dt * fr, state.c + dt * fc, dt, state.chi, state.theta)
     gr, gc = z_of(mid)
@@ -572,7 +582,7 @@ def test_line_operators_match_dense(nx, ny, rng):
 
     for axis, (n, s) in enumerate(((nx, mesh.h), (ny, mesh.k))):
         f = rng.standard_normal((n, 7))
-        for got, op in zip(_nccd(f, (0, 1)), nccd_line_operators(n)):
+        for got, op in zip(_nccd(f, (0, 1), stepper.work), nccd_line_operators(n)):
             close(got, op @ f)
         for rate, stages in zip((0.0, 1.0), stepper.stages):
             close(stages[axis].solve(f)[1:-1], np.linalg.solve(line_factor(n, s, dt, rate), f))
@@ -585,7 +595,7 @@ def test_line_operators_match_dense(nx, ny, rng):
     close(u, d1x @ f / mesh.h)
     close(v, f @ d1y.T / mesh.k)
     want = d2x @ f / mesh.h**2 + f @ d2y.T / mesh.k**2
-    close(laplacian(f, mesh, PksVariant.IMEX_NCCD), want)
+    close(laplacian(f, mesh, PksVariant.IMEX_NCCD, _Work((nx, ny))), want)
     (_, z_c), _ = rhs(state_from(mesh, np.zeros((nx, ny)), f), IMEX, stepper.work)
     close(z_c + f, want)
 
@@ -617,7 +627,6 @@ def test_work_set_survives_steps_that_raise(variant):
 
 
 def test_work_give_ignores_foreign_arrays():
-    from adrlab.pks2d import _Work
     work, other = _Work((8, 8)), _Work((8, 8))
     work.reset()
     other.reset()
@@ -633,9 +642,59 @@ def test_work_give_ignores_foreign_arrays():
     assert len(work.buffers) == 3
 
 
+def test_a_work_set_builds_each_line_length_once(monkeypatch):
+    # the work set is the one owner of the NCCD lines: kernels called on one
+    # set share its lines, and a stepper's stage factors are built from the
+    # operators of its own set's lines
+    built = []
+    init = pks2d._NccdLines.__init__
+
+    def counting(self, n):
+        built.append(n)
+        init(self, n)
+
+    monkeypatch.setattr(pks2d._NccdLines, "__init__", counting)
+    state = skewed_state()
+    mesh, f = state.mesh, state.c
+    work = _Work(f.shape)
+    for _ in range(3):
+        laplacian(f, mesh, IMEX, work)
+        pks2d._nccd(f, (0, 1), work)
+        pks2d._nccd(f.T, (1,), work)
+    assert sorted(built) == [mesh.ny, mesh.nx]
+    built.clear()
+    stepper = PksStepper(IMEX, mesh, 1e-8)
+    assert sorted(built) == [mesh.ny, mesh.nx]          # built with the stage factors
+    for stages in stepper.stages:
+        for stage, n in zip(stages, (mesh.nx, mesh.ny)):
+            assert stage.terms[0][0] is stepper.work.lines[n].ops[1]
+    stepper.step(stepper.step(state))
+    assert sorted(built) == [mesh.ny, mesh.nx]
+
+
+def test_no_kernel_defaults_its_work_set_or_output():
+    # one calling convention: every function of the module that takes a
+    # work set or an output array takes it from its caller
+    takers, defaulted = set(), []
+    for name, obj in vars(pks2d).items():
+        members = [(name, obj)]
+        if inspect.isclass(obj):
+            members += [(f"{name}.{k}", v) for k, v in vars(obj).items()]
+        for qualname, f in members:
+            if not (inspect.isfunction(f) and f.__module__ == pks2d.__name__):
+                continue
+            for p in inspect.signature(f).parameters.values():
+                if p.name in ("work", "out"):
+                    takers.add(qualname)
+                    if p.default is not p.empty:
+                        defaulted.append(f"{qualname}({p.name}=)")
+    assert defaulted == []
+    assert {"rhs", "edge_fluxes", "laplacian", "_upwind", "_axis_diff", "_nccd"} <= takers
+
+
 def test_edge_fluxes_zero_on_boundary():
     state = gaussian_state(n=16)
-    fl = edge_fluxes(state, PksVariant.EXPLICIT_OUCS3_CD2)
+    fl = edge_fluxes(state, PksVariant.EXPLICIT_OUCS3_CD2, _Work((16, 16)))
     assert np.all(fl.p[0, :] == 0) and np.all(fl.p[-1, :] == 0)
     assert np.all(fl.q[:, 0] == 0) and np.all(fl.q[:, -1] == 0)
     assert fl.p.shape == (17, 16) and fl.q.shape == (16, 17)
