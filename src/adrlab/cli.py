@@ -17,6 +17,13 @@ as one in parsing does. `pks` creates ``--out`` once its inputs are checked
 and before it steps, so a run that then fails numerically (exit 3) may
 leave an empty ``--out``; `dispersion-map` and `wavepacket` check their
 inputs inside the computation and create ``--out`` after it.
+
+A ``--config`` file holds ``key = value`` lines. Each line is the flag
+``--key=value`` (``_`` in a key read as ``-``), set right after the command
+name and before the command line's own flags, so those win. A key is a
+whole flag name: no command accepts an abbreviated flag. argparse checks a
+config value's name, type and choices as it checks a flag's, and a
+``config`` line is not followed.
 """
 
 from __future__ import annotations
@@ -68,9 +75,10 @@ def _check_map_args(args) -> None:
         raise ValueError("--kh-points > 1 needs --kh-min < --kh-max")
 
 
-def _load_config(path: str) -> dict:
-    """Plain key=value overrides; '#' starts a comment, keys match flag names."""
-    out = {}
+def _load_config(path: str) -> list:
+    """Each ``key = value`` line as the flag ``--key=value`` ('_' in a key read
+    as '-'); '#' starts a comment."""
+    tokens = []
     with open(path) as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
@@ -79,30 +87,29 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"config line without '=': {line!r}")
             key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
-    return out
+            tokens.append(f"--{key.strip().replace('_', '-')}={val.strip()}")
+    return tokens
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=".", help="output directory (created if missing)")
     p.add_argument("--config", default=None,
-                   help="key=value file with flag defaults; flags given on the "
-                        "command line take precedence")
+                   help="key = value lines, read as flags --key=value ahead of the "
+                        "command line's, which win; keys are whole flag names")
     p.add_argument("--threads", type=int, default=None,
                    help="cap BLAS worker threads (default: machine parallelism)")
 
 
-def _build_parser():
+def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="adrlab",
         description="Dispersion analysis and solvers for compact-difference "
                     "IMEX discretizations of advection-diffusion-reaction problems.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    subparsers = {}
 
     d = sub.add_parser(
-        "dispersion-map",
+        "dispersion-map", allow_abbrev=False,
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
         help="amplification-ratio / group-velocity / phase-error map over (kh, N_c)",
     )
@@ -119,10 +126,9 @@ def _build_parser():
     d.add_argument("--nc-max", type=float, default=1.6, help="upper CFL bound")
     d.add_argument("--nc-points", type=int, default=64, help="number of CFL samples")
     _add_common(d)
-    subparsers["dispersion-map"] = d
 
     w = sub.add_parser(
-        "wavepacket",
+        "wavepacket", allow_abbrev=False,
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
         help="Gaussian wave-packet run with upstream-energy diagnostics",
     )
@@ -141,10 +147,9 @@ def _build_parser():
     w.add_argument("--qwindow-efolds", type=float, default=6.0,
                    help="upstream-window margin in envelope e-folding lengths")
     _add_common(w)
-    subparsers["wavepacket"] = w
 
     k = sub.add_parser(
-        "pks",
+        "pks", allow_abbrev=False,
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
         help="2D chemotaxis blowup run on [-1/2, 1/2]^2",
     )
@@ -158,26 +163,16 @@ def _build_parser():
     k.add_argument("--theta", type=float, default=1.0, help="limiter parameter in [1, 2]")
     k.add_argument("--log-every", type=int, default=100, help="diagnostics cadence in steps")
     _add_common(k)
-    subparsers["pks"] = k
-    return ap, subparsers
+    return ap
 
 
-def _reparse_with_config(ap, subparsers, argv) -> argparse.Namespace:
+def _reparse_with_config(ap, argv) -> argparse.Namespace:
+    """Parse ``argv``; with ``--config``, parse again with the file's flags
+    right after the command name, so the command line's own flags win."""
     args = ap.parse_args(argv)
     if getattr(args, "config", None):
-        overrides = _load_config(args.config)
-        sub = subparsers[args.command]
-        valid = {a.dest for a in sub._actions}
-        unknown = set(overrides) - valid
-        if unknown:
-            ap.error(f"unknown config keys: {sorted(unknown)}")
-        for a in sub._actions:  # argparse checks choices on the command line only
-            if a.choices is not None and a.dest in overrides and overrides[a.dest] not in a.choices:
-                sub.error(f"argument {a.option_strings[0]}: invalid choice: "
-                          f"{overrides[a.dest]!r} (choose from {', '.join(a.choices)})")
-        # string defaults pass through each flag's type, so a bad value names its flag
-        sub.set_defaults(**overrides)
-        args = ap.parse_args(argv)
+        at = argv.index(args.command) + 1
+        args = ap.parse_args(argv[:at] + _load_config(args.config) + argv[at:])
     return args
 
 
@@ -271,9 +266,9 @@ def cmd_pks(args) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap, subparsers = _build_parser()
+    ap = _build_parser()
     try:
-        args = _reparse_with_config(ap, subparsers, argv)
+        args = _reparse_with_config(ap, argv)
         _cap_threads(args.threads)
         return {"dispersion-map": cmd_dispersion_map,
                 "wavepacket": cmd_wavepacket,

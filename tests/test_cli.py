@@ -169,6 +169,62 @@ def test_config_value_outside_the_choices_names_its_flag(cmd, key, flag, tmp_pat
     assert not out.exists()
 
 
+SMALL_MAP = ["dispersion-map", "--n", "51", "--node", "25", "--kh-points", "3", "--nc-points", "2"]
+
+
+@pytest.mark.parametrize("where", ["config", "command line"])
+def test_an_abbreviated_flag_exits_two_wherever_it_is_set(where, tmp_path, capsys):
+    # a config key is a whole flag name, and so is a flag on the command line
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("sch = imex-nccd\n")
+    extra = ["--config", str(cfgfile)] if where == "config" else ["--sch", "imex-nccd"]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(SMALL_MAP + extra + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --sch" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_negative_config_value_is_its_flags_value(tmp_path, capsys):
+    # the line is the one token --da=-0.02, so the minus sign cannot start a flag
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("da = -0.02\n")
+    assert run_cli(SMALL_MAP + ["--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    header = (tmp_path / "dispersion_explicit-oucs3-cd2.csv").read_text().splitlines()[0]
+    assert ",da=-0.02," in header
+
+
+def test_a_config_key_reads_underscores_as_dashes(tmp_path, capsys):
+    maps = []
+    for key in ("kh_points", "kh-points"):
+        cfgfile, out = tmp_path / f"{key}.cfg", tmp_path / key
+        cfgfile.write_text(f"{key} = 4\n")
+        assert run_cli(["dispersion-map", "--n", "51", "--node", "25", "--nc-points", "2",
+                        "--config", str(cfgfile), "--out", str(out)]) == 0
+        maps.append((out / "dispersion_explicit-oucs3-cd2.csv").read_text())
+    assert maps[0] == maps[1] and len(maps[0].splitlines()) == 2 + 4 * 2
+
+
+def test_a_config_line_naming_another_config_is_not_followed(tmp_path, capsys):
+    (tmp_path / "other.cfg").write_text("n = x\n")   # exits 2 if it were read
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"config = {tmp_path / 'other.cfg'}\nkh-points = 4\n")
+    assert run_cli(SMALL_MAP + ["--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    # the command line's --kh-points 3 wins over the config's 4
+    lines = (tmp_path / "dispersion_explicit-oucs3-cd2.csv").read_text().splitlines()
+    assert len(lines) == 2 + 3 * 2
+
+
+def test_an_unknown_config_key_is_named(tmp_path, capsys):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("nonsense = 1\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(SMALL_MAP + ["--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --nonsense=1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--pe", "nan"), ("--pe", "-0.01"), ("--da", "inf"),
     ("--nc-min", "0"), ("--nc-min", "-0.1"), ("--nc-max", "nan"), ("--nc-max", "0.01"),

@@ -26,6 +26,7 @@ TINY = [
 TINY_REFUSED = [
     ("refused_map", ["dispersion-map", "--n", "6"], None),
     ("refused_pks", ["pks", "--n", "8", "--out", "run.cfg/sub"], "t-end = 1e-8\n"),
+    ("refused_config", ["dispersion-map", "--n", "51", "--node", "25"], "nonsense = 1\n"),
 ]
 
 
@@ -46,7 +47,7 @@ def test_two_exports_of_one_tree_give_identical_outputs(tmp_path, capsys):
     assert (out / "refused_pks" / "stderr.txt").read_text() == (
         "exit 2\nerror: [Errno 20] Not a directory: 'run.cfg/sub'\n")
     report = capsys.readouterr().out.splitlines()
-    assert len(report) == 2 + 2 + 4 + 2 * 2
+    assert len(report) == 2 + 2 + 4 + 3 * 2
     assert all(ln.endswith("byte-identical") for ln in report)
 
 
@@ -56,3 +57,11 @@ def test_a_failing_run_stops_the_set(tmp_path):
         standard_outputs.run(tmp_path, tmp_path / "out",
                              [("bad", ["dispersion-map", "--n", "5"], None)])
 
+
+
+def test_the_refused_config_run_names_its_key(tmp_path):
+    refused = [r for r in standard_outputs.REFUSED if r[0] == "refused_map_config_key"]
+    standard_outputs.run(_ROOT, tmp_path / "out", [], refused)
+    err = (tmp_path / "out" / "refused_map_config_key" / "stderr.txt").read_text()
+    assert err.startswith("exit 2\n") and err.endswith(
+        "error: unrecognized arguments: --nonsense=1\n")
