@@ -5,11 +5,11 @@ Patlak-Keller-Segel chemotaxis system.
 
 Submodules (import explicitly; nothing heavy is loaded from the package root):
 
-    adrlab.linalg      stencil matrices, their partitioned solver, dense solve
+    adrlab.linalg      stencil matrices and their partitioned solver
     adrlab.operators   CD2 / upwind-compact / Lele / combined-compact matrices
     adrlab.adr1d       the two-stage 1D stepper for the four schemes
     adrlab.spectral    amplification factors, group velocity, phase error
-    adrlab.wavepacket  wave-packet error-dynamics experiments
+    adrlab.wavepacket  wave-packet runs and their error against the exact solution
     adrlab.pks2d       2D chemotaxis finite-volume solver
     adrlab.cli         command-line front end
 

@@ -232,6 +232,10 @@ def cmd_wavepacket(args) -> int:
           f"peak={_fmt(result.amplitude_peak)} asymmetry={_fmt(result.asymmetry)}")
     print(f"at k0h={_fmt(cfg.k0h)}: G_ratio={_fmt(g_ratio)} Vg_ratio={_fmt(vg)} "
           f"phase_err={_fmt(perr)}")
+    errors = (f"l2_rel={_fmt(result.l2_error)} max_rel={_fmt(result.max_error)}"
+              if result.l2_error is not None
+              else "not available (the free-space exact solution does not hold or is 0)")
+    print(f"exact_error: {errors}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Banded and dense linear algebra, in NumPy.
+"""Banded linear algebra, in NumPy.
 
 Every banded matrix is a `StencilMatrix`: the NumPy weights of its row
 stencils, ``weights[k, i]`` at column ``i // per_node + k - lower``. The
@@ -14,8 +14,7 @@ to the columns of an array in the same number of products (the lines of a
 its columns from other input rows, or read zeros (the mirror ghosts of a
 padded line), so no padded copy is made. Nothing here imports SciPy.
 
-Dense matrices are plain float64/complex128 ndarrays of shape (n, m). The
-operator assemblies combine boundary rows that break diagonal dominance
+The operator assemblies combine boundary rows that break diagonal dominance
 (Lele's last row ``u''_{N+1} + 11 u''_N``); the partitioned solve pivots
 within a block (`np.linalg.inv`) and not across blocks, and raises
 `LinearSolveError` on a singular block even where A itself is regular.
@@ -310,20 +309,3 @@ def tridiagonal(lo, diag, up) -> StencilMatrix:
     """
     return StencilMatrix(np.array(np.broadcast_arrays(lo, diag, up), dtype=float), 1)
 
-
-def solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """LU solve with partial pivoting (`numpy.linalg.solve`); b may hold
-    multiple right-hand sides, so solve_dense(a, m) == a^{-1} m."""
-    a, b = np.asarray(a), np.asarray(b)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if b.shape[0] != n:
-        raise ValueError("rhs row count must equal matrix size")
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise LinearSolveError(str(exc)) from exc
-    if not np.all(np.isfinite(x)):
-        raise LinearSolveError("non-finite solution (singular dense system)")
-    return x

@@ -120,11 +120,6 @@ class DerivativeOperator:
         columns of an (N, k) array at once, O(N k)."""
         return _apply([self], u)[0]
 
-    def row_symbol(self, node: int, kh):
-        """Fourier symbol sum_r D[j, r] e^{i kh (r - j)} of row j = `node`
-        (0-based), shaped like kh (`row_symbols`)."""
-        return np.reshape(row_symbols([self], node, kh)[0][0], np.shape(kh))
-
 
 def _apply(ops, u: np.ndarray) -> list:
     """[D u for each D of ``ops``] (dimensionless) from one solve of each
@@ -257,11 +252,6 @@ def _explicit(order: int, grid: Grid1D, interior, first, last) -> DerivativeOper
     b[2:5, 0], b[0:3, n - 1] = first, last
     system = BandedSystem(StencilMatrix(np.ones((1, n)), 0), StencilMatrix(b, 2))
     return DerivativeOperator(order, 1.0 / grid.h**order, system)
-
-
-def build_cd2_first(grid: Grid1D) -> DerivativeOperator:
-    """Second-order central first derivative; one-sided rows at the ends."""
-    return _explicit(1, grid, (-0.5, 0.0, 0.5), (-1.5, 2.0, -0.5), (0.5, -2.0, 1.5))
 
 
 def build_cd2_second(grid: Grid1D) -> DerivativeOperator:

@@ -34,16 +34,15 @@ same forward solve as S_n (`operators.row_symbols`), so V_g has no
 difference step and no branch of beta to unwrap. The kh = 0 column of a
 map holds the scheme's own values there, which are its kh -> 0 limits:
 the phase error is finite at kh = 0 when Da != 0 (the same formula as at
-kh > 0, as in `phase_speed_error`), and is stored as its limit 0 when
-Da = 0, where the exact phase speed is singular.
+kh > 0), and is stored as its limit 0 when Da = 0, where the exact phase
+speed is singular.
 
 Evaluation works on arrays. The symbols depend on kh only, so a (kh, N_c)
 map evaluates S1, S2 and their slopes once per kh and broadcasts G over
-the N_c axis; a map holds each diagnostic as one (N_c, kh) array. The
-point functions (g_num, dispersion_point, group_velocity_ratio,
-max_ratio_over_kh, ...) are the same evaluation at the given samples, so a
-map entry equals the point function at that sample bit for bit wherever
-the BLAS matrix product sums a column of the symbols' mode table alike
+the N_c axis; a map holds each diagnostic as one (N_c, kh) array.
+`dispersion_point` is the one single-sample path: the map of a 1 x 1
+grid, so a map entry equals it at that sample bit for bit wherever the
+BLAS matrix product sums a column of the symbols' mode table alike
 whatever the number of columns (OpenBLAS does; the tests check it). All
 evaluations are pure, and maps are emitted in a deterministic row-major
 order. A sample whose G ratio, V_g or phase error is not finite raises
@@ -118,10 +117,6 @@ def _g_exact(kh, nc, pe, da):
     return np.exp(-(pe * kh**2 + 1j * nc * kh - da))
 
 
-def g_exact(p: SpectralParams) -> complex:
-    return complex(_g_exact(p.kh, p.nc, p.pe, p.da))
-
-
 def _grid(values, shape) -> np.ndarray:
     # a contiguous copy over the whole grid: every sample then takes the same
     # arithmetic path, whatever the size of the grid it is evaluated in
@@ -167,12 +162,6 @@ def _g(scheme: SchemeId, symbols, nc, pe: float, da: float) -> tuple:
                            _times(1 / s, 0.5 * dz_i / s**2)))
 
 
-def g_num(scheme: SchemeId, p: SpectralParams, ops) -> complex:
-    """One-step amplification factor of the scheme at row `node`."""
-    g, _ = _g(scheme, _symbols(ops, p.node, p.kh), p.nc, p.pe, p.da)
-    return complex(g[0, 0])
-
-
 def phase_shift(g):
     """beta = -atan2(Im G, Re G), branch-correct, in (-pi, pi]; elementwise."""
     g = np.asarray(g)
@@ -189,52 +178,6 @@ def _c_ratio(kh, nc, pe, da, g):
     num = np.log(abs(g)) - 1j * phase_shift(g)
     den = (pe * kh**2 - da) / nc + 1j * kh
     return -(1.0 / nc) * num / den
-
-
-def phase_speed_error(p: SpectralParams, g: complex) -> float:
-    """|1 - c_num/c_exact| from the modulus and phase of G, bit for bit a
-    map entry's: `_c_ratio` on arrays, kh = 0 included (NumPy's scalar
-    complex arithmetic rounds differently in the last bit).
-
-    At kh = 0 the expression reduces to |1 - (ln|G| - i beta)/Da|, finite
-    whenever Da != 0; with Da = 0 as well the exact phase speed is singular
-    there.
-    """
-    if p.kh == 0.0 and p.da == 0.0:
-        raise ValueError("phase speed error singular at kh = 0 with Da = 0")
-    return np.abs(1 - _c_ratio(*np.atleast_1d(p.kh, p.nc), p.pe, p.da, np.atleast_1d(g))).item()
-
-
-def group_velocity_ratio(scheme: SchemeId, p: SpectralParams, ops) -> float:
-    """Scaled group velocity -Im(G'/G)/N_c of a scheme at one (kh, N_c) sample."""
-    return dispersion_point(scheme, p, ops).vg_ratio
-
-
-def error_forcing_value(p: SpectralParams, a0, t: float, g: complex) -> complex:
-    """Forcing integrand of the error-propagation equation at one kh.
-
-    Returns, in units of 1/dt,
-
-        A0(kh) (i N_c kh + Pe (kh)^2 - Da) [1 - c_num/c_exact] G^t
-
-    with t counted in steps (time in units of dt). The bracket vanishes
-    identically when G = G_exact, which is the classical von Neumann limit;
-    the principal-branch beta makes that exact only while N_c * kh <= pi.
-    """
-    amp = a0(p.kh)
-    if amp == 0:
-        return 0.0 + 0.0j
-    if abs(g) == 0.0:
-        raise ValueError("forcing undefined for G = 0")
-    bracket = 1 - _c_ratio(p.kh, p.nc, p.pe, p.da, g)
-    coeff = 1j * p.nc * p.kh + p.pe * p.kh**2 - p.da
-    return complex(amp * coeff * bracket * g**t)
-
-
-def error_forcing_spectrum(scheme: SchemeId, p: SpectralParams, a0, t: float,
-                           ops) -> complex:
-    """error_forcing_value evaluated with the scheme's own G_num."""
-    return error_forcing_value(p, a0, t, g_num(scheme, p, ops))
 
 
 def _map(scheme: SchemeId, kh_axis, nc_axis, pe: float, da: float,
@@ -286,65 +229,16 @@ def sweep(scheme: SchemeId, kh_axis, nc_axis, pe: float, da: float,
     return _map(scheme, kh_axis, nc_axis, pe, da, node, ops)
 
 
-def _max_ratio(scheme: SchemeId, symbols, kh, nc: float, pe: float, da: float) -> float:
-    g, _ = _g(scheme, symbols, nc, pe, da)
-    return float(np.max(np.abs(g / _g_exact(kh, nc, pe, da)), initial=0.0))
-
-
-def max_ratio_over_kh(scheme: SchemeId, kh_axis, nc: float, pe: float, da: float,
-                      node: int, ops) -> float:
-    kh = np.asarray(kh_axis, dtype=float)
-    return _max_ratio(scheme, _symbols(ops, node, kh), kh, nc, pe, da)
-
-
 def sampled_stability_boundary(dmap: DispersionMap):
     """Largest N_c of the map's own axis whose whole kh row has
     |G_num/G_exact| <= 1 + STABILITY_TOL, or None when no row does.
 
-    The two stability boundaries differ in how they search N_c. This one
-    reads a computed map, on the map's kh axis: it returns a sample of the
-    N_c axis, so it is only as fine as that axis, and it is the largest
-    stable sample even when a smaller one is unstable. `stability_boundary`
-    bisects N_c upward from a stable nc_start, on its own kh axis, to the
-    bisection's resolution, and so assumes that the stable N_c above
-    nc_start form one interval.
+    It reads a computed map, on the map's kh axis: it returns a sample of
+    the N_c axis, so it is only as fine as that axis, and it is the largest
+    stable sample even when a smaller one is unstable.
     """
     stable = dmap.nc_axis[np.all(dmap.g_ratio <= 1 + STABILITY_TOL, axis=1)]
     return float(stable.max()) if len(stable) else None
-
-
-def stability_boundary(scheme: SchemeId, ops, pe: float, da: float,
-                       node: int = 500, kh_axis=None, nc_start: float = 0.5, nc_max: float = 3.2,
-                       iters: int = 40) -> float:
-    """Largest N_c with |G_num/G_exact| <= 1 + STABILITY_TOL across the kh
-    axis, bisected (see `sampled_stability_boundary` for how the two
-    differ); the slack is the module's one constant, so this boundary and
-    the sampled one judge a ratio alike.
-
-    Bisected upward from nc_start (which must itself be stable). Returns
-    nc_max when the whole search range is stable; very small N_c can be
-    ratio-unstable at high kh (numerical diffusion weaker than exact), so
-    the scan deliberately starts at an intermediate CFL. The row symbols
-    are evaluated once, before the bisection.
-    """
-    kh = np.linspace(0.0, np.pi, 64)[1:] if kh_axis is None else np.asarray(kh_axis, float)
-    symbols = _symbols(ops, node, kh)
-
-    def stable(nc: float) -> bool:
-        return _max_ratio(scheme, symbols, kh, nc, pe, da) <= 1 + STABILITY_TOL
-
-    if not stable(nc_start):
-        raise ValueError(f"N_c = {nc_start} is not ratio-stable; no bracket")
-    if stable(nc_max):
-        return nc_max
-    lo, hi = nc_start, nc_max
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if stable(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def write_map_csv(dmap: DispersionMap, path) -> None:

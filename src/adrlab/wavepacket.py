@@ -5,7 +5,10 @@ A Gaussian-modulated cosine packet
     u(x, 0) = exp(-gamma (x - x0)^2) cos(k0 (x - x0)),   x in [-L, L],
 
 is advanced to a target time by one of the four schemes and compared with
-the free-space exact solution, which has a closed form. The
+the free-space exact solution, which has a closed form: `run_experiment`
+reports the final snapshot's relative L2 and max errors against it, or
+None where the packet is not negligible at the domain ends (the
+free-space assumption, `FREE_SPACE_TOL`) or the exact solution is 0. The
 headline diagnostic is the fraction of solution energy that ends up
 upstream of the advected packet: spurious waves with negative group
 velocity travel against the advection direction and collect there.
@@ -66,6 +69,8 @@ class ExperimentResult:
     q_wave_energy: float
     amplitude_peak: float
     asymmetry: float
+    l2_error: float | None    # relative errors against exact_solution; None
+    max_error: float | None   # where it does not hold or is 0 (_exact_errors)
 
 
 def init_wavepacket(cfg: WavePacketConfig) -> SolutionState:
@@ -87,32 +92,6 @@ def fourier_spectrum(state: SolutionState):
     n = len(u)
     amp = np.abs(np.fft.rfft(u)) / n
     return 2.0 * np.pi * np.arange(len(amp)) / n, amp
-
-
-def packet_amplitude(cfg: WavePacketConfig):
-    """Analytic Fourier amplitude A0(k) of the initial packet.
-
-    With u(x) = int A0(k) e^{ikx} dk,
-
-        A0(k) = e^{-i k x0} / (4 sqrt(pi gamma))
-                * [exp(-(k-k0)^2/(4 gamma)) + exp(-(k+k0)^2/(4 gamma))].
-    """
-    g, k0, x0 = cfg.gamma, cfg.k0, cfg.x0
-    norm = 1.0 / (4.0 * np.sqrt(np.pi * g))
-
-    def a0(k):
-        env = np.exp(-((k - k0) ** 2) / (4 * g)) + np.exp(-((k + k0) ** 2) / (4 * g))
-        phase = np.exp(-1j * k * x0) if x0 != 0.0 else 1.0
-        return norm * env * phase
-
-    return a0
-
-
-def amplitude_of_kh(cfg: WavePacketConfig):
-    """packet_amplitude reparametrized by kh, for the spectral forcing API."""
-    a0 = packet_amplitude(cfg)
-    h = cfg.h
-    return lambda kh: a0(kh / h)
 
 
 def exact_solution(cfg: WavePacketConfig, adr: AdrConfig, t: float) -> SolutionState:
@@ -139,6 +118,22 @@ def exact_solution(cfg: WavePacketConfig, adr: AdrConfig, t: float) -> SolutionS
     if peak > 0 and max(abs(u[0]), abs(u[-1])) > FREE_SPACE_TOL * max(peak, 1.0):
         raise ValueError("packet too wide for the free-space assumption at t")
     return SolutionState(u, t)
+
+
+def _exact_errors(state: SolutionState, cfg: WavePacketConfig, adr: AdrConfig):
+    """(relative L2, relative max) error of the state against `exact_solution`
+    at its own time: ||u - u_ex|| / ||u_ex|| in each norm. (None, None) where
+    the free-space assumption fails (exact_solution's ValueError) or the
+    exact solution is 0."""
+    try:
+        exact = exact_solution(cfg, adr, state.t).values
+    except ValueError:
+        return None, None
+    scale = np.linalg.norm(exact)
+    if not scale > 0:
+        return None, None
+    err = state.values - exact
+    return float(np.linalg.norm(err) / scale), float(np.max(np.abs(err)) / np.max(np.abs(exact)))
 
 
 def spread_gamma(gamma: float, nu: float, t: float) -> float:
@@ -208,6 +203,7 @@ def run_experiment(scheme: SchemeId, cfg: WavePacketConfig, adr: AdrConfig,
     final = snaps[-1]
     kh, amp = fourier_spectrum(final)
     q = q_wave_energy(final, adr, cfg, efolds) if final.t > 0 else 0.0
+    l2_error, max_error = _exact_errors(final, cfg, adr)
     return ExperimentResult(
         snapshots=snaps,
         spectrum_kh=kh,
@@ -215,6 +211,8 @@ def run_experiment(scheme: SchemeId, cfg: WavePacketConfig, adr: AdrConfig,
         q_wave_energy=q,
         amplitude_peak=float(np.max(np.abs(final.values))),
         asymmetry=asymmetry_about_center(final, adr, cfg),
+        l2_error=l2_error,
+        max_error=max_error,
     )
 
 

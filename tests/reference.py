@@ -5,14 +5,33 @@ text formatted one value at a time.
 The program solves in NumPy alone (`adrlab.linalg`); these helpers are
 what its solvers and operators are checked against. They use SciPy, which
 only the tests need.
+
+Below them sit single-sample and analytic references that no command
+runs, each the same evaluation the program's own path makes:
+
+* `g_exact` and `g_num`, the exact and the scheme's amplification factor
+  at one `spectral.SpectralParams` sample (complex scalars; the maps and
+  `spectral.dispersion_point` hold the same values as arrays);
+* `stability_boundary` (with `_max_ratio`), the N_c boundary bisected to
+  its resolution against `spectral.STABILITY_TOL`, the check on
+  `spectral.sampled_stability_boundary`, which reads one off a map;
+* `error_forcing_value`, the forcing integrand of the error-propagation
+  equation at one kh, with `packet_amplitude` and `amplitude_of_kh`, the
+  packet's analytic Fourier amplitude, as its A0;
+* `build_cd2_first`, the second-order central first derivative, an
+  operator with a known order for the operator suite.
 """
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
+from adrlab import SchemeId
 from adrlab.linalg import LinearSolveError, StencilMatrix
-from adrlab.operators import BandedSystem, DerivativeOperator, Grid1D, build_nccd, nccd_system
+from adrlab.operators import (BandedSystem, DerivativeOperator, Grid1D, _explicit, build_nccd,
+                              nccd_system)
+from adrlab.spectral import STABILITY_TOL, SpectralParams, _c_ratio, _g, _g_exact, _symbols
+from adrlab.wavepacket import WavePacketConfig
 
 
 def sparse(m: StencilMatrix) -> scipy.sparse.csr_array:
@@ -135,6 +154,110 @@ def nccd_blocks(grid):
     a, c = (dense(m) for m in nccd_system(grid))
     return a[0::2, 0::2], a[0::2, 1::2], c[0::2], a[1::2, 0::2], a[1::2, 1::2], c[1::2]
 
+
+
+def g_exact(p: SpectralParams) -> complex:
+    return complex(_g_exact(p.kh, p.nc, p.pe, p.da))
+
+
+def g_num(scheme: SchemeId, p: SpectralParams, ops) -> complex:
+    """One-step amplification factor of the scheme at row `node`."""
+    g, _ = _g(scheme, _symbols(ops, p.node, p.kh), p.nc, p.pe, p.da)
+    return complex(g[0, 0])
+
+
+def error_forcing_value(p: SpectralParams, a0, t: float, g: complex) -> complex:
+    """Forcing integrand of the error-propagation equation at one kh.
+
+    Returns, in units of 1/dt,
+
+        A0(kh) (i N_c kh + Pe (kh)^2 - Da) [1 - c_num/c_exact] G^t
+
+    with t counted in steps (time in units of dt). The bracket vanishes
+    identically when G = G_exact, which is the classical von Neumann limit;
+    the principal-branch beta makes that exact only while N_c * kh <= pi.
+    """
+    amp = a0(p.kh)
+    if amp == 0:
+        return 0.0 + 0.0j
+    if abs(g) == 0.0:
+        raise ValueError("forcing undefined for G = 0")
+    bracket = 1 - _c_ratio(p.kh, p.nc, p.pe, p.da, g)
+    coeff = 1j * p.nc * p.kh + p.pe * p.kh**2 - p.da
+    return complex(amp * coeff * bracket * g**t)
+
+
+def _max_ratio(scheme: SchemeId, symbols, kh, nc: float, pe: float, da: float) -> float:
+    g, _ = _g(scheme, symbols, nc, pe, da)
+    return float(np.max(np.abs(g / _g_exact(kh, nc, pe, da)), initial=0.0))
+
+
+def stability_boundary(scheme: SchemeId, ops, pe: float, da: float,
+                       node: int = 500, kh_axis=None, nc_start: float = 0.5, nc_max: float = 3.2,
+                       iters: int = 40) -> float:
+    """Largest N_c with |G_num/G_exact| <= 1 + STABILITY_TOL across the kh
+    axis, bisected; the slack is `spectral.STABILITY_TOL`, so this boundary
+    and `spectral.sampled_stability_boundary` judge a ratio alike. They
+    differ in how they search N_c: the sampled one reads a computed map and
+    returns the largest stable sample of its N_c axis, while this one
+    bisects N_c on its own kh axis to the bisection's resolution, and so
+    assumes that the stable N_c above nc_start form one interval.
+
+    Bisected upward from nc_start (which must itself be stable). Returns
+    nc_max when the whole search range is stable; very small N_c can be
+    ratio-unstable at high kh (numerical diffusion weaker than exact), so
+    the scan deliberately starts at an intermediate CFL. The row symbols
+    are evaluated once, before the bisection.
+    """
+    kh = np.linspace(0.0, np.pi, 64)[1:] if kh_axis is None else np.asarray(kh_axis, float)
+    symbols = _symbols(ops, node, kh)
+
+    def stable(nc: float) -> bool:
+        return _max_ratio(scheme, symbols, kh, nc, pe, da) <= 1 + STABILITY_TOL
+
+    if not stable(nc_start):
+        raise ValueError(f"N_c = {nc_start} is not ratio-stable; no bracket")
+    if stable(nc_max):
+        return nc_max
+    lo, hi = nc_start, nc_max
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if stable(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def build_cd2_first(grid: Grid1D) -> DerivativeOperator:
+    """Second-order central first derivative; one-sided rows at the ends."""
+    return _explicit(1, grid, (-0.5, 0.0, 0.5), (-1.5, 2.0, -0.5), (0.5, -2.0, 1.5))
+
+
+def packet_amplitude(cfg: WavePacketConfig):
+    """Analytic Fourier amplitude A0(k) of the initial packet.
+
+    With u(x) = int A0(k) e^{ikx} dk,
+
+        A0(k) = e^{-i k x0} / (4 sqrt(pi gamma))
+                * [exp(-(k-k0)^2/(4 gamma)) + exp(-(k+k0)^2/(4 gamma))].
+    """
+    g, k0, x0 = cfg.gamma, cfg.k0, cfg.x0
+    norm = 1.0 / (4.0 * np.sqrt(np.pi * g))
+
+    def a0(k):
+        env = np.exp(-((k - k0) ** 2) / (4 * g)) + np.exp(-((k + k0) ** 2) / (4 * g))
+        phase = np.exp(-1j * k * x0) if x0 != 0.0 else 1.0
+        return norm * env * phase
+
+    return a0
+
+
+def amplitude_of_kh(cfg: WavePacketConfig):
+    """packet_amplitude reparametrized by kh, for the spectral forcing API."""
+    a0 = packet_amplitude(cfg)
+    h = cfg.h
+    return lambda kh: a0(kh / h)
 
 #: floats whose text is easy to get wrong: nan, the infinities, the signed
 #: zeros, the least subnormal and the extremes of the normal range

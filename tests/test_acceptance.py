@@ -43,14 +43,23 @@ from adrlab.adr1d import AdrConfig, SchemeId, SolutionState, make_stepper, schem
 from adrlab.operators import (
     DEFAULT_OUCS3,
     Grid1D,
-    build_cd2_first,
     build_cd2_second,
     build_lele_second,
     build_nccd,
     build_oucs3,
 )
 from adrlab import pks2d, spectral, wavepacket as wp
-from reference import dense, nccd_blocks, nccd_raw
+from reference import (
+    amplitude_of_kh,
+    build_cd2_first,
+    dense,
+    error_forcing_value,
+    g_exact,
+    g_num,
+    nccd_blocks,
+    nccd_raw,
+    stability_boundary,
+)
 
 PE, DA = 0.01, -0.01
 NODE, N = 500, 1001
@@ -73,10 +82,9 @@ def _finish(num, checks, elapsed, budget, capsys):
 
 def _point(scheme, ops, kh=0.5, nc=0.1):
     p = spectral.SpectralParams(kh, nc, PE, DA, NODE)
-    g = spectral.g_num(scheme, p, ops)
-    return (abs(g / spectral.g_exact(p)),
-            spectral.group_velocity_ratio(scheme, p, ops),
-            spectral.phase_speed_error(p, g))
+    g = g_num(scheme, p, ops)
+    pt = spectral.dispersion_point(scheme, p, ops)
+    return abs(g / g_exact(p)), pt.vg_ratio, pt.phase_err
 
 
 def test_criterion_1_explicit_scheme_point_values(ops1001, capsys):
@@ -87,11 +95,11 @@ def test_criterion_1_explicit_scheme_point_values(ops1001, capsys):
     p = spectral.SpectralParams(0.5, 0.1, PE, DA, NODE)
     # REF_G matches the amplitude against the advection-diffusion factor
     # alone; that reading is a hypothesis (criterion 2 uses the full ratio)
-    amp = abs(spectral.g_num(scheme, p, ops1001[scheme])) / np.exp(-PE * p.kh**2)
+    amp = abs(g_num(scheme, p, ops1001[scheme])) / np.exp(-PE * p.kh**2)
     # phase_err = |w - w_ex|/|w_ex| with w = ln G bounds |ln G_ratio|, so a
     # scheme meeting REF_PHASE has G_ratio >= 0.99503 here, not 0.9896; the
     # bound follows from the phase_err subcheck and records why
-    bound = (REF_PHASE + 1e-3) * abs(np.log(spectral.g_exact(p)))
+    bound = (REF_PHASE + 1e-3) * abs(np.log(g_exact(p)))
     checks = [
         ("Vg", abs(vg - REF_VG) <= 1e-3, f"{vg:.6f} vs {REF_VG}+-1e-3"),
         ("phase_err", abs(perr - REF_PHASE) <= 1e-3, f"{perr:.6f} vs {REF_PHASE}+-1e-3"),
@@ -116,22 +124,22 @@ def test_criterion_2_imex_nccd_point_values(ops1001, capsys):
 def test_criterion_3_stability_boundaries(ops1001, capsys):
     t0 = time.time()
     kh_axis = np.linspace(0.0, np.pi, 64)[1:]
-    b1 = spectral.stability_boundary(SchemeId.EXPLICIT_OUCS3_CD2,
-                                     ops1001[SchemeId.EXPLICIT_OUCS3_CD2], PE, DA,
-                                     kh_axis=kh_axis)
+    b1 = stability_boundary(SchemeId.EXPLICIT_OUCS3_CD2,
+                            ops1001[SchemeId.EXPLICIT_OUCS3_CD2], PE, DA,
+                            kh_axis=kh_axis)
     s2, nc_cap = SchemeId.IMPLICIT_OUCS3_LELE, 3.2
-    b2 = spectral.stability_boundary(s2, ops1001[s2], PE, DA, kh_axis=kh_axis, nc_max=nc_cap)
-    gmax2 = [max(abs(spectral.g_num(s2, spectral.SpectralParams(kh, nc, PE, DA, NODE),
-                                    ops1001[s2])) for kh in kh_axis)
+    b2 = stability_boundary(s2, ops1001[s2], PE, DA, kh_axis=kh_axis, nc_max=nc_cap)
+    gmax2 = [max(abs(g_num(s2, spectral.SpectralParams(kh, nc, PE, DA, NODE),
+                           ops1001[s2])) for kh in kh_axis)
              for nc in (1.43, nc_cap)]
-    corner = spectral.max_ratio_over_kh(SchemeId.IMEX_OUCS3_LELE,
-                                        kh_axis[kh_axis <= 0.87], 1.01, PE, DA,
-                                        NODE, ops1001[SchemeId.IMEX_OUCS3_LELE])
+    corner = spectral.sweep(SchemeId.IMEX_OUCS3_LELE,
+                            kh_axis[kh_axis <= 0.87], [1.01], PE, DA,
+                            NODE, ops1001[SchemeId.IMEX_OUCS3_LELE]).g_ratio.max()
     worst4 = max(
-        np.abs(1 - np.array([abs(spectral.g_num(SchemeId.IMEX_NCCD,
-                                                spectral.SpectralParams(kh, nc, PE, DA, NODE),
-                                                ops1001[SchemeId.IMEX_NCCD])
-                                 / spectral.g_exact(
+        np.abs(1 - np.array([abs(g_num(SchemeId.IMEX_NCCD,
+                                       spectral.SpectralParams(kh, nc, PE, DA, NODE),
+                                       ops1001[SchemeId.IMEX_NCCD])
+                                 / g_exact(
                                      spectral.SpectralParams(kh, nc, PE, DA, NODE)))
                              for kh in kh_axis])).max()
         for nc in np.linspace(0.025, 0.21, 8))
@@ -156,7 +164,7 @@ def vg_bands(ops1001):
         neg = []
         for kh in kh_axis:
             p = spectral.SpectralParams(kh, 0.1, PE, DA, NODE)
-            if spectral.group_velocity_ratio(scheme, p, ops1001[scheme]) < 0:
+            if spectral.dispersion_point(scheme, p, ops1001[scheme]).vg_ratio < 0:
                 neg.append(kh)
         bands[scheme] = (min(neg), max(neg))
     return bands
@@ -167,10 +175,10 @@ def test_criterion_4_negative_group_velocity_bands(ops1001, vg_bands, capsys):
     lo1, hi1 = vg_bands[SchemeId.EXPLICIT_OUCS3_CD2]
     lo4, _ = vg_bands[SchemeId.IMEX_NCCD]
     inner = all(
-        spectral.group_velocity_ratio(
+        spectral.dispersion_point(
             SchemeId.EXPLICIT_OUCS3_CD2,
             spectral.SpectralParams(kh, 0.1, PE, DA, NODE),
-            ops1001[SchemeId.EXPLICIT_OUCS3_CD2]) < 0
+            ops1001[SchemeId.EXPLICIT_OUCS3_CD2]).vg_ratio < 0
         for kh in np.linspace(1.1, 2.6, 40))
     checks = [
         # the quoted edges [0.95, 2.72] are rounded to two decimals (the true
@@ -198,7 +206,7 @@ def test_criterion_5_stepper_spectral_consistency(ops1001, capsys):
         u0 = np.exp(1j * kh * np.arange(N))
         ratio = stepper.step(SolutionState(u0, 0.0)).values[NODE - 1] / u0[NODE - 1]
         p = spectral.SpectralParams(kh, nc, PE, DA, NODE)
-        worst = max(worst, abs(ratio - spectral.g_num(scheme, p, ops1001[scheme])))
+        worst = max(worst, abs(ratio - g_num(scheme, p, ops1001[scheme])))
     checks = [("max_deviation", worst < 1e-6, f"{worst:.2e} over 100 random tuples")]
     _finish(5, checks, time.time() - t0, "30 s", capsys)
 
@@ -373,17 +381,14 @@ def test_criterion_8_pks_desk_scale_run(capsys):
 def test_criterion_9_error_forcing(ops1001, vg_bands, capsys):
     t0 = time.time()
     cfg = wp.WavePacketConfig(1e4, 0.0, K0H, L, N)
-    a0 = wp.amplitude_of_kh(cfg)
+    a0 = amplitude_of_kh(cfg)
     kh_axis = np.linspace(0.02, np.pi - 0.02, 400)
     # von Neumann limit: substituting the exact factor kills the forcing
-    worst = max(abs(spectral.error_forcing_value(
-        spectral.SpectralParams(kh, 0.1, PE, DA, NODE), a0, 10.0,
-        spectral.g_exact(spectral.SpectralParams(kh, 0.1, PE, DA, NODE))))
-        for kh in kh_axis)
-    vals = np.array([abs(spectral.error_forcing_spectrum(
-        SchemeId.EXPLICIT_OUCS3_CD2,
-        spectral.SpectralParams(kh, 0.1, PE, DA, NODE), a0, 10.0,
-        ops1001[SchemeId.EXPLICIT_OUCS3_CD2])) for kh in kh_axis])
+    samples = [spectral.SpectralParams(kh, 0.1, PE, DA, NODE) for kh in kh_axis]
+    worst = max(abs(error_forcing_value(p, a0, 10.0, g_exact(p))) for p in samples)
+    scheme = SchemeId.EXPLICIT_OUCS3_CD2
+    vals = np.array([abs(error_forcing_value(p, a0, 10.0, g_num(scheme, p, ops1001[scheme])))
+                     for p in samples])
     lo, hi = vg_bands[SchemeId.EXPLICIT_OUCS3_CD2]
     peak_kh = kh_axis[int(np.argmax(vals))]
     in_band = (kh_axis >= lo) & (kh_axis <= hi)

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from adrlab import NumericalError
-from adrlab.adr1d import AdrInstabilityError
+from adrlab.adr1d import AdrConfig, AdrInstabilityError
 from adrlab.cli import main
 from adrlab.linalg import LinearSolveError
 from adrlab.pks2d import EdgeReconstructionError, NonFiniteError, PositivityError
 from adrlab.spectral import NonFiniteSampleError
+from adrlab.wavepacket import WavePacketConfig, exact_solution
 
 
 SCHEMES = ["explicit-oucs3-cd2", "implicit-oucs3-lele", "imex-oucs3-lele", "imex-nccd"]
@@ -81,6 +82,42 @@ def test_wavepacket_t0_snapshot_matches_initial(tmp_path, capsys):
     want = np.exp(-50 * x**2) * np.cos(k0 * x)
     assert np.max(np.abs(u - want)) < 1e-11
     assert (tmp_path / "spectrum_explicit-oucs3-cd2_50_101.csv").exists()
+
+
+def _exact_error(out: str) -> str:
+    """The text after ``exact_error:`` on the one stdout line that holds it."""
+    (line,) = [line for line in out.splitlines() if line.startswith("exact_error:")]
+    return line.removeprefix("exact_error:").strip()
+
+
+def test_wavepacket_prints_the_error_of_its_t_end_snapshot(tmp_path, capsys):
+    # the printed errors are those of the written t_end CSV against
+    # exact_solution; its 12 digits leave them equal to ~1e-11 here
+    assert run_cli(["wavepacket", "--n", "201", "--t-end", "0.2", "--out", str(tmp_path)]) == 0
+    printed = dict(f.split("=") for f in _exact_error(capsys.readouterr().out).split())
+    cfg = WavePacketConfig(50.0, 0.0, 0.5, 5.0, 201)
+    exact = exact_solution(cfg, AdrConfig(0.1, 1e-4, -1.0, 0.01, cfg.grid()), 0.2).values
+    u = np.loadtxt(tmp_path / "explicit-oucs3-cd2_50_201_0.2.csv", delimiter=",",
+                   skiprows=1)[:, 1]
+    want = {"l2_rel": np.linalg.norm(u - exact) / np.linalg.norm(exact),
+            "max_rel": np.max(np.abs(u - exact)) / np.max(np.abs(exact))}
+    assert printed.keys() == want.keys()
+    for key, value in want.items():
+        assert abs(float(printed[key]) - value) <= 1e-9 * value, key
+
+
+def test_wavepacket_too_wide_for_the_exact_solution_still_exits_zero(tmp_path, capsys):
+    # at gamma = 0.1 the packet is not negligible at the domain ends, so the
+    # free-space solution does not hold; the run itself is valid (a window
+    # of 1 e-fold keeps the q-wave window inside the domain)
+    cfg = WavePacketConfig(0.1, 0.0, 0.5, 5.0, 101)
+    with pytest.raises(ValueError, match="packet too wide .* at t = 0"):
+        exact_solution(cfg, AdrConfig(0.1, 1e-4, -1.0, 0.01, cfg.grid()), 0.02)
+    assert run_cli(["wavepacket", "--gamma", "0.1", "--qwindow-efolds", "1", "--n", "101",
+                    "--t-end", "0.02", "--out", str(tmp_path)]) == 0
+    assert _exact_error(capsys.readouterr().out).startswith("not available")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "explicit-oucs3-cd2_0.1_101_0.02.csv", "spectrum_explicit-oucs3-cd2_0.1_101.csv"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -6,7 +6,6 @@ from adrlab.linalg import (
     LinearSolveError,
     PartitionedLU,
     StencilMatrix,
-    solve_dense,
     tridiagonal,
 )
 from reference import (
@@ -43,7 +42,7 @@ def test_banded_matches_dense_lu(rng):
     full = dense(a)
     b = rng.normal(size=(n, 3))
     xb = solve_banded(a, b)
-    xd = solve_dense(full, b)
+    xd = np.linalg.solve(full, b)
     assert np.max(np.abs(xb - xd)) < 1e-10
     assert residual_inf(full, xb, b) <= residual_bound(full, xb, b)
 
@@ -119,33 +118,35 @@ def test_banded_factor_keeps_the_matrix_and_solves_complex_input(rng):
     assert np.max(np.abs(dense(a) @ lu.solve(b) - b)) < 1e-12
 
 
+# `_inverse` is the partitioned solver's one dense step: it inverts each
+# diagonal block and each interface system of up to DENSE_INTERFACE unknowns
+
 def test_dense_scaled_identity():
-    a = 2.0 * np.eye(4)
-    x = solve_dense(a, np.eye(4))
+    x = linalg._inverse(2.0 * np.eye(4), "block", range(4))
     assert np.allclose(x, 0.5 * np.eye(4), rtol=0, atol=0)
 
 
 def test_dense_permutation_inverse_is_transpose():
     p = np.eye(5)[[3, 0, 4, 1, 2]]
-    assert np.allclose(solve_dense(p, np.eye(5)), p.T, rtol=0, atol=0)
+    assert np.allclose(linalg._inverse(p, "block", range(5)), p.T, rtol=0, atol=0)
 
 
 def test_dense_residual_contract(rng):
     a = rng.normal(size=(20, 20)) + 20.0 * np.eye(20)
     b = rng.normal(size=(20, 4))
-    x = solve_dense(a, b)
+    x = linalg._inverse(a, "block", range(20)) @ b
     assert residual_inf(a, x, b) <= residual_bound(a, x, b)
 
 
 def test_dense_singular_raises():
     a = np.ones((3, 3))
-    with pytest.raises(LinearSolveError):
-        solve_dense(a, np.ones(3))
+    with pytest.raises(LinearSolveError, match=r"singular block of rows 4\.\.6"):
+        linalg._inverse(a, "block", range(4, 7))
 
 
 def test_inverse_roundtrip(rng):
     a = rng.normal(size=(30, 30)) + 10.0 * np.eye(30)
-    inv = solve_dense(a, np.eye(30))
+    inv = linalg._inverse(a, "block", range(30))
     assert np.max(np.abs(a @ inv - np.eye(30))) < 1e-9
 
 

@@ -3,24 +3,25 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference import awkward_floats, csv_by_value
-
-from adrlab import CHUNK_ROWS
-from adrlab.adr1d import AdrConfig, SchemeId, scheme_operators
-from adrlab.operators import Grid1D
-from adrlab.spectral import (
-    DispersionMap,
-    SpectralParams,
-    dispersion_point,
-    error_forcing_spectrum,
+from reference import (
+    awkward_floats,
+    csv_by_value,
     error_forcing_value,
     g_exact,
     g_num,
-    group_velocity_ratio,
-    phase_shift,
-    phase_speed_error,
-    sampled_stability_boundary,
     stability_boundary,
+)
+
+from adrlab import CHUNK_ROWS
+from adrlab.adr1d import AdrConfig, SchemeId, scheme_operators
+from adrlab.operators import Grid1D, row_symbols
+from adrlab.spectral import (
+    DispersionMap,
+    SpectralParams,
+    _c_ratio,
+    dispersion_point,
+    phase_shift,
+    sampled_stability_boundary,
     sweep,
     write_map_csv,
 )
@@ -64,14 +65,13 @@ def test_phase_shift_trivials():
 
 
 def test_phase_speed_error_vanishes_for_exact_g():
+    # the phase error |1 - c_num/c_exact| of the maps, from the exact factor
     for kh in (0.3, 1.0, 2.5):
         p = params(kh, 0.1)
-        assert phase_speed_error(p, g_exact(p)) < 1e-12
+        assert abs(1 - _c_ratio(p.kh, p.nc, PE, DA, g_exact(p))) < 1e-12
     # kh = 0 limit is finite for Da != 0 and zero for the exact factor
     p0 = params(0.0, 0.1)
-    assert phase_speed_error(p0, g_exact(p0)) < 1e-12
-    with pytest.raises(ValueError):
-        phase_speed_error(params(0.0, 0.1, da=0.0), 1.0 + 0j)
+    assert abs(1 - _c_ratio(p0.kh, p0.nc, PE, DA, g_exact(p0))) < 1e-12
 
 
 # the CLI default map: 64 x 64 samples of kh in [0, pi] and N_c in [0.025, 1.6]
@@ -82,7 +82,7 @@ def test_group_velocity_reference_value(ops1001):
     # a steep sample of the default map, where a +-1e-4 phase difference
     # reads 19.93610; differences with smaller steps converge to 19.934923
     scheme = SchemeId.EXPLICIT_OUCS3_CD2
-    vg = group_velocity_ratio(scheme, params(MAP_KH[58], MAP_NC[34]), ops1001[scheme])
+    vg = dispersion_point(scheme, params(MAP_KH[58], MAP_NC[34]), ops1001[scheme]).vg_ratio
     assert abs(vg - 19.934923) <= 1e-5
 
 
@@ -111,15 +111,15 @@ def test_map_edges_are_the_schemes_limits(scheme, ops1001):
                           <= 1e-6 * np.maximum(1.0, np.abs(col[:, edge]))), (name, edge)
     for nc, perr in zip(MAP_NC, dmap.phase_err[:, 0]):
         p = params(0.0, nc)
-        assert abs(perr - phase_speed_error(p, g_num(scheme, p, ops))) <= 1e-9
+        assert abs(perr - dispersion_point(scheme, p, ops).phase_err) <= 1e-9
 
 
 @pytest.mark.parametrize("scheme", list(SchemeId))
 def test_conjugate_symmetry_of_row_symbols(scheme, ops1001):
     d1, d2 = ops1001[scheme]
     for op in (d1, d2):
-        s_plus = op.row_symbol(499, 0.8)
-        s_minus = op.row_symbol(499, -0.8)
+        s_plus = row_symbols([op], 499, 0.8)[0][0]
+        s_minus = row_symbols([op], 499, -0.8)[0][0]
         assert abs(s_minus - np.conj(s_plus)) < 1e-12
 
 
@@ -164,8 +164,8 @@ def test_error_forcing_is_the_exponent_gap(ops1001, scheme):
 def test_error_forcing_zero_amplitude(ops1001):
     p = params(1.0, 0.1)
     ops = ops1001[SchemeId.EXPLICIT_OUCS3_CD2]
-    assert error_forcing_spectrum(SchemeId.EXPLICIT_OUCS3_CD2, p, lambda kh: 0.0,
-                                  10.0, ops) == 0.0
+    assert error_forcing_value(p, lambda kh: 0.0, 10.0,
+                               g_num(SchemeId.EXPLICIT_OUCS3_CD2, p, ops)) == 0.0
 
 
 @pytest.mark.parametrize("scheme", list(SchemeId))
@@ -183,13 +183,11 @@ def test_sweep_single_point_matches_pointwise(scheme, ops1001):
             for name in ("g_num", "g_ratio", "beta", "vg_ratio", "phase_err"):
                 assert getattr(pt, name) == getattr(dmap, name)[i_nc, i_kh], name
             assert g_num(scheme, params(kh, nc), ops) == pt.g_num
-            assert phase_speed_error(params(kh, nc), pt.g_num) == pt.phase_err
 
 
 def _reference_g(scheme, kh, nc, pe, da, ops):
     """The three per-scheme closed forms the two-stage template replaces."""
-    d1, d2 = ops
-    s1, s2 = d1.row_symbol(499, kh), d2.row_symbol(499, kh)
+    (s1, _), (s2, _) = row_symbols(ops, 499, kh)
     if scheme is SchemeId.EXPLICIT_OUCS3_CD2:
         diff = pe * (np.cos(kh) - 1.0)
         g_star = 1 - nc * s1 + 2 * diff + da
@@ -215,7 +213,7 @@ def test_template_g_matches_closed_forms(ops1001, scheme, kh, nc, pe, da):
 
 def test_sweep_kh0_column_stores_analytic_limits(ops1001):
     # the kh = 0 column holds the scheme's limits: the reaction-only ratio,
-    # the phase error of phase_speed_error (finite for Da != 0) and a V_g
+    # the phase error of dispersion_point (finite for Da != 0) and a V_g
     # that continues the kh > 0 values, not 1; with Da = 0 the phase error
     # keeps its limit 0
     scheme = SchemeId.EXPLICIT_OUCS3_CD2
@@ -227,7 +225,7 @@ def test_sweep_kh0_column_stores_analytic_limits(ops1001):
     p0 = params(0.0, 0.1)
     for each in SchemeId:  # the point function's value is the map entry's, bit for bit
         m = sweep(each, [0.0, 1e-7], [0.1], PE, DA, 500, ops1001[each])
-        assert m.phase_err[0, 0] == phase_speed_error(p0, g_num(each, p0, ops1001[each]))
+        assert m.phase_err[0, 0] == dispersion_point(each, p0, ops1001[each]).phase_err
     vg0, vg1 = dmap.vg_ratio[0]
     assert abs(vg0 - vg1) < 1e-9 and vg0 != 1.0
     dmap = sweep(scheme, [0.0], [0.1], PE, 0.0, 500, ops)

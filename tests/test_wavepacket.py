@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
-from reference import awkward_floats, csv_by_value
+from reference import amplitude_of_kh, awkward_floats, csv_by_value
 
 from adrlab import CHUNK_ROWS
 from adrlab.adr1d import AdrConfig, SchemeId, SolutionState
 from adrlab.wavepacket import (
     WavePacketConfig,
-    amplitude_of_kh,
     asymmetry_about_center,
     exact_solution,
     fourier_spectrum,
     init_wavepacket,
-    packet_amplitude,
     point_diagnostics,
     q_wave_energy,
     run_experiment,
@@ -217,6 +215,35 @@ def test_energy_decays_in_dissipative_regime(scheme):
     e0 = np.sum(init_wavepacket(cfg).values ** 2)
     e1 = np.sum(res.snapshots[-1].values ** 2)
     assert e1 < e0
+
+
+def test_imex_nccd_keeps_the_packet_100x_closer_than_each_oucs3_scheme():
+    # the paper's packet ordering at the standing block (gamma = 50, N = 1001,
+    # t = 2): each OUCS3 scheme's relative L2 error against the exact packet
+    # reads about 0.89, imex-nccd's 4.6e-3. Measured against the t = 0 packet,
+    # which the advection has since moved by c t = 0.2 (1.6 carrier
+    # wavelengths), every scheme's error is O(1) and the ordering is lost
+    cfg = cfg_of(50.0)
+    adr = adr_of(cfg)
+    finals = {s: run_experiment(s, cfg, adr, 2.0) for s in SchemeId}
+    u0 = init_wavepacket(cfg).values
+
+    def ordered(errors):
+        nccd = errors.pop(SchemeId.IMEX_NCCD)
+        return all(e >= 100.0 * nccd for e in errors.values())
+
+    assert ordered({s: res.l2_error for s, res in finals.items()})
+    assert not ordered({s: np.linalg.norm(res.snapshots[-1].values - u0) / np.linalg.norm(u0)
+                        for s, res in finals.items()})
+
+
+def test_run_experiment_has_no_exact_error_where_the_exact_solution_is_0():
+    # e^{lambda t} = e^{-1000} underflows, so the exact packet is 0 and an
+    # error relative to it is not defined; the run itself is valid
+    cfg = cfg_of(50.0, n=101)
+    res = run_experiment(SchemeId.EXPLICIT_OUCS3_CD2, cfg, adr_of(cfg, lam=-100.0), 10.0)
+    assert res.l2_error is None and res.max_error is None
+    assert 0 < res.amplitude_peak < 1e-300
 
 
 def test_point_diagnostics_center_node():
