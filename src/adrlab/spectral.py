@@ -40,13 +40,14 @@ speed is singular.
 Evaluation works on arrays. The symbols depend on kh only, so a (kh, N_c)
 map evaluates S1, S2 and their slopes once per kh and broadcasts G over
 the N_c axis; a map holds each diagnostic as one (N_c, kh) array.
-`dispersion_point` is the one single-sample path: the map of a 1 x 1
-grid, so a map entry equals it at that sample bit for bit wherever the
-BLAS matrix product sums a column of the symbols' mode table alike
-whatever the number of columns (OpenBLAS does; the tests check it). All
-evaluations are pure, and maps are emitted in a deterministic row-major
-order. A sample whose G ratio, V_g or phase error is not finite raises
-`NonFiniteSampleError`.
+`sweep` is the one evaluation and `DispersionMap` its one result; a
+single sample is the map of a 1 x 1 grid. A map entry does not depend on
+the size of the grid it is evaluated in: it equals the 1 x 1 map at that
+sample bit for bit wherever the BLAS matrix product sums a column of the
+symbols' mode table alike whatever the number of columns (OpenBLAS does;
+the tests check it). All evaluations are pure, and maps are emitted in a
+deterministic row-major order. A sample whose G ratio, V_g or phase error
+is not finite raises `NonFiniteSampleError`.
 """
 
 from __future__ import annotations
@@ -69,35 +70,11 @@ class NonFiniteSampleError(NumericalError):
     finite (a pole of the scheme's G, or an overflow); the message names it."""
 
 
-@dataclass(frozen=True)
-class SpectralParams:
-    kh: float
-    nc: float
-    pe: float
-    da: float
-    node: int = 500          # 1-based interior node index of the operators
-
-    def __post_init__(self):
-        if not 0.0 <= self.kh <= np.pi + 1e-12:
-            raise ValueError("kh must lie in [0, pi]")
-
-
-@dataclass(frozen=True)
-class DispersionPoint:
-    kh: float
-    nc: float
-    g_num: complex
-    g_ratio: float
-    beta: float
-    vg_ratio: float
-    phase_err: float
-
-
 @dataclass(frozen=True, eq=False)
 class DispersionMap:
-    """The diagnostics of `DispersionPoint` over the grid nc x kh: each of
-    g_num .. phase_err has shape (len(nc_axis), len(kh_axis)); n_points is
-    the size of the operators the map was evaluated with."""
+    """G and its diagnostics over the grid nc x kh: each of g_num .. phase_err
+    has shape (len(nc_axis), len(kh_axis)); n_points is the size of the
+    operators the map was evaluated with."""
 
     kh_axis: np.ndarray
     nc_axis: np.ndarray
@@ -172,17 +149,19 @@ def phase_shift(g):
     return float(beta) if beta.ndim == 0 else beta
 
 
-def _c_ratio(kh, nc, pe, da, g):
-    """c_num/c_exact from the modulus and phase of G; at kh = 0 it is
-    (ln|G| - i beta)/Da, singular when Da = 0 too."""
-    num = np.log(abs(g)) - 1j * phase_shift(g)
+def _c_ratio(kh, nc, pe, da, g, beta):
+    """c_num/c_exact from the modulus of G and its phase shift beta
+    (`phase_shift`); at kh = 0 it is (ln|G| - i beta)/Da, singular when
+    Da = 0 too."""
+    num = np.log(abs(g)) - 1j * beta
     den = (pe * kh**2 - da) / nc + 1j * kh
     return -(1.0 / nc) * num / den
 
 
-def _map(scheme: SchemeId, kh_axis, nc_axis, pe: float, da: float,
-         node: int, ops) -> DispersionMap:
-    """The DispersionMap over the grid nc x kh (nc outer, kh inner).
+def sweep(scheme: SchemeId, kh_axis, nc_axis, pe: float, da: float,
+          node: int, ops) -> DispersionMap:
+    """The DispersionMap over the rectangular grid nc x kh (nc outer, kh
+    inner) of two monotone axes.
 
     Every sample, kh = 0 included, takes the same formulas; only the phase
     error at kh = 0 with Da = 0, where the exact phase speed is singular,
@@ -190,8 +169,9 @@ def _map(scheme: SchemeId, kh_axis, nc_axis, pe: float, da: float,
     sample in row-major order, when a G ratio, V_g or phase error is not
     finite.
     """
-    kh_axis = np.asarray(kh_axis, dtype=float)
-    nc_axis = np.asarray(nc_axis, dtype=float)
+    kh_axis, nc_axis = (np.asarray(a, dtype=float) for a in (kh_axis, nc_axis))
+    if np.any(np.diff(kh_axis) <= 0) or np.any(np.diff(nc_axis) < 0):
+        raise ValueError("axes must be monotone")
     shape = (len(nc_axis), len(kh_axis))
     kh, nc = _grid(kh_axis, shape), _grid(nc_axis[:, None], shape)
     with np.errstate(all="ignore"):  # non-finite samples raise below
@@ -201,7 +181,7 @@ def _map(scheme: SchemeId, kh_axis, nc_axis, pe: float, da: float,
         phased = np.where(g == 0, np.nan, g)  # G = 0 has no phase
         beta = phase_shift(phased)
         perr = np.where((kh == 0.0) & (da == 0.0), 0.0,
-                        np.abs(1 - _c_ratio(kh, nc, pe, da, phased)))
+                        np.abs(1 - _c_ratio(kh, nc, pe, da, phased, beta)))
     bad = ~(np.isfinite(ratio) & np.isfinite(vg) & np.isfinite(perr))
     if bad.any():
         first = np.argmax(bad)
@@ -209,24 +189,6 @@ def _map(scheme: SchemeId, kh_axis, nc_axis, pe: float, da: float,
                                    f"kh = {kh.flat[first]:.12g}, N_c = {nc.flat[first]:.12g}")
     return DispersionMap(kh_axis, nc_axis, g, ratio, beta, vg, perr, scheme, pe, da,
                          node, ops[0].n_points)
-
-
-def dispersion_point(scheme: SchemeId, p: SpectralParams, ops) -> DispersionPoint:
-    """All diagnostics at one (kh, N_c) sample: the map of a 1 x 1 grid."""
-    m = _map(scheme, [p.kh], [p.nc], p.pe, p.da, p.node, ops)
-    return DispersionPoint(*(a.item(0) for a in (m.kh_axis, m.nc_axis, m.g_num, m.g_ratio,
-                                                  m.beta, m.vg_ratio, m.phase_err)))
-
-
-def sweep(scheme: SchemeId, kh_axis, nc_axis, pe: float, da: float,
-          node: int, ops) -> DispersionMap:
-    """Rectangular (kh, N_c) DispersionMap; raises NonFiniteSampleError
-    when a sample is not finite (`_map`)."""
-    kh_axis = np.asarray(kh_axis, dtype=float)
-    nc_axis = np.asarray(nc_axis, dtype=float)
-    if np.any(np.diff(kh_axis) <= 0) or np.any(np.diff(nc_axis) < 0):
-        raise ValueError("axes must be monotone")
-    return _map(scheme, kh_axis, nc_axis, pe, da, node, ops)
 
 
 def sampled_stability_boundary(dmap: DispersionMap):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import SchemeId, spectral, write_csv
+from . import SchemeId, spectral, whole_steps, write_csv
 from .adr1d import AdrConfig, SolutionState, run, scheme_operators
 from .operators import Grid1D
 
@@ -145,28 +145,33 @@ def spread_gamma(gamma: float, nu: float, t: float) -> float:
     return gamma / (1.0 + 4.0 * gamma * nu * t)
 
 
+def _q_window(cfg: WavePacketConfig, adr: AdrConfig, t: float, efolds: float) -> np.ndarray:
+    """Mask of the grid nodes upstream of the packet advected to time t:
+    x < x0 + c t - efolds / sqrt(gamma_eff(t)), where gamma_eff accounts
+    for diffusive spreading of the envelope. Raises ValueError when it
+    holds no node."""
+    x = cfg.grid().x()
+    bound = cfg.x0 + adr.c * t - efolds / np.sqrt(spread_gamma(cfg.gamma, adr.nu, t))
+    if not x[0] < bound:
+        raise ValueError(f"q-wave window empty: its bound x = {bound:g} is not right of "
+                         f"the domain's left end x = {x[0]:g}")
+    return x < bound
+
+
 def q_wave_energy(state: SolutionState, adr: AdrConfig, cfg: WavePacketConfig,
                   efolds: float = Q_WINDOW_EFOLDS) -> float:
     """Fraction of discrete L2 energy upstream of the advected packet, at
     the state's own time t = ``state.t``.
 
-    The window is x < x0 + c t - efolds / sqrt(gamma_eff(t)), where
-    gamma_eff accounts for diffusive spreading of the envelope; `efolds`
-    envelope e-folding lengths separate the packet body from upstream
-    parasites. The exact solution scores below 1e-6 here for any packet
-    narrow enough to satisfy the free-space assumption. Raises ValueError
-    at t <= 0, where there is no upstream yet, and when the window holds
-    no node.
+    The window is `_q_window`'s: `efolds` envelope e-folding lengths
+    separate the packet body from upstream parasites. The exact solution
+    scores below 1e-6 here for any packet narrow enough to satisfy the
+    free-space assumption. Raises ValueError at t <= 0, where there is no
+    upstream yet, and when the window holds no node.
     """
-    t = state.t
-    if not t > 0:
+    if not state.t > 0:
         raise ValueError("q-wave window needs t > 0")
-    x = cfg.grid().x()
-    bound = cfg.x0 + adr.c * t - efolds / np.sqrt(spread_gamma(cfg.gamma, adr.nu, t))
-    window = x < bound
-    if not np.any(window):
-        raise ValueError(f"q-wave window empty: its bound x = {bound:g} is not right of "
-                         f"the domain's left end x = {x[0]:g}")
+    window = _q_window(cfg, adr, state.t, efolds)
     u = np.asarray(state.values)
     total = float(np.sum(np.abs(u) ** 2))
     if total == 0.0:
@@ -194,11 +199,21 @@ def run_experiment(scheme: SchemeId, cfg: WavePacketConfig, adr: AdrConfig,
                    t_end: float, snapshot_times=(),
                    efolds: float = Q_WINDOW_EFOLDS, ops=None) -> ExperimentResult:
     """Advance the packet (with operator pair `ops`, built when not given)
-    and collect the error-dynamics diagnostics."""
+    and collect the error-dynamics diagnostics.
+
+    Refuses with ValueError before the first step: when the grids of `cfg`
+    and `adr` disagree, when t_end is not a whole number of steps
+    (`adrlab.whole_steps`), when the q-wave window (`_q_window`) at the
+    final time t > 0 holds no node, and (`adr1d.run`) when a snapshot time
+    is not finite or lies outside the run.
+    """
     grid = cfg.grid()
     if (adr.grid.n_points != grid.n_points or abs(adr.grid.h - grid.h) > 1e-12 * grid.h
             or abs(adr.grid.x_start - grid.x_start) > 1e-12):
         raise ValueError("wave-packet grid and ADR grid disagree")
+    t_final = whole_steps(t_end, adr.dt) * adr.dt  # the time the final state carries
+    if t_final > 0:
+        _q_window(cfg, adr, t_final, efolds)
     snaps = run(scheme, adr, init_wavepacket(cfg), t_end, snapshot_times, ops)
     final = snaps[-1]
     kh, amp = fourier_spectrum(final)
@@ -217,15 +232,14 @@ def run_experiment(scheme: SchemeId, cfg: WavePacketConfig, adr: AdrConfig,
 
 
 def point_diagnostics(scheme: SchemeId, cfg: WavePacketConfig, adr: AdrConfig, ops=None):
-    """(G ratio, V_g ratio, phase error) at the packet's central wavenumber,
-    from the scheme's operator pair `ops` (built when not given): one
-    `spectral.dispersion_point`, so V_g is the exact -Im(G'/G)/N_c."""
+    """(G ratio, V_g ratio, phase error) at the packet's central wavenumber
+    k0h and the run's N_c, at the grid's middle node, from the scheme's
+    operator pair `ops` (built when not given): the one entry of a 1 x 1
+    `spectral.sweep`, so V_g is the exact -Im(G'/G)/N_c."""
     if ops is None:
         ops = scheme_operators(scheme, cfg.grid())
-    node = (cfg.n_points + 1) // 2
-    p = spectral.SpectralParams(cfg.k0h, adr.n_c, adr.pe, adr.da, node)
-    pt = spectral.dispersion_point(scheme, p, ops)
-    return pt.g_ratio, pt.vg_ratio, pt.phase_err
+    m = spectral.sweep(scheme, [cfg.k0h], [adr.n_c], adr.pe, adr.da, (cfg.n_points + 1) // 2, ops)
+    return m.g_ratio.item(), m.vg_ratio.item(), m.phase_err.item()
 
 
 def snapshot_filename(scheme: SchemeId, cfg: WavePacketConfig, t: float) -> str:

@@ -9,9 +9,13 @@ only the tests need.
 Below them sit single-sample and analytic references that no command
 runs, each the same evaluation the program's own path makes:
 
+* `SpectralParams`, one (kh, N_c, Pe, Da, node) sample, moved here from
+  `adrlab.spectral` when its one-sample path was folded into the map:
+  `spectral.sweep` is the program's one evaluation, and `sweep_at` is its
+  1 x 1 map at one sample;
 * `g_exact` and `g_num`, the exact and the scheme's amplification factor
-  at one `spectral.SpectralParams` sample (complex scalars; the maps and
-  `spectral.dispersion_point` hold the same values as arrays);
+  at one `SpectralParams` sample (complex scalars; the maps hold the same
+  values as arrays);
 * `stability_boundary` (with `_max_ratio`), the N_c boundary bisected to
   its resolution against `spectral.STABILITY_TOL`, the check on
   `spectral.sampled_stability_boundary`, which reads one off a map;
@@ -22,6 +26,8 @@ runs, each the same evaluation the program's own path makes:
   operator with a known order for the operator suite.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse
@@ -30,7 +36,8 @@ from adrlab import SchemeId
 from adrlab.linalg import LinearSolveError, StencilMatrix
 from adrlab.operators import (BandedSystem, DerivativeOperator, Grid1D, _explicit, build_nccd,
                               nccd_system)
-from adrlab.spectral import STABILITY_TOL, SpectralParams, _c_ratio, _g, _g_exact, _symbols
+from adrlab.spectral import (STABILITY_TOL, DispersionMap, _c_ratio, _g, _g_exact, _symbols,
+                             phase_shift, sweep)
 from adrlab.wavepacket import WavePacketConfig
 
 
@@ -155,6 +162,24 @@ def nccd_blocks(grid):
     return a[0::2, 0::2], a[0::2, 1::2], c[0::2], a[1::2, 0::2], a[1::2, 1::2], c[1::2]
 
 
+@dataclass(frozen=True)
+class SpectralParams:
+    kh: float
+    nc: float
+    pe: float
+    da: float
+    node: int = 500          # 1-based interior node index of the operators
+
+    def __post_init__(self):
+        if not 0.0 <= self.kh <= np.pi + 1e-12:
+            raise ValueError("kh must lie in [0, pi]")
+
+
+def sweep_at(scheme: SchemeId, p: SpectralParams, ops) -> DispersionMap:
+    """The 1 x 1 `spectral.sweep` at one sample: each diagnostic's `.item()`
+    is its value there."""
+    return sweep(scheme, [p.kh], [p.nc], p.pe, p.da, p.node, ops)
+
 
 def g_exact(p: SpectralParams) -> complex:
     return complex(_g_exact(p.kh, p.nc, p.pe, p.da))
@@ -182,7 +207,7 @@ def error_forcing_value(p: SpectralParams, a0, t: float, g: complex) -> complex:
         return 0.0 + 0.0j
     if abs(g) == 0.0:
         raise ValueError("forcing undefined for G = 0")
-    bracket = 1 - _c_ratio(p.kh, p.nc, p.pe, p.da, g)
+    bracket = 1 - _c_ratio(p.kh, p.nc, p.pe, p.da, g, phase_shift(g))
     coeff = 1j * p.nc * p.kh + p.pe * p.kh**2 - p.da
     return complex(amp * coeff * bracket * g**t)
 

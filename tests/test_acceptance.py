@@ -50,6 +50,7 @@ from adrlab.operators import (
 )
 from adrlab import pks2d, spectral, wavepacket as wp
 from reference import (
+    SpectralParams,
     amplitude_of_kh,
     build_cd2_first,
     dense,
@@ -59,6 +60,7 @@ from reference import (
     nccd_blocks,
     nccd_raw,
     stability_boundary,
+    sweep_at,
 )
 
 PE, DA = 0.01, -0.01
@@ -81,10 +83,10 @@ def _finish(num, checks, elapsed, budget, capsys):
 
 
 def _point(scheme, ops, kh=0.5, nc=0.1):
-    p = spectral.SpectralParams(kh, nc, PE, DA, NODE)
+    p = SpectralParams(kh, nc, PE, DA, NODE)
     g = g_num(scheme, p, ops)
-    pt = spectral.dispersion_point(scheme, p, ops)
-    return abs(g / g_exact(p)), pt.vg_ratio, pt.phase_err
+    pt = sweep_at(scheme, p, ops)
+    return abs(g / g_exact(p)), pt.vg_ratio.item(), pt.phase_err.item()
 
 
 def test_criterion_1_explicit_scheme_point_values(ops1001, capsys):
@@ -92,7 +94,7 @@ def test_criterion_1_explicit_scheme_point_values(ops1001, capsys):
     scheme = SchemeId.EXPLICIT_OUCS3_CD2
     ratio, vg, perr = _point(scheme, ops1001[scheme])
     REF_VG, REF_PHASE, REF_G = 0.7078, 0.0956, 0.9896
-    p = spectral.SpectralParams(0.5, 0.1, PE, DA, NODE)
+    p = SpectralParams(0.5, 0.1, PE, DA, NODE)
     # REF_G matches the amplitude against the advection-diffusion factor
     # alone; that reading is a hypothesis (criterion 2 uses the full ratio)
     amp = abs(g_num(scheme, p, ops1001[scheme])) / np.exp(-PE * p.kh**2)
@@ -129,7 +131,7 @@ def test_criterion_3_stability_boundaries(ops1001, capsys):
                             kh_axis=kh_axis)
     s2, nc_cap = SchemeId.IMPLICIT_OUCS3_LELE, 3.2
     b2 = stability_boundary(s2, ops1001[s2], PE, DA, kh_axis=kh_axis, nc_max=nc_cap)
-    gmax2 = [max(abs(g_num(s2, spectral.SpectralParams(kh, nc, PE, DA, NODE),
+    gmax2 = [max(abs(g_num(s2, SpectralParams(kh, nc, PE, DA, NODE),
                            ops1001[s2])) for kh in kh_axis)
              for nc in (1.43, nc_cap)]
     corner = spectral.sweep(SchemeId.IMEX_OUCS3_LELE,
@@ -137,10 +139,10 @@ def test_criterion_3_stability_boundaries(ops1001, capsys):
                             NODE, ops1001[SchemeId.IMEX_OUCS3_LELE]).g_ratio.max()
     worst4 = max(
         np.abs(1 - np.array([abs(g_num(SchemeId.IMEX_NCCD,
-                                       spectral.SpectralParams(kh, nc, PE, DA, NODE),
+                                       SpectralParams(kh, nc, PE, DA, NODE),
                                        ops1001[SchemeId.IMEX_NCCD])
                                  / g_exact(
-                                     spectral.SpectralParams(kh, nc, PE, DA, NODE)))
+                                     SpectralParams(kh, nc, PE, DA, NODE)))
                              for kh in kh_axis])).max()
         for nc in np.linspace(0.025, 0.21, 8))
     checks = [
@@ -163,8 +165,8 @@ def vg_bands(ops1001):
     for scheme in (SchemeId.EXPLICIT_OUCS3_CD2, SchemeId.IMEX_NCCD):
         neg = []
         for kh in kh_axis:
-            p = spectral.SpectralParams(kh, 0.1, PE, DA, NODE)
-            if spectral.dispersion_point(scheme, p, ops1001[scheme]).vg_ratio < 0:
+            p = SpectralParams(kh, 0.1, PE, DA, NODE)
+            if sweep_at(scheme, p, ops1001[scheme]).vg_ratio.item() < 0:
                 neg.append(kh)
         bands[scheme] = (min(neg), max(neg))
     return bands
@@ -175,10 +177,10 @@ def test_criterion_4_negative_group_velocity_bands(ops1001, vg_bands, capsys):
     lo1, hi1 = vg_bands[SchemeId.EXPLICIT_OUCS3_CD2]
     lo4, _ = vg_bands[SchemeId.IMEX_NCCD]
     inner = all(
-        spectral.dispersion_point(
+        sweep_at(
             SchemeId.EXPLICIT_OUCS3_CD2,
-            spectral.SpectralParams(kh, 0.1, PE, DA, NODE),
-            ops1001[SchemeId.EXPLICIT_OUCS3_CD2]).vg_ratio < 0
+            SpectralParams(kh, 0.1, PE, DA, NODE),
+            ops1001[SchemeId.EXPLICIT_OUCS3_CD2]).vg_ratio.item() < 0
         for kh in np.linspace(1.1, 2.6, 40))
     checks = [
         # the quoted edges [0.95, 2.72] are rounded to two decimals (the true
@@ -205,7 +207,7 @@ def test_criterion_5_stepper_spectral_consistency(ops1001, capsys):
         stepper = make_stepper(scheme, cfg, ops1001[scheme])
         u0 = np.exp(1j * kh * np.arange(N))
         ratio = stepper.step(SolutionState(u0, 0.0)).values[NODE - 1] / u0[NODE - 1]
-        p = spectral.SpectralParams(kh, nc, PE, DA, NODE)
+        p = SpectralParams(kh, nc, PE, DA, NODE)
         worst = max(worst, abs(ratio - g_num(scheme, p, ops1001[scheme])))
     checks = [("max_deviation", worst < 1e-6, f"{worst:.2e} over 100 random tuples")]
     _finish(5, checks, time.time() - t0, "30 s", capsys)
@@ -384,7 +386,7 @@ def test_criterion_9_error_forcing(ops1001, vg_bands, capsys):
     a0 = amplitude_of_kh(cfg)
     kh_axis = np.linspace(0.02, np.pi - 0.02, 400)
     # von Neumann limit: substituting the exact factor kills the forcing
-    samples = [spectral.SpectralParams(kh, 0.1, PE, DA, NODE) for kh in kh_axis]
+    samples = [SpectralParams(kh, 0.1, PE, DA, NODE) for kh in kh_axis]
     worst = max(abs(error_forcing_value(p, a0, 10.0, g_exact(p))) for p in samples)
     scheme = SchemeId.EXPLICIT_OUCS3_CD2
     vals = np.array([abs(error_forcing_value(p, a0, 10.0, g_num(scheme, p, ops1001[scheme])))

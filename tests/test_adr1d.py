@@ -20,8 +20,7 @@ from adrlab.adr1d import (
 )
 from adrlab.operators import (DEFAULT_OUCS3, DerivativeOperator, Grid1D, build_lele_second,
                                build_nccd, build_oucs3)
-from adrlab import spectral
-from reference import dense, g_num, nccd_line_operators
+from reference import SpectralParams, dense, g_num, nccd_line_operators
 
 N_SMALL = 101
 
@@ -94,7 +93,7 @@ def test_single_mode_matches_spectral_theory(scheme, ops1001):
         u0 = np.exp(1j * kh * np.arange(1001))
         out = stepper.step(SolutionState(u0, 0.0))
         ratio = out.values[499] / u0[499]
-        p = spectral.SpectralParams(kh, cfg.n_c, cfg.pe, cfg.da, 500)
+        p = SpectralParams(kh, cfg.n_c, cfg.pe, cfg.da, 500)
         assert abs(ratio - g_num(scheme, p, ops)) < 1e-12, kh
 
 

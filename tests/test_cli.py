@@ -314,6 +314,22 @@ def test_wavepacket_rejects_bad_qwindow_efolds(value, tmp_path, capsys):
     assert "--qwindow-efolds must be finite and > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--gamma", "1e-300"), ("--qwindow-efolds", "1e300")])
+def test_wavepacket_refuses_an_empty_q_wave_window_before_it_steps(flag, value, tmp_path,
+                                                                   capsys, monkeypatch):
+    from adrlab import adr1d
+
+    def no_step(self, state):
+        raise AssertionError("stepped before the q-wave window was checked")
+
+    monkeypatch.setattr(adr1d.Stepper, "step", no_step)
+    out = tmp_path / "out"
+    assert run_cli(["wavepacket", "--n", "101", "--dt", "0.01", "--t-end", "0.02",
+                    flag, value, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "error: q-wave window empty: its bound x = " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("n", ["-1", "0", "1", "4", "5", "6"])
 def test_wavepacket_too_few_nodes_exits_two(n, tmp_path, capsys):
     # the 7-node minimum is the grid's own check, the one the packet

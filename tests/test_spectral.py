@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference import (
+    SpectralParams,
     awkward_floats,
     csv_by_value,
     error_forcing_value,
     g_exact,
     g_num,
     stability_boundary,
+    sweep_at,
 )
 
 from adrlab import CHUNK_ROWS
@@ -17,9 +19,7 @@ from adrlab.adr1d import AdrConfig, SchemeId, scheme_operators
 from adrlab.operators import Grid1D, row_symbols
 from adrlab.spectral import (
     DispersionMap,
-    SpectralParams,
     _c_ratio,
-    dispersion_point,
     phase_shift,
     sampled_stability_boundary,
     sweep,
@@ -68,10 +68,12 @@ def test_phase_speed_error_vanishes_for_exact_g():
     # the phase error |1 - c_num/c_exact| of the maps, from the exact factor
     for kh in (0.3, 1.0, 2.5):
         p = params(kh, 0.1)
-        assert abs(1 - _c_ratio(p.kh, p.nc, PE, DA, g_exact(p))) < 1e-12
+        g = g_exact(p)
+        assert abs(1 - _c_ratio(p.kh, p.nc, PE, DA, g, phase_shift(g))) < 1e-12
     # kh = 0 limit is finite for Da != 0 and zero for the exact factor
     p0 = params(0.0, 0.1)
-    assert abs(1 - _c_ratio(p0.kh, p0.nc, PE, DA, g_exact(p0))) < 1e-12
+    g0 = g_exact(p0)
+    assert abs(1 - _c_ratio(p0.kh, p0.nc, PE, DA, g0, phase_shift(g0))) < 1e-12
 
 
 # the CLI default map: 64 x 64 samples of kh in [0, pi] and N_c in [0.025, 1.6]
@@ -82,7 +84,7 @@ def test_group_velocity_reference_value(ops1001):
     # a steep sample of the default map, where a +-1e-4 phase difference
     # reads 19.93610; differences with smaller steps converge to 19.934923
     scheme = SchemeId.EXPLICIT_OUCS3_CD2
-    vg = dispersion_point(scheme, params(MAP_KH[58], MAP_NC[34]), ops1001[scheme]).vg_ratio
+    vg = sweep_at(scheme, params(MAP_KH[58], MAP_NC[34]), ops1001[scheme]).vg_ratio.item()
     assert abs(vg - 19.934923) <= 1e-5
 
 
@@ -111,7 +113,7 @@ def test_map_edges_are_the_schemes_limits(scheme, ops1001):
                           <= 1e-6 * np.maximum(1.0, np.abs(col[:, edge]))), (name, edge)
     for nc, perr in zip(MAP_NC, dmap.phase_err[:, 0]):
         p = params(0.0, nc)
-        assert abs(perr - dispersion_point(scheme, p, ops).phase_err) <= 1e-9
+        assert abs(perr - sweep_at(scheme, p, ops).phase_err.item()) <= 1e-9
 
 
 @pytest.mark.parametrize("scheme", list(SchemeId))
@@ -129,11 +131,11 @@ def test_interior_node_independence(scheme, ops1001):
     for kh in (0.5, 2.0):
         p_big = params(kh, 0.2)
         p_small = params(kh, 0.2, node=250)
-        pt_big = dispersion_point(scheme, p_big, ops1001[scheme])
-        pt_small = dispersion_point(scheme, p_small, ops_small)
-        assert abs(pt_big.g_ratio - pt_small.g_ratio) < 1e-6
-        assert abs(pt_big.vg_ratio - pt_small.vg_ratio) < 1e-6
-        assert abs(pt_big.phase_err - pt_small.phase_err) < 1e-6
+        pt_big = sweep_at(scheme, p_big, ops1001[scheme])
+        pt_small = sweep_at(scheme, p_small, ops_small)
+        assert abs(pt_big.g_ratio.item() - pt_small.g_ratio.item()) < 1e-6
+        assert abs(pt_big.vg_ratio.item() - pt_small.vg_ratio.item()) < 1e-6
+        assert abs(pt_big.phase_err.item() - pt_small.phase_err.item()) < 1e-6
 
 
 def test_error_forcing_vanishes_for_exact_g(ops1001):
@@ -170,19 +172,20 @@ def test_error_forcing_zero_amplitude(ops1001):
 
 @pytest.mark.parametrize("scheme", list(SchemeId))
 def test_sweep_single_point_matches_pointwise(scheme, ops1001):
-    # one evaluation path: every map entry, the one-sided kh = 0 and pi
-    # edges included, is bit for bit the pointwise result; 19 kh fill one
-    # whole batch of 16 forward-solve modes (64 columns) and part of another
+    # a map entry does not depend on the size of the grid: every entry, the
+    # one-sided kh = 0 and pi edges included, is bit for bit the 1 x 1 sweep
+    # at its sample; 19 kh fill one whole batch of 16 forward-solve modes
+    # (64 columns) and part of another
     ops = ops1001[scheme]
     kh_axis, nc_axis = np.linspace(0.0, np.pi, 19).tolist(), [0.1, 0.6, 1.3]
     dmap = sweep(scheme, kh_axis, nc_axis, PE, DA, 500, ops)
     for i_nc, nc in enumerate(nc_axis):
         for i_kh, kh in enumerate(kh_axis):
-            pt = dispersion_point(scheme, params(kh, nc), ops)
-            assert (pt.kh, pt.nc) == (kh, nc)
+            pt = sweep_at(scheme, params(kh, nc), ops)
+            assert (pt.kh_axis.item(), pt.nc_axis.item()) == (kh, nc)
             for name in ("g_num", "g_ratio", "beta", "vg_ratio", "phase_err"):
-                assert getattr(pt, name) == getattr(dmap, name)[i_nc, i_kh], name
-            assert g_num(scheme, params(kh, nc), ops) == pt.g_num
+                assert getattr(pt, name).item() == getattr(dmap, name)[i_nc, i_kh], name
+            assert g_num(scheme, params(kh, nc), ops) == pt.g_num.item()
 
 
 def _reference_g(scheme, kh, nc, pe, da, ops):
@@ -213,7 +216,7 @@ def test_template_g_matches_closed_forms(ops1001, scheme, kh, nc, pe, da):
 
 def test_sweep_kh0_column_stores_analytic_limits(ops1001):
     # the kh = 0 column holds the scheme's limits: the reaction-only ratio,
-    # the phase error of dispersion_point (finite for Da != 0) and a V_g
+    # the phase error of the 1 x 1 sweep (finite for Da != 0) and a V_g
     # that continues the kh > 0 values, not 1; with Da = 0 the phase error
     # keeps its limit 0
     scheme = SchemeId.EXPLICIT_OUCS3_CD2
@@ -223,9 +226,9 @@ def test_sweep_kh0_column_stores_analytic_limits(ops1001):
     assert abs(dmap.g_ratio[0, 0] - want_ratio) < 1e-10
     assert dmap.phase_err[0, 0] > 0
     p0 = params(0.0, 0.1)
-    for each in SchemeId:  # the point function's value is the map entry's, bit for bit
+    for each in SchemeId:  # the 1 x 1 sweep's value is the map entry's, bit for bit
         m = sweep(each, [0.0, 1e-7], [0.1], PE, DA, 500, ops1001[each])
-        assert m.phase_err[0, 0] == dispersion_point(each, p0, ops1001[each]).phase_err
+        assert m.phase_err[0, 0] == sweep_at(each, p0, ops1001[each]).phase_err.item()
     vg0, vg1 = dmap.vg_ratio[0]
     assert abs(vg0 - vg1) < 1e-9 and vg0 != 1.0
     dmap = sweep(scheme, [0.0], [0.1], PE, 0.0, 500, ops)

@@ -65,3 +65,13 @@ def test_the_refused_config_run_names_its_key(tmp_path):
     err = (tmp_path / "out" / "refused_map_config_key" / "stderr.txt").read_text()
     assert err.startswith("exit 2\n") and err.endswith(
         "error: unrecognized arguments: --nonsense=1\n")
+
+
+def test_the_refused_q_window_run_names_its_bound(tmp_path):
+    refused = [r for r in standard_outputs.REFUSED if r[0] == "refused_wavepacket_qwindow"]
+    standard_outputs.run(_ROOT, tmp_path / "out", [], refused)
+    run = tmp_path / "out" / "refused_wavepacket_qwindow"
+    assert (run / "stderr.txt").read_text() == (
+        "exit 2\nerror: q-wave window empty: its bound x = -6e+150 is not right of the "
+        "domain's left end x = -5\n")
+    assert sorted(p.name for p in run.iterdir()) == ["stderr.txt", "stdout.txt"]

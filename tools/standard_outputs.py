@@ -13,10 +13,11 @@ writes its files with ``--out .`` and its stdout as ``stdout.txt``. The set:
 * ``pks`` for both variants with ``--t-end 2e-6``;
 * one ``dispersion-map`` whose flags come from a ``--config`` file
   (`CONFIG`, written into its directory);
-* four runs the CLI refuses (`REFUSED`): ``dispersion-map --n 6``,
+* five runs the CLI refuses (`REFUSED`): ``dispersion-map --n 6``,
   ``wavepacket --n 6``, a short ``pks`` whose ``--out`` lies below a
-  regular file (its own config file) and a small ``dispersion-map`` whose
-  config file holds a key that names no flag.
+  regular file (its own config file), a small ``dispersion-map`` whose
+  config file holds a key that names no flag and a short ``wavepacket``
+  whose q-wave window is empty (``--gamma 1e-300``).
 
 A refused run also writes ``stderr.txt``: ``exit <code>`` on its first
 line, then its stderr. Two trees' sets compare with ``python
@@ -55,6 +56,8 @@ REFUSED = (
     ("refused_pks_out", ["pks", "--n", "16", "--out", "run.cfg/sub"], "t-end = 1e-8\n"),
     ("refused_map_config_key", ["dispersion-map", "--n", "51", "--node", "25",
                                 "--kh-points", "3", "--nc-points", "2"], "nonsense = 1\n"),
+    ("refused_wavepacket_qwindow", ["wavepacket", "--n", "101", "--t-end", "0.02",
+                                    "--gamma", "1e-300"], None),
 )
 
 
