@@ -74,12 +74,20 @@ def write_csv(path, header: str, *columns) -> None:
 
     The columns are broadcast against each other and read in C order, so
     x[:, None] beside a field of shape (nx, ny) repeats x_i along row i
-    without a copy. Rows are formatted and written `CHUNK_ROWS` at a time.
+    without a copy. A column broadcast from fewer values than the table has
+    rows is formatted once per value and its text repeated. Rows are
+    formatted and written `CHUNK_ROWS` at a time.
     """
     import numpy as np
 
-    cols = np.broadcast_arrays(*columns)
-    row = ",".join([FLOAT] * len(cols)) + "\n"
+    cols, fields = [], []
+    for col, full in zip(columns, np.broadcast_arrays(*columns)):
+        if np.size(col) < full.size:
+            text = np.array([FLOAT % v for v in np.ravel(col).tolist()], dtype=object)
+            full = np.broadcast_to(text.reshape(np.shape(col)), full.shape)
+        cols.append(full)
+        fields.append("%s" if full.dtype == object else FLOAT)
+    row = ",".join(fields) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for start in range(0, cols[0].size, CHUNK_ROWS):

@@ -2,10 +2,11 @@
 
 Every command is deterministic (no seeds) and writes its CSV files through
 `adrlab.write_csv`, each float as `adrlab.FLOAT` (12 significant digits),
-the format its stdout lines use too. Identical flags reproduce byte-identical
-outputs for a fixed BLAS build and BLAS thread cap: the thread count can
-move the last digits of products that BLAS splits across threads, so
-``--threads 1`` is the setting that reproduces across hosts.
+the format its stdout lines use too. `main` pins BLAS to one thread
+whatever the environment holds, since the thread count can move the last
+digits of products that BLAS splits across threads. Identical flags
+therefore reproduce byte-identical outputs for a fixed BLAS build and CPU
+kernel, on any number of cores.
 
 Exit codes: 0 success, 2 argument error (a bad flag or config value, or a
 file that cannot be read or written, such as an ``--out`` directory that
@@ -37,20 +38,13 @@ from . import FLOAT, NumericalError, PksVariant, SchemeId, whole_steps
 
 _SCHEMES = [s.value for s in SchemeId]
 
+#: BLAS thread-count variables `main` sets to 1 before a handler imports numpy
+#: (importing this module does not), so BLAS reads them
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def _fmt(x: float) -> str:
     return FLOAT % x
-
-
-def _cap_threads(threads) -> None:
-    """Cap BLAS worker threads. Runs after parsing and before any handler
-    imports numpy (importing this module does not), so BLAS reads the cap."""
-    if threads is None:
-        return
-    if threads < 1:
-        raise ValueError("--threads must be >= 1")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(threads)
 
 
 def _check_map_args(args) -> None:
@@ -96,8 +90,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None,
                    help="key = value lines, read as flags --key=value ahead of the "
                         "command line's, which win; keys are whole flag names")
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap BLAS worker threads (default: machine parallelism)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -224,7 +216,7 @@ def cmd_wavepacket(args) -> int:
         path = os.path.join(args.out, wp.snapshot_filename(scheme, cfg, snap.t))
         wp.write_snapshot_csv(snap, cfg, path)
     spec_path = os.path.join(args.out,
-                             f"spectrum_{scheme.value}_{cfg.gamma:g}_{cfg.n_points}.csv")
+                             f"spectrum_{scheme.value}_{_fmt(cfg.gamma)}_{cfg.n_points}.csv")
     wp.write_spectrum_csv(result.spectrum_kh, result.spectrum_amplitude, spec_path)
     g_ratio, vg, perr = wp.point_diagnostics(scheme, cfg, adr, ops)
     print(f"N_c={_fmt(adr.n_c)} Pe={_fmt(adr.pe)} Da={_fmt(adr.da)}")
@@ -273,7 +265,7 @@ def main(argv=None) -> int:
     ap = _build_parser()
     try:
         args = _reparse_with_config(ap, argv)
-        _cap_threads(args.threads)
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
         return {"dispersion-map": cmd_dispersion_map,
                 "wavepacket": cmd_wavepacket,
                 "pks": cmd_pks}[args.command](args)

@@ -24,8 +24,8 @@ row j-1.
 
 Builders are pure functions and the returned operators never change what
 they represent. Their LU factors are computed on first use and cached
-without a lock; two threads that both compute one get equal
-results, and neither sees the other's work in progress.
+without a lock; two concurrent callers that both compute one get
+equal results, and neither sees the other's work in progress.
 """
 
 from __future__ import annotations

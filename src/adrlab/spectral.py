@@ -140,13 +140,11 @@ def _g(scheme: SchemeId, symbols, nc, pe: float, da: float) -> tuple:
 
 
 def phase_shift(g):
-    """beta = -atan2(Im G, Re G), branch-correct, in (-pi, pi]; elementwise."""
+    """beta = -atan2(Im G, Re G), branch-correct, in (-pi, pi]; elementwise.
+    G = 0 has no phase: the caller masks it (`sweep` sets it to NaN)."""
     g = np.asarray(g)
-    if np.any(g == 0):
-        raise ValueError("phase shift undefined for G = 0")
     beta = -np.arctan2(g.imag, g.real)
-    beta = np.where(beta <= -np.pi, np.pi, beta)
-    return float(beta) if beta.ndim == 0 else beta
+    return np.where(beta <= -np.pi, np.pi, beta)
 
 
 def _c_ratio(kh, nc, pe, da, g, beta):

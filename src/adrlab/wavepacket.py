@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import SchemeId, spectral, whole_steps, write_csv
+from . import FLOAT, SchemeId, spectral, whole_steps, write_csv
 from .adr1d import AdrConfig, SolutionState, run, scheme_operators
 from .operators import Grid1D
 
@@ -243,7 +243,7 @@ def point_diagnostics(scheme: SchemeId, cfg: WavePacketConfig, adr: AdrConfig, o
 
 
 def snapshot_filename(scheme: SchemeId, cfg: WavePacketConfig, t: float) -> str:
-    return f"{scheme.value}_{cfg.gamma:g}_{cfg.n_points}_{t:g}.csv"
+    return f"{scheme.value}_{FLOAT % cfg.gamma}_{cfg.n_points}_{FLOAT % t}.csv"
 
 
 def write_snapshot_csv(state: SolutionState, cfg: WavePacketConfig, path) -> None:

@@ -540,24 +540,47 @@ def test_pks_imex_default_dt_runs(tmp_path, capsys):
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def test_threads_cap_applied_after_parse_and_config(tmp_path, monkeypatch, capsys):
+def test_main_pins_blas_to_one_thread_and_refuses_threads(tmp_path, monkeypatch, capsys):
     for var in _THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv(var, "2")
     small = ["dispersion-map", "--n", "21", "--node", "10", "--kh-points", "2",
              "--nc-points", "1", "--out", str(tmp_path)]
-    assert run_cli(small + ["--threads=2"]) == 0
-    assert [os.environ[v] for v in _THREAD_VARS] == ["2"] * 3
+    assert run_cli(small) == 0
+    assert [os.environ[v] for v in _THREAD_VARS] == ["1"] * 3
     cfgfile = tmp_path / "threads.cfg"
-    cfgfile.write_text("threads = 3\n")
-    assert run_cli(small + ["--config", str(cfgfile)]) == 0
-    assert [os.environ[v] for v in _THREAD_VARS] == ["3"] * 3
-    assert run_cli(small + ["--threads", "0"]) == 2
-    assert "--threads" in capsys.readouterr().err
+    cfgfile.write_text("threads = 2\n")
+    for extra in (["--threads", "2"], ["--threads=2"], ["--config", str(cfgfile)]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli(small + extra)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and "--threads" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["pks", "--variant", "imex-nccd", "--n", "200", "--dt", "1e-8", "--t-end", "2e-7"],
+    ["wavepacket", "--scheme", "imex-nccd", "--t-end", "1"],
+], ids=["pks", "wavepacket"])
+def test_outputs_do_not_depend_on_the_blas_thread_count(argv, tmp_path):
+    # products that BLAS splits over two threads move the last digits of these
+    # runs' fields; the CLI runs BLAS on one thread whatever the environment says
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, PYTHONPATH=os.path.join(src, "src"),
+                   **dict.fromkeys(_THREAD_VARS, threads))
+        proc = subprocess.run([sys.executable, "-m", "adrlab.cli", *argv, "--out", str(out)],
+                              env=env, capture_output=True, check=True)
+        outputs.append((proc.stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1]
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # the thread cap is set after parsing; it reaches BLAS only because
-    # numpy is first imported by the command handlers
+    # main pins BLAS to one thread after parsing; the pin reaches BLAS only
+    # because numpy is first imported by the command handlers
     src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     code = "import sys, adrlab.cli; sys.exit('numpy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.path.join(src, "src"))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from reference import amplitude_of_kh, awkward_floats, csv_by_value
 
-from adrlab import CHUNK_ROWS
+from adrlab import CHUNK_ROWS, write_csv
 from adrlab.adr1d import AdrConfig, SchemeId, SolutionState
 from adrlab.wavepacket import (
     WavePacketConfig,
@@ -280,3 +280,20 @@ def test_writers_match_per_value_formatting(tmp_path, rng):
     kh, amp = awkward_floats(rng, CHUNK_ROWS + 1), awkward_floats(rng, CHUNK_ROWS + 1)
     write_spectrum_csv(kh, amp, tmp_path / "spec.csv")
     assert (tmp_path / "spec.csv").read_bytes() == csv_by_value("kh,amplitude", zip(kh, amp))
+
+
+def test_write_csv_of_broadcast_columns_only(tmp_path, rng):
+    # every column is broadcast from fewer values than the table has rows, so
+    # each is formatted once per value; the table still spans whole chunks
+    a, b = awkward_floats(rng, 37), awkward_floats(rng, 31)
+    write_csv(tmp_path / "grid.csv", "a,b,c", a[:, None], b[None, :], np.float64(-0.1))
+    rows = ((ai, bj, -0.1) for ai in a for bj in b)
+    assert (tmp_path / "grid.csv").read_bytes() == csv_by_value("a,b,c", rows)
+
+
+def test_snapshot_names_tell_apart_times_that_agree_to_six_digits():
+    cfg = cfg_of(50.0, n=101)
+    names = {snapshot_filename(SchemeId.IMEX_NCCD, cfg, t) for t in (10000.01, 10000.02)}
+    assert len(names) == 2
+    assert [snapshot_filename(SchemeId.IMEX_NCCD, cfg, t) for t in (0.0, 5.0, 10.0)] == [
+        f"imex-nccd_50_101_{t}.csv" for t in (0, 5, 10)]

@@ -4,9 +4,11 @@
     python tools/standard_outputs.py TREE OUT
 
 TREE is a checkout of the repository. Each run of the set is a fresh
-Python process of ``adrlab.cli`` with ``TREE/src`` on PYTHONPATH and
-``--threads 1``, working in a directory of its own, ``OUT/<run>``, where it
-writes its files with ``--out .`` and its stdout as ``stdout.txt``. The set:
+Python process of ``adrlab.cli`` with ``TREE/src`` on PYTHONPATH and BLAS
+held to one thread by its environment (`BLAS_ONE_THREAD`), so trees whose
+CLI does not pin BLAS itself run alike. It works in a directory of its own,
+``OUT/<run>``, where it writes its files with ``--out .`` and its stdout as
+``stdout.txt``. The set:
 
 * ``dispersion-map`` for each of the four schemes at the CLI defaults;
 * ``wavepacket`` for each scheme with ``--snapshots 0,5,10``;
@@ -32,6 +34,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+#: the BLAS thread-count variables, each at 1
+BLAS_ONE_THREAD = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
 SCHEMES = ("explicit-oucs3-cd2", "implicit-oucs3-lele", "imex-oucs3-lele", "imex-nccd")
 VARIANTS = ("explicit-oucs3-cd2", "imex-nccd")
@@ -64,7 +69,7 @@ REFUSED = (
 def run(tree: Path, out: Path, commands=STANDARD, refused=REFUSED) -> None:
     """Run each of ``commands``, then each of ``refused``, on ``tree`` into
     its directory under ``out``."""
-    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
+    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"), **BLAS_ONE_THREAD)
     out.mkdir(parents=True)
     runs = [(c, False) for c in commands] + [(c, True) for c in refused]
     for (name, argv, config), must_fail in runs:
@@ -73,8 +78,7 @@ def run(tree: Path, out: Path, commands=STANDARD, refused=REFUSED) -> None:
         if config is not None:
             (cwd / "run.cfg").write_text(config)
             argv = argv + ["--config", "run.cfg"]
-        done = subprocess.run([sys.executable, "-m", "adrlab.cli", argv[0], "--out", ".",
-                               "--threads", "1", *argv[1:]],
+        done = subprocess.run([sys.executable, "-m", "adrlab.cli", argv[0], "--out", ".", *argv[1:]],
                               cwd=cwd, env=env, capture_output=True, text=True)
         (cwd / "stdout.txt").write_text(done.stdout)
         if must_fail:
